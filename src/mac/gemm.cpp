@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 #include <vector>
 
 #include "fpemu/softfloat.hpp"
@@ -35,11 +34,9 @@ inline uint64_t mix_seed_periodic(uint64_t s, uint64_t i, uint64_t j,
   return mix_seed(s, i, j);
 }
 
-/// Blocking parameters (see docs/PERF.md). NC bounds the packed-B working
-/// set of one row sweep (NC * K operand words); KC bounds the bulk-draw
-/// random buffer and gives the k-loop a cache-sized stride.
+/// Blocking parameter (see docs/PERF.md): NC bounds the packed-B working
+/// set of one row sweep (NC * K operand words).
 constexpr int kNc = 64;
-constexpr int kKc = 512;
 
 }  // namespace
 
@@ -108,10 +105,14 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
   const MacConfig c = cfg.normalized();
   const FusedMacKernel kernel(c);
   const FpFormat acc_fmt = c.acc_fmt;
-
-  const bool needs_rand = kernel.needs_rand();
-  const int lfsr_width = kernel.lfsr_width();
-  const int r = c.random_bits;
+  // Element (i, j)'s LFSR register, seeded as MacUnit seeds its own.
+  auto seed_lfsr = [&](int64_t i, int j) {
+    return GaloisLfsr::seed_state(
+        kernel.lfsr_width(),
+        mix_seed_periodic(seed, static_cast<uint64_t>(i),
+                          static_cast<uint64_t>(j), seed_row_period,
+                          seed_col_period));
+  };
 
   const int G = kernel.group_width();
   assert(B.K == K && B.N == N && B.group == G &&
@@ -121,13 +122,8 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
   ThreadPool::global().parallel_for(
       0, M,
       [&](int64_t row_lo, int64_t row_hi) {
-        GaloisLfsr lfsr(lfsr_width, 1);
-        std::vector<GaloisLfsr> lf(G, lfsr);  // one sequence per group lane
-        const int kc_width = std::min(K, kKc);
-        std::vector<uint64_t> rand_tmp(needs_rand ? kc_width : 0);
-        std::vector<uint64_t> rand_ilv(
-            needs_rand ? static_cast<size_t>(G) * kc_width : 1);
         std::vector<Unpacked> acc(G);
+        std::vector<uint64_t> lfsr(G);  // one LFSR register per group lane
         // Takes the address, not the value: with accumulate=false the
         // caller's C may be uninitialized and must not be read.
         auto init_acc = [&](const float* out) {
@@ -139,11 +135,11 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
           return static_cast<float>(
               SoftFloat::to_double(acc_fmt, encode_unpacked(acc_fmt, a)));
         };
-        // MC x NC x KC blocking: this task's rows sweep one NC-wide panel
-        // of packed B at a time; within the panel, G = group_width() output
+        // MC x NC blocking: this task's rows sweep one NC-wide panel of
+        // packed B at a time; within the panel, G = group_width() output
         // elements run in lockstep (independent chains hide the per-add
-        // latency) and each chain walks K in KC strides with one bulk LFSR
-        // fill per stride and lane.
+        // latency), each walking all of K in one kernel call that steps
+        // its lane's LFSR register in place.
         for (int jc = 0; jc < N; jc += kNc) {
           const int jhi = std::min(N, jc + kNc);
           for (int64_t i = row_lo; i < row_hi; ++i) {
@@ -155,28 +151,9 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
                   bt.data() + static_cast<size_t>(j / G) * G * K;
               for (int l = 0; l < G; ++l) {
                 acc[l] = init_acc(C + static_cast<size_t>(i) * ldc + j + l);
-                lf[l].reseed(mix_seed_periodic(
-                    seed, static_cast<uint64_t>(i),
-                    static_cast<uint64_t>(j + l), seed_row_period,
-                    seed_col_period));
+                lfsr[l] = seed_lfsr(i, j + l);
               }
-              for (int kc = 0; kc < K; kc += kKc) {
-                const int kn = std::min(K - kc, kKc);
-                if (needs_rand) {
-                  // One bulk fill per lane, interleaved to match the group
-                  // operand layout (rand_ilv[k*G + l]).
-                  for (int l = 0; l < G; ++l) {
-                    lf[l].fill(std::span<uint64_t>(rand_tmp.data(),
-                                                   static_cast<size_t>(kn)),
-                               r);
-                    for (int k = 0; k < kn; ++k)
-                      rand_ilv[static_cast<size_t>(k) * G + l] = rand_tmp[k];
-                  }
-                }
-                kernel.chain_group(acc.data(), arow + kc,
-                                   bg + static_cast<size_t>(kc) * G, kn,
-                                   rand_ilv.data());
-              }
+              kernel.chain_group(acc.data(), arow, bg, K, lfsr.data());
               for (int l = 0; l < G; ++l)
                 C[static_cast<size_t>(i) * ldc + j + l] = finish(acc[l]);
             }
@@ -186,19 +163,10 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
               const uint32_t* bcol = bt.data() +
                                      static_cast<size_t>(full_groups) * G * K +
                                      static_cast<size_t>(j - full_groups * G) * K;
-              lfsr.reseed(mix_seed_periodic(
-                  seed, static_cast<uint64_t>(i), static_cast<uint64_t>(j),
-                  seed_row_period, seed_col_period));
               float* out = C + static_cast<size_t>(i) * ldc + j;
               Unpacked a0 = init_acc(out);
-              for (int kc = 0; kc < K; kc += kKc) {
-                const int kn = std::min(K - kc, kKc);
-                if (needs_rand)
-                  lfsr.fill(std::span<uint64_t>(rand_ilv.data(),
-                                                static_cast<size_t>(kn)),
-                            r);
-                kernel.chain(a0, arow + kc, bcol + kc, kn, rand_ilv.data());
-              }
+              uint64_t s = seed_lfsr(i, j);
+              kernel.chain(a0, arow, bcol, K, s);
               *out = finish(a0);
             }
           }

@@ -66,9 +66,10 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
 /// This entry point runs the fused emulation engine: cache-blocked loops
 /// over packed operand panels, a decoded accumulator that is packed only at
 /// chain boundaries, a process-wide product table for FP8-class multiplier
-/// formats, bulk LFSR draws, and the persistent thread pool. It is
-/// bit-identical to gemm_mac_reference (asserted by tests/mac/
-/// test_gemm_fastpath.cpp); see docs/PERF.md for the architecture.
+/// formats, LFSR registers stepped inside the kernel, and the persistent
+/// thread pool. It is bit-identical to gemm_mac_reference (asserted by
+/// tests/mac/test_gemm_fastpath.cpp); see docs/PERF.md for the
+/// architecture.
 void gemm_mac(const MacConfig& cfg, int M, int N, int K, const float* A,
               int lda, const float* B, int ldb, float* C, int ldc,
               bool accumulate = false, uint64_t seed = kDefaultSeed,

@@ -8,6 +8,7 @@
 #include "mac/adder_lazy_sr.hpp"
 #include "mac/adder_rn.hpp"
 #include "mac/multiplier.hpp"
+#include "rng/lfsr.hpp"
 
 namespace srmac {
 
@@ -15,13 +16,13 @@ namespace srmac {
 bool mac_kernel_avx512_supported();
 void chain_group_avx512_eager(const FusedMacKernel& kernel, Unpacked* acc,
                               const uint32_t* a, const uint32_t* b_ilv, int n,
-                              const uint64_t* rand_ilv);
+                              uint64_t* lfsr);
 void chain_group_avx512_lazy(const FusedMacKernel& kernel, Unpacked* acc,
                              const uint32_t* a, const uint32_t* b_ilv, int n,
-                             const uint64_t* rand_ilv);
+                             uint64_t* lfsr);
 void chain_group_avx512_rn(const FusedMacKernel& kernel, Unpacked* acc,
                            const uint32_t* a, const uint32_t* b_ilv, int n,
-                           const uint64_t* rand_ilv);
+                           uint64_t* lfsr);
 
 namespace {
 
@@ -50,6 +51,7 @@ FusedMacKernel::FusedMacKernel(const MacConfig& cfg)
   mag_bits_ = cfg_.mul_fmt.width() - 1;
   mag_mask_ = (1u << mag_bits_) - 1;
   mul_sign_mask_ = cfg_.mul_fmt.sign_mask();
+  lfsr_taps_ = GaloisLfsr::taps_for_width(lfsr_width());
 
   if (cfg_.mul_fmt.width() <= kMaxTableWidth) {
     const TableKey key{cfg_.mul_fmt.exp_bits, cfg_.mul_fmt.man_bits,
@@ -132,25 +134,30 @@ Unpacked FusedMacKernel::addend(uint32_t a, uint32_t b) const {
 template <AdderKind kKind, bool kTable>
 void FusedMacKernel::chain_impl(Unpacked& acc, const uint32_t* a,
                                 const uint32_t* b, int n,
-                                const uint64_t* rand) const {
+                                uint64_t& lfsr) const {
   const AddParams ap = params_;
+  const uint64_t taps = lfsr_taps_;
+  uint64_t s = lfsr;
   for (int i = 0; i < n; ++i) {
     const Unpacked ad =
         kTable ? addend_from_table(a[i], b[i]) : addend_slow(a[i], b[i]);
     if constexpr (kKind == AdderKind::kRoundNearest) {
       acc = add_rn_core(ap, acc, ad, nullptr);
     } else if constexpr (kKind == AdderKind::kLazySR) {
-      acc = add_lazy_sr_core(ap, acc, ad, rand[i], nullptr);
+      s = GaloisLfsr::next_state(s, taps);
+      acc = add_lazy_sr_core(ap, acc, ad, s & ap.mask_r, nullptr);
     } else {
-      acc = add_eager_sr_core(ap, acc, ad, rand[i], nullptr);
+      s = GaloisLfsr::next_state(s, taps);
+      acc = add_eager_sr_core(ap, acc, ad, s & ap.mask_r, nullptr);
     }
   }
+  lfsr = s;
 }
 
 template <AdderKind kKind, bool kTable>
 void FusedMacKernel::chain_group_impl(Unpacked* acc, const uint32_t* a,
                                       const uint32_t* b_ilv, int n,
-                                      const uint64_t* rand_ilv) const {
+                                      uint64_t* lfsr) const {
   static_assert(kLanes == 4);
   const AddParams ap = params_;
   // Named lane state (not an array): GCC's scalar replacement runs before
@@ -176,50 +183,55 @@ void FusedMacKernel::chain_group_impl(Unpacked* acc, const uint32_t* a,
       return addend_slow(av, bv);
     }
   };
+  const uint64_t taps = lfsr_taps_;
   const auto step = [&](const Unpacked& la, uint32_t ai, uint32_t bi,
-                        uint64_t ri) -> Unpacked {
+                        uint64_t& s) -> Unpacked {
     const Unpacked ad = make_addend(ai, bi);
     if constexpr (kKind == AdderKind::kRoundNearest) {
-      (void)ri;
+      (void)s;
       return add_rn_core(ap, la, ad, nullptr);
-    } else if constexpr (kKind == AdderKind::kLazySR) {
-      return add_lazy_sr_core(ap, la, ad, ri, nullptr);
     } else {
-      return add_eager_sr_core(ap, la, ad, ri, nullptr);
+      s = GaloisLfsr::next_state(s, taps);
+      if constexpr (kKind == AdderKind::kLazySR)
+        return add_lazy_sr_core(ap, la, ad, s & ap.mask_r, nullptr);
+      else
+        return add_eager_sr_core(ap, la, ad, s & ap.mask_r, nullptr);
     }
   };
 
   Unpacked l0 = acc[0], l1 = acc[1], l2 = acc[2], l3 = acc[3];
-  const bool rnd = kKind != AdderKind::kRoundNearest;
+  uint64_t s0 = lfsr[0], s1 = lfsr[1], s2 = lfsr[2], s3 = lfsr[3];
   for (int i = 0; i < n; ++i) {
     const uint32_t ai = a[i];
     const uint32_t* bi = b_ilv + static_cast<size_t>(i) * kLanes;
-    const uint64_t* ri = rnd ? rand_ilv + static_cast<size_t>(i) * kLanes
-                             : rand_ilv;
-    l0 = step(l0, ai, bi[0], rnd ? ri[0] : 0);
-    l1 = step(l1, ai, bi[1], rnd ? ri[1] : 0);
-    l2 = step(l2, ai, bi[2], rnd ? ri[2] : 0);
-    l3 = step(l3, ai, bi[3], rnd ? ri[3] : 0);
+    l0 = step(l0, ai, bi[0], s0);
+    l1 = step(l1, ai, bi[1], s1);
+    l2 = step(l2, ai, bi[2], s2);
+    l3 = step(l3, ai, bi[3], s3);
   }
   acc[0] = l0;
   acc[1] = l1;
   acc[2] = l2;
   acc[3] = l3;
+  lfsr[0] = s0;
+  lfsr[1] = s1;
+  lfsr[2] = s2;
+  lfsr[3] = s3;
 }
 
 void FusedMacKernel::chain_group(Unpacked* acc, const uint32_t* a,
                                  const uint32_t* b_ilv, int n,
-                                 const uint64_t* rand_ilv) const {
+                                 uint64_t* lfsr) const {
   if (use_avx512_) {
     switch (cfg_.adder) {
       case AdderKind::kEagerSR:
-        chain_group_avx512_eager(*this, acc, a, b_ilv, n, rand_ilv);
+        chain_group_avx512_eager(*this, acc, a, b_ilv, n, lfsr);
         return;
       case AdderKind::kLazySR:
-        chain_group_avx512_lazy(*this, acc, a, b_ilv, n, rand_ilv);
+        chain_group_avx512_lazy(*this, acc, a, b_ilv, n, lfsr);
         return;
       case AdderKind::kRoundNearest:
-        chain_group_avx512_rn(*this, acc, a, b_ilv, n, rand_ilv);
+        chain_group_avx512_rn(*this, acc, a, b_ilv, n, lfsr);
         return;
     }
   }
@@ -227,40 +239,40 @@ void FusedMacKernel::chain_group(Unpacked* acc, const uint32_t* a,
   switch (cfg_.adder) {
     case AdderKind::kRoundNearest:
       tab ? chain_group_impl<AdderKind::kRoundNearest, true>(acc, a, b_ilv, n,
-                                                             rand_ilv)
+                                                             lfsr)
           : chain_group_impl<AdderKind::kRoundNearest, false>(acc, a, b_ilv, n,
-                                                              rand_ilv);
+                                                              lfsr);
       break;
     case AdderKind::kLazySR:
       tab ? chain_group_impl<AdderKind::kLazySR, true>(acc, a, b_ilv, n,
-                                                       rand_ilv)
+                                                       lfsr)
           : chain_group_impl<AdderKind::kLazySR, false>(acc, a, b_ilv, n,
-                                                        rand_ilv);
+                                                        lfsr);
       break;
     case AdderKind::kEagerSR:
       tab ? chain_group_impl<AdderKind::kEagerSR, true>(acc, a, b_ilv, n,
-                                                        rand_ilv)
+                                                        lfsr)
           : chain_group_impl<AdderKind::kEagerSR, false>(acc, a, b_ilv, n,
-                                                         rand_ilv);
+                                                         lfsr);
       break;
   }
 }
 
 void FusedMacKernel::chain(Unpacked& acc, const uint32_t* a, const uint32_t* b,
-                           int n, const uint64_t* rand) const {
+                           int n, uint64_t& lfsr) const {
   const bool tab = table_ != nullptr;
   switch (cfg_.adder) {
     case AdderKind::kRoundNearest:
-      tab ? chain_impl<AdderKind::kRoundNearest, true>(acc, a, b, n, rand)
-          : chain_impl<AdderKind::kRoundNearest, false>(acc, a, b, n, rand);
+      tab ? chain_impl<AdderKind::kRoundNearest, true>(acc, a, b, n, lfsr)
+          : chain_impl<AdderKind::kRoundNearest, false>(acc, a, b, n, lfsr);
       break;
     case AdderKind::kLazySR:
-      tab ? chain_impl<AdderKind::kLazySR, true>(acc, a, b, n, rand)
-          : chain_impl<AdderKind::kLazySR, false>(acc, a, b, n, rand);
+      tab ? chain_impl<AdderKind::kLazySR, true>(acc, a, b, n, lfsr)
+          : chain_impl<AdderKind::kLazySR, false>(acc, a, b, n, lfsr);
       break;
     case AdderKind::kEagerSR:
-      tab ? chain_impl<AdderKind::kEagerSR, true>(acc, a, b, n, rand)
-          : chain_impl<AdderKind::kEagerSR, false>(acc, a, b, n, rand);
+      tab ? chain_impl<AdderKind::kEagerSR, true>(acc, a, b, n, lfsr)
+          : chain_impl<AdderKind::kEagerSR, false>(acc, a, b, n, lfsr);
       break;
   }
 }

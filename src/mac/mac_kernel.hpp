@@ -26,8 +26,10 @@ namespace srmac {
 ///     (width <= 9) it is precomputed into a magnitude-indexed table of
 ///     decoded addends, built once per (mul_fmt, acc_fmt, subnormals)
 ///     triple and shared process-wide.
-///  3. Random words are consumed from a caller-filled buffer (bulk LFSR
-///     fill) instead of one virtual RandomSource::draw per step.
+///  3. Random words come from the lanes' Galois LFSR registers, stepped
+///     in place by the kernel (one branch-free register step per
+///     accumulation, in-register on the vector path) instead of one
+///     virtual RandomSource::draw per step.
 ///  4. The adder-kind dispatch is hoisted out of the k-loop.
 struct MacAddend {
   uint32_t sig = 0;
@@ -44,8 +46,6 @@ class FusedMacKernel {
 
   const MacConfig& config() const { return cfg_; }
   bool has_table() const { return table_ != nullptr; }
-  /// True for the SR adders: chain() then needs one random word per step.
-  bool needs_rand() const { return cfg_.adder != AdderKind::kRoundNearest; }
   /// LFSR register width matching MacUnit's (max(4, normalized r)).
   int lfsr_width() const { return cfg_.random_bits < 4 ? 4 : cfg_.random_bits; }
 
@@ -55,10 +55,14 @@ class FusedMacKernel {
   Unpacked addend(uint32_t a, uint32_t b) const;
 
   /// Runs acc <- acc (+) a[i]*b[i] for i in [0, n), with the accumulator
-  /// held decoded. `rand` must hold n random words (one per step, as drawn
-  /// by MacUnit's LFSR) for the SR adders; it is ignored under RN.
+  /// held decoded. `lfsr` is the chain's LFSR register (width lfsr_width(),
+  /// seeded as GaloisLfsr seeds it): for the SR adders it steps once per
+  /// accumulation and each add consumes its low r bits, exactly as
+  /// MacUnit's LFSR draws. On return it holds the state after the last
+  /// step, so a chain split across calls continues its sequence. RN leaves
+  /// it untouched.
   void chain(Unpacked& acc, const uint32_t* a, const uint32_t* b, int n,
-             const uint64_t* rand) const;
+             uint64_t& lfsr) const;
 
   /// Lanes per scalar lockstep subgroup. Each accumulation chain is a
   /// serial dependency (acc -> next add, ~30 cycles); interleaving
@@ -69,25 +73,24 @@ class FusedMacKernel {
   /// path, 16 (two 8-wide zmm register groups) when one of the AVX-512
   /// kernels is active — every AdderKind has a vector chain (eager-SR,
   /// lazy-SR, RN), gated only on the product table and cpuid. The GEMM
-  /// packs B panels and random words group-interleaved at this width.
+  /// packs B panels group-interleaved at this width.
   int group_width() const { return group_width_; }
 
   /// Runs group_width() independent chains over a shared A stream:
-  /// acc[l] <- acc[l] (+) a[i] * b_ilv[i*G + l], with per-lane random words
-  /// rand_ilv[i*G + l] (G = group_width()). Bit-identical to G separate
-  /// chain() calls.
+  /// acc[l] <- acc[l] (+) a[i] * b_ilv[i*G + l] (G = group_width()), lane l
+  /// drawing from LFSR register lfsr[l] under the chain() contract.
+  /// Bit-identical to G separate chain() calls.
   void chain_group(Unpacked* acc, const uint32_t* a, const uint32_t* b_ilv,
-                   int n, const uint64_t* rand_ilv) const;
+                   int n, uint64_t* lfsr) const;
 
  private:
   template <AdderKind kKind, bool kTable>
   void chain_impl(Unpacked& acc, const uint32_t* a, const uint32_t* b, int n,
-                  const uint64_t* rand) const;
+                  uint64_t& lfsr) const;
 
   template <AdderKind kKind, bool kTable>
   void chain_group_impl(Unpacked* acc, const uint32_t* a,
-                        const uint32_t* b_ilv, int n,
-                        const uint64_t* rand_ilv) const;
+                        const uint32_t* b_ilv, int n, uint64_t* lfsr) const;
 
   Unpacked addend_slow(uint32_t a, uint32_t b) const;
   Unpacked addend_from_table(uint32_t a, uint32_t b) const;
@@ -95,15 +98,15 @@ class FusedMacKernel {
   friend void chain_group_avx512_eager(const FusedMacKernel& kernel,
                                        Unpacked* acc, const uint32_t* a,
                                        const uint32_t* b_ilv, int n,
-                                       const uint64_t* rand_ilv);
+                                       uint64_t* lfsr);
   friend void chain_group_avx512_lazy(const FusedMacKernel& kernel,
                                       Unpacked* acc, const uint32_t* a,
                                       const uint32_t* b_ilv, int n,
-                                      const uint64_t* rand_ilv);
+                                      uint64_t* lfsr);
   friend void chain_group_avx512_rn(const FusedMacKernel& kernel,
                                     Unpacked* acc, const uint32_t* a,
                                     const uint32_t* b_ilv, int n,
-                                    const uint64_t* rand_ilv);
+                                    uint64_t* lfsr);
 
   int group_width_ = kLanes;
   bool use_avx512_ = false;
@@ -116,6 +119,7 @@ class FusedMacKernel {
   int mag_bits_ = 0;       ///< magnitude field width of mul_fmt
   uint32_t mag_mask_ = 0;
   uint32_t mul_sign_mask_ = 0;
+  uint64_t lfsr_taps_ = 0;  ///< Galois feedback mask for lfsr_width()
 };
 
 }  // namespace srmac

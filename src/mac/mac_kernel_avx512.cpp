@@ -6,12 +6,20 @@
 // Sixteen independent output chains run in lockstep: two groups of eight
 // 64-bit lanes (zmm), interleaved so each group's serial add latency hides
 // behind the other's work. Each vector step is a lane-parallel transcription
-// of the corresponding adder core's hot path; every rare event — non-finite
-// or zero operands, exact cancellation, a subnormal (emin) cut, overflow
-// past emax — raises a lane mask and is replayed through the *scalar* core
-// for exactly those lanes, so the vector paths are bit-identical to the
-// scalar engine by construction (and are covered by the same bit-exactness
-// suite).
+// of the corresponding adder core's hot path. A zero addend (ReLU outputs,
+// im2col padding) stays in the vector: x + 0 is exact (prepare_add_u hands
+// back the accumulator unchanged), so the lane simply keeps its value. Every
+// rare event — non-finite operands, exact cancellation, a subnormal (emin)
+// cut, overflow past emax — raises a lane mask and is replayed through the
+// *scalar* core for exactly those lanes, so the vector paths are
+// bit-identical to the scalar engine by construction (and are covered by
+// the same bit-exactness suite).
+//
+// The sixteen lanes' Galois LFSRs live in two zmm registers and step once
+// per accumulation in-register, s = (s >> 1) ^ (taps & -(s & 1)), the
+// random word being the low r bits; a replayed lane takes its word from the
+// same step. The caller's lane states are written back at the end, so a
+// chain continues across calls.
 //
 // Lanes whose accumulator is not finite-nonzero (zero at chain start, NaN /
 // Inf after saturation) are "parked": held as decoded Unpacked values at
@@ -49,13 +57,14 @@ struct alignas(64) LaneArrays {
   int64_t sig[16];
   int64_t exp[16];
   int64_t sign[16];
+  int64_t rand[16];  ///< this step's random words, for scalar replays
 };
 
 }  // namespace
 
 __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
     const FusedMacKernel& kernel, Unpacked* acc, const uint32_t* a,
-    const uint32_t* b_ilv, int n, const uint64_t* rand_ilv) {
+    const uint32_t* b_ilv, int n, uint64_t* lfsr) {
   constexpr int G = 16;
   const AddParams ap = kernel.params_;
   const MacAddend* tab = kernel.table_->data();
@@ -66,6 +75,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
   // Broadcast constants.
   const __m512i vzero64 = _mm512_setzero_si512();
   const __m512i vone = _mm512_set1_epi64(1);
+  const __m512i vtwo = _mm512_set1_epi64(2);
   const __m512i v63 = _mm512_set1_epi64(63);
   const __m512i vp = _mm512_set1_epi64(p);
   const __m512i vr1 = _mm512_set1_epi64(r - 1);
@@ -80,6 +90,8 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
       _mm512_set1_epi64(static_cast<int64_t>(ap.mask_rm2));
   const __m512i vmask32 = _mm512_set1_epi64(0xffffffffll);
   const __m512i vmagmask = _mm512_set1_epi64(kernel.mag_mask_);
+  const __m512i vtaps =
+      _mm512_set1_epi64(static_cast<int64_t>(kernel.lfsr_taps_));
   const __m128i cnt_r = _mm_cvtsi32_si128(r);
   const __m128i cnt_r1 = _mm_cvtsi32_si128(r - 1);
   const __m128i cnt_p = _mm_cvtsi32_si128(p);
@@ -102,11 +114,12 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
       parked |= 1u << l;
     }
   }
-  __m512i gsig[2], gexp[2], gsign[2];
+  __m512i gsig[2], gexp[2], gsign[2], gst[2];
   for (int g = 0; g < 2; ++g) {
     gsig[g] = _mm512_load_si512(la.sig + 8 * g);
     gexp[g] = _mm512_load_si512(la.exp + 8 * g);
     gsign[g] = _mm512_load_si512(la.sign + 8 * g);
+    gst[g] = _mm512_loadu_si512(lfsr + 8 * g);
   }
 
   for (int i = 0; i < n; ++i) {
@@ -117,7 +130,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
     const __m512i vasign =
         _mm512_set1_epi64(static_cast<int64_t>((ai >> w1) & 1u));
 
-    __m512i nsig[2], nexp[2], nsign[2];
+    __m512i nsig[2], nexp[2], nsign[2], R[2];
     uint32_t bad = parked;
     for (int g = 0; g < 2; ++g) {
       // ---- addend: gather the pre-decoded product, apply the sign -------
@@ -132,18 +145,20 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
           _mm512_srai_epi64(_mm512_slli_epi64(e, 16), 48);
       const __m512i dcls =
           _mm512_and_si512(_mm512_srli_epi64(e, 48), _mm512_set1_epi64(0xff));
-      // finite-nonzero addend: cls in {kSubnormal=1, kNormal=2}
-      const __mmask8 dbad = _mm512_cmpgt_epu64_mask(
-          _mm512_sub_epi64(dcls, vone), vone);
+      // zero addend (cls kZero=0): the lane keeps its accumulator; a
+      // non-finite one (cls > kNormal=2) is replayed
+      const __mmask8 dzero = _mm512_cmpeq_epi64_mask(dcls, vzero64);
+      const __mmask8 dbad = _mm512_cmpgt_epu64_mask(dcls, vtwo);
       const __m512i bsign =
           _mm512_and_si512(_mm512_srl_epi64(bq, cnt_w1), vone);
       const __m512i dsign = _mm512_and_si512(
           _mm512_srli_epi64(e, 56), _mm512_xor_si512(vasign, bsign));
 
-      // ---- random word --------------------------------------------------
-      const __m512i R = _mm512_and_si512(
-          _mm512_loadu_si512(rand_ilv + static_cast<size_t>(i) * G + 8 * g),
-          vmask_r);
+      // ---- random word: one in-register LFSR step per lane ---------------
+      const __m512i sh = _mm512_srli_epi64(gst[g], 1);
+      gst[g] = _mm512_mask_xor_epi64(
+          sh, _mm512_test_epi64_mask(gst[g], vone), sh, vtaps);
+      R[g] = _mm512_and_si512(gst[g], vmask_r);
 
       // ---- prepare: magnitude swap, effective op (branch-free) ----------
       const __mmask8 keq = _mm512_cmpeq_epi64_mask(dexp, gexp[g]);
@@ -165,7 +180,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
       const __m512i D = _mm512_and_si512(yk, vmask_rm1);
 
       // ---- sticky-round stage -------------------------------------------
-      const __m512i Rlow = _mm512_and_si512(R, vmask_rm2);
+      const __m512i Rlow = _mm512_and_si512(R[g], vmask_rm2);
       const __m512i Dc =
           _mm512_and_si512(_mm512_xor_si512(D, opm), vmask_rm1);
       const __m512i u = _mm512_add_epi64(
@@ -191,7 +206,8 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
       const __m512i t = _mm512_and_si512(
           v, _mm512_sub_epi64(_mm512_sllv_epi64(vone, sp1), vone));
       const __m512i rc_pos = _mm512_srlv_epi64(
-          _mm512_add_epi64(t, _mm512_srlv_epi64(R, _mm512_sub_epi64(vr1, s))),
+          _mm512_add_epi64(t,
+                           _mm512_srlv_epi64(R[g], _mm512_sub_epi64(vr1, s))),
           sp1);
       const __m512i lzm1 =
           _mm512_sub_epi64(_mm512_sub_epi64(vzero64, s), vone);
@@ -208,14 +224,15 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
       expz = _mm512_add_epi64(expz, bin);
       const __mmask8 emaxm = _mm512_cmpgt_epi64_mask(expz, vemax);
 
-      const __mmask8 badg =
-          static_cast<__mmask8>(dbad | vzerom | eminm | emaxm);
+      const __mmask8 badg = static_cast<__mmask8>(
+          dbad | (~dzero & (vzerom | eminm | emaxm)));
       bad |= static_cast<uint32_t>(badg) << (8 * g);
 
-      // Commit the vector result on clean lanes; bad lanes keep the old
-      // accumulator and are replayed through the scalar core below.
+      // Commit the vector result on clean lanes; zero-addend lanes keep the
+      // old accumulator, bad lanes keep it and are replayed through the
+      // scalar core below.
       const __mmask8 keep =
-          static_cast<__mmask8>(badg | (parked >> (8 * g)));
+          static_cast<__mmask8>(badg | dzero | (parked >> (8 * g)));
       nsig[g] = _mm512_mask_mov_epi64(kept, keep, gsig[g]);
       nexp[g] = _mm512_mask_mov_epi64(expz, keep, gexp[g]);
       nsign[g] = _mm512_mask_mov_epi64(psign, keep, gsign[g]);
@@ -228,6 +245,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
         _mm512_store_si512(la.sig + 8 * g, nsig[g]);
         _mm512_store_si512(la.exp + 8 * g, nexp[g]);
         _mm512_store_si512(la.sign + 8 * g, nsign[g]);
+        _mm512_store_si512(la.rand + 8 * g, R[g]);
       }
       for (int l = 0; l < G; ++l) {
         if (!(bad & (1u << l))) continue;
@@ -245,7 +263,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
         const Unpacked ad =
             kernel.addend(ai, b_ilv[static_cast<size_t>(i) * G + l]);
         const Unpacked res = add_eager_sr_core(
-            ap, cur, ad, rand_ilv[static_cast<size_t>(i) * G + l], nullptr);
+            ap, cur, ad, static_cast<uint64_t>(la.rand[l]), nullptr);
         if (res.is_finite_nonzero()) {
           la.sig[l] = static_cast<int64_t>(res.sig);
           la.exp[l] = res.exp;
@@ -274,6 +292,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
     _mm512_store_si512(la.sig + 8 * g, gsig[g]);
     _mm512_store_si512(la.exp + 8 * g, gexp[g]);
     _mm512_store_si512(la.sign + 8 * g, gsign[g]);
+    _mm512_storeu_si512(lfsr + 8 * g, gst[g]);
   }
   for (int l = 0; l < G; ++l) {
     if (parked & (1u << l)) {
@@ -303,8 +322,8 @@ namespace {
 template <bool kRn>
 __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
     const FusedMacKernel& kernel, const AddParams& ap, const MacAddend* tab,
-    uint32_t mag_mask, int mag_bits, int w1, Unpacked* acc, const uint32_t* a,
-    const uint32_t* b_ilv, int n, const uint64_t* rand_ilv) {
+    uint32_t mag_mask, int mag_bits, int w1, uint64_t taps, Unpacked* acc,
+    const uint32_t* a, const uint32_t* b_ilv, int n, uint64_t* lfsr) {
   constexpr int G = 16;
   const int p = ap.p;
   const int r = ap.r;
@@ -313,6 +332,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
   // Broadcast constants.
   const __m512i vzero64 = _mm512_setzero_si512();
   const __m512i vone = _mm512_set1_epi64(1);
+  const __m512i vtwo = _mm512_set1_epi64(2);
   const __m512i v63 = _mm512_set1_epi64(63);
   const __m512i v64 = _mm512_set1_epi64(64);
   const __m512i vpm1 = _mm512_set1_epi64(p - 1);
@@ -325,6 +345,8 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
   [[maybe_unused]] const __m512i vmsb63 =
       _mm512_set1_epi64(static_cast<int64_t>(1ull << 63));
   const __m512i vmagmask = _mm512_set1_epi64(mag_mask);
+  [[maybe_unused]] const __m512i vtaps =
+      _mm512_set1_epi64(static_cast<int64_t>(taps));
   const __m128i cnt_K = _mm_cvtsi32_si128(K);
   const __m128i cnt_p = _mm_cvtsi32_si128(p);
   [[maybe_unused]] const __m128i cnt_r = _mm_cvtsi32_si128(r);
@@ -347,11 +369,12 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
       parked |= 1u << l;
     }
   }
-  __m512i gsig[2], gexp[2], gsign[2];
+  __m512i gsig[2], gexp[2], gsign[2], gst[2];
   for (int g = 0; g < 2; ++g) {
     gsig[g] = _mm512_load_si512(la.sig + 8 * g);
     gexp[g] = _mm512_load_si512(la.exp + 8 * g);
     gsign[g] = _mm512_load_si512(la.sign + 8 * g);
+    gst[g] = _mm512_loadu_si512(lfsr + 8 * g);
   }
 
   for (int i = 0; i < n; ++i) {
@@ -363,6 +386,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
         _mm512_set1_epi64(static_cast<int64_t>((ai >> w1) & 1u));
 
     __m512i nsig[2], nexp[2], nsign[2];
+    __m512i R[2] = {vzero64, vzero64};  // random words (lazy only)
     uint32_t bad = parked;
     for (int g = 0; g < 2; ++g) {
       // ---- addend: gather the pre-decoded product, apply the sign -------
@@ -376,9 +400,10 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
       const __m512i dexp = _mm512_srai_epi64(_mm512_slli_epi64(e, 16), 48);
       const __m512i dcls =
           _mm512_and_si512(_mm512_srli_epi64(e, 48), _mm512_set1_epi64(0xff));
-      // finite-nonzero addend: cls in {kSubnormal=1, kNormal=2}
-      const __mmask8 dbad =
-          _mm512_cmpgt_epu64_mask(_mm512_sub_epi64(dcls, vone), vone);
+      // zero addend (cls kZero=0): the lane keeps its accumulator; a
+      // non-finite one (cls > kNormal=2) is replayed
+      const __mmask8 dzero = _mm512_cmpeq_epi64_mask(dcls, vzero64);
+      const __mmask8 dbad = _mm512_cmpgt_epu64_mask(dcls, vtwo);
       const __m512i bsign =
           _mm512_and_si512(_mm512_srl_epi64(bq, cnt_w1), vone);
       const __m512i dsign = _mm512_and_si512(
@@ -444,12 +469,15 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
             gm & static_cast<__mmask8>(restm | stickym | lsbm);
         sig = _mm512_mask_add_epi64(sig, upm, sig, vone);
       } else {
-        // Add-R-and-carry on the top r fraction bits (paper Fig. 1 scheme).
-        const __m512i R = _mm512_and_si512(
-            _mm512_loadu_si512(rand_ilv + static_cast<size_t>(i) * G + 8 * g),
-            vmask_r);
+        // Add-R-and-carry on the top r fraction bits (paper Fig. 1 scheme),
+        // R from one in-register LFSR step per lane.
+        const __m512i sh = _mm512_srli_epi64(gst[g], 1);
+        gst[g] = _mm512_mask_xor_epi64(
+            sh, _mm512_test_epi64_mask(gst[g], vone), sh, vtaps);
+        R[g] = _mm512_and_si512(gst[g], vmask_r);
         const __m512i fr = _mm512_srl_epi64(frac, cnt_64mr);
-        const __m512i up = _mm512_srl_epi64(_mm512_add_epi64(fr, R), cnt_r);
+        const __m512i up =
+            _mm512_srl_epi64(_mm512_add_epi64(fr, R[g]), cnt_r);
         sig = _mm512_add_epi64(sig, up);
       }
       const __m512i bin = _mm512_srl_epi64(sig, cnt_p);
@@ -457,13 +485,15 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
       expz = _mm512_add_epi64(expz, bin);
       const __mmask8 emaxm = _mm512_cmpgt_epi64_mask(expz, vemax);
 
-      const __mmask8 badg =
-          static_cast<__mmask8>(dbad | vzerom | eminm | emaxm);
+      const __mmask8 badg = static_cast<__mmask8>(
+          dbad | (~dzero & (vzerom | eminm | emaxm)));
       bad |= static_cast<uint32_t>(badg) << (8 * g);
 
-      // Commit the vector result on clean lanes; bad lanes keep the old
-      // accumulator and are replayed through the scalar core below.
-      const __mmask8 keep = static_cast<__mmask8>(badg | (parked >> (8 * g)));
+      // Commit the vector result on clean lanes; zero-addend lanes keep the
+      // old accumulator, bad lanes keep it and are replayed through the
+      // scalar core below.
+      const __mmask8 keep =
+          static_cast<__mmask8>(badg | dzero | (parked >> (8 * g)));
       nsig[g] = _mm512_mask_mov_epi64(sig, keep, gsig[g]);
       nexp[g] = _mm512_mask_mov_epi64(expz, keep, gexp[g]);
       nsign[g] = _mm512_mask_mov_epi64(psign, keep, gsign[g]);
@@ -476,6 +506,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
         _mm512_store_si512(la.sig + 8 * g, nsig[g]);
         _mm512_store_si512(la.exp + 8 * g, nexp[g]);
         _mm512_store_si512(la.sign + 8 * g, nsign[g]);
+        _mm512_store_si512(la.rand + 8 * g, R[g]);
       }
       for (int l = 0; l < G; ++l) {
         if (!(bad & (1u << l))) continue;
@@ -494,9 +525,8 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
             kernel.addend(ai, b_ilv[static_cast<size_t>(i) * G + l]);
         const Unpacked res =
             kRn ? add_rn_core(ap, cur, ad, nullptr)
-                : add_lazy_sr_core(
-                      ap, cur, ad,
-                      rand_ilv[static_cast<size_t>(i) * G + l], nullptr);
+                : add_lazy_sr_core(ap, cur, ad,
+                                   static_cast<uint64_t>(la.rand[l]), nullptr);
         if (res.is_finite_nonzero()) {
           la.sig[l] = static_cast<int64_t>(res.sig);
           la.exp[l] = res.exp;
@@ -525,6 +555,7 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
     _mm512_store_si512(la.sig + 8 * g, gsig[g]);
     _mm512_store_si512(la.exp + 8 * g, gexp[g]);
     _mm512_store_si512(la.sign + 8 * g, gsign[g]);
+    _mm512_storeu_si512(lfsr + 8 * g, gst[g]);
   }
   for (int l = 0; l < G; ++l) {
     if (parked & (1u << l)) {
@@ -544,20 +575,20 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
 
 void chain_group_avx512_lazy(const FusedMacKernel& kernel, Unpacked* acc,
                              const uint32_t* a, const uint32_t* b_ilv, int n,
-                             const uint64_t* rand_ilv) {
+                             uint64_t* lfsr) {
   chain_group_avx512_late<false>(kernel, kernel.params_, kernel.table_->data(),
                                  kernel.mag_mask_, kernel.mag_bits_,
-                                 kernel.cfg_.mul_fmt.width() - 1, acc, a,
-                                 b_ilv, n, rand_ilv);
+                                 kernel.cfg_.mul_fmt.width() - 1,
+                                 kernel.lfsr_taps_, acc, a, b_ilv, n, lfsr);
 }
 
 void chain_group_avx512_rn(const FusedMacKernel& kernel, Unpacked* acc,
                            const uint32_t* a, const uint32_t* b_ilv, int n,
-                           const uint64_t* rand_ilv) {
+                           uint64_t* lfsr) {
   chain_group_avx512_late<true>(kernel, kernel.params_, kernel.table_->data(),
                                 kernel.mag_mask_, kernel.mag_bits_,
-                                kernel.cfg_.mul_fmt.width() - 1, acc, a, b_ilv,
-                                n, rand_ilv);
+                                kernel.cfg_.mul_fmt.width() - 1,
+                                kernel.lfsr_taps_, acc, a, b_ilv, n, lfsr);
 }
 
 }  // namespace srmac
@@ -570,14 +601,14 @@ bool mac_kernel_avx512_supported() { return false; }
 
 void chain_group_avx512_eager(const FusedMacKernel&, Unpacked*,
                               const uint32_t*, const uint32_t*, int,
-                              const uint64_t*) {}
+                              uint64_t*) {}
 
 void chain_group_avx512_lazy(const FusedMacKernel&, Unpacked*,
                              const uint32_t*, const uint32_t*, int,
-                             const uint64_t*) {}
+                             uint64_t*) {}
 
 void chain_group_avx512_rn(const FusedMacKernel&, Unpacked*, const uint32_t*,
-                           const uint32_t*, int, const uint64_t*) {}
+                           const uint32_t*, int, uint64_t*) {}
 
 }  // namespace srmac
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace srmac {
 
@@ -14,13 +13,6 @@ class RandomSource {
  public:
   virtual ~RandomSource() = default;
   virtual uint64_t draw(int bits) = 0;
-
-  /// Bulk draw: fills `out` with one `bits`-wide word per element, exactly
-  /// as repeated draw(bits) calls would. Concrete generators override this
-  /// to amortize the virtual dispatch across a whole accumulation tile.
-  virtual void fill(std::span<uint64_t> out, int bits) {
-    for (auto& w : out) w = draw(bits);
-  }
 };
 
 /// A deterministic source that replays a fixed word; used by tests to drive

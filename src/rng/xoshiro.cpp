@@ -39,15 +39,6 @@ uint64_t Xoshiro256::draw(int bits) {
   return bits >= 64 ? v : (v >> (64 - bits));
 }
 
-void Xoshiro256::fill(std::span<uint64_t> out, int bits) {
-  if (bits <= 0) {
-    for (auto& w : out) w = 0;
-    return;
-  }
-  const int shift = bits >= 64 ? 0 : 64 - bits;
-  for (auto& w : out) w = next() >> shift;
-}
-
 double Xoshiro256::uniform() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }

@@ -18,7 +18,6 @@ class Xoshiro256 final : public RandomSource {
 
   uint64_t next();
   uint64_t draw(int bits) override;
-  void fill(std::span<uint64_t> out, int bits) override;
 
   /// Uniform double in [0, 1).
   double uniform();

@@ -1,9 +1,10 @@
 // Bit-exactness suite for the fused emulation engine: the blocked GEMM
-// (decoded accumulator + product table + bulk LFSR draws) must match the
-// per-element MacUnit reference bit-for-bit, and the decoded adder cores
+// (decoded accumulator + product table + in-kernel LFSR lanes) must match
+// the per-element MacUnit reference bit-for-bit, and the decoded adder cores
 // must match the packed adder entry points on every input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "mac/mac_kernel.hpp"
 #include "mac/mac_unit.hpp"
 #include "mac/multiplier.hpp"
+#include "rng/lfsr.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace srmac {
@@ -67,8 +69,7 @@ void expect_bitwise_equal(const std::vector<float>& got,
 
 TEST(GemmFastpath, BitIdenticalToMacUnitReference) {
   // N >= 16 exercises the AVX-512 group path (plus remainder columns) on
-  // hosts that have it; K > 512 exercises LFSR continuation across KC
-  // blocks.
+  // hosts that have it; K = 520 runs long LFSR sequences.
   const struct {
     int m, n, k;
   } shapes[] = {{1, 1, 1},   {2, 3, 9},   {5, 7, 33},  {16, 5, 129},
@@ -194,10 +195,12 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
   // eager one): for each (adder, acc fmt, mul fmt, subnormals, r) the
   // 16-lane chain_group — the vector kernel on AVX-512 hosts, the 4-wide
   // scalar lockstep groups elsewhere — must be bit-identical to per-lane
-  // chain() calls over the same operand and random streams. Operands are
-  // raw random encodings of the multiplier format, so NaN/Inf/zero/
-  // subnormal lanes, parking, and replay all trigger; r sweeps the 1..32
-  // edge widths (normalized() clamps below each adder's minimum).
+  // chain() calls from the same LFSR seeds. The group runs K as two calls
+  // and the lanes as one, so the lane registers must carry the sequence
+  // across calls and end in the same state. Operands are raw random
+  // encodings of the multiplier format, so NaN/Inf/zero/subnormal lanes,
+  // parking, and replay all trigger; r sweeps the 1..32 edge widths
+  // (normalized() clamps below each adder's minimum).
   Xoshiro256 rng(0xF0522);
   const FpFormat accs[] = {kFp12, kFp16, FpFormat{4, 8}, FpFormat{7, 3},
                            FpFormat{8, 14}};
@@ -211,14 +214,15 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
             const MacConfig cfg = make_cfg(kind, r, sub, acc, mul).normalized();
             const FusedMacKernel kernel(cfg);
             const int G = kernel.group_width();
-            const int n = 96;
+            const int n = 96, n1 = 37;
             std::vector<uint32_t> a(n), b_ilv(static_cast<size_t>(n) * G);
-            std::vector<uint64_t> rand_ilv(static_cast<size_t>(n) * G);
             for (auto& v : a)
               v = static_cast<uint32_t>(rng.below(1u << cfg.mul_fmt.width()));
             for (auto& v : b_ilv)
               v = static_cast<uint32_t>(rng.below(1u << cfg.mul_fmt.width()));
-            for (auto& v : rand_ilv) v = rng.next();
+            std::vector<uint64_t> seeds(G);
+            for (auto& v : seeds)
+              v = GaloisLfsr::seed_state(kernel.lfsr_width(), rng.next());
             // Start lanes on a mix of zero and random finite/special values.
             std::vector<Unpacked> start(G);
             for (int l = 0; l < G; ++l)
@@ -228,22 +232,82 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
                                       static_cast<uint32_t>(rng.below(
                                           1u << cfg.acc_fmt.width())));
             std::vector<Unpacked> vec = start;
-            kernel.chain_group(vec.data(), a.data(), b_ilv.data(), n,
-                               rand_ilv.data());
+            std::vector<uint64_t> vlfsr = seeds;
+            kernel.chain_group(vec.data(), a.data(), b_ilv.data(), n1,
+                               vlfsr.data());
+            kernel.chain_group(vec.data(), a.data() + n1,
+                               b_ilv.data() + static_cast<size_t>(n1) * G,
+                               n - n1, vlfsr.data());
             for (int l = 0; l < G; ++l) {
               Unpacked sc = start[l];
+              uint64_t s = seeds[l];
               std::vector<uint32_t> bcol(n);
-              std::vector<uint64_t> rcol(n);
-              for (int k = 0; k < n; ++k) {
+              for (int k = 0; k < n; ++k)
                 bcol[k] = b_ilv[static_cast<size_t>(k) * G + l];
-                rcol[k] = rand_ilv[static_cast<size_t>(k) * G + l];
-              }
-              kernel.chain(sc, a.data(), bcol.data(), n, rcol.data());
+              kernel.chain(sc, a.data(), bcol.data(), n, s);
               ASSERT_EQ(encode_unpacked(cfg.acc_fmt, vec[l]),
                         encode_unpacked(cfg.acc_fmt, sc))
                   << cfg.name() << " mul=" << mul.name() << " lane " << l;
+              ASSERT_EQ(vlfsr[l], s)
+                  << cfg.name() << " mul=" << mul.name() << " lane " << l;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmFastpath, ZeroDenseOperandsMatchReference) {
+  // ReLU-like operands, as in training and serving: A (weights-like,
+  // signed) has whole zero rows, so a zero is broadcast to every lane of a
+  // group, and at least half its other entries are exact zeros; B
+  // (activations-like) is max(0, x) with extra padding zeros; C is zero
+  // (both signs) and accumulated into, so chains start parked. Shapes are
+  // ResNet-20 GEMMs, plus K = 600 for a chain past 512 steps in one call.
+  // The wide N = 1024 panels, most of the reference time, take one r per K
+  // (each r still meets N = 1024 under every adder).
+  const AdderKind kinds[] = {AdderKind::kRoundNearest, AdderKind::kLazySR,
+                             AdderKind::kEagerSR};
+  const int rs[] = {3, 9, 27, 32};
+  const int ks[] = {1, 4, 27, 36, 144, 600};
+  Xoshiro256 rng(0x2E20);
+  int combo = 0;
+  for (AdderKind kind : kinds) {
+    for (int ri = 0; ri < 4; ++ri) {
+      for (int ki = 0; ki < 6; ++ki) {
+        for (int n : {16, 36, 1024}) {
+          if (n == 1024 && (ks[ki] == 600 || ki % 4 != ri)) continue;
+          const int r = rs[ri], k = ks[ki];
+          const int m = (combo % 2 == 0) ? 4 : 16;
+          const MacConfig cfg = make_cfg(kind, r, true, kFp12);
+          std::vector<float> A(static_cast<size_t>(m) * k);
+          std::vector<float> B(static_cast<size_t>(k) * n);
+          std::vector<float> Cf(static_cast<size_t>(m) * n);
+          for (int i = 0; i < m; ++i) {
+            const bool zero_row = i % 3 == 1;
+            for (int kk = 0; kk < k; ++kk)
+              A[static_cast<size_t>(i) * k + kk] =
+                  zero_row || rng.below(2) ? 0.0f
+                                           : static_cast<float>(rng.normal());
+          }
+          for (auto& x : B)
+            x = rng.below(5) == 0
+                    ? 0.0f
+                    : std::max(0.0f, static_cast<float>(rng.normal()));
+          for (auto& x : Cf) x = rng.below(2) ? 0.0f : -0.0f;
+          std::vector<float> Cr = Cf;
+          const uint64_t seed = 77 + combo;
+          gemm_mac(cfg, m, n, k, A.data(), k, B.data(), n, Cf.data(), n,
+                   /*accumulate=*/true, seed, /*threads=*/2);
+          gemm_mac_reference(cfg, m, n, k, A.data(), k, B.data(), n,
+                             Cr.data(), n, /*accumulate=*/true, seed,
+                             /*threads=*/2);
+          expect_bitwise_equal(Cf, Cr,
+                               cfg.name() + " " + std::to_string(m) + "x" +
+                                   std::to_string(n) + "x" +
+                                   std::to_string(k));
+          ++combo;
         }
       }
     }

@@ -40,22 +40,38 @@ TEST_P(LfsrPeriodTest, FullPeriod) {
   EXPECT_EQ(period, (1ull << w) - 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, LfsrPeriodTest,
-                         ::testing::Values(4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
-                                           14, 15, 16, 17, 18));
+INSTANTIATE_TEST_SUITE_P(Widths, LfsrPeriodTest, ::testing::Range(4, 25));
 
-TEST(GaloisLfsr, PaperWidthsAreMaximal) {
-  // r values used in the paper's tables: 4, 7, 9, 11, 13 (E6M5) and the
-  // r = p+3 defaults 14 (E5M10) and 27 (E8M23).
-  for (int w : {4, 7, 9, 11, 13, 14}) {
-    GaloisLfsr l(w, 1);
-    const uint64_t start = l.state();
-    uint64_t period = 0;
-    do {
-      l.step();
-      ++period;
-    } while (l.state() != start && period <= (1ull << w));
-    EXPECT_EQ(period, (1ull << w) - 1) << "width " << w;
+TEST(GaloisLfsr, E8M23DefaultWidthIsMaximal) {
+  // r = p + 3 = 27 is the default for an E8M23 accumulator; its tap mask
+  // once cycled after 100,663,293 of the 134,217,727 nonzero states.
+  const int w = 27;
+  GaloisLfsr l(w, 1);
+  const uint64_t start = l.state();
+  uint64_t period = 0;
+  do {
+    l.step();
+    ++period;
+  } while (l.state() != start && period <= (1ull << w));
+  EXPECT_EQ(period, (1ull << w) - 1);
+}
+
+TEST(GaloisLfsr, PlainWordStepsMatchTheRegister) {
+  // seed_state/next_state, the plain-word form the fused kernel steps, must
+  // reproduce the register's own seeding and sequence.
+  for (int w : {4, 9, 27, 32}) {
+    for (uint64_t seed : {0ull, 1ull, 0xFFFFFFFFFull, 0x123456789ABCDEFull,
+                          1ull << w}) {
+      GaloisLfsr l(w, seed);
+      uint64_t s = GaloisLfsr::seed_state(w, seed);
+      ASSERT_EQ(s, l.state()) << "w=" << w << " seed=" << seed;
+      ASSERT_NE(s, 0u);
+      for (int i = 0; i < 100; ++i) {
+        l.step();
+        s = GaloisLfsr::next_state(s, GaloisLfsr::taps_for_width(w));
+        ASSERT_EQ(s, l.state()) << "w=" << w << " step " << i;
+      }
+    }
   }
 }
 
