@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "fpemu/softfloat.hpp"
 #include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
 
@@ -115,14 +114,11 @@ void CompiledModel::rebuild_plane(Op& op) {
         op.wt[static_cast<size_t>(k) * op.N + o] = w.at(o, k);
     return;
   }
-  // Bit-accurate Linear: requantize the transposed plane (the same
-  // elementwise from_double as the eager cache's transposed path) and
-  // repack it into the panel layout.
+  // Bit-accurate Linear: requantize the transposed plane (as the eager
+  // cache's transposed path does) and repack it into the panel layout.
   std::vector<uint32_t> wqt(static_cast<size_t>(op.K) * op.N);
-  for (int o = 0; o < op.N; ++o)
-    for (int k = 0; k < op.K; ++k)
-      wqt[static_cast<size_t>(k) * op.N + o] =
-          SoftFloat::from_double(op.cfg.mul_fmt, w.at(o, k));
+  gemm_quantize_transposed(op.cfg.mul_fmt, op.N, op.K, w.data(), wqt.data(),
+                           threads_);
   gemm_pack_b_into(op.cfg, op.K, op.N, wqt.data(), op.N, &op.bpanels,
                    threads_);
 }

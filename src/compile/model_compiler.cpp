@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "fpemu/softfloat.hpp"
 #include "nn/layers.hpp"
 #include "nn/resnet.hpp"
 #include "tensor/im2col.hpp"
@@ -177,10 +176,8 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
         // W^T quantized elementwise (the eager cache's transposed plane),
         // then packed once into the fused kernel's panel layout.
         std::vector<uint32_t> wqt(static_cast<size_t>(op.K) * op.N);
-        for (int o = 0; o < op.N; ++o)
-          for (int k = 0; k < op.K; ++k)
-            wqt[static_cast<size_t>(k) * op.N + o] =
-                SoftFloat::from_double(op.cfg.mul_fmt, w.at(o, k));
+        gemm_quantize_transposed(op.cfg.mul_fmt, op.N, op.K, w.data(),
+                                 wqt.data(), m.threads_);
         gemm_pack_b_into(op.cfg, op.K, op.N, wqt.data(), op.N, &op.bpanels,
                          m.threads_);
         max_lin_k = std::max<int64_t>(max_lin_k, op.K);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <vector>
 
+#include "fpemu/quantizer.hpp"
 #include "fpemu/softfloat.hpp"
 #include "mac/mac_kernel.hpp"
 #include "mac/mac_unit.hpp"
@@ -11,6 +12,12 @@
 #include "util/thread_pool.hpp"
 
 namespace srmac {
+
+// Defined in mac_kernel_avx512.cpp: the MAC kernel's cpuid gate and the
+// converter's loop compiled for AVX-512.
+bool mac_kernel_avx512_supported();
+void quantize_avx512(const FpQuantizer& q, const float* src, uint32_t* dst,
+                     size_t n);
 
 namespace {
 
@@ -38,10 +45,28 @@ inline uint64_t mix_seed_periodic(uint64_t s, uint64_t i, uint64_t j,
 /// set of one row sweep (NC * K operand words).
 constexpr int kNc = 64;
 
-}  // namespace
+/// Elements per gemm_quantize pool chunk. The vector converter runs at
+/// well under a nanosecond per element, so a chunk must carry enough
+/// elements to outweigh the pool's dispatch.
+constexpr int64_t kQuantGrain = 16384;
 
-void gemm_quantize(const FpFormat& fmt, int rows, int cols, const float* src,
-                   int ld, uint32_t* dst, int threads) {
+/// dst[i] = q(src[i]) for i in [0, n): the converter's loop compiled for
+/// AVX-512 when the MAC kernel's cpuid gate passes, else the portable build
+/// of the same body (same bits either way).
+void quantize_span(const FpQuantizer& q, const float* src, uint32_t* dst,
+                   size_t n) {
+  static const bool avx512 = mac_kernel_avx512_supported();
+  if (avx512)
+    quantize_avx512(q, src, dst, n);
+  else
+    q.convert(src, dst, n);
+}
+
+/// The golden operand quantization: SoftFloat::from_double per element.
+/// Only gemm_mac_reference uses it, so the parity suites comparing the
+/// fused engine against the reference also test gemm_quantize's converter.
+void quantize_golden(const FpFormat& fmt, int rows, int cols,
+                     const float* src, int ld, uint32_t* dst, int threads) {
   ThreadPool::global().parallel_for(
       0, rows,
       [&](int64_t lo, int64_t hi) {
@@ -49,6 +74,42 @@ void gemm_quantize(const FpFormat& fmt, int rows, int cols, const float* src,
           for (int c = 0; c < cols; ++c)
             dst[static_cast<size_t>(r) * cols + c] = SoftFloat::from_double(
                 fmt, src[static_cast<size_t>(r) * ld + c]);
+      },
+      threads, /*grain=*/16);
+}
+
+}  // namespace
+
+void gemm_quantize(const FpFormat& fmt, int rows, int cols, const float* src,
+                   int ld, uint32_t* dst, int threads) {
+  const FpQuantizer q(fmt);
+  // Split by element count, not rows, so a short wide plane (a 27 x 16384
+  // im2col panel) still spreads over every thread; a chunk converts the
+  // row segments it covers.
+  ThreadPool::global().parallel_for(
+      0, static_cast<int64_t>(rows) * cols,
+      [&](int64_t lo, int64_t hi) {
+        while (lo < hi) {
+          const int64_t r = lo / cols, c = lo % cols;
+          const int64_t n = std::min<int64_t>(hi - lo, cols - c);
+          quantize_span(q, src + r * ld + c, dst + lo,
+                        static_cast<size_t>(n));
+          lo += n;
+        }
+      },
+      threads, kQuantGrain);
+}
+
+void gemm_quantize_transposed(const FpFormat& fmt, int rows, int cols,
+                              const float* src, uint32_t* dst, int threads) {
+  const FpQuantizer q(fmt);
+  ThreadPool::global().parallel_for(
+      0, rows,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t r = lo; r < hi; ++r)
+          for (int c = 0; c < cols; ++c)
+            dst[static_cast<size_t>(c) * rows + r] =
+                q(src[static_cast<size_t>(r) * cols + c]);
       },
       threads, /*grain=*/16);
 }
@@ -105,6 +166,7 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
   const MacConfig c = cfg.normalized();
   const FusedMacKernel kernel(c);
   const FpFormat acc_fmt = c.acc_fmt;
+  const FpQuantizer acc_quant(acc_fmt);
   // Element (i, j)'s LFSR register, seeded as MacUnit seeds its own.
   auto seed_lfsr = [&](int64_t i, int j) {
     return GaloisLfsr::seed_state(
@@ -127,13 +189,11 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
         // Takes the address, not the value: with accumulate=false the
         // caller's C may be uninitialized and must not be read.
         auto init_acc = [&](const float* out) {
-          return accumulate
-                     ? decode(acc_fmt, SoftFloat::from_double(acc_fmt, *out))
-                     : unpacked_zero(acc_fmt, false);
+          return accumulate ? decode(acc_fmt, acc_quant(*out))
+                            : unpacked_zero(acc_fmt, false);
         };
         auto finish = [&](const Unpacked& a) {
-          return static_cast<float>(
-              SoftFloat::to_double(acc_fmt, encode_unpacked(acc_fmt, a)));
+          return unpacked_to_float(acc_fmt, a);
         };
         // MC x NC blocking: this task's rows sweep one NC-wide panel of
         // packed B at a time; within the panel, G = group_width() output
@@ -216,8 +276,8 @@ void gemm_mac_reference(const MacConfig& cfg, int M, int N, int K,
   // Quantize operands once (RN into the multiplier input format).
   std::vector<uint32_t> qa(static_cast<size_t>(M) * K);
   std::vector<uint32_t> qb(static_cast<size_t>(K) * N);
-  gemm_quantize(c.mul_fmt, M, K, A, lda, qa.data(), threads);
-  gemm_quantize(c.mul_fmt, K, N, B, ldb, qb.data(), threads);
+  quantize_golden(c.mul_fmt, M, K, A, lda, qa.data(), threads);
+  quantize_golden(c.mul_fmt, K, N, B, ldb, qb.data(), threads);
 
   ThreadPool::global().parallel_for(
       0, M,

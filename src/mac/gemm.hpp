@@ -100,12 +100,24 @@ void gemm_ref(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, float* C, int ldc, bool accumulate = false,
               int threads = 0);
 
-/// Quantizes a row-major float matrix into `fmt` bit patterns (RN), rows
-/// split across the thread pool — the operand-quantization step of
-/// gemm_mac, exposed so callers preparing inputs for gemm_mac_bits (e.g.
-/// the layers' activation panels) share it.
+/// Quantizes a row-major float matrix into `fmt` bit patterns (RN-even),
+/// bit-identical to SoftFloat::from_double per element, through the
+/// branch-free FpQuantizer (fpemu/quantizer.hpp) — its AVX-512 build when
+/// the MAC kernel's cpuid gate passes. The elements split across the
+/// thread pool by count. This is the operand-quantization step of every
+/// GEMM path except gemm_mac_reference, which keeps from_double as the
+/// golden model; callers preparing inputs for gemm_mac_bits (e.g. the
+/// layers' activation panels) share it. dst is dense rows x cols.
 void gemm_quantize(const FpFormat& fmt, int rows, int cols, const float* src,
                    int ld, uint32_t* dst, int threads = 0);
+
+/// gemm_quantize of the transpose: dst[c * rows + r] = quantized
+/// src[r * cols + c] for a dense rows x cols src — the transposed weight
+/// planes (W^T for the backward and Linear GEMMs). Quantization is
+/// elementwise, so this equals quantizing a materialized transpose.
+void gemm_quantize_transposed(const FpFormat& fmt, int rows, int cols,
+                              const float* src, uint32_t* dst,
+                              int threads = 0);
 
 /// Inverse of gemm_quantize for already-quantized planes: decodes `fmt`
 /// bit patterns back to floats (dst is dense rows x cols). Lossless round

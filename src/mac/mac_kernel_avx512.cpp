@@ -27,10 +27,13 @@
 // finite range, at which point they are folded back into the vectors.
 #include "mac/mac_kernel.hpp"
 
+#include "fpemu/quantizer.hpp"
+
 // SRMAC_DISABLE_AVX512 (CMake -DSRMAC_DISABLE_AVX512=ON) compiles this TU
-// as the non-x86 stub, forcing the scalar lockstep groups everywhere — the
-// CI leg that keeps the scalar replay/fallback paths built and tested on
-// hosts that would otherwise always take the vector chains.
+// as the non-x86 stub, forcing the scalar lockstep groups and the portable
+// operand converter everywhere — the CI leg that keeps the scalar
+// replay/fallback paths built and tested on hosts that would otherwise
+// always take the vector paths.
 #if (defined(__x86_64__) || defined(_M_X64)) && !defined(SRMAC_DISABLE_AVX512)
 
 // GCC's AVX-512 intrinsic wrappers pass self-initialized dummy operands to
@@ -49,6 +52,14 @@ namespace srmac {
 bool mac_kernel_avx512_supported() {
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512cd");
+}
+
+// gemm_quantize's operand converter: FpQuantizer's scalar body, inlined
+// here and vectorized 16 lanes wide. Not a second algorithm — the same
+// source, compiled for the ISA this gate admits.
+__attribute__((target("avx512f,avx512cd"))) void quantize_avx512(
+    const FpQuantizer& q, const float* src, uint32_t* dst, size_t n) {
+  q.convert(src, dst, n);
 }
 
 namespace {
@@ -598,6 +609,11 @@ void chain_group_avx512_rn(const FusedMacKernel& kernel, Unpacked* acc,
 namespace srmac {
 
 bool mac_kernel_avx512_supported() { return false; }
+
+void quantize_avx512(const FpQuantizer& q, const float* src, uint32_t* dst,
+                     size_t n) {
+  q.convert(src, dst, n);
+}
 
 void chain_group_avx512_eager(const FusedMacKernel&, Unpacked*,
                               const uint32_t*, const uint32_t*, int,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "fpemu/softfloat.hpp"
 #include "mac/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
@@ -51,24 +50,12 @@ const std::vector<uint32_t>& WeightQuantCache::get(const Param& p,
   plane->version = p.version;
   plane->data = p.value.data();
   plane->bits.resize(static_cast<size_t>(rows) * cols);
-  // Quantization is elementwise, so transposing the quantized plane equals
-  // quantizing the transpose — the backward GEMMs reuse the same cache.
-  // This recurs once per optimizer step per format; split it across the
-  // pool like every other quantization pass.
-  if (transposed) {
-    uint32_t* bits = plane->bits.data();
-    ThreadPool::global().parallel_for(
-        0, rows,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i)
-            for (int j = 0; j < cols; ++j)
-              bits[static_cast<size_t>(j) * rows + i] =
-                  SoftFloat::from_double(fmt, p.value.at(static_cast<int>(i), j));
-        },
-        /*max_threads=*/0, /*grain=*/16);
-  } else {
+  // The backward GEMMs reuse the same cache through the transposed plane.
+  if (transposed)
+    gemm_quantize_transposed(fmt, rows, cols, p.value.data(),
+                             plane->bits.data());
+  else
     gemm_quantize(fmt, rows, cols, p.value.data(), cols, plane->bits.data());
-  }
   return plane->bits;
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mac/gemm.hpp"
+#include "util/thread_pool.hpp"
 
 namespace srmac {
 
@@ -62,12 +63,29 @@ std::vector<float> decode_plane(const FpFormat& fmt, int rows, int cols,
 
 /// dst[c * rows + r] = src[r * cols + c]: materializes the transpose of a
 /// row-major rows x cols matrix (shared by the _nt/_tn entry points and
-/// MatmulBatch's owned-transpose adds).
-void transpose_into(float* dst, const float* src, int rows, int cols) {
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c)
-      dst[static_cast<size_t>(c) * rows + r] =
-          src[static_cast<size_t>(r) * cols + c];
+/// MatmulBatch's owned-transpose adds). Square tiles keep a tile's source
+/// lines and destination lines in L1 while it is copied; the tiles split
+/// across the pool.
+void transpose_into(float* dst, const float* src, int rows, int cols,
+                    int threads) {
+  constexpr int kTile = 32;
+  const int64_t col_tiles = (cols + kTile - 1) / kTile;
+  const int64_t tiles = (rows + kTile - 1) / kTile * col_tiles;
+  ThreadPool::global().parallel_for(
+      0, tiles,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t t = lo; t < hi; ++t) {
+          const int r0 = static_cast<int>(t / col_tiles) * kTile;
+          const int c0 = static_cast<int>(t % col_tiles) * kTile;
+          const int r1 = std::min(rows, r0 + kTile);
+          const int c1 = std::min(cols, c0 + kTile);
+          for (int c = c0; c < c1; ++c)
+            for (int r = r0; r < r1; ++r)
+              dst[static_cast<size_t>(c) * rows + r] =
+                  src[static_cast<size_t>(r) * cols + c];
+        }
+      },
+      threads, /*grain=*/16);
 }
 
 }  // namespace
@@ -159,14 +177,14 @@ void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
 void matmul_nt(const ComputeContext& ctx, int M, int N, int K, const float* A,
                const float* B_t, float* C, bool accumulate) {
   std::vector<float> B(static_cast<size_t>(K) * N);
-  transpose_into(B.data(), B_t, N, K);
+  transpose_into(B.data(), B_t, N, K, ctx.threads);
   matmul(ctx, M, N, K, A, B.data(), C, accumulate);
 }
 
 void matmul_tn(const ComputeContext& ctx, int M, int N, int K,
                const float* A_t, const float* B, float* C, bool accumulate) {
   std::vector<float> A(static_cast<size_t>(M) * K);
-  transpose_into(A.data(), A_t, K, M);
+  transpose_into(A.data(), A_t, K, M, ctx.threads);
   matmul(ctx, M, N, K, A.data(), B, C, accumulate);
 }
 
@@ -196,7 +214,7 @@ void MatmulBatch::add_nt(const ComputeContext& ctx, int M, int N, int K,
                          const float* A, const float* B_t, float* C,
                          bool accumulate) {
   std::vector<float>& B = owned_.emplace_back(static_cast<size_t>(K) * N);
-  transpose_into(B.data(), B_t, N, K);
+  transpose_into(B.data(), B_t, N, K, ctx.threads);
   add(ctx, M, N, K, A, B.data(), C, accumulate);
 }
 
@@ -204,7 +222,7 @@ void MatmulBatch::add_tn(const ComputeContext& ctx, int M, int N, int K,
                          const float* A_t, const float* B, float* C,
                          bool accumulate) {
   std::vector<float>& A = owned_.emplace_back(static_cast<size_t>(M) * K);
-  transpose_into(A.data(), A_t, K, M);
+  transpose_into(A.data(), A_t, K, M, ctx.threads);
   add(ctx, M, N, K, A.data(), B, C, accumulate);
 }
 

@@ -11,11 +11,12 @@
 
 namespace srmac {
 
+// Internal linkage: srmac::Batch is also the data loader's batch type
+// (data/dataset.hpp), and two definitions of one name break the ODR.
 namespace {
 /// Set while a thread is executing a pool chunk: nested parallel_for calls
 /// run inline instead of deadlocking on the workers they themselves occupy.
 thread_local bool t_in_pool_task = false;
-}  // namespace
 
 /// One batch = one parallel_for invocation in flight.
 struct Batch {
@@ -28,6 +29,7 @@ struct Chunk {
   Batch* batch = nullptr;
   int64_t lo = 0, hi = 0;
 };
+}  // namespace
 
 struct ThreadPool::State {
   struct Shard {
