@@ -45,7 +45,9 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
     std::vector<int> shape;  ///< current per-sample shape (no batch dim)
     int cur = 0;             ///< buffer holding the current activation
     int64_t max_conv_kl = 0;  ///< largest conv K*L (im2col scratch)
-    int64_t max_conv_nk = 0;  ///< largest conv panel bt size (N*K words)
+    int64_t max_conv_nk = 0;  ///< largest conv quantized panel (N*K words)
+    size_t max_panel = 0;       ///< largest packed conv panel, one sample
+    size_t max_wide_panel = 0;  ///< largest packed grouped panel (max_batch)
     int64_t max_conv_ml = 0;  ///< largest conv M*L (grouped wide output)
     int64_t max_lin_k = 0;    ///< largest Linear K (activation quantize)
 
@@ -133,6 +135,12 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
                       op.aq.data(), m.threads_);
         m.stats_.planes_packed += 1;
         max_conv_nk = std::max(max_conv_nk, kl);
+        // Packed panels pad N to the kernel's group width.
+        max_panel = std::max(max_panel,
+                             gemm_packed_b_words(op.cfg, op.K, op.N));
+        max_wide_panel = std::max(
+            max_wide_panel,
+            gemm_packed_b_words(op.cfg, op.K, m.capacity_ * op.N));
         m.act_bytes_per_sample_ += static_cast<uint64_t>(kl) *
                                    fmt_bytes(op.cfg.mul_fmt);
       }
@@ -423,13 +431,11 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
   m.qcols_.assign(cap * static_cast<size_t>(lo.max_conv_nk), 0);
   m.qact_.assign(cap * static_cast<size_t>(lo.max_lin_k), 0);
   m.panels_.resize(cap);
-  for (PackedBPanels& p : m.panels_)
-    p.bt.reserve(static_cast<size_t>(lo.max_conv_nk));
+  for (PackedBPanels& p : m.panels_) p.bt.reserve(lo.max_panel);
   if (opts.grouped) {
     m.gout_.assign(cap * static_cast<size_t>(lo.max_conv_ml), 0.0f);
     // The grouped conv pack targets one panel spanning the whole wide batch.
-    if (!m.panels_.empty())
-      m.panels_[0].bt.reserve(cap * static_cast<size_t>(lo.max_conv_nk));
+    if (!m.panels_.empty()) m.panels_[0].bt.reserve(lo.max_wide_panel);
   }
 
   if (base.telemetry)

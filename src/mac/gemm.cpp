@@ -41,9 +41,36 @@ inline uint64_t mix_seed_periodic(uint64_t s, uint64_t i, uint64_t j,
   return mix_seed(s, i, j);
 }
 
+/// The LFSR registers of output elements (i, j0 + l) for l < valid, seeded
+/// as MacUnit seeds its own: mix_seed_periodic's folds, taken once per
+/// group. Lanes past `valid` (a partial group's zero padding) get a fixed
+/// nonzero state; their chains are never stored.
+void seed_group(uint64_t* lfsr, int lanes, int valid, int width,
+                uint64_t seed, int64_t i, int j0, int row_period,
+                int col_period) {
+  uint64_t fi = static_cast<uint64_t>(i), fj = static_cast<uint64_t>(j0);
+  if (row_period > 0) fi %= static_cast<uint64_t>(row_period);
+  if (col_period > 0) fj %= static_cast<uint64_t>(col_period);
+  int l = 0;
+  for (; l < valid; ++l) {
+    lfsr[l] = GaloisLfsr::seed_state(width, mix_seed(seed, fi, fj));
+    ++fj;
+    if (col_period > 0 && fj == static_cast<uint64_t>(col_period)) fj = 0;
+  }
+  for (; l < lanes; ++l) lfsr[l] = 1;
+}
+
+/// Words of a packed B panel: K times N rounded up to the group width G.
+size_t panel_words(int K, int N, int G) {
+  return static_cast<size_t>(K) * ((static_cast<size_t>(N) + G - 1) / G) * G;
+}
+
 /// Blocking parameter (see docs/PERF.md): NC bounds the packed-B working
-/// set of one row sweep (NC * K operand words).
+/// set of one row sweep (NC * K operand words). A multiple of every group
+/// width, so a panel is whole groups.
 constexpr int kNc = 64;
+static_assert(kNc % FusedMacKernel::kMaxGroupWidth == 0 &&
+              kNc % FusedMacKernel::kLanes == 0);
 
 /// Elements per gemm_quantize pool chunk. The vector converter runs at
 /// well under a nanosecond per element, so a chunk must carry enough
@@ -114,41 +141,40 @@ void gemm_quantize_transposed(const FpFormat& fmt, int rows, int cols,
       threads, /*grain=*/16);
 }
 
+size_t gemm_packed_b_words(const MacConfig& cfg, int K, int N) {
+  return panel_words(K, N, FusedMacKernel(cfg.normalized()).group_width());
+}
+
 void gemm_pack_b_into(const MacConfig& cfg, int K, int N, const uint32_t* Bq,
                       int ldb, PackedBPanels* out, int threads) {
-  const MacConfig c = cfg.normalized();
-  const FusedMacKernel kernel(c);
+  const int G = FusedMacKernel(cfg.normalized()).group_width();
 
-  // Pack B into group panels. Full groups of G = group_width() columns are
-  // interleaved (bt[group][k*G + l]) so a lockstep step reads all lanes'
-  // operands from one contiguous line; the N % G remainder columns follow,
-  // each contiguous in k for the single-lane chains.
+  // Pack B into group panels, interleaved (bt[group][k*G + l]) so a
+  // lockstep step reads all lanes' operands from one contiguous line. Every
+  // column sits in a group; the last group's lanes past N are zero, so
+  // their products are zero and the padded chains never leave +0.
   out->K = K;
   out->N = N;
-  const int G = out->group = kernel.group_width();
-  const int full_groups = N / G;
-  out->bt.resize(static_cast<size_t>(N) * K);
-  std::vector<uint32_t>& bt = out->bt;
+  out->group = G;
+  const int64_t groups = (static_cast<int64_t>(N) + G - 1) / G;
+  out->bt.resize(panel_words(K, N, G));
+  uint32_t* bt = out->bt.data();
   ThreadPool::global().parallel_for(
-      0, N,
+      0, groups,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t j = lo; j < hi; ++j) {
-          uint32_t* dst;
-          size_t stride;
-          if (j < static_cast<int64_t>(full_groups) * G) {
-            dst = bt.data() + (j / G) * static_cast<size_t>(G) * K + (j % G);
-            stride = static_cast<size_t>(G);
-          } else {
-            dst = bt.data() + static_cast<size_t>(full_groups) * G * K +
-                  static_cast<size_t>(j - static_cast<int64_t>(full_groups) * G) * K;
-            stride = 1;
+        for (int64_t g = lo; g < hi; ++g) {
+          const int64_t j0 = g * G;
+          const int w = static_cast<int>(std::min<int64_t>(G, N - j0));
+          uint32_t* dst = bt + static_cast<size_t>(g) * G * K;
+          for (int k = 0; k < K; ++k, dst += G) {
+            const uint32_t* src = Bq + static_cast<size_t>(k) * ldb + j0;
+            int l = 0;
+            for (; l < w; ++l) dst[l] = src[l];
+            for (; l < G; ++l) dst[l] = 0;
           }
-          for (int k = 0; k < K; ++k)
-            dst[static_cast<size_t>(k) * stride] =
-                Bq[static_cast<size_t>(k) * ldb + j];
         }
       },
-      threads, /*grain=*/16);
+      threads, /*grain=*/std::max(1, 16 / G));
 }
 
 PackedBPanels gemm_pack_b(const MacConfig& cfg, int K, int N,
@@ -165,69 +191,34 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
                           int seed_col_period) {
   const MacConfig c = cfg.normalized();
   const FusedMacKernel kernel(c);
-  const FpFormat acc_fmt = c.acc_fmt;
-  const FpQuantizer acc_quant(acc_fmt);
-  // Element (i, j)'s LFSR register, seeded as MacUnit seeds its own.
-  auto seed_lfsr = [&](int64_t i, int j) {
-    return GaloisLfsr::seed_state(
-        kernel.lfsr_width(),
-        mix_seed_periodic(seed, static_cast<uint64_t>(i),
-                          static_cast<uint64_t>(j), seed_row_period,
-                          seed_col_period));
-  };
-
   const int G = kernel.group_width();
+  const int width = kernel.lfsr_width();
   assert(B.K == K && B.N == N && B.group == G &&
+         B.bt.size() == panel_words(K, N, G) &&
          "PackedBPanels must be packed for this problem and config");
-  const int full_groups = N / G;
-  const std::vector<uint32_t>& bt = B.bt;
+  const uint32_t* bt = B.bt.data();
   ThreadPool::global().parallel_for(
       0, M,
       [&](int64_t row_lo, int64_t row_hi) {
-        std::vector<Unpacked> acc(G);
-        std::vector<uint64_t> lfsr(G);  // one LFSR register per group lane
-        // Takes the address, not the value: with accumulate=false the
-        // caller's C may be uninitialized and must not be read.
-        auto init_acc = [&](const float* out) {
-          return accumulate ? decode(acc_fmt, acc_quant(*out))
-                            : unpacked_zero(acc_fmt, false);
-        };
-        auto finish = [&](const Unpacked& a) {
-          return unpacked_to_float(acc_fmt, a);
-        };
+        uint64_t lfsr[FusedMacKernel::kMaxGroupWidth];
         // MC x NC blocking: this task's rows sweep one NC-wide panel of
         // packed B at a time; within the panel, G = group_width() output
         // elements run in lockstep (independent chains hide the per-add
-        // latency), each walking all of K in one kernel call that steps
-        // its lane's LFSR register in place.
+        // latency), each walking all of K in one kernel call that reads and
+        // writes its outputs and steps its lane's LFSR register in place.
+        // The last group of a row is partial when G does not divide N: the
+        // kernel reads and stores only its `valid` lanes.
         for (int jc = 0; jc < N; jc += kNc) {
           const int jhi = std::min(N, jc + kNc);
           for (int64_t i = row_lo; i < row_hi; ++i) {
             const uint32_t* arow = Aq + static_cast<size_t>(i) * lda;
-            int j = jc;
-            for (; j + G <= jhi; j += G) {
-              // b panel for this group, interleaved: bg[k*G + l].
-              const uint32_t* bg =
-                  bt.data() + static_cast<size_t>(j / G) * G * K;
-              for (int l = 0; l < G; ++l) {
-                acc[l] = init_acc(C + static_cast<size_t>(i) * ldc + j + l);
-                lfsr[l] = seed_lfsr(i, j + l);
-              }
-              kernel.chain_group(acc.data(), arow, bg, K, lfsr.data());
-              for (int l = 0; l < G; ++l)
-                C[static_cast<size_t>(i) * ldc + j + l] = finish(acc[l]);
-            }
-            for (; j < jhi; ++j) {
-              // Remainder columns (N % G): contiguous panel after the
-              // interleaved groups.
-              const uint32_t* bcol = bt.data() +
-                                     static_cast<size_t>(full_groups) * G * K +
-                                     static_cast<size_t>(j - full_groups * G) * K;
-              float* out = C + static_cast<size_t>(i) * ldc + j;
-              Unpacked a0 = init_acc(out);
-              uint64_t s = seed_lfsr(i, j);
-              kernel.chain(a0, arow, bcol, K, s);
-              *out = finish(a0);
+            float* crow = C + static_cast<size_t>(i) * ldc;
+            for (int j = jc; j < jhi; j += G) {
+              const int valid = std::min(G, N - j);
+              seed_group(lfsr, G, valid, width, seed, i, j, seed_row_period,
+                         seed_col_period);
+              kernel.chain_group(arow, bt + static_cast<size_t>(j) * K, K,
+                                 lfsr, crow + j, valid, accumulate);
             }
           }
         }

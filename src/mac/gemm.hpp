@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -8,17 +9,24 @@
 namespace srmac {
 
 /// One B operand packed into the group-interleaved panel layout the fused
-/// kernel consumes (full groups of `group` columns interleaved as
-/// `bt[g][k*group + l]`, the N % group remainder columns contiguous in k).
-/// Built once by gemm_pack_b and reusable across every GEMM that multiplies
-/// against the same weight plane — the "batched" backend packs each unique
-/// plane once per batch and shares it across problems.
+/// kernel consumes: column j is lane j % group of group j / group, stored as
+/// `bt[(j / group) * group * K + k * group + j % group]`. Every column sits
+/// in a group; the last one is zero-padded to the full group width, and the
+/// padding lanes' outputs are never read or written. Built once by
+/// gemm_pack_b and reusable across every GEMM that multiplies against the
+/// same weight plane — the "batched" backend packs each unique plane once
+/// per batch and shares it across problems.
 struct PackedBPanels {
   int K = 0;
   int N = 0;
   int group = 0;  ///< FusedMacKernel::group_width() at pack time
-  std::vector<uint32_t> bt;
+  std::vector<uint32_t> bt;  ///< gemm_packed_b_words(cfg, K, N) words
 };
+
+/// Size of PackedBPanels::bt for a KxN operand under `cfg`: K times N
+/// rounded up to the group width. Callers that repack into reused storage
+/// reserve this much once.
+size_t gemm_packed_b_words(const MacConfig& cfg, int K, int N);
 
 /// Packs quantized B bits (row-major KxN with leading dimension ldb) into
 /// the panel layout for `cfg` (the group width is a pure function of the
@@ -27,7 +35,8 @@ PackedBPanels gemm_pack_b(const MacConfig& cfg, int K, int N,
                           const uint32_t* Bq, int ldb, int threads = 0);
 
 /// gemm_pack_b into caller-owned storage: `out->bt` is resized in place, so
-/// a panel buffer reserved once can absorb every repack without allocating —
+/// a panel buffer reserved once (gemm_packed_b_words of the largest
+/// operand) can absorb every repack without allocating —
 /// the steady-state path of the compiled serve executor, which packs each
 /// request's im2col panel into the same reused panels (docs/COMPILER.md).
 void gemm_pack_b_into(const MacConfig& cfg, int K, int N, const uint32_t* Bq,

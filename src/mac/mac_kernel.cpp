@@ -14,15 +14,9 @@ namespace srmac {
 
 // Defined in mac_kernel_avx512.cpp (x86-64 only).
 bool mac_kernel_avx512_supported();
-void chain_group_avx512_eager(const FusedMacKernel& kernel, Unpacked* acc,
-                              const uint32_t* a, const uint32_t* b_ilv, int n,
-                              uint64_t* lfsr);
-void chain_group_avx512_lazy(const FusedMacKernel& kernel, Unpacked* acc,
-                             const uint32_t* a, const uint32_t* b_ilv, int n,
-                             uint64_t* lfsr);
-void chain_group_avx512_rn(const FusedMacKernel& kernel, Unpacked* acc,
-                           const uint32_t* a, const uint32_t* b_ilv, int n,
-                           uint64_t* lfsr);
+void chain_group_avx512(const FusedMacKernel& kernel, const uint32_t* a,
+                        const uint32_t* b_ilv, int n, uint64_t* lfsr, float* c,
+                        int valid, bool accumulate);
 
 namespace {
 
@@ -46,6 +40,7 @@ std::vector<std::pair<TableKey, std::shared_ptr<const std::vector<MacAddend>>>>
 FusedMacKernel::FusedMacKernel(const MacConfig& cfg)
     : cfg_(cfg.normalized()),
       params_(cfg_.acc_fmt, cfg_.random_bits),
+      acc_quant_(cfg_.acc_fmt),
       prod_fmt_(product_format(cfg_.mul_fmt)) {
   direct_ = prod_fmt_ == cfg_.acc_fmt.with_subnormals(prod_fmt_.subnormals);
   mag_bits_ = cfg_.mul_fmt.width() - 1;
@@ -155,11 +150,12 @@ void FusedMacKernel::chain_impl(Unpacked& acc, const uint32_t* a,
 }
 
 template <AdderKind kKind, bool kTable>
-void FusedMacKernel::chain_group_impl(Unpacked* acc, const uint32_t* a,
-                                      const uint32_t* b_ilv, int n,
-                                      uint64_t* lfsr) const {
+void FusedMacKernel::chain_group_impl(const uint32_t* a, const uint32_t* b_ilv,
+                                      int n, uint64_t* lfsr, float* c,
+                                      int valid, bool accumulate) const {
   static_assert(kLanes == 4);
   const AddParams ap = params_;
+  const FpFormat acc_fmt = cfg_.acc_fmt;
   // Named lane state (not an array): GCC's scalar replacement runs before
   // loop unrolling, so an indexed array would pin every accumulator to the
   // stack; named locals keep the four chains in registers.
@@ -199,7 +195,13 @@ void FusedMacKernel::chain_group_impl(Unpacked* acc, const uint32_t* a,
     }
   };
 
-  Unpacked l0 = acc[0], l1 = acc[1], l2 = acc[2], l3 = acc[3];
+  // Group entry: valid lanes read their output when accumulating; every
+  // other lane (and every lane otherwise) starts at +0.
+  const auto load = [&](int l) {
+    return accumulate && l < valid ? decode(acc_fmt, acc_quant_(c[l]))
+                                   : unpacked_zero(acc_fmt, false);
+  };
+  Unpacked l0 = load(0), l1 = load(1), l2 = load(2), l3 = load(3);
   uint64_t s0 = lfsr[0], s1 = lfsr[1], s2 = lfsr[2], s3 = lfsr[3];
   for (int i = 0; i < n; ++i) {
     const uint32_t ai = a[i];
@@ -209,51 +211,44 @@ void FusedMacKernel::chain_group_impl(Unpacked* acc, const uint32_t* a,
     l2 = step(l2, ai, bi[2], s2);
     l3 = step(l3, ai, bi[3], s3);
   }
-  acc[0] = l0;
-  acc[1] = l1;
-  acc[2] = l2;
-  acc[3] = l3;
+  // Group exit: only the valid lanes are stored.
+  c[0] = unpacked_to_float(acc_fmt, l0);
+  if (valid > 1) c[1] = unpacked_to_float(acc_fmt, l1);
+  if (valid > 2) c[2] = unpacked_to_float(acc_fmt, l2);
+  if (valid > 3) c[3] = unpacked_to_float(acc_fmt, l3);
   lfsr[0] = s0;
   lfsr[1] = s1;
   lfsr[2] = s2;
   lfsr[3] = s3;
 }
 
-void FusedMacKernel::chain_group(Unpacked* acc, const uint32_t* a,
-                                 const uint32_t* b_ilv, int n,
-                                 uint64_t* lfsr) const {
+void FusedMacKernel::chain_group(const uint32_t* a, const uint32_t* b_ilv,
+                                 int n, uint64_t* lfsr, float* c, int valid,
+                                 bool accumulate) const {
+  assert(valid >= 1 && valid <= group_width_);
   if (use_avx512_) {
-    switch (cfg_.adder) {
-      case AdderKind::kEagerSR:
-        chain_group_avx512_eager(*this, acc, a, b_ilv, n, lfsr);
-        return;
-      case AdderKind::kLazySR:
-        chain_group_avx512_lazy(*this, acc, a, b_ilv, n, lfsr);
-        return;
-      case AdderKind::kRoundNearest:
-        chain_group_avx512_rn(*this, acc, a, b_ilv, n, lfsr);
-        return;
-    }
+    chain_group_avx512(*this, a, b_ilv, n, lfsr, c, valid, accumulate);
+    return;
   }
   const bool tab = table_ != nullptr;
   switch (cfg_.adder) {
     case AdderKind::kRoundNearest:
-      tab ? chain_group_impl<AdderKind::kRoundNearest, true>(acc, a, b_ilv, n,
-                                                             lfsr)
-          : chain_group_impl<AdderKind::kRoundNearest, false>(acc, a, b_ilv, n,
-                                                              lfsr);
+      tab ? chain_group_impl<AdderKind::kRoundNearest, true>(
+                a, b_ilv, n, lfsr, c, valid, accumulate)
+          : chain_group_impl<AdderKind::kRoundNearest, false>(
+                a, b_ilv, n, lfsr, c, valid, accumulate);
       break;
     case AdderKind::kLazySR:
-      tab ? chain_group_impl<AdderKind::kLazySR, true>(acc, a, b_ilv, n,
-                                                       lfsr)
-          : chain_group_impl<AdderKind::kLazySR, false>(acc, a, b_ilv, n,
-                                                        lfsr);
+      tab ? chain_group_impl<AdderKind::kLazySR, true>(a, b_ilv, n, lfsr, c,
+                                                       valid, accumulate)
+          : chain_group_impl<AdderKind::kLazySR, false>(a, b_ilv, n, lfsr, c,
+                                                        valid, accumulate);
       break;
     case AdderKind::kEagerSR:
-      tab ? chain_group_impl<AdderKind::kEagerSR, true>(acc, a, b_ilv, n,
-                                                        lfsr)
-          : chain_group_impl<AdderKind::kEagerSR, false>(acc, a, b_ilv, n,
-                                                         lfsr);
+      tab ? chain_group_impl<AdderKind::kEagerSR, true>(a, b_ilv, n, lfsr, c,
+                                                        valid, accumulate)
+          : chain_group_impl<AdderKind::kEagerSR, false>(a, b_ilv, n, lfsr, c,
+                                                         valid, accumulate);
       break;
   }
 }

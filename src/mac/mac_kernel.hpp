@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "fpemu/quantizer.hpp"
 #include "fpemu/value.hpp"
 #include "mac/adder_common.hpp"
 #include "mac/mac_config.hpp"
@@ -60,7 +61,8 @@ class FusedMacKernel {
   /// accumulation and each add consumes its low r bits, exactly as
   /// MacUnit's LFSR draws. On return it holds the state after the last
   /// step, so a chain split across calls continues its sequence. RN leaves
-  /// it untouched.
+  /// it untouched. The GEMM runs chain_group; this one-lane form is the
+  /// scalar reference chain_group is tested against.
   void chain(Unpacked& acc, const uint32_t* a, const uint32_t* b, int n,
              uint64_t& lfsr) const;
 
@@ -76,12 +78,29 @@ class FusedMacKernel {
   /// packs B panels group-interleaved at this width.
   int group_width() const { return group_width_; }
 
-  /// Runs group_width() independent chains over a shared A stream:
-  /// acc[l] <- acc[l] (+) a[i] * b_ilv[i*G + l] (G = group_width()), lane l
-  /// drawing from LFSR register lfsr[l] under the chain() contract.
-  /// Bit-identical to G separate chain() calls.
-  void chain_group(Unpacked* acc, const uint32_t* a, const uint32_t* b_ilv,
-                   int n, uint64_t* lfsr) const;
+  /// The largest group_width() on any host.
+  static constexpr int kMaxGroupWidth = 16;
+
+  /// Runs group_width() independent chains over a shared A stream, from
+  /// float outputs and back into them (G = group_width()):
+  ///   c[l] <- c[l] (+) a[i] * b_ilv[i*G + l]   for i in [0, n),
+  /// lane l drawing from LFSR register lfsr[l] under the chain() contract.
+  ///
+  /// Entry: with `accumulate`, lane l < valid starts from c[l] quantized RN
+  /// into acc_fmt, as gemm_mac's accumulate reads C; otherwise it starts at
+  /// +0. Exit: lanes l < valid store unpacked_to_float of their result into
+  /// c[l], and their LFSR registers hold the state after the last step.
+  /// Lanes l >= valid are the zero padding of a partial group: their
+  /// outputs are neither read nor written, so `c` needs only `valid`
+  /// elements (1 <= valid <= G), and their registers end unspecified.
+  ///
+  /// Per valid lane this is bit-identical to decode, chain(),
+  /// unpacked_to_float. The float round trip is lossless (every acc_fmt
+  /// value is a float), so a chain split across calls, the later ones with
+  /// `accumulate`, continues exactly.
+  void chain_group(const uint32_t* a, const uint32_t* b_ilv, int n,
+                   uint64_t* lfsr, float* c, int valid,
+                   bool accumulate) const;
 
  private:
   template <AdderKind kKind, bool kTable>
@@ -89,30 +108,25 @@ class FusedMacKernel {
                   uint64_t& lfsr) const;
 
   template <AdderKind kKind, bool kTable>
-  void chain_group_impl(Unpacked* acc, const uint32_t* a,
-                        const uint32_t* b_ilv, int n, uint64_t* lfsr) const;
+  void chain_group_impl(const uint32_t* a, const uint32_t* b_ilv, int n,
+                        uint64_t* lfsr, float* c, int valid,
+                        bool accumulate) const;
 
   Unpacked addend_slow(uint32_t a, uint32_t b) const;
   Unpacked addend_from_table(uint32_t a, uint32_t b) const;
 
-  friend void chain_group_avx512_eager(const FusedMacKernel& kernel,
-                                       Unpacked* acc, const uint32_t* a,
-                                       const uint32_t* b_ilv, int n,
-                                       uint64_t* lfsr);
-  friend void chain_group_avx512_lazy(const FusedMacKernel& kernel,
-                                      Unpacked* acc, const uint32_t* a,
-                                      const uint32_t* b_ilv, int n,
-                                      uint64_t* lfsr);
-  friend void chain_group_avx512_rn(const FusedMacKernel& kernel,
-                                    Unpacked* acc, const uint32_t* a,
-                                    const uint32_t* b_ilv, int n,
-                                    uint64_t* lfsr);
+  /// The AVX-512 chains (mac_kernel_avx512.cpp), one per AdderKind.
+  friend void chain_group_avx512(const FusedMacKernel& kernel,
+                                 const uint32_t* a, const uint32_t* b_ilv,
+                                 int n, uint64_t* lfsr, float* c, int valid,
+                                 bool accumulate);
 
   int group_width_ = kLanes;
   bool use_avx512_ = false;
 
   MacConfig cfg_;
   AddParams params_;  ///< precomputed (acc_fmt, r) adder constants
+  FpQuantizer acc_quant_;  ///< RN float -> acc_fmt, for accumulate entry
   FpFormat prod_fmt_;
   bool direct_ = false;  ///< product bits feed the adder without conversion
   std::shared_ptr<const std::vector<MacAddend>> table_;

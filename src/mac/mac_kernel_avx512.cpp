@@ -6,14 +6,16 @@
 // Sixteen independent output chains run in lockstep: two groups of eight
 // 64-bit lanes (zmm), interleaved so each group's serial add latency hides
 // behind the other's work. Each vector step is a lane-parallel transcription
-// of the corresponding adder core's hot path. A zero addend (ReLU outputs,
-// im2col padding) stays in the vector: x + 0 is exact (prepare_add_u hands
-// back the accumulator unchanged), so the lane simply keeps its value. Every
-// rare event — non-finite operands, exact cancellation, a subnormal (emin)
-// cut, overflow past emax — raises a lane mask and is replayed through the
-// *scalar* core for exactly those lanes, so the vector paths are
-// bit-identical to the scalar engine by construction (and are covered by
-// the same bit-exactness suite).
+// of the corresponding adder core's hot path. Zeros stay in the vector, under
+// prepare_add_u's rules: a zero accumulator is an ordinary lane with sig = 0
+// and its sign; a zero addend (ReLU outputs, im2col padding) leaves the
+// accumulator unchanged (x + 0 is exact), a zero accumulator takes a finite
+// addend exactly (0 + d = d), zero + zero keeps a negative sign only when
+// both are negative, and exact cancellation gives +0. Every other rare event
+// — a non-finite addend, a subnormal (emin) cut, overflow past emax —
+// raises a lane mask and is replayed through the *scalar* core for exactly
+// those lanes, so the vector paths are bit-identical to the scalar engine
+// by construction (and are covered by the same bit-exactness suite).
 //
 // The sixteen lanes' Galois LFSRs live in two zmm registers and step once
 // per accumulation in-register, s = (s >> 1) ^ (taps & -(s & 1)), the
@@ -21,10 +23,15 @@
 // same step. The caller's lane states are written back at the end, so a
 // chain continues across calls.
 //
-// Lanes whose accumulator is not finite-nonzero (zero at chain start, NaN /
-// Inf after saturation) are "parked": held as decoded Unpacked values at
-// the side and stepped through the scalar core until they re-enter the
-// finite range, at which point they are folded back into the vectors.
+// Only NaN/Inf accumulators are "parked": held as decoded Unpacked values at
+// the side. Both are absorbing under a finite or zero addend, so a parked
+// lane is replayed through the scalar core only on a non-finite addend.
+//
+// Group entry and exit run in registers too (group_entry / group_exit):
+// the starting accumulators are quantized from the output floats and
+// decoded lane-parallel, and the results are built as floats and stored
+// under the valid-lane mask. Only parked lanes and results below binary32's
+// normal range leave through the scalar unpacked_to_float.
 #include "mac/mac_kernel.hpp"
 
 #include "fpemu/quantizer.hpp"
@@ -37,9 +44,11 @@
 #if (defined(__x86_64__) || defined(_M_X64)) && !defined(SRMAC_DISABLE_AVX512)
 
 // GCC's AVX-512 intrinsic wrappers pass self-initialized dummy operands to
-// the masked builtins, tripping -Wmaybe-uninitialized at -O3 (GCC bug
-// 105593). Header-internal false positive; silence it for this TU only.
+// the masked builtins, tripping -Wmaybe-uninitialized and -Wuninitialized at
+// -O3 (GCC bug 105593). Header-internal false positives; silence them for
+// this TU only.
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 
 #include <immintrin.h>
 
@@ -71,17 +80,174 @@ struct alignas(64) LaneArrays {
   int64_t rand[16];  ///< this step's random words, for scalar replays
 };
 
-}  // namespace
+/// Lanes [0, valid) of a 16-lane group.
+inline __mmask16 valid_mask(int valid) {
+  return static_cast<__mmask16>(valid >= 16 ? 0xffffu : (1u << valid) - 1u);
+}
 
-__attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
-    const FusedMacKernel& kernel, Unpacked* acc, const uint32_t* a,
-    const uint32_t* b_ilv, int n, uint64_t* lfsr) {
+/// The decoded accumulator of unparked lane l from its spilled vector
+/// fields (sig = 0 is a signed zero), in decode()'s canonical form.
+inline Unpacked lane_value(const AddParams& ap, const LaneArrays& la, int l) {
+  if (la.sig[l] == 0) return unpacked_zero(ap.fmt, la.sign[l] != 0);
+  Unpacked u;
+  u.sig = static_cast<uint64_t>(la.sig[l]);
+  u.exp = static_cast<int>(la.exp[l]);
+  u.sign = la.sign[l] != 0;
+  u.sig_bits = ap.p;
+  u.cls = u.exp >= ap.emin ? FpClass::kNormal : FpClass::kSubnormal;
+  return u;
+}
+
+/// Writes a scalar replay's result back into lane l: finite values and
+/// zeros return to the vector fields, NaN/Inf park in `spare`.
+inline void set_lane(LaneArrays& la, Unpacked* spare, uint32_t& parked, int l,
+                     const Unpacked& res) {
+  const bool finite =
+      res.cls != FpClass::kNaN && res.cls != FpClass::kInf;
+  la.sig[l] = finite ? static_cast<int64_t>(res.sig) : 0;
+  la.exp[l] = res.exp;
+  la.sign[l] = res.sign ? 1 : 0;
+  if (finite) {
+    parked &= ~(1u << l);
+  } else {
+    spare[l] = res;
+    parked |= 1u << l;
+  }
+}
+
+/// Group entry (the chain_group contract): the 16 lanes' starting
+/// accumulators in the two register groups. With `accumulate` the valid
+/// lanes' floats are quantized RN into acc_fmt (FpQuantizer's body,
+/// vectorized here) and decoded lane-parallel exactly as decode() does;
+/// NaN/Inf lanes park with their decoded value in `spare`. Everything else
+/// starts at +0. Returns the parked-lane mask.
+__attribute__((target("avx512f,avx512cd"), always_inline)) inline uint32_t
+group_entry(const FpQuantizer& q, const FpFormat& fmt, const float* c,
+            int valid, bool accumulate, __m512i* gsig, __m512i* gexp,
+            __m512i* gsign, Unpacked* spare) {
+  if (!accumulate) {
+    for (int g = 0; g < 2; ++g)
+      gsig[g] = gexp[g] = gsign[g] = _mm512_setzero_si512();
+    return 0;
+  }
+  alignas(64) float cin[16];
+  alignas(64) uint32_t qbits[16];
+  _mm512_store_ps(cin, _mm512_maskz_loadu_ps(valid_mask(valid), c));
+  q.convert(cin, qbits, 16);
+  const __m512i bits = _mm512_load_si512(qbits);
+
+  const int man = fmt.man_bits;
+  const __m512i vexpmax =
+      _mm512_set1_epi32(static_cast<int>(fmt.exp_field_max()));
+  const __m512i e = _mm512_and_si512(
+      _mm512_srl_epi32(bits, _mm_cvtsi32_si128(man)), vexpmax);
+  const __m512i m = _mm512_and_si512(
+      bits, _mm512_set1_epi32(static_cast<int>(fmt.man_mask())));
+  const __m512i sgn =
+      _mm512_srl_epi32(bits, _mm_cvtsi32_si128(fmt.exp_bits + man));
+  const __mmask16 special = _mm512_cmpeq_epi32_mask(e, vexpmax);
+  // The significand with its implicit bit; a zero exponent field keeps the
+  // bare mantissa (a subnormal, or zero when the format flushes them), and
+  // the leading-zero count normalizes it: sig << lz, exponent emin - lz.
+  const __m512i full = _mm512_mask_or_epi32(
+      fmt.subnormals ? m : _mm512_setzero_si512(), _mm512_test_epi32_mask(e, e),
+      m, _mm512_set1_epi32(1 << man));
+  const __m512i lz = _mm512_sub_epi32(_mm512_lzcnt_epi32(full),
+                                      _mm512_set1_epi32(31 - man));
+  const __m512i sig = _mm512_maskz_sllv_epi32(
+      static_cast<__mmask16>(~special), full, lz);
+  const __m512i ex = _mm512_sub_epi32(
+      _mm512_sub_epi32(_mm512_max_epu32(e, _mm512_set1_epi32(1)),
+                       _mm512_set1_epi32(fmt.bias())),
+      lz);
+  gsig[0] = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(sig));
+  gsig[1] = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(sig, 1));
+  gexp[0] = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(ex));
+  gexp[1] = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(ex, 1));
+  gsign[0] = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(sgn));
+  gsign[1] = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(sgn, 1));
+
+  const uint32_t parked = special;
+  for (uint32_t pk = parked; pk != 0; pk &= pk - 1) {
+    const int l = __builtin_ctz(pk);
+    spare[l] = decode(fmt, qbits[l]);
+  }
+  return parked;
+}
+
+/// Group exit (the chain_group contract): the valid lanes' results as
+/// floats, built lane-parallel as unpacked_to_float builds them and stored
+/// under the valid-lane mask. Parked lanes and finite results below
+/// binary32's normal range (exp < -126) take the scalar unpacked_to_float.
+__attribute__((target("avx512f,avx512cd"), always_inline)) inline void
+group_exit(const AddParams& ap, const __m512i* gsig, const __m512i* gexp,
+           const __m512i* gsign, uint32_t parked, const Unpacked* spare,
+           float* c, int valid) {
+  const __m128i cnt_frac = _mm_cvtsi32_si128(23 - ap.fmt.man_bits);
+  uint32_t slow = parked;
+  __m256i half[2];
+  for (int g = 0; g < 2; ++g) {
+    const __mmask8 nz = _mm512_test_epi64_mask(gsig[g], gsig[g]);
+    slow |= static_cast<uint32_t>(
+                nz & _mm512_cmplt_epi64_mask(gexp[g], _mm512_set1_epi64(-126)))
+            << (8 * g);
+    const __m512i mag = _mm512_maskz_or_epi64(
+        nz,
+        _mm512_slli_epi64(_mm512_add_epi64(gexp[g], _mm512_set1_epi64(127)),
+                          23),
+        _mm512_and_si512(_mm512_sll_epi64(gsig[g], cnt_frac),
+                         _mm512_set1_epi64(0x7fffff)));
+    half[g] = _mm512_cvtepi64_epi32(
+        _mm512_or_si512(mag, _mm512_slli_epi64(gsign[g], 31)));
+  }
+  const __mmask16 vm = valid_mask(valid);
+  _mm512_mask_storeu_epi32(
+      c, vm, _mm512_inserti64x4(_mm512_castsi256_si512(half[0]), half[1], 1));
+  slow &= vm;
+  if (slow != 0) [[unlikely]] {
+    LaneArrays la;
+    for (int g = 0; g < 2; ++g) {
+      _mm512_store_si512(la.sig + 8 * g, gsig[g]);
+      _mm512_store_si512(la.exp + 8 * g, gexp[g]);
+      _mm512_store_si512(la.sign + 8 * g, gsign[g]);
+    }
+    for (; slow != 0; slow &= slow - 1) {
+      const int l = __builtin_ctz(slow);
+      c[l] = unpacked_to_float(
+          ap.fmt, (parked >> l) & 1 ? spare[l] : lane_value(ap, la, l));
+    }
+  }
+}
+
+/// The kernel's private constants the vector chains read, extracted by
+/// chain_group_avx512 at the bottom of this file.
+struct ChainConsts {
+  AddParams ap;            ///< precomputed (acc_fmt, r) adder constants
+  const FpQuantizer* q;    ///< RN float -> acc_fmt, for accumulate entry
+  const MacAddend* tab;    ///< the product table
+  uint32_t mag_mask;       ///< magnitude field mask of mul_fmt
+  int mag_bits;            ///< magnitude field width of mul_fmt
+  int w1;                  ///< sign bit position of mul_fmt
+  uint64_t taps;           ///< Galois feedback mask of the lane LFSRs
+};
+
+// Both chains run kGroups register groups of eight lanes: two for a group
+// with more than eight valid lanes, one otherwise (the upper eight lanes
+// are then all padding, and their LFSR registers are left as they were).
+
+// ---------------------------------------------------------------------------
+// Eager-SR chain, the vector transcription of add_eager_sr_core.
+template <int kGroups>
+__attribute__((target("avx512f,avx512cd"))) void chain_eager(
+    const FusedMacKernel& kernel, const ChainConsts& kc, const uint32_t* a,
+    const uint32_t* b_ilv, int n, uint64_t* lfsr, float* c, int valid,
+    bool accumulate) {
   constexpr int G = 16;
-  const AddParams ap = kernel.params_;
-  const MacAddend* tab = kernel.table_->data();
+  const AddParams ap = kc.ap;
+  const MacAddend* tab = kc.tab;
   const int p = ap.p;
   const int r = ap.r;
-  const int w1 = kernel.cfg_.mul_fmt.width() - 1;  // sign bit position
+  const int w1 = kc.w1;
 
   // Broadcast constants.
   const __m512i vzero64 = _mm512_setzero_si512();
@@ -100,50 +266,35 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
   const __m512i vmask_rm2 =
       _mm512_set1_epi64(static_cast<int64_t>(ap.mask_rm2));
   const __m512i vmask32 = _mm512_set1_epi64(0xffffffffll);
-  const __m512i vmagmask = _mm512_set1_epi64(kernel.mag_mask_);
+  const __m512i vmagmask = _mm512_set1_epi64(kc.mag_mask);
   const __m512i vtaps =
-      _mm512_set1_epi64(static_cast<int64_t>(kernel.lfsr_taps_));
+      _mm512_set1_epi64(static_cast<int64_t>(kc.taps));
   const __m128i cnt_r = _mm_cvtsi32_si128(r);
   const __m128i cnt_r1 = _mm_cvtsi32_si128(r - 1);
   const __m128i cnt_p = _mm_cvtsi32_si128(p);
   const __m128i cnt_p1 = _mm_cvtsi32_si128(p + 1);
   const __m128i cnt_w1 = _mm_cvtsi32_si128(w1);
 
-  // Lane state: vectors hold unparked (finite-nonzero) accumulators;
-  // `spare` holds the decoded value of parked lanes.
+  // Lane state: the vectors hold every finite accumulator (sig = 0 for a
+  // zero); `spare` holds the decoded value of parked (NaN/Inf) lanes.
   LaneArrays la;
   Unpacked spare[G];
-  uint32_t parked = 0;
-  for (int l = 0; l < G; ++l) {
-    spare[l] = acc[l];
-    if (acc[l].is_finite_nonzero()) {
-      la.sig[l] = static_cast<int64_t>(acc[l].sig);
-      la.exp[l] = acc[l].exp;
-      la.sign[l] = acc[l].sign ? 1 : 0;
-    } else {
-      la.sig[l] = la.exp[l] = la.sign[l] = 0;
-      parked |= 1u << l;
-    }
-  }
   __m512i gsig[2], gexp[2], gsign[2], gst[2];
-  for (int g = 0; g < 2; ++g) {
-    gsig[g] = _mm512_load_si512(la.sig + 8 * g);
-    gexp[g] = _mm512_load_si512(la.exp + 8 * g);
-    gsign[g] = _mm512_load_si512(la.sign + 8 * g);
-    gst[g] = _mm512_loadu_si512(lfsr + 8 * g);
-  }
+  uint32_t parked = group_entry(*kc.q, ap.fmt, c, valid,
+                                accumulate, gsig, gexp, gsign, spare);
+  for (int g = 0; g < kGroups; ++g) gst[g] = _mm512_loadu_si512(lfsr + 8 * g);
 
   for (int i = 0; i < n; ++i) {
     const uint32_t ai = a[i];
     const int64_t abase = static_cast<int64_t>(
-        static_cast<uint64_t>(ai & kernel.mag_mask_) << kernel.mag_bits_);
+        static_cast<uint64_t>(ai & kc.mag_mask) << kc.mag_bits);
     const __m512i vabase = _mm512_set1_epi64(abase);
     const __m512i vasign =
         _mm512_set1_epi64(static_cast<int64_t>((ai >> w1) & 1u));
 
     __m512i nsig[2], nexp[2], nsign[2], R[2];
-    uint32_t bad = parked;
-    for (int g = 0; g < 2; ++g) {
+    uint32_t bad = 0;
+    for (int g = 0; g < kGroups; ++g) {
       // ---- addend: gather the pre-decoded product, apply the sign -------
       const __m256i b32 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
           b_ilv + static_cast<size_t>(i) * G + 8 * g));
@@ -156,14 +307,29 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
           _mm512_srai_epi64(_mm512_slli_epi64(e, 16), 48);
       const __m512i dcls =
           _mm512_and_si512(_mm512_srli_epi64(e, 48), _mm512_set1_epi64(0xff));
-      // zero addend (cls kZero=0): the lane keeps its accumulator; a
-      // non-finite one (cls > kNormal=2) is replayed
+      // zero addend: cls kZero = 0; non-finite: cls > kNormal = 2
       const __mmask8 dzero = _mm512_cmpeq_epi64_mask(dcls, vzero64);
       const __mmask8 dbad = _mm512_cmpgt_epu64_mask(dcls, vtwo);
       const __m512i bsign =
           _mm512_and_si512(_mm512_srl_epi64(bq, cnt_w1), vone);
       const __m512i dsign = _mm512_and_si512(
           _mm512_srli_epi64(e, 56), _mm512_xor_si512(vasign, bsign));
+
+      // ---- zeros (prepare_add_u's rules) ---------------------------------
+      // `hold` lanes do not take the vector sum: x + 0 keeps x, 0 + d takes
+      // d exactly, 0 + 0 keeps a negative sign only when both are negative;
+      // non-finite operands replay (a parked lane only on a non-finite
+      // addend: NaN and Inf absorb everything else).
+      const __mmask8 pk = static_cast<__mmask8>(parked >> (8 * g));
+      const __mmask8 accz = _mm512_testn_epi64_mask(gsig[g], gsig[g]);
+      const __mmask8 dspecial = static_cast<__mmask8>(dzero | dbad);
+      const __mmask8 hold = static_cast<__mmask8>(dspecial | accz);
+      const __mmask8 take = static_cast<__mmask8>(accz & ~(dspecial | pk));
+      const __m512i hsig = _mm512_mask_mov_epi64(gsig[g], take, dsig);
+      const __m512i hexp = _mm512_mask_mov_epi64(gexp[g], take, dexp);
+      const __m512i hsign = _mm512_mask_and_epi64(
+          _mm512_mask_mov_epi64(gsign[g], take, dsign),
+          static_cast<__mmask8>(accz & dzero), gsign[g], dsign);
 
       // ---- random word: one in-register LFSR step per lane ---------------
       const __m512i sh = _mm512_srli_epi64(gst[g], 1);
@@ -235,91 +401,56 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_eager(
       expz = _mm512_add_epi64(expz, bin);
       const __mmask8 emaxm = _mm512_cmpgt_epi64_mask(expz, vemax);
 
+      // Exact cancellation (v == 0) leaves kept = 0: +0, sign cleared below.
       const __mmask8 badg = static_cast<__mmask8>(
-          dbad | (~dzero & (vzerom | eminm | emaxm)));
+          dbad | (~(hold | vzerom) & (eminm | emaxm)));
       bad |= static_cast<uint32_t>(badg) << (8 * g);
 
-      // Commit the vector result on clean lanes; zero-addend lanes keep the
-      // old accumulator, bad lanes keep it and are replayed through the
-      // scalar core below.
-      const __mmask8 keep =
-          static_cast<__mmask8>(badg | dzero | (parked >> (8 * g)));
-      nsig[g] = _mm512_mask_mov_epi64(kept, keep, gsig[g]);
-      nexp[g] = _mm512_mask_mov_epi64(expz, keep, gexp[g]);
-      nsign[g] = _mm512_mask_mov_epi64(psign, keep, gsign[g]);
+      // Commit the vector sum on the remaining lanes; bad lanes keep the
+      // old accumulator and are replayed through the scalar core below.
+      const __mmask8 keep = static_cast<__mmask8>(hold | badg);
+      nsig[g] = _mm512_mask_mov_epi64(kept, keep, hsig);
+      nexp[g] = _mm512_mask_mov_epi64(expz, keep, hexp);
+      nsign[g] = _mm512_mask_mov_epi64(
+          _mm512_maskz_mov_epi64(static_cast<__mmask8>(~vzerom), psign), keep,
+          hsign);
     }
 
     if (bad != 0) [[unlikely]] {
       // Scalar replay for flagged lanes, through the exact same decoded
       // core the scalar engine runs.
-      for (int g = 0; g < 2; ++g) {
+      for (int g = 0; g < kGroups; ++g) {
         _mm512_store_si512(la.sig + 8 * g, nsig[g]);
         _mm512_store_si512(la.exp + 8 * g, nexp[g]);
         _mm512_store_si512(la.sign + 8 * g, nsign[g]);
         _mm512_store_si512(la.rand + 8 * g, R[g]);
       }
-      for (int l = 0; l < G; ++l) {
-        if (!(bad & (1u << l))) continue;
-        Unpacked cur;
-        if (parked & (1u << l)) {
-          cur = spare[l];
-        } else {
-          cur.sig = static_cast<uint64_t>(la.sig[l]);
-          cur.exp = static_cast<int>(la.exp[l]);
-          cur.sign = la.sign[l] != 0;
-          cur.sig_bits = p;
-          cur.cls =
-              cur.exp >= ap.emin ? FpClass::kNormal : FpClass::kSubnormal;
-        }
+      for (uint32_t bl = bad; bl != 0; bl &= bl - 1) {
+        const int l = __builtin_ctz(bl);
+        const Unpacked cur =
+            (parked >> l) & 1 ? spare[l] : lane_value(ap, la, l);
         const Unpacked ad =
             kernel.addend(ai, b_ilv[static_cast<size_t>(i) * G + l]);
-        const Unpacked res = add_eager_sr_core(
-            ap, cur, ad, static_cast<uint64_t>(la.rand[l]), nullptr);
-        if (res.is_finite_nonzero()) {
-          la.sig[l] = static_cast<int64_t>(res.sig);
-          la.exp[l] = res.exp;
-          la.sign[l] = res.sign ? 1 : 0;
-          parked &= ~(1u << l);
-        } else {
-          spare[l] = res;
-          parked |= 1u << l;
-        }
+        set_lane(la, spare, parked, l,
+                 add_eager_sr_core(ap, cur, ad,
+                                   static_cast<uint64_t>(la.rand[l]), nullptr));
       }
-      for (int g = 0; g < 2; ++g) {
+      for (int g = 0; g < kGroups; ++g) {
         nsig[g] = _mm512_load_si512(la.sig + 8 * g);
         nexp[g] = _mm512_load_si512(la.exp + 8 * g);
         nsign[g] = _mm512_load_si512(la.sign + 8 * g);
       }
     }
-    gsig[0] = nsig[0];
-    gsig[1] = nsig[1];
-    gexp[0] = nexp[0];
-    gexp[1] = nexp[1];
-    gsign[0] = nsign[0];
-    gsign[1] = nsign[1];
-  }
-
-  for (int g = 0; g < 2; ++g) {
-    _mm512_store_si512(la.sig + 8 * g, gsig[g]);
-    _mm512_store_si512(la.exp + 8 * g, gexp[g]);
-    _mm512_store_si512(la.sign + 8 * g, gsign[g]);
-    _mm512_storeu_si512(lfsr + 8 * g, gst[g]);
-  }
-  for (int l = 0; l < G; ++l) {
-    if (parked & (1u << l)) {
-      acc[l] = spare[l];
-    } else {
-      acc[l].sig = static_cast<uint64_t>(la.sig[l]);
-      acc[l].exp = static_cast<int>(la.exp[l]);
-      acc[l].sign = la.sign[l] != 0;
-      acc[l].sig_bits = p;
-      acc[l].cls =
-          acc[l].exp >= ap.emin ? FpClass::kNormal : FpClass::kSubnormal;
+    for (int g = 0; g < kGroups; ++g) {
+      gsig[g] = nsig[g];
+      gexp[g] = nexp[g];
+      gsign[g] = nsign[g];
     }
   }
-}
 
-namespace {
+  for (int g = 0; g < kGroups; ++g) _mm512_storeu_si512(lfsr + 8 * g, gst[g]);
+  group_exit(ap, gsig, gexp, gsign, parked, spare, c, valid);
+}
 
 // ---------------------------------------------------------------------------
 // Late-rounding chain (lazy-SR and RN), the vector transcription of
@@ -327,15 +458,19 @@ namespace {
 // extension window below the p+1 adder bits (K = r for lazy, K = 2 plus a
 // sticky OR for RN), one full-width add/subtract, LZD normalization, then a
 // single rounding decision at the cut — add-R-and-carry on the top r
-// fraction bits for lazy, guard/rest/even for RN. Takes the kernel's
-// precomputed constants by value (only public kernel members are touched;
-// the friend wrappers below extract the private ones).
-template <bool kRn>
-__attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
-    const FusedMacKernel& kernel, const AddParams& ap, const MacAddend* tab,
-    uint32_t mag_mask, int mag_bits, int w1, uint64_t taps, Unpacked* acc,
-    const uint32_t* a, const uint32_t* b_ilv, int n, uint64_t* lfsr) {
+// fraction bits for lazy, guard/rest/even for RN.
+template <bool kRn, int kGroups>
+__attribute__((target("avx512f,avx512cd"))) void chain_late(
+    const FusedMacKernel& kernel, const ChainConsts& kc, const uint32_t* a,
+    const uint32_t* b_ilv, int n, uint64_t* lfsr, float* c, int valid,
+    bool accumulate) {
   constexpr int G = 16;
+  const AddParams ap = kc.ap;
+  const MacAddend* tab = kc.tab;
+  const uint32_t mag_mask = kc.mag_mask;
+  const int mag_bits = kc.mag_bits;
+  const int w1 = kc.w1;
+  const uint64_t taps = kc.taps;
   const int p = ap.p;
   const int r = ap.r;
   const int K = kRn ? 2 : r;  // extension window below the kept p bits
@@ -364,29 +499,14 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
   [[maybe_unused]] const __m128i cnt_64mr = _mm_cvtsi32_si128(64 - r);
   const __m128i cnt_w1 = _mm_cvtsi32_si128(w1);
 
-  // Lane state: vectors hold unparked (finite-nonzero) accumulators;
-  // `spare` holds the decoded value of parked lanes.
+  // Lane state: the vectors hold every finite accumulator (sig = 0 for a
+  // zero); `spare` holds the decoded value of parked (NaN/Inf) lanes.
   LaneArrays la;
   Unpacked spare[G];
-  uint32_t parked = 0;
-  for (int l = 0; l < G; ++l) {
-    spare[l] = acc[l];
-    if (acc[l].is_finite_nonzero()) {
-      la.sig[l] = static_cast<int64_t>(acc[l].sig);
-      la.exp[l] = acc[l].exp;
-      la.sign[l] = acc[l].sign ? 1 : 0;
-    } else {
-      la.sig[l] = la.exp[l] = la.sign[l] = 0;
-      parked |= 1u << l;
-    }
-  }
   __m512i gsig[2], gexp[2], gsign[2], gst[2];
-  for (int g = 0; g < 2; ++g) {
-    gsig[g] = _mm512_load_si512(la.sig + 8 * g);
-    gexp[g] = _mm512_load_si512(la.exp + 8 * g);
-    gsign[g] = _mm512_load_si512(la.sign + 8 * g);
-    gst[g] = _mm512_loadu_si512(lfsr + 8 * g);
-  }
+  uint32_t parked = group_entry(*kc.q, ap.fmt, c, valid, accumulate, gsig, gexp,
+                                gsign, spare);
+  for (int g = 0; g < kGroups; ++g) gst[g] = _mm512_loadu_si512(lfsr + 8 * g);
 
   for (int i = 0; i < n; ++i) {
     const uint32_t ai = a[i];
@@ -398,8 +518,8 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
 
     __m512i nsig[2], nexp[2], nsign[2];
     __m512i R[2] = {vzero64, vzero64};  // random words (lazy only)
-    uint32_t bad = parked;
-    for (int g = 0; g < 2; ++g) {
+    uint32_t bad = 0;
+    for (int g = 0; g < kGroups; ++g) {
       // ---- addend: gather the pre-decoded product, apply the sign -------
       const __m256i b32 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
           b_ilv + static_cast<size_t>(i) * G + 8 * g));
@@ -411,14 +531,25 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
       const __m512i dexp = _mm512_srai_epi64(_mm512_slli_epi64(e, 16), 48);
       const __m512i dcls =
           _mm512_and_si512(_mm512_srli_epi64(e, 48), _mm512_set1_epi64(0xff));
-      // zero addend (cls kZero=0): the lane keeps its accumulator; a
-      // non-finite one (cls > kNormal=2) is replayed
+      // zero addend: cls kZero = 0; non-finite: cls > kNormal = 2
       const __mmask8 dzero = _mm512_cmpeq_epi64_mask(dcls, vzero64);
       const __mmask8 dbad = _mm512_cmpgt_epu64_mask(dcls, vtwo);
       const __m512i bsign =
           _mm512_and_si512(_mm512_srl_epi64(bq, cnt_w1), vone);
       const __m512i dsign = _mm512_and_si512(
           _mm512_srli_epi64(e, 56), _mm512_xor_si512(vasign, bsign));
+
+      // ---- zeros (prepare_add_u's rules, as in the eager chain) ----------
+      const __mmask8 pk = static_cast<__mmask8>(parked >> (8 * g));
+      const __mmask8 accz = _mm512_testn_epi64_mask(gsig[g], gsig[g]);
+      const __mmask8 dspecial = static_cast<__mmask8>(dzero | dbad);
+      const __mmask8 hold = static_cast<__mmask8>(dspecial | accz);
+      const __mmask8 take = static_cast<__mmask8>(accz & ~(dspecial | pk));
+      const __m512i hsig = _mm512_mask_mov_epi64(gsig[g], take, dsig);
+      const __m512i hexp = _mm512_mask_mov_epi64(gexp[g], take, dexp);
+      const __m512i hsign = _mm512_mask_and_epi64(
+          _mm512_mask_mov_epi64(gsign[g], take, dsign),
+          static_cast<__mmask8>(accz & dzero), gsign[g], dsign);
 
       // ---- prepare: magnitude swap, effective op (branch-free) ----------
       const __mmask8 keq = _mm512_cmpeq_epi64_mask(dexp, gexp[g]);
@@ -496,110 +627,86 @@ __attribute__((target("avx512f,avx512cd"))) void chain_group_avx512_late(
       expz = _mm512_add_epi64(expz, bin);
       const __mmask8 emaxm = _mm512_cmpgt_epi64_mask(expz, vemax);
 
+      // Exact cancellation (S == 0) leaves sig = 0: +0, sign cleared below.
       const __mmask8 badg = static_cast<__mmask8>(
-          dbad | (~dzero & (vzerom | eminm | emaxm)));
+          dbad | (~(hold | vzerom) & (eminm | emaxm)));
       bad |= static_cast<uint32_t>(badg) << (8 * g);
 
-      // Commit the vector result on clean lanes; zero-addend lanes keep the
-      // old accumulator, bad lanes keep it and are replayed through the
-      // scalar core below.
-      const __mmask8 keep =
-          static_cast<__mmask8>(badg | dzero | (parked >> (8 * g)));
-      nsig[g] = _mm512_mask_mov_epi64(sig, keep, gsig[g]);
-      nexp[g] = _mm512_mask_mov_epi64(expz, keep, gexp[g]);
-      nsign[g] = _mm512_mask_mov_epi64(psign, keep, gsign[g]);
+      // Commit the vector sum on the remaining lanes; bad lanes keep the
+      // old accumulator and are replayed through the scalar core below.
+      const __mmask8 keep = static_cast<__mmask8>(hold | badg);
+      nsig[g] = _mm512_mask_mov_epi64(sig, keep, hsig);
+      nexp[g] = _mm512_mask_mov_epi64(expz, keep, hexp);
+      nsign[g] = _mm512_mask_mov_epi64(
+          _mm512_maskz_mov_epi64(static_cast<__mmask8>(~vzerom), psign), keep,
+          hsign);
     }
 
     if (bad != 0) [[unlikely]] {
       // Scalar replay for flagged lanes, through the exact same decoded
       // core the scalar engine runs.
-      for (int g = 0; g < 2; ++g) {
+      for (int g = 0; g < kGroups; ++g) {
         _mm512_store_si512(la.sig + 8 * g, nsig[g]);
         _mm512_store_si512(la.exp + 8 * g, nexp[g]);
         _mm512_store_si512(la.sign + 8 * g, nsign[g]);
         _mm512_store_si512(la.rand + 8 * g, R[g]);
       }
-      for (int l = 0; l < G; ++l) {
-        if (!(bad & (1u << l))) continue;
-        Unpacked cur;
-        if (parked & (1u << l)) {
-          cur = spare[l];
-        } else {
-          cur.sig = static_cast<uint64_t>(la.sig[l]);
-          cur.exp = static_cast<int>(la.exp[l]);
-          cur.sign = la.sign[l] != 0;
-          cur.sig_bits = p;
-          cur.cls =
-              cur.exp >= ap.emin ? FpClass::kNormal : FpClass::kSubnormal;
-        }
+      for (uint32_t bl = bad; bl != 0; bl &= bl - 1) {
+        const int l = __builtin_ctz(bl);
+        const Unpacked cur =
+            (parked >> l) & 1 ? spare[l] : lane_value(ap, la, l);
         const Unpacked ad =
             kernel.addend(ai, b_ilv[static_cast<size_t>(i) * G + l]);
-        const Unpacked res =
-            kRn ? add_rn_core(ap, cur, ad, nullptr)
-                : add_lazy_sr_core(ap, cur, ad,
-                                   static_cast<uint64_t>(la.rand[l]), nullptr);
-        if (res.is_finite_nonzero()) {
-          la.sig[l] = static_cast<int64_t>(res.sig);
-          la.exp[l] = res.exp;
-          la.sign[l] = res.sign ? 1 : 0;
-          parked &= ~(1u << l);
-        } else {
-          spare[l] = res;
-          parked |= 1u << l;
-        }
+        set_lane(la, spare, parked, l,
+                 kRn ? add_rn_core(ap, cur, ad, nullptr)
+                     : add_lazy_sr_core(ap, cur, ad,
+                                        static_cast<uint64_t>(la.rand[l]),
+                                        nullptr));
       }
-      for (int g = 0; g < 2; ++g) {
+      for (int g = 0; g < kGroups; ++g) {
         nsig[g] = _mm512_load_si512(la.sig + 8 * g);
         nexp[g] = _mm512_load_si512(la.exp + 8 * g);
         nsign[g] = _mm512_load_si512(la.sign + 8 * g);
       }
     }
-    gsig[0] = nsig[0];
-    gsig[1] = nsig[1];
-    gexp[0] = nexp[0];
-    gexp[1] = nexp[1];
-    gsign[0] = nsign[0];
-    gsign[1] = nsign[1];
-  }
-
-  for (int g = 0; g < 2; ++g) {
-    _mm512_store_si512(la.sig + 8 * g, gsig[g]);
-    _mm512_store_si512(la.exp + 8 * g, gexp[g]);
-    _mm512_store_si512(la.sign + 8 * g, gsign[g]);
-    _mm512_storeu_si512(lfsr + 8 * g, gst[g]);
-  }
-  for (int l = 0; l < G; ++l) {
-    if (parked & (1u << l)) {
-      acc[l] = spare[l];
-    } else {
-      acc[l].sig = static_cast<uint64_t>(la.sig[l]);
-      acc[l].exp = static_cast<int>(la.exp[l]);
-      acc[l].sign = la.sign[l] != 0;
-      acc[l].sig_bits = p;
-      acc[l].cls =
-          acc[l].exp >= ap.emin ? FpClass::kNormal : FpClass::kSubnormal;
+    for (int g = 0; g < kGroups; ++g) {
+      gsig[g] = nsig[g];
+      gexp[g] = nexp[g];
+      gsign[g] = nsign[g];
     }
   }
+
+  for (int g = 0; g < kGroups; ++g) _mm512_storeu_si512(lfsr + 8 * g, gst[g]);
+  group_exit(ap, gsig, gexp, gsign, parked, spare, c, valid);
 }
 
 }  // namespace
 
-void chain_group_avx512_lazy(const FusedMacKernel& kernel, Unpacked* acc,
-                             const uint32_t* a, const uint32_t* b_ilv, int n,
-                             uint64_t* lfsr) {
-  chain_group_avx512_late<false>(kernel, kernel.params_, kernel.table_->data(),
-                                 kernel.mag_mask_, kernel.mag_bits_,
-                                 kernel.cfg_.mul_fmt.width() - 1,
-                                 kernel.lfsr_taps_, acc, a, b_ilv, n, lfsr);
-}
-
-void chain_group_avx512_rn(const FusedMacKernel& kernel, Unpacked* acc,
-                           const uint32_t* a, const uint32_t* b_ilv, int n,
-                           uint64_t* lfsr) {
-  chain_group_avx512_late<true>(kernel, kernel.params_, kernel.table_->data(),
-                                kernel.mag_mask_, kernel.mag_bits_,
-                                kernel.cfg_.mul_fmt.width() - 1,
-                                kernel.lfsr_taps_, acc, a, b_ilv, n, lfsr);
+void chain_group_avx512(const FusedMacKernel& kernel, const uint32_t* a,
+                        const uint32_t* b_ilv, int n, uint64_t* lfsr, float* c,
+                        int valid, bool accumulate) {
+  const ChainConsts kc{kernel.params_,        &kernel.acc_quant_,
+                       kernel.table_->data(), kernel.mag_mask_,
+                       kernel.mag_bits_,      kernel.cfg_.mul_fmt.width() - 1,
+                       kernel.lfsr_taps_};
+  const bool wide = valid > 8;
+  switch (kernel.cfg_.adder) {
+    case AdderKind::kEagerSR:
+      return wide ? chain_eager<2>(kernel, kc, a, b_ilv, n, lfsr, c, valid,
+                                   accumulate)
+                  : chain_eager<1>(kernel, kc, a, b_ilv, n, lfsr, c, valid,
+                                   accumulate);
+    case AdderKind::kLazySR:
+      return wide ? chain_late<false, 2>(kernel, kc, a, b_ilv, n, lfsr, c,
+                                         valid, accumulate)
+                  : chain_late<false, 1>(kernel, kc, a, b_ilv, n, lfsr, c,
+                                         valid, accumulate);
+    case AdderKind::kRoundNearest:
+      return wide ? chain_late<true, 2>(kernel, kc, a, b_ilv, n, lfsr, c,
+                                        valid, accumulate)
+                  : chain_late<true, 1>(kernel, kc, a, b_ilv, n, lfsr, c,
+                                        valid, accumulate);
+  }
 }
 
 }  // namespace srmac
@@ -615,16 +722,8 @@ void quantize_avx512(const FpQuantizer& q, const float* src, uint32_t* dst,
   q.convert(src, dst, n);
 }
 
-void chain_group_avx512_eager(const FusedMacKernel&, Unpacked*,
-                              const uint32_t*, const uint32_t*, int,
-                              uint64_t*) {}
-
-void chain_group_avx512_lazy(const FusedMacKernel&, Unpacked*,
-                             const uint32_t*, const uint32_t*, int,
-                             uint64_t*) {}
-
-void chain_group_avx512_rn(const FusedMacKernel&, Unpacked*, const uint32_t*,
-                           const uint32_t*, int, uint64_t*) {}
+void chain_group_avx512(const FusedMacKernel&, const uint32_t*,
+                        const uint32_t*, int, uint64_t*, float*, int, bool) {}
 
 }  // namespace srmac
 

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "fpemu/quantizer.hpp"
 #include "fpemu/softfloat.hpp"
 #include "mac/adder_eager_sr.hpp"
 #include "mac/adder_lazy_sr.hpp"
@@ -190,14 +193,18 @@ TEST(GemmFastpath, TableAddendMatchesStepSemantics) {
 }
 
 TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
-  // Scalar-vs-vector parity fuzz for every adder kind, with the lazy-SR and
-  // RN chains as the main subjects (their AVX-512 paths landed after the
-  // eager one): for each (adder, acc fmt, mul fmt, subnormals, r) the
-  // 16-lane chain_group — the vector kernel on AVX-512 hosts, the 4-wide
-  // scalar lockstep groups elsewhere — must be bit-identical to per-lane
-  // chain() calls from the same LFSR seeds. The group runs K as two calls
-  // and the lanes as one, so the lane registers must carry the sequence
-  // across calls and end in the same state. Operands are raw random
+  // Scalar-vs-vector parity fuzz for every adder kind through the group
+  // entry/exit contract: for each (adder, acc fmt, mul fmt, subnormals, r)
+  // chain_group — the 16-lane vector kernel on AVX-512 hosts, the 4-wide
+  // scalar lockstep groups elsewhere — must match, lane by lane, decode +
+  // chain() + unpacked_to_float from the same LFSR seed. The group runs K
+  // as two calls, the second accumulating the first's floats, so the lane
+  // registers must carry the sequence across calls and end in the same
+  // state. Lanes start at +0, -0, NaN, +-Inf and random acc-format values
+  // (some summing only signed zeros, which pins the zero + zero sign rule),
+  // read with and without `accumulate`, in a full group and in partial ones
+  // (more and fewer valid lanes than half the group) whose padding lanes
+  // must not be written. Operands are raw random
   // encodings of the multiplier format, so NaN/Inf/zero/subnormal lanes,
   // parking, and replay all trigger; r sweeps the 1..32 edge widths
   // (normalized() clamps below each adder's minimum).
@@ -206,6 +213,12 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
                            FpFormat{8, 14}};
   const AdderKind kinds[] = {AdderKind::kLazySR, AdderKind::kRoundNearest,
                              AdderKind::kEagerSR};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float special_starts[] = {0.0f, -0.0f,
+                                  std::numeric_limits<float>::quiet_NaN(),
+                                  inf, -inf};
+  const float sentinel = 12345.0f;  // padding lanes must keep it
+  int combo = 0;
   for (AdderKind kind : kinds) {
     for (const FpFormat& acc : accs) {
       for (const FpFormat& mul : {kFp8E5M2, kFp8E4M3}) {
@@ -213,44 +226,68 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
           for (int r : {1, 2, 3, 4, 31, 32}) {
             const MacConfig cfg = make_cfg(kind, r, sub, acc, mul).normalized();
             const FusedMacKernel kernel(cfg);
+            const FpQuantizer q(cfg.acc_fmt);
             const int G = kernel.group_width();
             const int n = 96, n1 = 37;
             std::vector<uint32_t> a(n), b_ilv(static_cast<size_t>(n) * G);
             for (auto& v : a)
               v = static_cast<uint32_t>(rng.below(1u << cfg.mul_fmt.width()));
-            for (auto& v : b_ilv)
-              v = static_cast<uint32_t>(rng.below(1u << cfg.mul_fmt.width()));
+            // Every fifth lane's B column holds only zeros of random sign,
+            // so its whole chain sums signed zeros.
+            for (size_t idx = 0; idx < b_ilv.size(); ++idx)
+              b_ilv[idx] =
+                  (static_cast<int>(idx % G) + combo) % 5 == 4
+                      ? (rng.below(2) ? cfg.mul_fmt.sign_mask() : 0u)
+                      : static_cast<uint32_t>(
+                            rng.below(1u << cfg.mul_fmt.width()));
             std::vector<uint64_t> seeds(G);
             for (auto& v : seeds)
               v = GaloisLfsr::seed_state(kernel.lfsr_width(), rng.next());
-            // Start lanes on a mix of zero and random finite/special values.
-            std::vector<Unpacked> start(G);
+            std::vector<float> start(G);
             for (int l = 0; l < G; ++l)
-              start[l] = (l % 3 == 0)
-                             ? unpacked_zero(cfg.acc_fmt, false)
-                             : decode(cfg.acc_fmt,
-                                      static_cast<uint32_t>(rng.below(
-                                          1u << cfg.acc_fmt.width())));
-            std::vector<Unpacked> vec = start;
-            std::vector<uint64_t> vlfsr = seeds;
-            kernel.chain_group(vec.data(), a.data(), b_ilv.data(), n1,
-                               vlfsr.data());
-            kernel.chain_group(vec.data(), a.data() + n1,
-                               b_ilv.data() + static_cast<size_t>(n1) * G,
-                               n - n1, vlfsr.data());
-            for (int l = 0; l < G; ++l) {
-              Unpacked sc = start[l];
-              uint64_t s = seeds[l];
-              std::vector<uint32_t> bcol(n);
-              for (int k = 0; k < n; ++k)
-                bcol[k] = b_ilv[static_cast<size_t>(k) * G + l];
-              kernel.chain(sc, a.data(), bcol.data(), n, s);
-              ASSERT_EQ(encode_unpacked(cfg.acc_fmt, vec[l]),
-                        encode_unpacked(cfg.acc_fmt, sc))
-                  << cfg.name() << " mul=" << mul.name() << " lane " << l;
-              ASSERT_EQ(vlfsr[l], s)
-                  << cfg.name() << " mul=" << mul.name() << " lane " << l;
+              start[l] = (l + combo) % 3 == 0
+                             ? special_starts[(l + combo) / 3 % 5]
+                             : unpacked_to_float(
+                                   cfg.acc_fmt,
+                                   decode(cfg.acc_fmt,
+                                          static_cast<uint32_t>(rng.below(
+                                              1u << cfg.acc_fmt.width()))));
+            for (int valid : {G, G / 2 + 1, G / 2 - 1}) {
+              for (bool accumulate : {false, true}) {
+                std::vector<float> c = start;
+                std::fill(c.begin() + valid, c.end(), sentinel);
+                std::vector<uint64_t> vlfsr = seeds;
+                kernel.chain_group(a.data(), b_ilv.data(), n1, vlfsr.data(),
+                                   c.data(), valid, accumulate);
+                kernel.chain_group(a.data() + n1,
+                                   b_ilv.data() + static_cast<size_t>(n1) * G,
+                                   n - n1, vlfsr.data(), c.data(), valid,
+                                   /*accumulate=*/true);
+                const std::string what =
+                    cfg.name() + " mul=" + mul.name() +
+                    " valid=" + std::to_string(valid) +
+                    (accumulate ? " acc" : "") + " lane ";
+                for (int l = 0; l < G; ++l) {
+                  Unpacked sc = accumulate && l < valid
+                                    ? decode(cfg.acc_fmt, q(start[l]))
+                                    : unpacked_zero(cfg.acc_fmt, false);
+                  uint64_t s = seeds[l];
+                  std::vector<uint32_t> bcol(n);
+                  for (int k = 0; k < n; ++k)
+                    bcol[k] = b_ilv[static_cast<size_t>(k) * G + l];
+                  kernel.chain(sc, a.data(), bcol.data(), n, s);
+                  const float want =
+                      l < valid ? unpacked_to_float(cfg.acc_fmt, sc) : sentinel;
+                  ASSERT_EQ(std::bit_cast<uint32_t>(c[l]),
+                            std::bit_cast<uint32_t>(want))
+                      << what << l;
+                  if (l < valid) {
+                    ASSERT_EQ(vlfsr[l], s) << what << l;
+                  }
+                }
+              }
             }
+            ++combo;
           }
         }
       }
@@ -261,12 +298,18 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
 TEST(GemmFastpath, ZeroDenseOperandsMatchReference) {
   // ReLU-like operands, as in training and serving: A (weights-like,
   // signed) has whole zero rows, so a zero is broadcast to every lane of a
-  // group, and at least half its other entries are exact zeros; B
-  // (activations-like) is max(0, x) with extra padding zeros; C is zero
-  // (both signs) and accumulated into, so chains start parked. Shapes are
-  // ResNet-20 GEMMs, plus K = 600 for a chain past 512 steps in one call.
-  // The wide N = 1024 panels, most of the reference time, take one r per K
-  // (each r still meets N = 1024 under every adder).
+  // group, whole strictly negative rows, and at least half its other
+  // entries exact zeros; B (activations-like) is max(0, x) with extra
+  // padding zeros and whole zero columns (dead channels), so a negative row
+  // meets runs of -0 products that pin the sign bit of a zero output. Runs
+  // read C (zeros of both signs) with accumulate and overwrite it without.
+  // Shapes are ResNet-20 GEMMs, plus K = 600 for a chain past 512 steps in
+  // one call; N covers every padding depth of a partial last group
+  // (N = 27: conv0's dW). C's rows are ldc = N + 3 apart with a sentinel in
+  // the gap and a group's worth past the last row, which no padding lane may
+  // overwrite. The wide N = 1024 panels,
+  // most of the reference time, take one r per K (each r still meets
+  // N = 1024 under every adder) and accumulate only.
   const AdderKind kinds[] = {AdderKind::kRoundNearest, AdderKind::kLazySR,
                              AdderKind::kEagerSR};
   const int rs[] = {3, 9, 27, 32};
@@ -276,38 +319,56 @@ TEST(GemmFastpath, ZeroDenseOperandsMatchReference) {
   for (AdderKind kind : kinds) {
     for (int ri = 0; ri < 4; ++ri) {
       for (int ki = 0; ki < 6; ++ki) {
-        for (int n : {16, 36, 1024}) {
-          if (n == 1024 && (ks[ki] == 600 || ki % 4 != ri)) continue;
-          const int r = rs[ri], k = ks[ki];
-          const int m = (combo % 2 == 0) ? 4 : 16;
-          const MacConfig cfg = make_cfg(kind, r, true, kFp12);
-          std::vector<float> A(static_cast<size_t>(m) * k);
-          std::vector<float> B(static_cast<size_t>(k) * n);
-          std::vector<float> Cf(static_cast<size_t>(m) * n);
-          for (int i = 0; i < m; ++i) {
-            const bool zero_row = i % 3 == 1;
+        for (int n : {1, 7, 15, 16, 17, 27, 36, 47, 1024}) {
+          for (bool accumulate : {false, true}) {
+            if (n == 1024 &&
+                (ks[ki] == 600 || ki % 4 != ri || !accumulate))
+              continue;
+            const int r = rs[ri], k = ks[ki];
+            const int m = (combo % 2 == 0) ? 4 : 16;
+            const int ldc = n + 3;
+            const MacConfig cfg = make_cfg(kind, r, true, kFp12);
+            std::vector<float> A(static_cast<size_t>(m) * k);
+            std::vector<float> B(static_cast<size_t>(k) * n);
+            // A group's worth of sentinel tail past the last row.
+            std::vector<float> Cf(static_cast<size_t>(m) * ldc +
+                                  FusedMacKernel::kMaxGroupWidth, 4242.0f);
+            for (int i = 0; i < m; ++i) {
+              const bool zero_row = i % 3 == 1, negative_row = i % 3 == 2;
+              for (int kk = 0; kk < k; ++kk) {
+                float& w = A[static_cast<size_t>(i) * k + kk];
+                if (negative_row)
+                  w = -0.5f - static_cast<float>(std::fabs(rng.normal()));
+                else
+                  w = zero_row || rng.below(2)
+                          ? 0.0f
+                          : static_cast<float>(rng.normal());
+              }
+            }
             for (int kk = 0; kk < k; ++kk)
-              A[static_cast<size_t>(i) * k + kk] =
-                  zero_row || rng.below(2) ? 0.0f
-                                           : static_cast<float>(rng.normal());
+              for (int j = 0; j < n; ++j)
+                B[static_cast<size_t>(kk) * n + j] =
+                    j % 5 == 2 || rng.below(5) == 0
+                        ? 0.0f
+                        : std::max(0.0f, static_cast<float>(rng.normal()));
+            for (int i = 0; i < m; ++i)
+              for (int j = 0; j < n; ++j)
+                Cf[static_cast<size_t>(i) * ldc + j] =
+                    rng.below(2) ? 0.0f : -0.0f;
+            std::vector<float> Cr = Cf;
+            const uint64_t seed = 77 + combo;
+            gemm_mac(cfg, m, n, k, A.data(), k, B.data(), n, Cf.data(), ldc,
+                     accumulate, seed, /*threads=*/2);
+            gemm_mac_reference(cfg, m, n, k, A.data(), k, B.data(), n,
+                               Cr.data(), ldc, accumulate, seed,
+                               /*threads=*/2);
+            expect_bitwise_equal(Cf, Cr,
+                                 cfg.name() + " " + std::to_string(m) + "x" +
+                                     std::to_string(n) + "x" +
+                                     std::to_string(k) +
+                                     (accumulate ? " acc" : ""));
+            ++combo;
           }
-          for (auto& x : B)
-            x = rng.below(5) == 0
-                    ? 0.0f
-                    : std::max(0.0f, static_cast<float>(rng.normal()));
-          for (auto& x : Cf) x = rng.below(2) ? 0.0f : -0.0f;
-          std::vector<float> Cr = Cf;
-          const uint64_t seed = 77 + combo;
-          gemm_mac(cfg, m, n, k, A.data(), k, B.data(), n, Cf.data(), n,
-                   /*accumulate=*/true, seed, /*threads=*/2);
-          gemm_mac_reference(cfg, m, n, k, A.data(), k, B.data(), n,
-                             Cr.data(), n, /*accumulate=*/true, seed,
-                             /*threads=*/2);
-          expect_bitwise_equal(Cf, Cr,
-                               cfg.name() + " " + std::to_string(m) + "x" +
-                                   std::to_string(n) + "x" +
-                                   std::to_string(k));
-          ++combo;
         }
       }
     }
