@@ -1,10 +1,11 @@
 // Closed-loop serving benchmark: drives an EmuServer session with
 // concurrent clients and compares request-at-a-time serving (max_batch=1)
-// against dynamic micro-batching (max_batch=N) on the same model, scenario,
-// and backend — the request-level workload the ROADMAP's serving milestone
-// asks for. Writes BENCH_serve.json for the perf-tracking workflow
-// (docs/PERF.md, docs/SERVING.md); the CI regression gate floors the
-// coalesced row and the batchN/batch1 speedup.
+// against dynamic micro-batching (max_batch=N; each micro-batch's same-shape
+// per-layer GEMMs merge into one grouped dispatch, docs/SERVING.md) on the
+// same model, scenario, and backend — the request-level workload the
+// ROADMAP's serving milestone asks for. Writes BENCH_serve.json for the
+// perf-tracking workflow (docs/PERF.md, docs/SERVING.md); the CI regression
+// gate floors the batched row and the batchN/batch1 speedup.
 //
 // Every client verifies its responses bitwise against an offline forward
 // of the same sample on the same engine configuration, so a throughput win
@@ -24,14 +25,6 @@
 // layout). The cross-process flavor of the same measurement lives in
 // bench/loadgen.cpp, which drives an external serve_daemon.
 //
-// A "groupedN" leg re-runs the batched configuration with grouped
-// same-shape execution (ServeConfig::grouped, docs/SERVING.md): the
-// micro-batch's per-sample GEMMs merge into one wider dispatch per layer
-// under the seed-period contract, so the row prices the merge against the
-// coalesced per-sample "batchN" row — bitwise-anchored as always (the
-// multicore CI leg floors groupedN/batchN and records the runner's
-// hardware_parallelism, since the win is a function of core count).
-//
 // A "classesN" leg drives the same session with three priority classes
 // (gold/silver/bronze, weighted 4/2/1) and reports per-class latency
 // percentiles in the row's "class_lat" array — the admission-ordering
@@ -50,7 +43,7 @@
 //                    [engine flags incl. --serve-*]
 //   --leg NAME       stamp a file-level "leg" key into the JSON so the
 //                    regression gate can scope floors to one CI matrix leg
-//                    (e.g. the multicore runner's grouped-speedup floor)
+//                    (e.g. the multicore runner's class-SLO floors)
 //   --model SPEC     model-zoo grammar (nn/model_zoo.hpp): mlp:W,D
 //                    (default mlp:64,3), resnet20[:S], vgg_mini:C,B[,S]
 //   --requests N     total requests per leg (default 2000; smoke 240)
@@ -144,7 +137,7 @@ double percentile_us(std::vector<double> us, int pct) {
 LegResult run_leg(const std::string& path, const ModelSpec& model,
                   const EngineCliArgs& eng, int max_batch, int clients,
                   int requests, int reps, const std::vector<Tensor>& refs,
-                  bool compile = false, bool grouped = false) {
+                  bool compile = false) {
   LegResult best;
   best.path = path;
   best.max_batch = max_batch;
@@ -156,10 +149,6 @@ LegResult run_leg(const std::string& path, const ModelSpec& model,
     cfg.queue_capacity = static_cast<size_t>(std::max(64, 4 * clients));
     cfg.input_shape = model.input_shape();
     cfg.compile = compile;
-    // Grouped merge is opt-in per leg: the historical batchN/compiledN rows
-    // keep pricing the coalesced per-sample path so their recorded trends
-    // stay comparable, and groupedN prices exactly the merge delta.
-    cfg.grouped = grouped;
     EmuEngine engine = engine_or_die(eng);
     Telemetry& telemetry = engine.telemetry();
     EmuServer server(model.build(), std::move(engine), cfg);
@@ -215,7 +204,7 @@ LegResult run_leg(const std::string& path, const ModelSpec& model,
   return best;
 }
 
-/// Classes leg: the grouped batched session under three priority classes
+/// Classes leg: the batched session under three priority classes
 /// (gold/silver/bronze weighted 4/2/1, request i in class i % 3), with
 /// client-side latency measured per class. Everything completes — the
 /// single healthy session never sheds — so the row's per-class
@@ -240,7 +229,6 @@ LegResult run_classes_leg(const std::string& path, const ModelSpec& model,
     cfg.max_wait_us = eng.serve_wait_us;
     cfg.queue_capacity = static_cast<size_t>(std::max(64, 4 * clients));
     cfg.input_shape = model.input_shape();
-    cfg.grouped = true;
     cfg.classes = classes;
     EmuEngine engine = engine_or_die(eng);
     Telemetry& telemetry = engine.telemetry();
@@ -574,7 +562,6 @@ int main(int argc, char** argv) {
       reps = std::atoi(argv[++i]);
   }
   EngineCliArgs eng = parse_engine_cli(argc, argv);
-  if (eng.backend.empty()) eng.backend = "sharded";  // the gemm_batch path
   const ModelSpec model = ModelSpec::parse_or_die(model_spec);
   if (requests <= 0) requests = smoke ? 240 : 2000;
   if (reps <= 0) reps = smoke ? 1 : 3;
@@ -587,8 +574,10 @@ int main(int argc, char** argv) {
   // Offline references on the same engine configuration: the bitwise
   // anchor every served response is checked against.
   std::vector<Tensor> refs;
+  std::string backend;
   {
     EmuEngine engine = engine_or_die(eng);
+    backend = engine.backend().name();
     std::unique_ptr<Sequential> net = model.build();
     for (int s = 0; s < kSamplePool; ++s)
       refs.push_back(net->forward(engine.context(), model.sample(s), false));
@@ -597,7 +586,7 @@ int main(int argc, char** argv) {
   std::printf(
       "serve bench: model=%s backend=%s scenario=%s clients=%d "
       "requests=%d wait=%lluus (%s)\n",
-      model.name.c_str(), eng.backend.c_str(), eng.scenario.c_str(), clients,
+      model.name.c_str(), backend.c_str(), eng.scenario.c_str(), clients,
       requests, static_cast<unsigned long long>(eng.serve_wait_us),
       smoke ? "smoke" : "full");
 
@@ -607,7 +596,7 @@ int main(int argc, char** argv) {
   const LegResult coal =
       run_leg(tag, model, eng, batch, clients, requests, reps, refs);
   const double speedup = coal.req_per_s / base.req_per_s;
-  // The compiled leg: same session shape as the coalesced one but serving
+  // The compiled leg: same session shape as the batched one but serving
   // through an ahead-of-time CompiledModel (docs/COMPILER.md) — planes
   // packed once, epilogues fused, zero steady-state packing. The clients'
   // bitwise check against the eager offline refs makes the speedup honest.
@@ -615,12 +604,6 @@ int main(int argc, char** argv) {
       run_leg("compiled" + std::to_string(batch), model, eng, batch, clients,
               requests, reps, refs, /*compile=*/true);
   const double compiled_speedup = compiled.req_per_s / coal.req_per_s;
-  // The tentpole measurement: the same batched traffic with the per-layer
-  // GEMMs merged into one wide dispatch (grouped vs coalesced, same bits).
-  const LegResult grouped =
-      run_leg("grouped" + std::to_string(batch), model, eng, batch, clients,
-              requests, reps, refs, /*compile=*/false, /*grouped=*/true);
-  const double grouped_speedup = grouped.req_per_s / coal.req_per_s;
   const LegResult classes =
       run_classes_leg("classes" + std::to_string(batch), model, eng, batch,
                       clients, requests, reps, refs);
@@ -628,8 +611,8 @@ int main(int argc, char** argv) {
                                       eng, batch, clients, requests, reps,
                                       refs);
 
-  std::vector<const LegResult*> rows = {&base,    &coal,    &compiled,
-                                        &grouped, &classes, &wire};
+  std::vector<const LegResult*> rows = {&base, &coal, &compiled, &classes,
+                                        &wire};
   LegResult fleet, wreck;
   if (replicas > 1) {
     fleet = run_fleet_leg("fleet" + std::to_string(replicas), model, eng,
@@ -656,8 +639,6 @@ int main(int argc, char** argv) {
               speedup);
   std::printf("compiled speedup (compiled%d vs %s): %.2fx\n", batch,
               tag.c_str(), compiled_speedup);
-  std::printf("grouped speedup (grouped%d vs %s): %.2fx\n", batch,
-              tag.c_str(), grouped_speedup);
   for (const ClassLat& cl : classes.class_lat)
     std::printf("class %-7s (w-pri %d): %5d req, p50 %8.1fus, p95 %8.1fus\n",
                 cl.name.c_str(), cl.priority, cl.requests, cl.p50_us,
@@ -680,7 +661,7 @@ int main(int argc, char** argv) {
   }
   js << "{\n  \"bench\": \"serve\",\n";
   js << "  \"model\": \"" << model.name << "\",\n";
-  js << "  \"backend\": \"" << eng.backend << "\",\n";
+  js << "  \"backend\": \"" << backend << "\",\n";
   js << "  \"scenario\": \"" << eng.scenario << "\",\n";
   js << "  \"clients\": " << clients << ",\n";
   js << "  \"serve_wait_us\": " << eng.serve_wait_us << ",\n";
@@ -696,7 +677,6 @@ int main(int argc, char** argv) {
   js << "  \"chaos\": " << (chaos ? "true" : "false") << ",\n";
   js << "  \"speedup_batched_vs_batch1\": " << speedup << ",\n";
   js << "  \"speedup_compiled_vs_batched\": " << compiled_speedup << ",\n";
-  js << "  \"speedup_grouped_vs_batched\": " << grouped_speedup << ",\n";
   js << "  \"results\": [\n";
   bool first = true;
   for (const LegResult* r : rows) {

@@ -1,8 +1,9 @@
 // Regenerates the paper's Table I: energy/area/delay of the twelve FP adder
 // configurations (RN / SR lazy / SR eager x Sub ON/OFF x four formats),
-// using the structural ASIC cost model (DESIGN.md §4 substitution for the
-// Synopsys FDSOI-28nm flow). Prints model vs paper and the relative error,
-// plus the headline claims derived from both.
+// using the structural ASIC cost model (the docs/ARCHITECTURE.md
+// "Substitutions" stand-in for the Synopsys FDSOI-28nm flow). Prints model
+// vs paper and the relative error, plus the headline claims derived from
+// both.
 #include <cstdio>
 #include <string>
 #include <vector>

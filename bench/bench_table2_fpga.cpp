@@ -1,6 +1,7 @@
 // Regenerates the paper's Table II: FPGA (Virtex UltraScale+ VU9P) LUT/FF/
 // delay estimates for the four published adder rows, from the structural
-// FPGA model (DESIGN.md §4 substitution for Vivado 2022.1).
+// FPGA model (the docs/ARCHITECTURE.md "Substitutions" stand-in for
+// Vivado 2022.1).
 #include <cstdio>
 #include <string>
 

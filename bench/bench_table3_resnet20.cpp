@@ -1,9 +1,10 @@
 // Regenerates the paper's Table III: impact of the number format (E, M) and
 // the number of random bits r on accuracy when training ResNet-20.
 //
-// Substitutions (DESIGN.md §4): synthetic-CIFAR stands in for CIFAR-10, and
-// the default scale shrinks the model/schedule to a single-CPU budget; the
-// reproduced signal is the *ordering* of configurations:
+// Substitutions (docs/ARCHITECTURE.md, "Substitutions"): synthetic-CIFAR
+// stands in for CIFAR-10, and the default scale shrinks the model/schedule
+// to a single-CPU budget; the signal it aims at is the *ordering* of
+// configurations:
 //   r=4 collapses << r=9 < r=11 < r=13 ~ FP32 baseline,
 //   RN at E6M5 degrades clearly below the baseline,
 //   subnormal support does not matter for SR at r>=11.

@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
       scenario_flag_given = true;
   }
   EngineCliArgs eng = parse_engine_cli(argc, argv);
-  if (eng.backend.empty()) eng.backend = "sharded";
   if (requests <= 0) requests = smoke ? 240 : 2000;
   const int clients = std::max(1, eng.serve_clients);
   if (port == 0 && port_file.empty()) {
@@ -141,8 +140,10 @@ int main(int argc, char** argv) {
   // Offline references, computed locally: the bitwise anchor. The daemon
   // never sees these — agreement must come from the arithmetic itself.
   std::vector<Tensor> refs;
+  std::string backend;
   {
     EmuEngine engine = engine_or_die(eng);
+    backend = engine.backend().name();
     std::unique_ptr<Sequential> net = model.build();
     if (!ckpt_path.empty()) load_checkpoint(ckpt_path, *net);
     for (int s = 0; s < kSamplePool; ++s)
@@ -229,7 +230,7 @@ int main(int argc, char** argv) {
     js << "{\n  \"bench\": \"serve\",\n";
     js << "  \"transport\": \"wire\",\n";
     js << "  \"model\": \"" << model.name << "\",\n";
-    js << "  \"backend\": \"" << eng.backend << "\",\n";
+    js << "  \"backend\": \"" << backend << "\",\n";
     js << "  \"scenario\": \"" << eng.scenario << "\",\n";
     js << "  \"clients\": " << clients << ",\n";
     js << "  \"requests\": " << requests << ",\n";

@@ -4,11 +4,12 @@
 // compute contexts for each rounding configuration and runs the paper's
 // training recipe on the synthetic datasets at a CPU-budget scale.
 //
-// Scale note (DESIGN.md §4): the paper trains ResNet-20/VGG16 for 165-200
-// epochs on CIFAR-10 with CUDA-accelerated bit-accurate emulation. This
-// repository reproduces the *orderings* of Tables III/IV on one CPU core by
-// shrinking width/resolution/epochs; pass --full for paper-scale models
-// (slow), or tune --width/--size/--samples/--epochs.
+// Scale note (docs/ARCHITECTURE.md, "Substitutions"): the paper trains
+// ResNet-20/VGG16 for 165-200 epochs on CIFAR-10 with CUDA-accelerated
+// bit-accurate emulation. This repository aims at the *orderings* of
+// Tables III/IV on one CPU core by shrinking width/resolution/epochs; pass
+// --full for paper-scale models (slow), or tune
+// --width/--size/--samples/--epochs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,9 +36,9 @@ struct Scale {
   float lr = 0.1f;
   float noise = 0.15f;
   bool verbose = false;
-  // Registry key the emulated rows run on ("fused" by default; "reference"
-  // or "systolic" re-run the same table on another backend).
-  std::string backend = "fused";
+  // Registry key the emulated rows run on ("sharded" by default;
+  // "reference" or "systolic" re-run the same table on another backend).
+  std::string backend = "sharded";
 
   static Scale from_args(int argc, char** argv) {
     Scale s;
@@ -80,7 +81,7 @@ struct ConfigRow {
 
 inline ComputeContext ctx_for(AdderKind kind, const FpFormat& acc, int r,
                               bool sub, uint64_t seed,
-                              const std::string& backend = "fused") {
+                              const std::string& backend = "sharded") {
   MacConfig m;
   m.mul_fmt = kFp8E5M2;
   m.acc_fmt = acc;

@@ -73,9 +73,9 @@ int main() {
   // --- 5. the engine --------------------------------------------------------
   // Everything above scales up behind one facade: a scenario string picks
   // the MAC configuration, a registry name picks the execution backend
-  // (fp32 | fused | reference | systolic), and the telemetry sink counts
+  // (fp32 | reference | sharded | systolic), and the telemetry sink counts
   // what ran. This is the API the layers, trainer, and benches use.
-  std::printf("\n== EmuEngine: one GEMM through the \"fused\" backend ==\n");
+  std::printf("\n== EmuEngine: one GEMM through the default backend ==\n");
   EmuEngine engine =
       EmuEngine::Builder().scenario("eager_sr:e5m2/e6m5:r=9:subON").build();
   std::printf("  %s\n  registered backends:", engine.describe().c_str());

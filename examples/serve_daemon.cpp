@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
       scenario_flag_given = true;  // explicit flag beats a pinned scenario
   }
   EngineCliArgs eng = parse_engine_cli(argc, argv);
-  if (eng.backend.empty()) eng.backend = "sharded";
 
   // Resolve the architecture and scenario: checkpoint metadata wins on the
   // model tag, and on the scenario too unless --scenario= was given.
@@ -166,7 +165,8 @@ int main(int argc, char** argv) {
   // compile, landing in the error path above instead.
   std::printf("serve_daemon: model=%s scenario=%s backend=%s replicas=%d "
               "compile=%d port=%u\n",
-              model.name.c_str(), eng.scenario.c_str(), eng.backend.c_str(),
+              model.name.c_str(), eng.scenario.c_str(),
+              engine_or_die(eng).backend().name().c_str(),
               replicas, scfg.compile ? 1 : 0,
               static_cast<unsigned>(wire->port()));
   std::fflush(stdout);

@@ -4,7 +4,7 @@
 //
 //  1. Build a (width-reduced) ResNet-20 and an EmuEngine scenario.
 //  2. Start the server: bounded admission queue + dynamic micro-batcher
-//     coalescing requests into per-layer gemm_batch dispatches.
+//     merging each micro-batch's per-layer GEMMs into one grouped dispatch.
 //  3. Fire closed-loop clients at it and read the serving telemetry:
 //     requests/sec, coalesced batch sizes, p50/p95/p99 latency.
 //  4. Verify a served output is bitwise identical to the same sample run
@@ -13,7 +13,8 @@
 // Usage: serve_resnet20 [--requests N] [--checkpoint=FILE]
 //                       [engine flags incl. --serve-*]
 //   defaults: 64 requests, --serve-clients=8 clients, --serve-batch=16,
-//   backend "sharded" (any gemm_batch-capable backend coalesces).
+//   the default backend "sharded" (any supports_grouped() backend merges
+//   each micro-batch's GEMMs into one grouped dispatch per layer).
 //   --checkpoint=FILE serves FILE's weights instead of the deterministic
 //   init (the architecture here stays this example's ResNet-20 — the file
 //   must have been saved from a matching one, e.g. by this example's zoo
@@ -70,7 +71,6 @@ int main(int argc, char** argv) {
       scenario_flag_given = true;
   }
   EngineCliArgs eng = parse_engine_cli(argc, argv);
-  if (eng.backend.empty()) eng.backend = "sharded";
   eng.serve_clients = std::max(1, std::min(eng.serve_clients, 8));
   if (!g_ckpt_path.empty()) {
     try {

@@ -158,96 +158,49 @@ void CompiledModel::exec_conv(const Op& op, int batch) {
   const int64_t out_n = buf_numel_[static_cast<size_t>(op.dst)];
   const float* src = buf(op.src);
   float* dst = buf(op.dst);
-  const int64_t KL = static_cast<int64_t>(op.K) * L;
-  if (grouped_ && batch > 1) {
-    // Grouped same-shape execution: ONE wide kernel over the whole batch.
-    // The samples' im2col panels concatenate along the column axis (sample
-    // s in columns [s*L, (s+1)*L)); seed_col_period = L makes column s*L+t
-    // seed exactly as the per-sample path's column t, so the merged kernel
-    // returns every sample's standalone bits.
-    const int wideN = batch * static_cast<int>(L);
-    ThreadPool::global().parallel_for(
-        0, batch,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t s = lo; s < hi; ++s)
-            im2col(src + s * in_n, op.ch, op.H, op.W, op.kk, op.kk,
-                   op.stride, op.pad, cols_.data() + s * L,
-                   /*row_stride=*/static_cast<int64_t>(wideN));
-        },
-        threads_);
-    if (op.bits) {
-      // One quantize + one pack + one kernel for the whole batch
-      // (quantization is elementwise, so the wide panel's bits equal the
-      // per-sample panels' bits column for column).
-      gemm_quantize(op.cfg.mul_fmt, op.K, wideN, cols_.data(), wideN,
-                    qcols_.data(), threads_);
-      gemm_pack_b_into(op.cfg, op.K, wideN, qcols_.data(), wideN,
-                       &panels_[0], threads_);
-      gemm_mac_bits_packed(op.cfg, op.M, wideN, op.K, op.aq.data(), op.K,
-                           panels_[0], gout_.data(), wideN,
-                           /*accumulate=*/false, op.seed, threads_,
-                           /*seed_row_period=*/0,
-                           /*seed_col_period=*/static_cast<int>(L));
-    } else {
-      gemm_ref(op.M, wideN, op.K, op.w->value.data(), op.K, cols_.data(),
-               wideN, gout_.data(), wideN, /*accumulate=*/false, threads_);
-    }
-    if (telemetry_) telemetry_->record_grouped_gemm(batch);
-    // Scatter wide (c, s*L + t) -> sample s's (c, t) slice, then the same
-    // per-sample epilogue pass as the ungrouped path.
-    ThreadPool::global().parallel_for(
-        0, batch,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t s = lo; s < hi; ++s) {
-            float* out = dst + s * out_n;
-            for (int c = 0; c < op.M; ++c)
-              std::memcpy(
-                  out + static_cast<size_t>(c) * L,
-                  gout_.data() + (static_cast<size_t>(c) * batch + s) * L,
-                  static_cast<size_t>(L) * sizeof(float));
-            apply_epilogue(op, out, out_n);
-          }
-        },
-        threads_);
-    return;
+  // Grouped same-shape execution: ONE wide kernel over the whole batch.
+  // The samples' im2col panels concatenate along the column axis (sample
+  // s in columns [s*L, (s+1)*L)); seed_col_period = L makes column s*L+t
+  // seed exactly as a standalone forward's column t, so the merged kernel
+  // returns every sample's standalone bits.
+  const int wideN = batch * static_cast<int>(L);
+  ThreadPool::global().parallel_for(
+      0, batch,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t s = lo; s < hi; ++s)
+          im2col(src + s * in_n, op.ch, op.H, op.W, op.kk, op.kk, op.stride,
+                 op.pad, cols_.data() + s * L,
+                 /*row_stride=*/static_cast<int64_t>(wideN));
+      },
+      threads_);
+  if (op.bits) {
+    // One quantize + one pack + one kernel for the whole batch
+    // (quantization is elementwise, so the wide panel's bits equal the
+    // per-sample panels' bits column for column).
+    gemm_quantize(op.cfg.mul_fmt, op.K, wideN, cols_.data(), wideN,
+                  qcols_.data(), threads_);
+    gemm_pack_b_into(op.cfg, op.K, wideN, qcols_.data(), wideN, &panel_,
+                     threads_);
+    gemm_mac_bits_packed(op.cfg, op.M, wideN, op.K, op.aq.data(), op.K,
+                         panel_, gout_.data(), wideN, /*accumulate=*/false,
+                         op.seed, threads_, /*seed_row_period=*/0,
+                         /*seed_col_period=*/static_cast<int>(L));
+  } else {
+    gemm_ref(op.M, wideN, op.K, op.w->value.data(), op.K, cols_.data(), wideN,
+             gout_.data(), wideN, /*accumulate=*/false, threads_);
   }
-  // Samples are independent GEMM problems with scheduling-invariant bits
-  // (every element derives its own LFSR stream from the op seed), so the
-  // whole unfold/quantize/pack/kernel/epilogue chain fans out across the
-  // pool one sample per slot — the same parallel shape the eager
-  // gemm_batch path gives a coalesced micro-batch — with the inner calls
-  // single-threaded.
+  if (telemetry_ && batch > 1) telemetry_->record_grouped_gemm(batch);
+  // Scatter wide (c, s*L + t) -> sample s's (c, t) slice, then the
+  // per-sample epilogue pass.
   ThreadPool::global().parallel_for(
       0, batch,
       [&](int64_t lo, int64_t hi) {
         for (int64_t s = lo; s < hi; ++s) {
-          const float* cols = cols_.data() + s * KL;
           float* out = dst + s * out_n;
-          im2col(src + s * in_n, op.ch, op.H, op.W, op.kk, op.kk, op.stride,
-                 op.pad, cols_.data() + s * KL, /*row_stride=*/L);
-          if (op.bits) {
-            // The eager dispatch's per-request work, against the
-            // precompiled A plane: quantize this sample's panel, pack it
-            // into the sample's reused panel buffer, run the fused kernel
-            // under the op's recorded seed.
-            uint32_t* qcols = qcols_.data() + s * KL;
-            gemm_quantize(op.cfg.mul_fmt, op.K, static_cast<int>(L), cols,
-                          static_cast<int>(L), qcols, /*threads=*/1);
-            gemm_pack_b_into(op.cfg, op.K, static_cast<int>(L), qcols,
-                             static_cast<int>(L),
-                             &panels_[static_cast<size_t>(s)],
-                             /*threads=*/1);
-            gemm_mac_bits_packed(op.cfg, op.M, static_cast<int>(L), op.K,
-                                 op.aq.data(), op.K,
-                                 panels_[static_cast<size_t>(s)], out,
-                                 static_cast<int>(L), /*accumulate=*/false,
-                                 op.seed, /*threads=*/1);
-          } else {
-            gemm_ref(op.M, static_cast<int>(L), op.K, op.w->value.data(),
-                     op.K, cols, static_cast<int>(L), out,
-                     static_cast<int>(L), /*accumulate=*/false,
-                     /*threads=*/1);
-          }
+          for (int c = 0; c < op.M; ++c)
+            std::memcpy(out + static_cast<size_t>(c) * L,
+                        gout_.data() + (static_cast<size_t>(c) * batch + s) * L,
+                        static_cast<size_t>(L) * sizeof(float));
           apply_epilogue(op, out, out_n);
         }
       },
@@ -257,56 +210,28 @@ void CompiledModel::exec_conv(const Op& op, int batch) {
 void CompiledModel::exec_linear(const Op& op, int batch) {
   const float* src = buf(op.src);
   float* dst = buf(op.dst);
-  const int64_t in_n = buf_numel_[static_cast<size_t>(op.src)];
+  // Grouped: the activation rows are one contiguous (batch x K) A operand
+  // (in_n == K for every Linear op: the lowering checks numel() ==
+  // in_features), and the dst rows are contiguous with ldc = N — one wide
+  // kernel writes every sample's output in place. seed_row_period = 1
+  // makes row s seed as row 0, a standalone M=1 forward's seed, so the
+  // merge changes no bits.
   if (op.bits) {
     // One elementwise quantization sweep over all samples' activation rows
     // (identical bits to matmul_qb's per-sample quantize).
     gemm_quantize(op.cfg.mul_fmt, batch, op.K, src, op.K, qact_.data(),
                   threads_);
+    gemm_mac_bits_packed(op.cfg, batch, op.N, op.K, qact_.data(), op.K,
+                         op.bpanels, dst, op.N, /*accumulate=*/false, op.seed,
+                         threads_, /*seed_row_period=*/1,
+                         /*seed_col_period=*/0);
+  } else {
+    gemm_ref(batch, op.N, op.K, src, op.K, op.wt.data(), op.N, dst, op.N,
+             /*accumulate=*/false, threads_);
   }
-  if (grouped_ && batch > 1) {
-    // Grouped: the quantized activation rows are already one contiguous
-    // (batch x K) A operand, and the dst rows are contiguous with
-    // ldc = N — one wide kernel writes every sample's output in place.
-    // seed_row_period = 1 makes row s seed as row 0, the per-sample M=1
-    // dispatch's seed, so the merge changes no bits.
-    if (op.bits) {
-      gemm_mac_bits_packed(op.cfg, batch, op.N, op.K, qact_.data(), op.K,
-                           op.bpanels, dst, op.N, /*accumulate=*/false,
-                           op.seed, threads_, /*seed_row_period=*/1,
-                           /*seed_col_period=*/0);
-    } else {
-      // src rows are contiguous K-float vectors (in_n == K for every
-      // Linear op: the lowering checks numel() == in_features).
-      gemm_ref(batch, op.N, op.K, src, op.K, op.wt.data(), op.N, dst, op.N,
-               /*accumulate=*/false, threads_);
-    }
-    if (telemetry_) telemetry_->record_grouped_gemm(batch);
-    for (int s = 0; s < batch; ++s)
-      apply_epilogue(op, dst + static_cast<size_t>(s) * op.N, op.N);
-    return;
-  }
-  // The M=1 row GEMMs have no internal parallelism; the batch dimension
-  // does — same fan-out as the eager gemm_batch dispatch, same bits.
-  ThreadPool::global().parallel_for(
-      0, batch,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t s = lo; s < hi; ++s) {
-          float* out = dst + static_cast<size_t>(s) * op.N;
-          if (op.bits) {
-            gemm_mac_bits_packed(op.cfg, 1, op.N, op.K,
-                                 qact_.data() + static_cast<size_t>(s) * op.K,
-                                 op.K, op.bpanels, out, op.N,
-                                 /*accumulate=*/false, op.seed,
-                                 /*threads=*/1);
-          } else {
-            gemm_ref(1, op.N, op.K, src + s * in_n, op.K, op.wt.data(), op.N,
-                     out, op.N, /*accumulate=*/false, /*threads=*/1);
-          }
-          apply_epilogue(op, out, op.N);
-        }
-      },
-      threads_);
+  if (telemetry_ && batch > 1) telemetry_->record_grouped_gemm(batch);
+  for (int s = 0; s < batch; ++s)
+    apply_epilogue(op, dst + static_cast<size_t>(s) * op.N, op.N);
 }
 
 void CompiledModel::exec_maxpool(const Op& op, int batch) {

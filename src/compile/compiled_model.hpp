@@ -150,11 +150,6 @@ class CompiledModel {
   Telemetry* telemetry_ = nullptr;
   int threads_ = 0;
   int capacity_ = 0;
-  /// Grouped same-shape execution (ModelCompiler::Options::grouped,
-  /// docs/SERVING.md): each GEMM op runs the whole micro-batch as one wide
-  /// kernel (seed periods keep per-sample bits) instead of fanning samples
-  /// out as independent problems.
-  bool grouped_ = false;
   std::vector<int> input_shape_, output_shape_;  ///< per sample, no batch dim
   int64_t in_numel_ = 0, out_numel_ = 0;
 
@@ -163,14 +158,14 @@ class CompiledModel {
   std::vector<int64_t> buf_numel_;           ///< per-sample numel of buffer i
   int out_buf_ = 0;                          ///< buffer holding the output
 
-  // Shared per-request scratch, sized at compile for the largest op. The
-  // conv scratch is per sample so the executor can fan samples out across
-  // the pool the way the eager gemm_batch path does.
-  std::vector<float> cols_;      ///< im2col panels, capacity * max(K*L)
-  std::vector<uint32_t> qcols_;  ///< quantized im2col, capacity * max(K*L)
+  // Shared per-request scratch, sized at compile for the largest op: every
+  // GEMM op runs the whole micro-batch as one wide kernel (grouped
+  // same-shape execution, docs/SERVING.md).
+  std::vector<float> cols_;      ///< wide im2col panel, capacity * max(K*L)
+  std::vector<uint32_t> qcols_;  ///< quantized wide panel, capacity*max(K*L)
   std::vector<uint32_t> qact_;   ///< quantized Linear activations, cap*max(K)
-  std::vector<PackedBPanels> panels_;  ///< conv B pack target per sample
-  std::vector<float> gout_;  ///< grouped: wide conv GEMM output, cap*max(M*L)
+  PackedBPanels panel_;          ///< conv B pack target, the wide panel
+  std::vector<float> gout_;      ///< wide conv GEMM output, cap * max(M*L)
 
   Stats stats_;
   uint64_t gemms_per_sample_ = 0;

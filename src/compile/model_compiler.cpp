@@ -33,7 +33,6 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
   m.telemetry_ = base.telemetry;
   m.threads_ = base.threads;
   m.capacity_ = opts.max_batch;
-  m.grouped_ = opts.grouped;
   m.input_shape_ = opts.input_shape;
 
   // The lowering walk. Local to the friend's member function so it can
@@ -46,9 +45,8 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
     int cur = 0;             ///< buffer holding the current activation
     int64_t max_conv_kl = 0;  ///< largest conv K*L (im2col scratch)
     int64_t max_conv_nk = 0;  ///< largest conv quantized panel (N*K words)
-    size_t max_panel = 0;       ///< largest packed conv panel, one sample
-    size_t max_wide_panel = 0;  ///< largest packed grouped panel (max_batch)
-    int64_t max_conv_ml = 0;  ///< largest conv M*L (grouped wide output)
+    size_t max_wide_panel = 0;  ///< largest packed wide conv panel
+    int64_t max_conv_ml = 0;  ///< largest conv M*L (wide output)
     int64_t max_lin_k = 0;    ///< largest Linear K (activation quantize)
 
     static int64_t numel_of(const std::vector<int>& s) {
@@ -136,8 +134,6 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
         m.stats_.planes_packed += 1;
         max_conv_nk = std::max(max_conv_nk, kl);
         // Packed panels pad N to the kernel's group width.
-        max_panel = std::max(max_panel,
-                             gemm_packed_b_words(op.cfg, op.K, op.N));
         max_wide_panel = std::max(
             max_wide_panel,
             gemm_packed_b_words(op.cfg, op.K, m.capacity_ * op.N));
@@ -430,13 +426,8 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
   m.cols_.assign(cap * static_cast<size_t>(lo.max_conv_kl), 0.0f);
   m.qcols_.assign(cap * static_cast<size_t>(lo.max_conv_nk), 0);
   m.qact_.assign(cap * static_cast<size_t>(lo.max_lin_k), 0);
-  m.panels_.resize(cap);
-  for (PackedBPanels& p : m.panels_) p.bt.reserve(lo.max_panel);
-  if (opts.grouped) {
-    m.gout_.assign(cap * static_cast<size_t>(lo.max_conv_ml), 0.0f);
-    // The grouped conv pack targets one panel spanning the whole wide batch.
-    if (!m.panels_.empty()) m.panels_[0].bt.reserve(lo.max_wide_panel);
-  }
+  m.gout_.assign(cap * static_cast<size_t>(lo.max_conv_ml), 0.0f);
+  m.panel_.bt.reserve(lo.max_wide_panel);
 
   if (base.telemetry)
     base.telemetry->record_compile(m.stats_.planes_packed, m.stats_.folds,

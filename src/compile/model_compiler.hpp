@@ -18,7 +18,10 @@ namespace srmac {
 /// BatchNorm inference affines are folded into the preceding GEMM's
 /// epilogue; ReLU/bias/residual joins fuse into the same output pass;
 /// Flatten folds away entirely. Activation, im2col, and quantized-operand
-/// buffers are preplanned for (input_shape, max_batch).
+/// buffers are preplanned for (input_shape, max_batch): each GEMM op runs a
+/// micro-batch as ONE wide kernel (grouped same-shape execution,
+/// docs/SERVING.md), with seed periods preserving each sample's standalone
+/// bits.
 ///
 /// Typed rejections (CompileException):
 ///  - kUnsupportedBackend: a bit-accurate backend without prequantized
@@ -32,13 +35,6 @@ class ModelCompiler {
   struct Options {
     std::vector<int> input_shape;  ///< per-sample shape, no batch dimension
     int max_batch = 16;            ///< compiled capacity (ServeConfig::max_batch)
-    /// Grouped same-shape execution (docs/SERVING.md): run each GEMM op as
-    /// ONE wide kernel over the whole micro-batch (samples concatenated
-    /// along the free axis, seed periods preserving each sample's
-    /// standalone bits) instead of one problem per sample. Bitwise
-    /// identical either way; grouped amortizes dispatch and lets the
-    /// kernel's own threading span the merged problem.
-    bool grouped = false;
   };
 
   /// The engine supplies the backend, policy, seed, thread cap, and

@@ -6,12 +6,13 @@ namespace srmac {
 
 /// Procedurally generated image-classification datasets standing in for
 /// CIFAR-10 and Imagewoof (no dataset files are available offline; see
-/// DESIGN.md §4). Each class is a family of structured images — an oriented
-/// grating whose angle/frequency depend on the class, plus a class-colored
-/// blob at a class-dependent location — with per-instance random phase,
-/// jitter and additive Gaussian noise. The task is CNN-learnable, exercises
-/// conv/GEMM forward+backward exactly like a natural-image dataset, and its
-/// accuracy degrades the same way under broken low-precision arithmetic.
+/// docs/ARCHITECTURE.md, "Substitutions"). Each class is a family of
+/// structured images — an oriented grating whose angle/frequency depend on
+/// the class, plus a class-colored blob at a class-dependent location —
+/// with per-instance random phase, jitter and additive Gaussian noise. The
+/// task is CNN-learnable, exercises conv/GEMM forward+backward exactly like
+/// a natural-image dataset, and its accuracy degrades the same way under
+/// broken low-precision arithmetic.
 class SyntheticImages : public Dataset {
  public:
   struct Options {

@@ -84,7 +84,7 @@ class MatmulBackend {
  public:
   virtual ~MatmulBackend() = default;
 
-  /// Registry key, e.g. "fused".
+  /// Registry key, e.g. "sharded".
   virtual std::string name() const = 0;
 
   /// Whether this backend quantizes operands into cfg.mul_fmt (the MAC
@@ -111,8 +111,9 @@ class MatmulBackend {
 
   /// Whether gemm_batch() does better than the default sequential loop.
   /// Callers holding several independent GEMMs (the layers' backward pair,
-  /// a multi-request server) should batch when this is true; batching on
-  /// other backends is allowed and bit-identical, just not faster.
+  /// the cross-layer weight-gradient buckets) should batch when this is
+  /// true; batching on other backends is allowed and bit-identical, just
+  /// not faster.
   virtual bool supports_batch() const { return false; }
 
   virtual void gemm(const MacConfig& cfg, const GemmArgs& args) const = 0;
@@ -121,11 +122,9 @@ class MatmulBackend {
   virtual void gemm_bits(const MacConfig& cfg, const GemmBitsArgs& args) const;
 
   /// Executes `count` independent GEMMs. The default implementation loops
-  /// gemm(); the "batched" backend shards whole problems across the thread
-  /// pool (work-stealing across problems, not within one) and packs each
-  /// unique B plane once; the "sharded" backend routes whole problems to
-  /// topology-aware worker shards with shard-local plane caches. Results
-  /// are bit-identical to the sequential loop for every implementation.
+  /// gemm(); the "sharded" backend routes whole problems to topology-aware
+  /// worker shards with shard-local plane caches. Results are bit-identical
+  /// to the sequential loop for every implementation.
   virtual void gemm_batch(const GemmBatchItem* items, size_t count) const;
 };
 

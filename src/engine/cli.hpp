@@ -5,8 +5,8 @@
 //
 //   --scenario=SPEC   "fp32" or a MacConfig spec, e.g.
 //                     "eager_sr:e5m2/e6m5:r=9:subON" (see docs/API.md)
-//   --backend=NAME    registry key: fp32 | fused | reference | batched |
-//                     sharded | systolic | ...
+//   --backend=NAME    registry key: fp32 | reference | sharded | systolic |
+//                     ... (default: sharded; fp32 for the fp32 scenario)
 //   --hfp8            HFP8 policy (E4M3 forward / E5M2 backward) on top of
 //                     the scenario's accumulator and adder
 //   --seed=N          base LFSR seed (default kDefaultSeed)
@@ -50,7 +50,7 @@ namespace srmac {
 
 struct EngineCliArgs {
   std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
-  std::string backend;  // empty: the scenario decides (fp32 vs fused)
+  std::string backend;  // empty: the scenario decides (fp32 vs sharded)
   bool hfp8 = false;
   uint64_t seed = kDefaultSeed;
   int threads = 0;
@@ -95,8 +95,8 @@ struct EngineCliArgs {
 inline const char* engine_cli_usage() {
   return "  --scenario=SPEC  'fp32' or adder:mulfmt/accfmt[:r=N][:subON|subOFF]\n"
          "                   (e.g. eager_sr:e5m2/e6m5:r=9:subON)\n"
-         "  --backend=NAME   fp32 | fused | reference | batched | sharded |\n"
-         "                   systolic | ...\n"
+         "  --backend=NAME   fp32 | reference | sharded | systolic | ...\n"
+         "                   (default: sharded; fp32 for the fp32 scenario)\n"
          "  --hfp8           E4M3-forward / E5M2-backward multiplier formats\n"
          "  --seed=N         base LFSR seed\n"
          "  --threads=N      thread cap (0 = hardware concurrency)\n"

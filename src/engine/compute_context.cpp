@@ -12,7 +12,7 @@ ComputeContext ComputeContext::fp32() {
 
 ComputeContext ComputeContext::emulated(const MacConfig& cfg, uint64_t seed) {
   ComputeContext c;
-  c.backend = BackendRegistry::instance().get("fused");
+  c.backend = BackendRegistry::instance().get("sharded");
   c.policy = QuantPolicy::uniform(cfg);
   c.seed = seed;
   return c;

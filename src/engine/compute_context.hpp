@@ -29,14 +29,6 @@ struct ComputeContext {
   Telemetry* telemetry = nullptr;
   GemmPass pass = GemmPass::kForward;
 
-  /// When true (set by EmuServer under ServeConfig::grouped), batch-aware
-  /// layers may merge the micro-batch's same-shape per-sample GEMMs into
-  /// one wider dispatch, using the backend's seed-period contract
-  /// (MatmulBackend::supports_grouped) so every sample keeps the exact
-  /// seeds of its standalone forward — outputs stay bitwise identical to
-  /// per-sample execution (docs/SERVING.md "Grouped execution").
-  bool grouped = false;
-
   /// When non-null (set by Sequential::backward on a batching backend),
   /// layers defer their weight-gradient GEMM into this batch instead of
   /// dispatching it themselves — cross-layer gradient bucketing, flushed by
@@ -49,7 +41,7 @@ struct ComputeContext {
   /// FP32 baseline context (the "fp32" backend).
   static ComputeContext fp32();
 
-  /// Bit-accurate context: the "fused" engine under a uniform policy.
+  /// Bit-accurate context: the "sharded" engine under a uniform policy.
   static ComputeContext emulated(const MacConfig& cfg,
                                  uint64_t seed = kDefaultSeed);
 

@@ -51,7 +51,7 @@ EmuEngine EmuEngine::Builder::build() const {
   QuantPolicy policy;
   if (policy_) {
     policy = *policy_;
-    if (backend_name.empty()) backend_name = "fused";
+    if (backend_name.empty()) backend_name = "sharded";
   } else if (scenario_ == "fp32") {
     policy = QuantPolicy::uniform(MacConfig{});
     if (backend_name.empty()) backend_name = "fp32";
@@ -60,7 +60,7 @@ EmuEngine EmuEngine::Builder::build() const {
     const auto cfg = MacConfig::parse(scenario_, &error);
     if (!cfg) throw std::invalid_argument("bad scenario: " + error);
     policy = QuantPolicy::uniform(*cfg);
-    if (backend_name.empty()) backend_name = "fused";
+    if (backend_name.empty()) backend_name = "sharded";
   }
   if (hfp8_) {
     const MacConfig base = policy.mac_for(GemmPass::kForward);

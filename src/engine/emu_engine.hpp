@@ -21,7 +21,7 @@ namespace srmac {
 ///
 /// Built with a builder that accepts the shared scenario-string grammar
 /// (MacConfig::to_string): `"eager_sr:e5m2/e6m5:r=9:subON"` selects the
-/// paper's reference MAC on the default "fused" backend, `"fp32"` the
+/// paper's reference MAC on the default "sharded" backend, `"fp32"` the
 /// float baseline. The engine must outlive every context it hands out
 /// (contexts point at its telemetry sink).
 class EmuEngine {
@@ -33,7 +33,7 @@ class EmuEngine {
     /// calls replace the parsed policy; backend() overrides the backend.
     Builder& scenario(const std::string& spec);
 
-    /// Registry key ("fp32", "fused", "reference", "systolic", ...).
+    /// Registry key ("fp32", "reference", "sharded", "systolic", ...).
     Builder& backend(const std::string& name);
 
     /// Applies a whole SessionSpec at once: scenario, backend, seed, and
@@ -58,7 +58,7 @@ class EmuEngine {
 
    private:
     std::string scenario_ = "eager_sr:e5m2/e6m5:r=9:subON";
-    std::string backend_;  // empty: scenario decides (fp32 vs fused)
+    std::string backend_;  // empty: scenario decides (fp32 vs sharded)
     std::optional<QuantPolicy> policy_;
     bool hfp8_ = false;
     FpFormat hfp8_fwd_ = kFp8E4M3, hfp8_bwd_ = kFp8E5M2;
@@ -86,7 +86,7 @@ class EmuEngine {
   const Telemetry& telemetry() const { return *telemetry_; }
 
   /// One-line human summary, e.g.
-  /// "backend=fused scenario=eager_sr:e5m2/e6m5:r=9:subON seed=0x5eed5eed".
+  /// "backend=sharded scenario=eager_sr:e5m2/e6m5:r=9:subON seed=0x5eed5eed".
   std::string describe() const;
 
  private:

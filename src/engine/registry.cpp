@@ -151,28 +151,8 @@ class Fp32Backend final : public MatmulBackend {
   }
 };
 
-/// The fused emulation engine (docs/PERF.md): blocked GEMM, decoded adder
-/// cores, product table, AVX-512 group chain, persistent thread pool.
-class FusedBackend final : public MatmulBackend {
- public:
-  std::string name() const override { return "fused"; }
-  bool bit_accurate() const override { return true; }
-  bool supports_prequantized() const override { return true; }
-  bool supports_grouped() const override { return true; }
-  void gemm(const MacConfig& cfg, const GemmArgs& a) const override {
-    gemm_mac(cfg, a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
-             a.accumulate, a.seed, a.threads, a.seed_row_period,
-             a.seed_col_period);
-  }
-  void gemm_bits(const MacConfig& cfg, const GemmBitsArgs& a) const override {
-    gemm_mac_bits(cfg, a.M, a.N, a.K, a.Aq, a.lda, a.Bq, a.ldb, a.C, a.ldc,
-                  a.accumulate, a.seed, a.threads, a.seed_row_period,
-                  a.seed_col_period);
-  }
-};
-
 /// The seed implementation (one MacUnit per output element) — the golden
-/// baseline the fused engine is verified against, now selectable by name.
+/// baseline the fused kernel is verified against, now selectable by name.
 class ReferenceBackend final : public MatmulBackend {
  public:
   std::string name() const override { return "reference"; }
@@ -185,100 +165,9 @@ class ReferenceBackend final : public MatmulBackend {
   }
 };
 
-/// Batch-sharding variant of the fused engine. Single GEMMs delegate to the
-/// fused paths unchanged (same bits, same speed); gemm_batch() prepares all
-/// operands up front — quantizing and panel-packing each *unique* B plane
-/// exactly once, keyed on (pointer, dims, quantization format) so
-/// fan-out batches over a shared weight plane pay one pack — and then
-/// shards whole problems across the persistent thread pool with grain 1:
-/// work-stealing rebalances across problems instead of splitting rows
-/// within one, which keeps every problem's panel working set on a single
-/// core. Per-element seeds make the result bit-identical to a sequential
-/// fused loop at any thread count (asserted by
-/// tests/engine/batched_backend_test.cpp).
-class BatchedBackend final : public MatmulBackend {
- public:
-  std::string name() const override { return "batched"; }
-  bool bit_accurate() const override { return true; }
-  bool supports_prequantized() const override { return true; }
-  bool supports_batch() const override { return true; }
-  bool supports_grouped() const override { return true; }
-  void gemm(const MacConfig& cfg, const GemmArgs& a) const override {
-    gemm_mac(cfg, a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
-             a.accumulate, a.seed, a.threads, a.seed_row_period,
-             a.seed_col_period);
-  }
-  void gemm_bits(const MacConfig& cfg, const GemmBitsArgs& a) const override {
-    gemm_mac_bits(cfg, a.M, a.N, a.K, a.Aq, a.lda, a.Bq, a.ldb, a.C, a.ldc,
-                  a.accumulate, a.seed, a.threads, a.seed_row_period,
-                  a.seed_col_period);
-  }
-
-  void gemm_batch(const GemmBatchItem* items, size_t count) const override {
-    if (count <= 1) {
-      // The sequential default handles a lone item (including its
-      // prequantized planes) without the batch staging.
-      MatmulBackend::gemm_batch(items, count);
-      return;
-    }
-    // Stage 1: quantize A operands (cached planes pass through untouched)
-    // and pack unique B planes, once per batch (plane_key above).
-    struct Prepared {
-      MacConfig cfg;
-      std::vector<uint32_t> aq_store;
-      const uint32_t* aq = nullptr;
-      int lda = 0;
-      const PackedBPanels* b = nullptr;
-    };
-    std::vector<Prepared> prep(count);
-    std::vector<std::pair<PlaneKey, PackedBPanels>> planes;
-    planes.reserve(count);  // stable addresses for the p.b pointers
-    const int threads = batch_thread_cap(items, count);
-    for (size_t i = 0; i < count; ++i) {
-      const GemmBatchItem& it = items[i];
-      const GemmArgs& a = it.args;
-      Prepared& p = prep[i];
-      p.cfg = it.cfg.normalized();
-      if (it.Aq) {
-        p.aq = it.Aq;
-        p.lda = a.lda;
-      } else {
-        p.aq_store.resize(static_cast<size_t>(a.M) * a.K);
-        gemm_quantize(p.cfg.mul_fmt, a.M, a.K, a.A, a.lda,
-                      p.aq_store.data(), a.threads);
-        p.aq = p.aq_store.data();
-        p.lda = a.K;
-      }
-      const PlaneKey key = plane_key(it, p.cfg);
-      for (const auto& [k, panels] : planes) {
-        if (k == key) {
-          p.b = &panels;
-          break;
-        }
-      }
-      if (!p.b) {
-        planes.emplace_back(key, pack_item_plane(it, p.cfg));
-        p.b = &planes.back().second;
-      }
-    }
-    // Stage 2: one problem per pool chunk; a worker that finishes its
-    // problems steals whole problems from its siblings.
-    ThreadPool::global().parallel_for(
-        0, static_cast<int64_t>(count),
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            const GemmArgs& a = items[i].args;
-            const Prepared& p = prep[i];
-            gemm_mac_bits_packed(p.cfg, a.M, a.N, a.K, p.aq, p.lda, *p.b,
-                                 a.C, a.ldc, a.accumulate, a.seed, a.threads,
-                                 a.seed_row_period, a.seed_col_period);
-          }
-        },
-        threads, /*grain=*/1);
-  }
-};
-
-/// Topology-aware batch scheduler on the gemm_batch boundary. Whole
+/// The fused emulation engine (docs/PERF.md) — blocked GEMM, decoded adder
+/// cores, product table, AVX-512 group chain, persistent thread pool — with
+/// a topology-aware batch scheduler on the gemm_batch boundary. Whole
 /// problems are routed round-robin to worker shards (default shard count =
 /// the NUMA nodes ThreadPool::topology() detected; overridden per process
 /// by --shards / SRMAC_SHARDS / ThreadPool::set_default_shards, or pinned
@@ -288,10 +177,10 @@ class BatchedBackend final : public MatmulBackend {
 /// plane reused across a batch (the per-layer weight fan-out) is packed
 /// once per shard that touches it instead of once per problem. (No CPU
 /// pinning — the locality is structural, from shard-local queues and
-/// caches, not enforced affinity.) Single GEMMs delegate to the
-/// fused paths unchanged. Per-element seeds make the result bit-identical
-/// to the "batched" backend, and therefore to the sequential fused loop,
-/// at any shard count (tests/engine/sharded_backend_test.cpp).
+/// caches, not enforced affinity.) Single GEMMs run the fused kernel
+/// directly. Per-element seeds make the result bit-identical to the
+/// sequential per-problem loop, and to "reference", at any shard count
+/// (tests/engine/sharded_backend_test.cpp).
 class ShardedBackend final : public MatmulBackend, public ShardStatsSource {
  public:
   /// `shards` pins the shard count; 0 defers to ThreadPool::default_shards
@@ -423,7 +312,7 @@ class ShardedBackend final : public MatmulBackend, public ShardStatsSource {
 };
 
 /// The functional systolic-array simulator: a rows x cols grid of SR-MAC
-/// PEs with per-PE seeds (decorrelated from the fused/reference per-element
+/// PEs with per-PE seeds (decorrelated from the sharded/reference per-element
 /// seeding — this backend models the accelerator, it does not reproduce the
 /// software engine's bits) plus the dataflow's cycle model.
 class SystolicBackend final : public MatmulBackend {
@@ -445,9 +334,7 @@ class SystolicBackend final : public MatmulBackend {
 
 BackendRegistry::BackendRegistry() {
   factories_["fp32"] = [] { return std::make_shared<Fp32Backend>(); };
-  factories_["fused"] = [] { return std::make_shared<FusedBackend>(); };
   factories_["reference"] = [] { return std::make_shared<ReferenceBackend>(); };
-  factories_["batched"] = [] { return std::make_shared<BatchedBackend>(); };
   factories_["sharded"] = [] { return std::make_shared<ShardedBackend>(0); };
   factories_["systolic"] = [] { return std::make_shared<SystolicBackend>(16, 16); };
 }

@@ -12,13 +12,13 @@
 namespace srmac {
 
 /// Process-wide string-keyed registry of MatmulBackend implementations.
-/// The six built-ins ("fp32", "fused", "reference", "batched", "sharded",
-/// "systolic") are registered inside instance() — not by static
-/// initializers, which a static-library link would silently drop — and
-/// additional backends (remote, test doubles) register at runtime under
-/// new names without touching any call site. register_backend on an
-/// existing name replaces the factory; shared instances get() already
-/// handed out stay alive and unchanged.
+/// The four built-ins ("fp32", "reference", "sharded", "systolic") are
+/// registered inside instance() — not by static initializers, which a
+/// static-library link would silently drop — and additional backends
+/// (remote, test doubles) register at runtime under new names without
+/// touching any call site. register_backend on an existing name replaces
+/// the factory; shared instances get() already handed out stay alive and
+/// unchanged.
 class BackendRegistry {
  public:
   using Factory = std::function<std::shared_ptr<MatmulBackend>()>;

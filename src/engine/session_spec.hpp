@@ -21,8 +21,9 @@ struct SessionSpec {
   /// "fp32" for the float baseline.
   std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
 
-  /// Backend registry key ("fused", "fp32", "reference", "systolic", ...).
-  /// Empty: the scenario decides (fp32 -> "fp32", anything else -> "fused").
+  /// Backend registry key ("sharded", "fp32", "reference", "systolic", ...).
+  /// Empty: the scenario decides (fp32 -> "fp32", anything else ->
+  /// "sharded").
   std::string backend;
 
   uint64_t seed = kDefaultSeed;  ///< base seed of the per-element LFSRs

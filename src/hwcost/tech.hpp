@@ -30,8 +30,9 @@ struct Cost {
 /// micro-architectures of Sec. III; the constants below are calibrated so
 /// the composed totals land on the paper's Table I anchors (Synopsys Design
 /// Vision 2019.03, FDSOI 28nm, timing relaxed / area optimized). This is the
-/// McPAT-style substitution documented in DESIGN.md §4: relative deltas
-/// between configurations are structural, absolute numbers are fitted.
+/// McPAT-style substitution documented in docs/ARCHITECTURE.md,
+/// "Substitutions": relative deltas between configurations are structural,
+/// absolute numbers are fitted.
 struct AsicTech {
   // Area per gate equivalent, µm². (28nm FDSOI NAND2 ~0.49 µm² raw; the
   // factor above that absorbs drive sizing, buffers and synthesis overhead

@@ -14,8 +14,8 @@ namespace srmac {
 /// in a group; the last one is zero-padded to the full group width, and the
 /// padding lanes' outputs are never read or written. Built once by
 /// gemm_pack_b and reusable across every GEMM that multiplies against the
-/// same weight plane — the "batched" backend packs each unique plane once
-/// per batch and shares it across problems.
+/// same weight plane — the "sharded" backend packs each unique plane once
+/// per shard and shares it across that shard's problems.
 struct PackedBPanels {
   int K = 0;
   int N = 0;
@@ -38,13 +38,14 @@ PackedBPanels gemm_pack_b(const MacConfig& cfg, int K, int N,
 /// a panel buffer reserved once (gemm_packed_b_words of the largest
 /// operand) can absorb every repack without allocating —
 /// the steady-state path of the compiled serve executor, which packs each
-/// request's im2col panel into the same reused panels (docs/COMPILER.md).
+/// micro-batch's wide im2col panel into the same reused panel
+/// (docs/COMPILER.md).
 void gemm_pack_b_into(const MacConfig& cfg, int K, int N, const uint32_t* Bq,
                       int ldb, PackedBPanels* out, int threads = 0);
 
 /// gemm_mac_bits with B already packed by gemm_pack_b under the same
 /// (normalized) cfg. This is the inner entry point of both gemm_mac_bits
-/// and the batched backend's per-problem loop.
+/// and the sharded backend's per-problem loop.
 ///
 /// `seed_row_period` / `seed_col_period`: when non-zero, the per-element
 /// LFSR seed derives from (i % row_period, j % col_period) instead of

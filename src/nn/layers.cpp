@@ -13,15 +13,15 @@ namespace srmac {
 
 namespace {
 
-/// Grouped merging requires every sample of the micro-batch to share one
-/// problem shape (the serve path guarantees it; mixed shapes fall through
-/// to the coalescing path).
-bool all_same_shape(const std::vector<Tensor>& xs) {
-  for (size_t i = 1; i < xs.size(); ++i) {
-    if (xs[i].ndim() != xs[0].ndim()) return false;
-    for (int d = 0; d < xs[0].ndim(); ++d)
-      if (xs[i].dim(d) != xs[0].dim(d)) return false;
-  }
+/// Whether a micro-batch merges into one wide GEMM per layer: several
+/// samples, a backend that honors seed periods (MatmulBackend::
+/// supports_grouped), and one shared problem shape. Anything else — the
+/// systolic model, mixed shapes, a lone sample — runs per sample.
+bool groupable(const ComputeContext& ctx, const std::vector<Tensor>& xs) {
+  if (xs.size() < 2 || !ctx.backend || !ctx.backend->supports_grouped())
+    return false;
+  for (size_t i = 1; i < xs.size(); ++i)
+    if (xs[i].shape() != xs[0].shape()) return false;
   return true;
 }
 
@@ -127,113 +127,56 @@ Tensor Conv2d::forward(const ComputeContext& ctx, const Tensor& x,
 
 void Conv2d::forward_batch(const ComputeContext& ctx,
                            std::vector<Tensor>& xs) {
+  if (!groupable(ctx, xs)) {
+    Layer::forward_batch(ctx, xs);
+    return;
+  }
   // Grouped same-shape execution (docs/SERVING.md): merge the whole
   // micro-batch into ONE wide GEMM — the samples' im2col panels
   // concatenate along the column axis, and seed_col_period = L makes
   // column s*L+t seed exactly as the standalone forward()'s column t, so
   // every sample keeps its own bits while the kernel sees one big problem
   // instead of xs.size() small ones.
-  if (ctx.grouped && xs.size() > 1 && ctx.backend &&
-      ctx.backend->supports_grouped() && all_same_shape(xs)) {
-    const int n = static_cast<int>(xs.size());
-    const Tensor& x0 = xs[0];
-    assert(x0.ndim() == 4 && x0.dim(0) == 1 && x0.dim(1) == in_ch_);
-    const int H = x0.dim(2), W = x0.dim(3);
-    const int oh = conv_out_dim(H, k_, stride_, pad_);
-    const int ow = conv_out_dim(W, k_, stride_, pad_);
-    const int K = in_ch_ * k_ * k_;
-    const int L = oh * ow;
-    // Wide panel K x (n*L), sample s in columns [s*L, (s+1)*L) — the same
-    // layout build_cols produces for a stacked batch.
-    cols_.resize(static_cast<size_t>(K) * n * L);
-    ThreadPool::global().parallel_for(
-        0, n,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t s = lo; s < hi; ++s)
-            im2col(xs[s].data(), in_ch_, H, W, k_, k_, stride_, pad_,
-                   cols_.data() + s * static_cast<int64_t>(L),
-                   /*row_stride=*/static_cast<int64_t>(n) * L);
-        },
-        ctx.threads);
-    Tensor wide({out_ch_, n * L});
-    if (ctx.bit_accurate()) {
-      const auto& wq = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/false);
-      matmul_qa(ctx, out_ch_, n * L, K, wq.data(), cols_.data(), wide.data(),
-                /*accumulate=*/false, /*seed_row_period=*/0,
-                /*seed_col_period=*/L);
-    } else {
-      matmul(ctx, out_ch_, n * L, K, w_.value.data(), cols_.data(),
-             wide.data(), /*accumulate=*/false, /*seed_row_period=*/0,
-             /*seed_col_period=*/L);
-    }
-    if (ctx.telemetry) ctx.telemetry->record_grouped_gemm(n);
-    // Scatter (c, s*L + t) -> sample s's (1, out_ch, oh, ow).
-    for (int s = 0; s < n; ++s) {
-      Tensor out({1, out_ch_, oh, ow});
-      for (int c = 0; c < out_ch_; ++c)
-        std::copy_n(wide.data() + (static_cast<size_t>(c) * n + s) * L, L,
-                    out.data() + static_cast<size_t>(c) * L);
-      xs[s] = std::move(out);
-    }
-    return;
-  }
-  // Coalescing pays only where gemm_batch beats the sequential loop; the
-  // fallback keeps every backend (and the 1-sample case) on the exact
-  // forward() path.
-  if (xs.size() <= 1 || !ctx.backend || !ctx.backend->supports_batch()) {
-    Layer::forward_batch(ctx, xs);
-    return;
-  }
-  const bool bits = ctx.bit_accurate();
-  // One cache fetch for the whole batch: every item shares the plane.
-  const std::vector<uint32_t>* wq =
-      bits ? &wq_.get(w_, ctx.quant_fmt(), /*transposed=*/false) : nullptr;
-  MatmulBatch batch(ctx);
-  std::vector<Tensor> flats(xs.size());
-  std::vector<std::pair<int, int>> dims(xs.size());  // (oh, ow) per sample
+  const int n = static_cast<int>(xs.size());
+  const Tensor& x0 = xs[0];
+  assert(x0.ndim() == 4 && x0.dim(0) == 1 && x0.dim(1) == in_ch_);
+  const int H = x0.dim(2), W = x0.dim(3);
+  const int oh = conv_out_dim(H, k_, stride_, pad_);
+  const int ow = conv_out_dim(W, k_, stride_, pad_);
   const int K = in_ch_ * k_ * k_;
-  // Stage the per-sample panels in batch-owned scratch (alive until
-  // flush — the member cols_ buffer can't be shared by deferred
-  // problems), then unfold all samples across the pool like build_cols
-  // does for a stacked batch.
-  std::vector<float*> cols(xs.size());
-  for (size_t s = 0; s < xs.size(); ++s) {
-    const Tensor& x = xs[s];
-    assert(x.ndim() == 4 && x.dim(0) == 1 && x.dim(1) == in_ch_);
-    const int oh = conv_out_dim(x.dim(2), k_, stride_, pad_);
-    const int ow = conv_out_dim(x.dim(3), k_, stride_, pad_);
-    dims[s] = {oh, ow};
-    cols[s] = batch.scratch(static_cast<size_t>(K) * oh * ow);
-  }
+  const int L = oh * ow;
+  // Wide panel K x (n*L), sample s in columns [s*L, (s+1)*L) — the same
+  // layout build_cols produces for a stacked batch.
+  cols_.resize(static_cast<size_t>(K) * n * L);
   ThreadPool::global().parallel_for(
-      0, static_cast<int64_t>(xs.size()),
+      0, n,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t s = lo; s < hi; ++s) {
-          const Tensor& x = xs[s];
-          const int64_t L = static_cast<int64_t>(dims[s].first) *
-                            dims[s].second;
-          im2col(x.data(), in_ch_, x.dim(2), x.dim(3), k_, k_, stride_,
-                 pad_, cols[s], /*row_stride=*/L);
-        }
+        for (int64_t s = lo; s < hi; ++s)
+          im2col(xs[s].data(), in_ch_, H, W, k_, k_, stride_, pad_,
+                 cols_.data() + s * static_cast<int64_t>(L),
+                 /*row_stride=*/static_cast<int64_t>(n) * L);
       },
       ctx.threads);
-  for (size_t s = 0; s < xs.size(); ++s) {
-    const int L = dims[s].first * dims[s].second;
-    // The sample's own M x L problem under the shared ctx — seed and shape
-    // match the single-sample forward() dispatch exactly, so the batched
-    // schedule returns the same bits.
-    flats[s] = Tensor({out_ch_, L});
-    if (bits)
-      batch.add_qa(ctx, out_ch_, L, K, wq->data(), cols[s],
-                   flats[s].data());
-    else
-      batch.add(ctx, out_ch_, L, K, w_.value.data(), cols[s],
-                flats[s].data());
+  Tensor wide({out_ch_, n * L});
+  if (ctx.bit_accurate()) {
+    const auto& wq = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/false);
+    matmul_qa(ctx, out_ch_, n * L, K, wq.data(), cols_.data(), wide.data(),
+              /*accumulate=*/false, /*seed_row_period=*/0,
+              /*seed_col_period=*/L);
+  } else {
+    matmul(ctx, out_ch_, n * L, K, w_.value.data(), cols_.data(),
+           wide.data(), /*accumulate=*/false, /*seed_row_period=*/0,
+           /*seed_col_period=*/L);
   }
-  batch.flush();
-  // At batch dimension 1 the (out_ch, L) GEMM output *is* the NCHW layout.
-  for (size_t s = 0; s < xs.size(); ++s)
-    xs[s] = flats[s].reshaped({1, out_ch_, dims[s].first, dims[s].second});
+  if (ctx.telemetry) ctx.telemetry->record_grouped_gemm(n);
+  // Scatter (c, s*L + t) -> sample s's (1, out_ch, oh, ow).
+  for (int s = 0; s < n; ++s) {
+    Tensor out({1, out_ch_, oh, ow});
+    for (int c = 0; c < out_ch_; ++c)
+      std::copy_n(wide.data() + (static_cast<size_t>(c) * n + s) * L, L,
+                  out.data() + static_cast<size_t>(c) * L);
+    xs[s] = std::move(out);
+  }
 }
 
 Tensor Conv2d::backward(const ComputeContext& ctx, const Tensor& gout) {
@@ -348,63 +291,34 @@ Tensor Linear::forward(const ComputeContext& ctx, const Tensor& x,
 
 void Linear::forward_batch(const ComputeContext& ctx,
                            std::vector<Tensor>& xs) {
+  if (!groupable(ctx, xs)) {
+    Layer::forward_batch(ctx, xs);
+    return;
+  }
   // Grouped same-shape execution: stack the samples' rows into one
   // (n x in_f) A operand and run a single GEMM against the shared W^T
   // plane. seed_row_period = 1 makes every row seed as row 0, which is
   // exactly the (1 x out_f) seed of each sample's standalone forward().
-  if (ctx.grouped && xs.size() > 1 && ctx.backend &&
-      ctx.backend->supports_grouped() && all_same_shape(xs)) {
-    const int n = static_cast<int>(xs.size());
-    assert(xs[0].ndim() == 2 && xs[0].dim(0) == 1 && xs[0].dim(1) == in_f_);
-    Tensor a({n, in_f_});
-    for (int s = 0; s < n; ++s)
-      std::copy_n(xs[s].data(), in_f_,
-                  a.data() + static_cast<size_t>(s) * in_f_);
-    Tensor out({n, out_f_});
-    if (ctx.bit_accurate()) {
-      const auto& wqt = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/true);
-      matmul_qb(ctx, n, out_f_, in_f_, a.data(), wqt.data(), out.data(),
-                /*accumulate=*/false, /*seed_row_period=*/1,
-                /*seed_col_period=*/0);
-    } else {
-      matmul_nt(ctx, n, out_f_, in_f_, a.data(), w_.value.data(),
-                out.data());
-    }
-    if (ctx.telemetry) ctx.telemetry->record_grouped_gemm(n);
-    for (int s = 0; s < n; ++s) {
-      Tensor o({1, out_f_});
-      for (int of = 0; of < out_f_; ++of)
-        o.at(0, of) = out.at(s, of) + b_.value[of];
-      xs[s] = std::move(o);
-    }
-    return;
+  const int n = static_cast<int>(xs.size());
+  assert(xs[0].ndim() == 2 && xs[0].dim(0) == 1 && xs[0].dim(1) == in_f_);
+  Tensor a({n, in_f_});
+  for (int s = 0; s < n; ++s)
+    std::copy_n(xs[s].data(), in_f_, a.data() + static_cast<size_t>(s) * in_f_);
+  Tensor out({n, out_f_});
+  if (ctx.bit_accurate()) {
+    const auto& wqt = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/true);
+    matmul_qb(ctx, n, out_f_, in_f_, a.data(), wqt.data(), out.data(),
+              /*accumulate=*/false, /*seed_row_period=*/1,
+              /*seed_col_period=*/0);
+  } else {
+    matmul_nt(ctx, n, out_f_, in_f_, a.data(), w_.value.data(), out.data());
   }
-  if (xs.size() <= 1 || !ctx.backend || !ctx.backend->supports_batch()) {
-    Layer::forward_batch(ctx, xs);
-    return;
-  }
-  const bool bits = ctx.bit_accurate();
-  const std::vector<uint32_t>* wqt =
-      bits ? &wq_.get(w_, ctx.quant_fmt(), /*transposed=*/true) : nullptr;
-  MatmulBatch batch(ctx);
-  std::vector<Tensor> outs(xs.size());
-  for (size_t s = 0; s < xs.size(); ++s) {
-    const Tensor& x = xs[s];
-    assert(x.ndim() == 2 && x.dim(0) == 1 && x.dim(1) == in_f_);
-    outs[s] = Tensor({1, out_f_});
-    // Same 1 x out_f problem and seed as the single-sample forward(); the
-    // shared W^T plane is packed once for the whole batch by the backend.
-    if (bits)
-      batch.add_qb(ctx, 1, out_f_, in_f_, x.data(), wqt->data(),
-                   outs[s].data());
-    else
-      batch.add_nt(ctx, 1, out_f_, in_f_, x.data(), w_.value.data(),
-                   outs[s].data());
-  }
-  batch.flush();
-  for (size_t s = 0; s < xs.size(); ++s) {
-    for (int o = 0; o < out_f_; ++o) outs[s].at(0, o) += b_.value[o];
-    xs[s] = std::move(outs[s]);
+  if (ctx.telemetry) ctx.telemetry->record_grouped_gemm(n);
+  for (int s = 0; s < n; ++s) {
+    Tensor o({1, out_f_});
+    for (int of = 0; of < out_f_; ++of)
+      o.at(0, of) = out.at(s, of) + b_.value[of];
+    xs[s] = std::move(o);
   }
 }
 

@@ -11,10 +11,10 @@ class Conv2d : public Layer {
  public:
   Conv2d(int in_ch, int out_ch, int k, int stride = 1, int pad = -1);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Coalesced inference: every sample's im2col GEMM joins one gemm_batch
-  /// (the cached weight plane is fetched once and shared across items),
-  /// bit-identical to per-sample forward. Falls back to the base loop on
-  /// backends without gemm_batch support.
+  /// Grouped inference: the samples' im2col panels concatenate into one
+  /// wide GEMM against the cached weight plane (seed_col_period keeps each
+  /// sample's standalone bits). Runs the base per-sample loop on backends
+  /// without supports_grouped() and on mixed shapes.
   void forward_batch(const ComputeContext& ctx,
                      std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;
@@ -46,9 +46,10 @@ class Linear : public Layer {
  public:
   Linear(int in_f, int out_f);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Coalesced inference: one gemm_batch over the samples' row-vector
-  /// GEMMs, which all multiply against the same cached transposed weight
-  /// plane — the plane packs once per batch instead of once per request.
+  /// Grouped inference: the samples' rows stack into one A operand for a
+  /// single GEMM against the cached transposed weight plane
+  /// (seed_row_period keeps each sample's standalone bits). Same per-sample
+  /// fallback as Conv2d.
   void forward_batch(const ComputeContext& ctx,
                      std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;

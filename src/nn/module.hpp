@@ -74,15 +74,15 @@ class Layer {
 
   /// Inference-mode forward of several *independent* single-sample
   /// activations (each xs[i] has batch dimension 1), updated in place —
-  /// the serving stack's coalescing entry (docs/SERVING.md). The contract
+  /// the serving stack's micro-batch entry (docs/SERVING.md). The contract
   /// is bitwise: xs[i] after the call equals forward(ctx, xs[i], false),
-  /// for every i. Samples must therefore keep their own GEMM problems and
-  /// seeds — stacking them into one tensor would shift per-element seed
-  /// derivation — so GEMM layers override this to submit all samples'
-  /// problems as one MatmulBackend::gemm_batch (shared weight planes
-  /// quantize+pack once per batch instead of once per sample) and
-  /// composite blocks to walk their children once per layer. The default
-  /// is the plain per-sample loop, trivially bit-identical.
+  /// for every i. Samples must therefore keep their own seeds — plainly
+  /// stacking them into one tensor would shift per-element seed
+  /// derivation — so GEMM layers override this to merge same-shape samples
+  /// into one wide GEMM whose seed periods replay each sample's standalone
+  /// seeds (MatmulBackend::supports_grouped), and composite blocks to walk
+  /// their children once per layer. The default is the plain per-sample
+  /// loop, trivially bit-identical.
   virtual void forward_batch(const ComputeContext& ctx,
                              std::vector<Tensor>& xs) {
     for (Tensor& x : xs) x = forward(ctx, x, /*training=*/false);
@@ -109,8 +109,8 @@ class Sequential : public Layer {
   void forward_batch(const ComputeContext& ctx,
                      std::vector<Tensor>& xs) override {
     // Same per-layer fork/rule chain as forward(), applied once per layer
-    // for the whole coalesced batch — each child sees every sample before
-    // the next child runs, so its GEMMs can share one gemm_batch dispatch.
+    // for the whole micro-batch — each child sees every sample before the
+    // next child runs, so its GEMMs can merge into one dispatch.
     int salt = 0;
     for (auto& l : layers_)
       l->forward_batch(ctx.fork(++salt).for_layer(l->name()), xs);

@@ -13,10 +13,10 @@ class BasicBlock : public Layer {
  public:
   BasicBlock(int in_ch, int out_ch, int stride);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Coalesced inference: the same child walk and context forks as
-  /// forward(), with each child seeing the whole batch — so the convs'
-  /// GEMMs coalesce into per-layer gemm_batch dispatches (bit-identical to
-  /// the per-sample walk).
+  /// Micro-batch inference: the same child walk and context forks as
+  /// forward(), with each child seeing the whole batch — so each conv's
+  /// GEMMs merge into one grouped dispatch (bit-identical to the
+  /// per-sample walk).
   void forward_batch(const ComputeContext& ctx,
                      std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;
@@ -49,7 +49,7 @@ class BottleneckBlock : public Layer {
  public:
   BottleneckBlock(int in_ch, int mid_ch, int out_ch, int stride);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Coalesced inference walk, as BasicBlock::forward_batch.
+  /// Micro-batch inference walk, as BasicBlock::forward_batch.
   void forward_batch(const ComputeContext& ctx,
                      std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;
@@ -84,7 +84,8 @@ std::unique_ptr<Sequential> make_resnet20(int classes = 10,
                                           float width_mult = 1.0f);
 
 /// A ResNet-50-style bottleneck network scaled for 32x32 inputs (stands in
-/// for the paper's ResNet-50/Imagewoof experiment; see DESIGN.md §4).
+/// for the paper's ResNet-50/Imagewoof experiment; see docs/ARCHITECTURE.md,
+/// "Substitutions").
 /// `blocks_per_stage` 3 gives the classic (3,4,6,3)-lite variant used here.
 std::unique_ptr<Sequential> make_resnet50_small(int classes = 10,
                                                 float width_mult = 1.0f);

@@ -352,7 +352,9 @@ Bus add_eager_datapath(Netlist& nl, const FpFormat& fmt, int r,
   // anchored one position up. The carry S'1 rides the main adder's
   // carry-in; the close path degenerates to S'1 = op automatically since
   // D is all-zero there. S'2 is computed but never gates the correction
-  // (DESIGN.md §2.4).
+  // (the reconstruction note in src/mac/adder_eager_sr.hpp; the
+  // AdderEquivalence sweeps in tests/rtl/fp_rtl_test.cpp pin this netlist
+  // to that golden model).
   const Bus Dc = bus_mux(nl, pr.op, D, bus_not(nl, D));
   const Bus rl1 = bus_shl_const(nl, bus_resize(nl, Rlow, r - 1), 1);
   const AddResult st = add(nl, Dc, rl1, pr.op, arch);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -40,7 +41,6 @@ EmuServer::EmuServer(std::unique_ptr<Sequential> model, EmuEngine engine,
     ModelCompiler::Options copts;
     copts.input_shape = cfg_.input_shape;
     copts.max_batch = std::max(1, cfg_.max_batch);
-    copts.grouped = cfg_.grouped;
     compiled_ = ModelCompiler(engine_).compile(*model_, copts);
   }
   if (cfg_.shadow.enabled()) {
@@ -58,7 +58,6 @@ EmuServer::EmuServer(std::unique_ptr<Sequential> model, EmuEngine engine,
       ModelCompiler::Options copts;
       copts.input_shape = cfg_.input_shape;
       copts.max_batch = 1;  // shadow re-runs samples one at a time
-      copts.grouped = false;
       shadow_compiled_ = ModelCompiler(*shadow_engine_).compile(*model_, copts);
     }
   }
@@ -196,27 +195,26 @@ bool EmuServer::try_submit(Tensor& x, std::future<InferResult>* out,
 }
 
 void EmuServer::serve_loop() {
-  if (cfg_.continuous) {
-    // Continuous batching: the loop never waits for a full drain. With
-    // work in flight it back-fills free slots non-blockingly and runs the
-    // next wave immediately; only an idle engine blocks on the queue.
-    const size_t cap = static_cast<size_t>(std::max(1, cfg_.max_batch));
-    while (true) {
-      std::vector<ServeRequest> batch;
-      if (inflight_.empty()) {
-        batch = batcher_.collect();     // blocks; lingers per max_wait_us
-        if (batch.empty()) return;      // closed and drained, nothing live
-      } else if (inflight_.size() < cap) {
-        batch = batcher_.collect_pending(cap - inflight_.size());
-      }
-      run_wave(batch);
-    }
-  }
+  // The loop never waits for a full drain while work is in flight: it
+  // back-fills free slots non-blockingly and runs the next wave at once.
+  // Only an idle executor blocks on the queue — always, between discrete
+  // micro-batches, which run to full depth within their wave.
   while (true) {
-    std::vector<ServeRequest> batch = batcher_.collect();
-    if (batch.empty()) return;  // closed and drained
-    process(batch);
+    std::vector<ServeRequest> batch;
+    if (inflight_.empty()) {
+      batch = batcher_.collect();  // blocks; lingers per max_wait_us
+      if (batch.empty()) return;   // closed and drained, nothing live
+    } else {
+      batch = backfill();
+    }
+    run_wave(batch);
   }
+}
+
+std::vector<ServeRequest> EmuServer::backfill() {
+  const size_t cap = static_cast<size_t>(std::max(1, cfg_.max_batch));
+  if (inflight_.size() >= cap) return {};
+  return batcher_.collect_pending(cap - inflight_.size());
 }
 
 int EmuServer::run_once() {
@@ -227,60 +225,60 @@ int EmuServer::run_once() {
   // exec_m_ upholds the single-executor invariant against stop()'s inline
   // drain racing a run_once() caller (forwards are not reentrant).
   std::lock_guard<std::mutex> lk(exec_m_);
-  if (cfg_.continuous) {
-    const size_t cap = static_cast<size_t>(std::max(1, cfg_.max_batch));
-    std::vector<ServeRequest> batch;
-    if (inflight_.size() < cap)
-      batch = batcher_.collect_pending(cap - inflight_.size());
-    if (batch.empty() && inflight_.empty()) return 0;
-    return run_wave(batch);
-  }
-  std::vector<ServeRequest> batch = batcher_.collect_pending();
-  if (!batch.empty()) process(batch);
-  return static_cast<int>(batch.size());
+  std::vector<ServeRequest> batch = backfill();
+  if (batch.empty() && inflight_.empty()) return 0;
+  return run_wave(batch);
 }
 
-void EmuServer::fail_inflight(ServeError code, const char* what) {
-  const std::exception_ptr err =
-      std::make_exception_ptr(ServeException(code, what));
+int EmuServer::fail_inflight(ReplicaBatchEvent& ev, std::exception_ptr err) {
+  const size_t n = inflight_.size();
+  // The wave still happened; count it without latency samples. A
+  // shadow-selected request whose primary failed never runs its shadow:
+  // it is shed, so serve_shadow_selected == runs + sheds always holds.
+  engine_.telemetry().record_serve_batch(n, nullptr, 0, cfg_.replica_id,
+                                         /*ok=*/false);
+  const auto shadowed = std::count_if(
+      inflight_.begin(), inflight_.end(),
+      [](const InFlight& s) { return s.shadowed; });
+  if (shadowed)
+    engine_.telemetry().record_serve_shadow_shed(
+        static_cast<uint64_t>(shadowed));
   for (InFlight& s : inflight_) s.req.promise.set_exception(err);
   inflight_.clear();
   inflight_n_.store(0, std::memory_order_relaxed);
+  ev.requests += n;
+  if (on_batch_) on_batch_(ev);
+  return static_cast<int>(ev.requests);
 }
 
-/// One continuous-batching wave: admit `admitted` into free slots (with the
-/// same collect-time deadline enforcement as the discrete path), advance
-/// every in-flight request one layer, then resolve and release finished
-/// slots. Slots sharing a layer cursor run as one forward_batch group under
-/// exactly the fork/rule chain Sequential::forward_batch walks — child i
-/// executes under ctx.fork(i+1).for_layer(name) regardless of which wave
-/// reaches it — so outputs stay bitwise identical to offline forward no
-/// matter how requests interleave. Returns the requests resolved this wave.
 int EmuServer::run_wave(std::vector<ServeRequest>& admitted) {
   ReplicaBatchEvent ev;
   ev.replica = cfg_.replica_id;
 
+  // Admission with deadline enforcement: an expired request fails fast
+  // with kDeadline instead of occupying a slot (its client already gave up
+  // on it; executing it would only slow live requests).
   const uint64_t admit_us = clock_->now_us();
+  const size_t fresh = inflight_.size();  // slots from here on are new
   for (ServeRequest& r : admitted) {
     if (r.deadline_us && admit_us > r.deadline_us) {
       r.promise.set_exception(std::make_exception_ptr(ServeException(
           ServeError::kDeadline,
           "EmuServer: deadline expired before micro-batch execution")));
       ++ev.expired;
-    } else {
-      InFlight s;
-      if (shadow_active() && shadow_selects(r.trace_id, cfg_.shadow.fraction)) {
-        // Capture the input copy at admission — under continuous batching
-        // the activation is overwritten in place as the request advances
-        // layer by layer, so this is the last moment the input exists.
-        s.shadowed = true;
-        s.shadow_input = r.input;  // deep copy
-        engine_.telemetry().record_serve_shadow_selected(1);
-      }
-      s.req = std::move(r);
-      s.admit_us = admit_us;
-      inflight_.push_back(std::move(s));
+      continue;
     }
+    InFlight s;
+    if (shadow_active() && shadow_selects(r.trace_id, cfg_.shadow.fraction)) {
+      // Capture the input copy at admission — the activation is
+      // overwritten in place as the request advances, so this is the last
+      // moment the input exists. Unselected requests pay nothing.
+      s.shadowed = true;
+      s.shadow_input = r.input;  // deep copy
+      engine_.telemetry().record_serve_shadow_selected(1);
+    }
+    s.req = std::move(r);
+    inflight_.push_back(std::move(s));
   }
   admitted.clear();
   if (ev.expired)
@@ -289,115 +287,118 @@ int EmuServer::run_wave(std::vector<ServeRequest>& admitted) {
   inflight_n_.store(inflight_.size(), std::memory_order_relaxed);
   // A request leaves the engine exactly once (expired, failed, or
   // resolved); ev.requests accumulates those exits so the cluster's
-  // in-flight accounting decrements once per request even though the
-  // request's life spans several wave events.
+  // in-flight accounting decrements once per request even when a
+  // continuous request's life spans several wave events.
   ev.requests = ev.expired;
   if (inflight_.empty()) {
     if (ev.requests && on_batch_) on_batch_(ev);
-    return 0;
+    return static_cast<int>(ev.requests);
   }
 
+  // Chaos hook: the injector decides the fate of this wave. killed_ makes
+  // a kKill sticky — the remaining drain fails kStopped, the exact
+  // behavior of a replica that died with requests still queued.
   const size_t n = inflight_.size();
-  if (killed_.load(std::memory_order_acquire)) {
-    fail_inflight(ServeError::kStopped,
-                  "EmuServer: replica killed before execution");
-    ev.ran = true;
-    ev.requests += n;
-    engine_.telemetry().record_serve_batch(n, nullptr, 0, cfg_.replica_id,
-                                           /*ok=*/false);
-    if (on_batch_) on_batch_(ev);
-    return 0;
-  }
+  ev.ran = true;
+  if (killed_.load(std::memory_order_acquire))
+    return fail_inflight(ev, std::make_exception_ptr(ServeException(
+                                 ServeError::kStopped,
+                                 "EmuServer: replica killed before "
+                                 "execution")));
   FaultInjector::Plan fault;
   if (injector_) fault = injector_->on_batch(cfg_.replica_id, batch_seq_);
   ++batch_seq_;
-  ev.ran = true;
   if (fault.action == FaultInjector::Action::kFail ||
       fault.action == FaultInjector::Action::kKill) {
     if (fault.action == FaultInjector::Action::kKill) {
       killed_.store(true, std::memory_order_release);
-      queue_.close();
+      queue_.close();  // admission refused from here on (kStopped)
     }
-    fail_inflight(ServeError::kFault,
-                  "EmuServer: injected fault failed the micro-batch");
-    ev.requests += n;
-    engine_.telemetry().record_serve_batch(n, nullptr, 0, cfg_.replica_id,
-                                           /*ok=*/false);
-    if (on_batch_) on_batch_(ev);
-    return 0;
+    return fail_inflight(ev, std::make_exception_ptr(ServeException(
+                                 ServeError::kFault,
+                                 "EmuServer: injected fault failed the "
+                                 "micro-batch")));
   }
   if (fault.action == FaultInjector::Action::kDelay && fault.delay_us)
     std::this_thread::sleep_for(std::chrono::microseconds(fault.delay_us));
 
+  // The wave forms here: its new slots' queue time ends now.
   const uint64_t wave_us = clock_->now_us();
+  for (size_t i = fresh; i < n; ++i) inflight_[i].formed_us = wave_us;
+  const size_t depth = model_->size();
   try {
-    ComputeContext base = engine_.context();
-    base.grouped = cfg_.grouped;
+    // Inference-pinned dispatch: the engine context starts at
+    // GemmPass::kForward with the engine's base seed — the chain an
+    // offline model.forward(engine.context(), x, false) walks. Slots
+    // sharing a cursor advance as one group: a continuous session by one
+    // child (child i under fork(i+1).for_layer(name), Sequential's own
+    // chain, whichever wave reaches it), a discrete one through the whole
+    // model in one call. Compiled sessions replay that chain through the
+    // precompiled program; refresh() first picks up any Param::version
+    // bumps (checkpoint load, optimizer step) by rebuilding exactly the
+    // stale planes.
+    const ComputeContext base = engine_.context();
+    if (compiled_) compiled_->refresh();
     // Distinct cursors, ascending — older requests run their (deeper)
     // layer first, then newly admitted ones start at layer 0. Slots at the
     // same depth carry same-shape activations, so the grouped merge
-    // composes with continuous batching for free.
+    // composes with continuous batching.
     std::vector<size_t> cursors;
     for (const InFlight& s : inflight_) cursors.push_back(s.cursor);
     std::sort(cursors.begin(), cursors.end());
     cursors.erase(std::unique(cursors.begin(), cursors.end()), cursors.end());
     for (size_t cur : cursors) {
       std::vector<size_t> idx;
-      for (size_t i = 0; i < inflight_.size(); ++i)
+      for (size_t i = 0; i < n; ++i)
         if (inflight_[i].cursor == cur) idx.push_back(i);
       std::vector<Tensor> xs(idx.size());
       for (size_t j = 0; j < idx.size(); ++j)
         xs[j] = std::move(inflight_[idx[j]].req.input);
-      Layer& child = model_->child(cur);
-      child.forward_batch(
-          base.fork(static_cast<int>(cur) + 1).for_layer(child.name()), xs);
+      size_t next = depth;
+      if (cfg_.continuous) {
+        Layer& child = model_->child(cur);
+        child.forward_batch(
+            base.fork(static_cast<int>(cur) + 1).for_layer(child.name()), xs);
+        next = cur + 1;
+      } else if (compiled_) {
+        compiled_->forward_batch(xs);
+      } else {
+        model_->forward_batch(base, xs);
+      }
       for (size_t j = 0; j < idx.size(); ++j) {
         inflight_[idx[j]].req.input = std::move(xs[j]);
-        ++inflight_[idx[j]].cursor;
+        inflight_[idx[j]].cursor = next;
       }
     }
   } catch (...) {
-    const std::exception_ptr err = std::current_exception();
-    for (InFlight& s : inflight_) s.req.promise.set_exception(err);
-    inflight_.clear();
-    inflight_n_.store(0, std::memory_order_relaxed);
-    ev.requests += n;
-    engine_.telemetry().record_serve_batch(n, nullptr, 0, cfg_.replica_id,
-                                           /*ok=*/false);
-    if (on_batch_) on_batch_(ev);
-    return 0;
+    return fail_inflight(ev, std::current_exception());
   }
 
   // Resolve finished requests and compact the slot vector — the releases
   // that the next wave's back-fill reclaims.
   const uint64_t done_us = clock_->now_us();
-  const size_t depth = model_->size();
+  std::vector<InFlight> done;
   std::vector<uint64_t> lat;
   std::vector<ShadowSample> picked;
   size_t w = 0;
-  for (size_t i = 0; i < inflight_.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     InFlight& s = inflight_[i];
-    if (s.cursor >= depth) {
-      lat.push_back(done_us - s.req.submit_us);
-      if (s.shadowed) {
-        ShadowSample sh;
-        sh.trace_id = s.req.trace_id;
-        sh.input = std::move(s.shadow_input);
-        sh.primary_out = s.req.input;  // copy before the move below
-        picked.push_back(std::move(sh));
-      }
-      InferResult r;
-      r.output = std::move(s.req.input);
-      r.batch_size = static_cast<int>(n);  // in flight when it completed
-      r.queue_us = s.admit_us - s.req.submit_us;
-      r.total_us = lat.back();
-      r.trace_id = s.req.trace_id;
-      r.replica = cfg_.replica_id;
-      s.req.promise.set_value(std::move(r));
-    } else {
-      if (w != i) inflight_[w] = std::move(inflight_[i]);
+    if (s.cursor < depth) {
+      if (w != i) inflight_[w] = std::move(s);
       ++w;
+      continue;
     }
+    lat.push_back(done_us - s.req.submit_us);
+    if (s.shadowed) {
+      // The served output, copied before the promise consumes it (reads
+      // only — the client gets the original untouched).
+      ShadowSample sh;
+      sh.trace_id = s.req.trace_id;
+      sh.input = std::move(s.shadow_input);
+      sh.primary_out = s.req.input;
+      picked.push_back(std::move(sh));
+    }
+    done.push_back(std::move(s));
   }
   inflight_.resize(w);
   inflight_n_.store(w, std::memory_order_relaxed);
@@ -407,152 +408,22 @@ int EmuServer::run_wave(std::vector<ServeRequest>& admitted) {
   ev.exec_us = done_us - wave_us;
   engine_.telemetry().record_serve_batch(n, lat.data(), lat.size(),
                                          cfg_.replica_id);
-  if (on_batch_) on_batch_(ev);
-  // After the wave's resolutions, like the discrete path: shadow work rides
-  // behind the wave machinery and never delays a resolving request.
-  maybe_run_shadow(picked);
-  return static_cast<int>(lat.size());
-}
-
-void EmuServer::fail_batch(std::vector<ServeRequest>& batch, ServeError code,
-                           const char* what) {
-  const std::exception_ptr err =
-      std::make_exception_ptr(ServeException(code, what));
-  for (ServeRequest& r : batch) r.promise.set_exception(err);
-}
-
-void EmuServer::process(std::vector<ServeRequest>& batch) {
-  ReplicaBatchEvent ev;
-  ev.replica = cfg_.replica_id;
-  ev.requests = batch.size();
-
-  // Deadline enforcement at collect time: an expired request fails fast
-  // with kDeadline instead of occupying a slot in the forward (its client
-  // already gave up on it; executing it would only slow live requests).
-  const uint64_t collect_us = clock_->now_us();
-  std::vector<ServeRequest> live;
-  live.reserve(batch.size());
-  for (ServeRequest& r : batch) {
-    if (r.deadline_us && collect_us > r.deadline_us) {
-      r.promise.set_exception(std::make_exception_ptr(ServeException(
-          ServeError::kDeadline,
-          "EmuServer: deadline expired before micro-batch execution")));
-      ++ev.expired;
-    } else {
-      live.push_back(std::move(r));
-    }
-  }
-  if (ev.expired)
-    engine_.telemetry().record_serve_deadline_miss(
-        cfg_.replica_id, static_cast<uint64_t>(ev.expired));
-  if (live.empty()) {
-    if (on_batch_) on_batch_(ev);
-    return;
-  }
-
-  // Chaos hook: the injector decides the fate of this executed batch.
-  // killed_ makes a kKill sticky — the remaining drain fails kStopped, the
-  // exact behavior of a replica that died with requests still queued.
-  FaultInjector::Plan fault;
-  if (killed_.load(std::memory_order_acquire)) {
-    fail_batch(live, ServeError::kStopped,
-               "EmuServer: replica killed before execution");
-    engine_.telemetry().record_serve_batch(live.size(), nullptr, 0,
-                                           cfg_.replica_id, /*ok=*/false);
-    ev.ran = true;
-    if (on_batch_) on_batch_(ev);
-    return;
-  }
-  if (injector_) fault = injector_->on_batch(cfg_.replica_id, batch_seq_);
-  ++batch_seq_;
-  ev.ran = true;
-  if (fault.action == FaultInjector::Action::kFail ||
-      fault.action == FaultInjector::Action::kKill) {
-    if (fault.action == FaultInjector::Action::kKill) {
-      killed_.store(true, std::memory_order_release);
-      queue_.close();  // admission refused from here on (kStopped)
-    }
-    fail_batch(live, ServeError::kFault,
-               "EmuServer: injected fault failed the micro-batch");
-    engine_.telemetry().record_serve_batch(live.size(), nullptr, 0,
-                                           cfg_.replica_id, /*ok=*/false);
-    if (on_batch_) on_batch_(ev);
-    return;
-  }
-  if (fault.action == FaultInjector::Action::kDelay && fault.delay_us)
-    std::this_thread::sleep_for(std::chrono::microseconds(fault.delay_us));
-
-  const uint64_t formed_us = clock_->now_us();
-  // Shadow selection happens here — after the batch is committed to
-  // execute, before the move below consumes the inputs. Selected samples'
-  // inputs are deep-copied; unselected requests pay nothing.
-  std::vector<ShadowSample> picked;
-  std::vector<size_t> picked_idx;
-  if (shadow_active()) {
-    for (size_t i = 0; i < live.size(); ++i) {
-      if (!shadow_selects(live[i].trace_id, cfg_.shadow.fraction)) continue;
-      ShadowSample s;
-      s.trace_id = live[i].trace_id;
-      s.input = live[i].input;  // deep copy
-      picked.push_back(std::move(s));
-      picked_idx.push_back(i);
-    }
-    if (!picked.empty())
-      engine_.telemetry().record_serve_shadow_selected(picked.size());
-  }
-  std::vector<Tensor> xs(live.size());
-  for (size_t i = 0; i < live.size(); ++i) xs[i] = std::move(live[i].input);
-  try {
-    // Inference-pinned dispatch: the engine context starts at
-    // GemmPass::kForward with the engine's base seed — the same chain an
-    // offline model.forward(engine.context(), x, false) walks. Compiled
-    // sessions replay that chain through the precompiled program instead;
-    // refresh() first picks up any Param::version bumps (checkpoint load,
-    // optimizer step) by rebuilding exactly the stale planes.
-    if (compiled_) {
-      compiled_->refresh();
-      compiled_->forward_batch(xs);
-    } else {
-      ComputeContext cc = engine_.context();
-      cc.grouped = cfg_.grouped;  // merge same-shape GEMMs per layer
-      model_->forward_batch(cc, xs);
-    }
-  } catch (...) {
-    const std::exception_ptr err = std::current_exception();
-    for (ServeRequest& r : live) r.promise.set_exception(err);
-    // The batch still happened; count it without latency samples.
-    engine_.telemetry().record_serve_batch(live.size(), nullptr, 0,
-                                           cfg_.replica_id, /*ok=*/false);
-    if (on_batch_) on_batch_(ev);
-    return;
-  }
-  const uint64_t done_us = clock_->now_us();
-  // Capture the served outputs of the selected samples while xs still
-  // holds them (reads only — the promises get the originals untouched).
-  for (size_t j = 0; j < picked.size(); ++j)
-    picked[j].primary_out = xs[picked_idx[j]];
-  ev.ok = true;
-  ev.completed = live.size();
-  ev.exec_us = done_us - formed_us;
-  std::vector<uint64_t> lat(live.size());
-  for (size_t i = 0; i < live.size(); ++i) lat[i] = done_us - live[i].submit_us;
-  engine_.telemetry().record_serve_batch(live.size(), lat.data(), lat.size(),
-                                         cfg_.replica_id);
-  for (size_t i = 0; i < live.size(); ++i) {
+  for (InFlight& s : done) {
     InferResult r;
-    r.output = std::move(xs[i]);
-    r.batch_size = static_cast<int>(live.size());
-    r.queue_us = formed_us - live[i].submit_us;
-    r.total_us = lat[i];
-    r.trace_id = live[i].trace_id;
+    r.output = std::move(s.req.input);
+    r.batch_size = static_cast<int>(n);  // in flight when it completed
+    r.queue_us = s.formed_us - s.req.submit_us;
+    r.total_us = done_us - s.req.submit_us;
+    r.trace_id = s.req.trace_id;
     r.replica = cfg_.replica_id;
-    live[i].promise.set_value(std::move(r));
+    s.req.promise.set_value(std::move(r));
   }
   if (on_batch_) on_batch_(ev);
-  // Strictly after every promise of the batch resolved: clients are never
+  // Strictly after every promise of the wave resolved: clients are never
   // waiting on shadow work. The executor pays for it before collecting the
   // next micro-batch, and sheds it when the queue is already deep.
   maybe_run_shadow(picked);
+  return static_cast<int>(ev.requests);
 }
 
 void EmuServer::maybe_run_shadow(std::vector<ShadowSample>& picked) {
@@ -646,19 +517,9 @@ void EmuServer::stop() {
     // Manual mode: drain inline so every admitted request resolves —
     // under exec_m_, in case a run_once() caller is mid-batch.
     std::lock_guard<std::mutex> exec_lk(exec_m_);
-    if (cfg_.continuous) {
-      const size_t cap = static_cast<size_t>(std::max(1, cfg_.max_batch));
-      while (true) {
-        std::vector<ServeRequest> batch;
-        if (inflight_.size() < cap)
-          batch = batcher_.collect_pending(cap - inflight_.size());
-        if (batch.empty() && inflight_.empty()) break;
-        run_wave(batch);
-      }
-    } else {
-      std::vector<ServeRequest> batch;
-      while (!(batch = batcher_.collect_pending()).empty()) process(batch);
-    }
+    std::vector<ServeRequest> batch;
+    while (!(batch = backfill()).empty() || !inflight_.empty())
+      run_wave(batch);
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -23,9 +24,9 @@ namespace srmac {
 /// emulation stack (docs/SERVING.md). One EmuServer owns a model plus the
 /// EmuEngine scenario it serves under, accepts concurrent single-sample
 /// submissions from any thread, and coalesces them into dynamic
-/// micro-batches whose per-layer GEMMs go through the engine backend's
-/// gemm_batch — so a weight plane quantizes+packs once per batch (per
-/// shard, on the sharded backend) instead of once per request.
+/// micro-batches whose same-shape per-layer GEMMs merge into one grouped
+/// dispatch — so a weight plane is fetched and packed once per batch
+/// instead of once per request.
 ///
 /// Serving is inference-pinned: every dispatch runs the engine policy's
 /// forward-pass MacConfig (ComputeContext defaults to GemmPass::kForward
@@ -54,8 +55,8 @@ namespace srmac {
 /// under the session's cfg.replica_id row.
 class EmuServer {
  public:
-  /// Per-batch outcome callback (see ReplicaBatchEvent). Invoked on the
-  /// executor thread after every collected micro-batch resolves — the
+  /// Per-wave outcome callback (see ReplicaBatchEvent). Invoked on the
+  /// executor thread after every executed wave resolves — the
   /// ClusterController's circuit-breaker/load feedback edge. Must be set
   /// at construction (before any traffic) to stay race-free.
   using BatchCallback = std::function<void(const ReplicaBatchEvent&)>;
@@ -100,13 +101,12 @@ class EmuServer {
     return try_submit(local, out, meta, err);
   }
 
-  /// Synchronously collects and executes one micro-batch of pending
-  /// requests on the calling thread; returns its size (0 when idle). Only
-  /// valid with start_thread=false — the deterministic test/embedding
-  /// harness; calling it while the batcher thread runs throws
-  /// std::logic_error. Under cfg.continuous one call back-fills free
-  /// in-flight slots and runs ONE wave (every slot advances one layer);
-  /// the return value is the number of requests that resolved this wave.
+  /// Synchronously back-fills free in-flight slots from the queue and runs
+  /// ONE wave on the calling thread (run_wave). Returns the requests that
+  /// left the session this call — resolved, expired, or failed — so in
+  /// discrete mode it is the micro-batch size (0 when idle). Only valid
+  /// with start_thread=false — the deterministic test/embedding harness;
+  /// calling it while the batcher thread runs throws std::logic_error.
   int run_once();
 
   /// Closes admission, drains every already-accepted request, and joins
@@ -118,9 +118,10 @@ class EmuServer {
   /// queue-depth term of the ClusterController's load score.
   size_t pending() const { return queue_.size(); }
 
-  /// Continuous batching: requests currently occupying in-flight slots
-  /// (admitted into the wave engine, not yet resolved). Always 0 in
-  /// discrete mode. Callable from any thread.
+  /// Requests currently occupying in-flight slots (admitted into the wave
+  /// engine, not yet resolved). A discrete micro-batch runs to full depth
+  /// within one call, so between calls this reads 0 in discrete mode.
+  /// Callable from any thread.
   size_t in_flight() const {
     return inflight_n_.load(std::memory_order_relaxed);
   }
@@ -158,23 +159,23 @@ class EmuServer {
   Telemetry& telemetry_sink() { return engine_.telemetry(); }
 
  private:
-  /// One continuous-batching slot: a request whose activation (req.input)
-  /// has advanced through the model's first `cursor` child layers.
+  /// One in-flight slot: a request whose activation (req.input) has
+  /// advanced through the model's first `cursor` child layers.
   struct InFlight {
     ServeRequest req;
-    size_t cursor = 0;      ///< next child layer to run
-    uint64_t admit_us = 0;  ///< when the slot was filled (queue_us term)
-    bool shadowed = false;  ///< selected by the shadow trace-id hash
-    Tensor shadow_input;    ///< input copy captured at admission (iff shadowed)
+    size_t cursor = 0;       ///< next child layer to run
+    uint64_t formed_us = 0;  ///< when its first wave formed (queue_us term)
+    bool shadowed = false;   ///< selected by the shadow trace-id hash
+    Tensor shadow_input;     ///< admission-time input copy (iff shadowed)
   };
 
   /// One sample queued for shadow re-execution: the input copy captured
-  /// before the primary forward consumed it, and the primary output copy
-  /// captured before the promise consumed it. Both copies happen only for
-  /// selected samples, and only reads touch primary state — the
-  /// non-interference half of the shadow contract; the other half is that
-  /// run_shadow() executes strictly after every promise of the batch
-  /// resolved.
+  /// at admission, before the primary forward consumed it, and the primary
+  /// output copy captured before the promise consumed it. Both copies
+  /// happen only for selected samples, and only reads touch primary state
+  /// — the non-interference half of the shadow contract; the other half is
+  /// that maybe_run_shadow() executes strictly after every promise of the
+  /// wave resolved.
   struct ShadowSample {
     uint64_t trace_id = 0;
     Tensor input;
@@ -182,14 +183,24 @@ class EmuServer {
   };
 
   void serve_loop();
-  void process(std::vector<ServeRequest>& batch);
+  /// Non-blocking collect of as many queued requests as there are free
+  /// in-flight slots.
+  std::vector<ServeRequest> backfill();
+  /// The single execution routine: admits `admitted` into free slots
+  /// (collect-time deadline enforcement, shadow selection), applies the
+  /// kill/fault schedule, advances the slots, then resolves and releases
+  /// finished ones. A discrete session runs every slot to full depth in
+  /// this one call (one wave = one micro-batch; compiled: one
+  /// CompiledModel::forward_batch); a continuous one advances every slot
+  /// one layer. Returns the requests that left the session this call.
   int run_wave(std::vector<ServeRequest>& admitted);
   bool shadow_active() const { return shadow_engine_.has_value(); }
   void maybe_run_shadow(std::vector<ShadowSample>& picked);
   void run_shadow_sample(ShadowSample& s);
-  void fail_inflight(ServeError code, const char* what);
-  void fail_batch(std::vector<ServeRequest>& batch, ServeError code,
-                  const char* what);
+  /// Fails every in-flight slot with `err` (kill, injected fault, or a
+  /// forward exception), counts the wave and its shadow sheds, and reports
+  /// `ev`. Returns ev.requests.
+  int fail_inflight(ReplicaBatchEvent& ev, std::exception_ptr err);
   Tensor normalize_input(Tensor x) const;
   size_t clamp_class(int priority) const;
   uint64_t resolve_deadline(const SubmitMeta& meta, uint64_t now) const;
@@ -214,7 +225,7 @@ class EmuServer {
   const BatchCallback on_batch_;
   ClassQueue queue_;
   MicroBatcher batcher_;
-  /// Continuous batching state — touched only by the executor thread (the
+  /// In-flight slots — touched only by the executor thread (the
   /// single-executor invariant); the atomic mirrors its size for readers.
   std::vector<InFlight> inflight_;
   std::atomic<size_t> inflight_n_{0};

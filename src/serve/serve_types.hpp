@@ -214,15 +214,6 @@ struct ServeConfig {
   /// CompileException for models/backends the compiler cannot lower.
   bool compile = false;
 
-  /// Grouped same-shape execution (docs/SERVING.md): merge the micro-
-  /// batch's per-sample GEMMs into ONE wider kernel per layer — the
-  /// samples' operands concatenate along the free axis and the backend's
-  /// seed-period contract (MatmulBackend::supports_grouped) preserves each
-  /// sample's standalone fork-chain seeds, so outputs stay bitwise
-  /// identical to offline model.forward. Backends without the contract
-  /// (systolic) silently fall back to coalesced per-sample dispatch.
-  bool grouped = true;
-
   /// Continuous batching (docs/SERVING.md): instead of draining a whole
   /// micro-batch before forming the next, the executor advances all
   /// in-flight requests one layer per wave; a finishing request releases
@@ -259,13 +250,14 @@ struct SubmitMeta {
   int priority = 0;
 };
 
-/// Outcome of one collected micro-batch, reported to the session's batch
-/// observer (the ClusterController's feedback edge: circuit breakers,
-/// in-flight accounting, and the p95 term of the load score all update
-/// from these events).
+/// Outcome of one executed wave (in discrete mode, one collected
+/// micro-batch), reported to the session's batch observer (the
+/// ClusterController's feedback edge: circuit breakers, in-flight
+/// accounting, and the p95 term of the load score all update from these
+/// events).
 struct ReplicaBatchEvent {
   int replica = 0;
-  size_t requests = 0;   ///< removed from the queue (completed+expired+failed)
+  size_t requests = 0;   ///< left the session (completed+expired+failed)
   size_t completed = 0;  ///< resolved with a result
   size_t expired = 0;    ///< failed ServeError::kDeadline at collect
   bool ran = false;      ///< a forward pass was attempted

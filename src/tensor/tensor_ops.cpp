@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mac/gemm.hpp"
@@ -270,14 +270,11 @@ void MatmulBatch::flush() {
     uint64_t macs = 0;
     // Fresh-quantization accounting, per item format (items of one batch
     // may run different policy passes). Cached planes (Aq/Bq) were not
-    // quantized by this dispatch; on a batching backend a float B plane
-    // repeated across items is packed once, so it counts once — except on
-    // a shard-scheduling backend, which quantizes a shared plane once per
-    // shard and reported the exact bytes through record_sharded above, so
-    // its B planes are skipped here entirely.
-    const bool dedup = base_.backend->supports_batch();
+    // quantized by this dispatch; the default loop quantizes every float
+    // operand per item, while a shard-scheduling backend quantizes a
+    // shared B plane once per shard and reported the exact bytes through
+    // record_sharded above, so its B planes are skipped here entirely.
     std::vector<std::pair<FpFormat, uint64_t>> per_fmt;
-    std::vector<std::tuple<const float*, int, int, int, FpFormat>> seen_b;
     auto count_quant = [&](const FpFormat& fmt, uint64_t values) {
       for (auto& [f, v] : per_fmt) {
         if (f == fmt) {
@@ -293,15 +290,8 @@ void MatmulBatch::flush() {
       const FpFormat fmt = it.cfg.normalized().mul_fmt;
       if (!it.Aq)
         count_quant(fmt, static_cast<uint64_t>(it.args.M) * it.args.K);
-      if (!it.Bq && !shard_src) {
-        const std::tuple<const float*, int, int, int, FpFormat> key{
-            it.args.B, it.args.ldb, it.args.K, it.args.N, fmt};
-        if (dedup &&
-            std::find(seen_b.begin(), seen_b.end(), key) != seen_b.end())
-          continue;
-        if (dedup) seen_b.push_back(key);
+      if (!it.Bq && !shard_src)
         count_quant(fmt, static_cast<uint64_t>(it.args.K) * it.args.N);
-      }
     }
     base_.telemetry->record_batch(base_.backend->name(), items_.size(), macs,
                                   now_s() - t0);

@@ -48,7 +48,7 @@ void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
 
 /// Collects independent GEMMs and submits them in one
 /// MatmulBackend::gemm_batch dispatch — the batch-submission front end of
-/// the "batched" backend. Each added GEMM carries its *own* context's
+/// the "sharded" backend. Each added GEMM carries its *own* context's
 /// quantization pass and fork seed (a layer's weight-gradient and
 /// data-gradient GEMMs run different policy passes), so results are
 /// bit-identical to dispatching the same GEMMs sequentially; what changes

@@ -18,7 +18,7 @@ using namespace srmac;
 
 namespace {
 
-EmuEngine bits_engine(const std::string& backend = "batched") {
+EmuEngine bits_engine(const std::string& backend = "sharded") {
   return EmuEngine::Builder()
       .scenario("eager_sr:e5m2/e6m5:r=9:subON")
       .backend(backend)

@@ -34,8 +34,7 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
 /// Offline forward references for the given weights-seed.
 std::vector<Tensor> offline_refs(const ModelSpec& spec, uint64_t init_seed) {
   auto model = spec.build(init_seed);
-  const EmuEngine engine =
-      EmuEngine::Builder().scenario(kScenario).backend("fused").build();
+  const EmuEngine engine = EmuEngine::Builder().scenario(kScenario).build();
   std::vector<Tensor> refs;
   for (int i = 0; i < kProbe; ++i)
     refs.push_back(model->forward(engine.context(), spec.sample(i), false));
@@ -78,7 +77,7 @@ TEST(CompiledCheckpoint, LoadRebuildsEachPlaneExactlyOnce) {
   cfg.compile = true;
   EmuServer server(
       spec.build(kSeedA),
-      EmuEngine::Builder().scenario(kScenario).backend("batched").build(),
+      EmuEngine::Builder().scenario(kScenario).backend("sharded").build(),
       cfg);
   ASSERT_NE(server.compiled(), nullptr);
   const uint64_t planes = server.compiled()->stats().planes_packed;
@@ -115,7 +114,7 @@ TEST(CompiledCheckpoint, FailedLoadLeavesOldCompiledStateServing) {
   cfg.compile = true;
   EmuServer server(
       spec.build(kSeedA),
-      EmuEngine::Builder().scenario(kScenario).backend("batched").build(),
+      EmuEngine::Builder().scenario(kScenario).backend("sharded").build(),
       cfg);
   serve_round(server, spec, refs_a, "pre-corruption");
 

@@ -47,15 +47,13 @@ std::vector<Tensor> serve_all(const ModelSpec& spec,
                               const std::string& scenario,
                               const std::string& backend, int batch,
                               bool compile,
-                              TelemetrySnapshot* steady = nullptr,
-                              bool grouped = true) {
+                              TelemetrySnapshot* steady = nullptr) {
   ServeConfig cfg;
   cfg.max_batch = batch;
   cfg.queue_capacity = 64;
   cfg.start_thread = false;  // deterministic run_once harness
   cfg.input_shape = spec.input_shape();
   cfg.compile = compile;
-  cfg.grouped = grouped;
   EmuServer server(
       spec.build(),
       EmuEngine::Builder().scenario(scenario).backend(backend).build(), cfg);
@@ -109,14 +107,10 @@ void check_case(const std::string& spec_str, const std::string& scenario,
   const std::string tag =
       spec_str + " " + scenario + " " + backend;
 
-  // Offline references on the engine the paper experiments run on (the
-  // plain fp32 baseline for the fp32 scenario).
-  const std::string offline_backend = scenario == "fp32" ? "fp32" : "fused";
+  // Offline references on the scenario's default engine (sharded, or the
+  // plain fp32 baseline for the fp32 scenario): one sample per forward.
   auto offline_model = spec.build();
-  const EmuEngine offline = EmuEngine::Builder()
-                                .scenario(scenario)
-                                .backend(offline_backend)
-                                .build();
+  const EmuEngine offline = EmuEngine::Builder().scenario(scenario).build();
   std::vector<Tensor> refs;
   for (int i = 0; i < kRequests; ++i)
     refs.push_back(
@@ -146,9 +140,9 @@ void check_case(const std::string& spec_str, const std::string& scenario,
 TEST(CompiledVsEager, MlpAcrossAdderKinds) {
   // All three adder kinds plus the fp32 baseline on the MLP graph
   // (Flatten fold, Linear GEMMs, fused bias+ReLU epilogues).
-  check_case("mlp:32,3", "eager_sr:e5m2/e6m5:r=9:subON", "batched");
-  check_case("mlp:32,3", "lazy_sr:e4m3/e5m6:r=3:subOFF", "batched");
-  check_case("mlp:32,3", "rn:e5m2/e6m5:subON", "batched");
+  check_case("mlp:32,3", "eager_sr:e5m2/e6m5:r=9:subON", "sharded");
+  check_case("mlp:32,3", "lazy_sr:e4m3/e5m6:r=3:subOFF", "sharded");
+  check_case("mlp:32,3", "rn:e5m2/e6m5:subON", "sharded");
   check_case("mlp:32,3", "fp32", "fp32");
 }
 
@@ -163,14 +157,8 @@ TEST(CompiledVsEager, Resnet20AcrossAdderKinds) {
 TEST(CompiledVsEager, VggMiniAcrossFormats) {
   // Conv+BN+ReLU chains with MaxPool between them, plus a wider format and
   // r sweep; also the fp32 lowering of the same conv graph.
-  check_case("vgg_mini:4,6,8", "eager_sr:e4m3/e7m8:r=17:subOFF", "batched");
+  check_case("vgg_mini:4,6,8", "eager_sr:e4m3/e7m8:r=17:subOFF", "sharded");
   check_case("vgg_mini:4,6,8", "fp32", "fp32");
-}
-
-TEST(CompiledVsEager, FusedBackendNoBatchFastPath) {
-  // "fused" has no gemm_batch fast path — eager falls back to the
-  // per-sample loop; the compiled program must match that too.
-  check_case("mlp:32,3", "eager_sr:e5m2/e6m5:r=9:subON", "fused");
 }
 
 TEST(CompiledVsEager, ShardSweepKeepsBits) {
@@ -214,18 +202,16 @@ TEST(CompiledVsEager, SteadyStateDoesNoPackingOrRequantization) {
 
 TEST(CompiledVsEager, EagerSteadyStateStillPacksPerBatch) {
   // Control for the invariant above: the same steady-state window on an
-  // eager session keeps paying per-batch packs and quantization — the cost
-  // compilation exists to remove. Guards against the counters going dark.
-  // Pinned to grouped=false: grouped execution merges the micro-batch into
-  // one wide dispatch per layer, which bypasses the sharded backend's
-  // multi-problem scheduling (and its per-shard pack counters) entirely —
-  // this control observes the coalesced per-sample path's cost.
+  // eager session keeps paying per-batch quantization through the dispatch
+  // layer — the cost compilation exists to remove. Guards against the
+  // counters going dark. The eager micro-batch runs grouped (one wide
+  // dispatch per layer), so its cost shows in bytes_quantized.
   const auto parsed = ModelSpec::parse("resnet20:8");
   ASSERT_TRUE(parsed);
   TelemetrySnapshot steady;
   serve_all(*parsed, "eager_sr:e5m2/e6m5:r=9:subON", "sharded",
-            /*batch=*/16, /*compile=*/false, &steady, /*grouped=*/false);
+            /*batch=*/16, /*compile=*/false, &steady);
   EXPECT_GT(steady.bytes_quantized, 0u);
-  EXPECT_GT(shard_packs(steady), 0u);
+  EXPECT_GT(steady.gemms_grouped, 0u);
   EXPECT_EQ(steady.compile_activation_bytes, 0u);
 }

@@ -1,11 +1,11 @@
 // The backend registry and the four built-in MatmulBackend implementations:
-// selection by name, the fused/reference bit-parity acceptance check on the
-// paper's configuration, pre-quantized-plane routing, telemetry recording,
-// and drop-in registration of out-of-tree backends.
+// selection by name, the sharded/reference bit-parity acceptance check on
+// the paper's configuration, pre-quantized-plane routing, telemetry
+// recording, and drop-in registration of out-of-tree backends.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "engine/compute_context.hpp"
@@ -37,12 +37,15 @@ std::vector<float> random_matrix(int rows, int cols, uint64_t seed) {
 }
 
 TEST(BackendRegistry, BuiltinsAreRegistered) {
+  // Exactly the four built-ins: one bit-accurate GEMM scheduler (sharded),
+  // its golden reference, the float baseline, and the accelerator model.
   const auto names = BackendRegistry::instance().names();
-  for (const char* expected : {"fp32", "fused", "reference", "batched",
-                               "sharded", "systolic"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
+  std::vector<std::string> builtins;
+  for (const auto& name : names)
+    if (name != "dup" && name != "counting")  // this file's test doubles
+      builtins.push_back(name);
+  EXPECT_EQ(builtins, (std::vector<std::string>{"fp32", "reference",
+                                                "sharded", "systolic"}));
   for (const auto& name : names) {
     const MatmulBackend* b = BackendRegistry::instance().get(name);
     ASSERT_NE(b, nullptr);
@@ -57,7 +60,7 @@ TEST(BackendRegistry, UnknownNameThrowsWithInventory) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("no-such-backend"), std::string::npos);
-    EXPECT_NE(msg.find("fused"), std::string::npos) << "lists known names";
+    EXPECT_NE(msg.find("sharded"), std::string::npos) << "lists known names";
   }
   // create() takes the same error path as get().
   EXPECT_THROW(BackendRegistry::instance().create("also-missing"),
@@ -70,6 +73,21 @@ TEST(BackendRegistry, UnknownNameThrowsWithInventory) {
                    .backend("no-such-backend")
                    .build(),
                std::invalid_argument);
+}
+
+// "fused" and "batched" are not backends: sharded replaces both
+// bit-identical schedulers, so selecting either fails like any unknown key,
+// and the message lists sharded.
+TEST(BackendRegistry, DeletedSchedulersAreRejected) {
+  for (const char* gone : {"fused", "batched"}) {
+    try {
+      BackendRegistry::instance().create(gone);
+      FAIL() << gone << " must no longer be registered";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("sharded"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // Registering an existing name replaces the factory for future create()
@@ -105,11 +123,11 @@ TEST(BackendRegistry, DuplicateRegistrationReplacesFactoryKeepsInstances) {
 // default sequential gemm_batch loop: bit-identical to per-GEMM dispatch,
 // and still recorded as one batch in telemetry.
 TEST(BackendRegistry, BatchOnNonBatchingBackendFallsBackSequentially) {
-  const MatmulBackend* fused = BackendRegistry::instance().get("fused");
-  ASSERT_FALSE(fused->supports_batch());
+  const MatmulBackend* ref = BackendRegistry::instance().get("reference");
+  ASSERT_FALSE(ref->supports_batch());
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
   Telemetry sink;
-  ComputeContext ctx = ComputeContext::with_backend("fused", policy, 17);
+  ComputeContext ctx = ComputeContext::with_backend("reference", policy, 17);
   ctx.telemetry = &sink;
   const auto A = random_matrix(7, 11, 91), B = random_matrix(11, 9, 92);
   std::vector<float> c_batch1(63), c_batch2(63), c_seq1(63), c_seq2(63);
@@ -132,7 +150,7 @@ TEST(BackendRegistry, BatchOnNonBatchingBackendFallsBackSequentially) {
 
 TEST(BackendRegistry, CustomBackendDropsIn) {
   // A backend that counts dispatches and delegates to fp32 — the shape of
-  // any out-of-tree backend (sharded, batched, remote).
+  // any out-of-tree backend (NUMA, remote).
   struct CountingBackend final : MatmulBackend {
     mutable int calls = 0;
     std::string name() const override { return "counting"; }
@@ -155,22 +173,22 @@ TEST(BackendRegistry, CustomBackendDropsIn) {
   EXPECT_EQ(backend->calls, 1);
 }
 
-// Acceptance: fused == reference, bit for bit, on the paper's E5M2/E6M5
+// Acceptance: sharded == reference, bit for bit, on the paper's E5M2/E6M5
 // eager-SR configuration — through the registry dispatch, not the free
 // functions.
-TEST(BackendParity, FusedMatchesReferenceOnPaperConfig) {
+TEST(BackendParity, ShardedMatchesReferenceOnPaperConfig) {
   const int M = 24, N = 21, K = 40;
   const auto A = random_matrix(M, K, 11), B = random_matrix(K, N, 12);
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
 
-  std::vector<float> c_fused(static_cast<size_t>(M) * N, -1.0f);
+  std::vector<float> c_sharded(static_cast<size_t>(M) * N, -1.0f);
   std::vector<float> c_ref(static_cast<size_t>(M) * N, -2.0f);
-  matmul(ComputeContext::with_backend("fused", policy, /*seed=*/77), M, N, K,
-         A.data(), B.data(), c_fused.data());
+  matmul(ComputeContext::with_backend("sharded", policy, /*seed=*/77), M, N,
+         K, A.data(), B.data(), c_sharded.data());
   matmul(ComputeContext::with_backend("reference", policy, /*seed=*/77), M, N,
          K, A.data(), B.data(), c_ref.data());
-  for (size_t i = 0; i < c_fused.size(); ++i)
-    ASSERT_EQ(c_fused[i], c_ref[i]) << "element " << i;
+  for (size_t i = 0; i < c_sharded.size(); ++i)
+    ASSERT_EQ(c_sharded[i], c_ref[i]) << "element " << i;
 }
 
 TEST(BackendParity, Fp32BackendMatchesGemmRef) {
@@ -239,8 +257,8 @@ TEST(Telemetry, CountersAccumulateAndReset) {
   EXPECT_EQ(snap.macs, 2ull * M * N * K);
   // Both operands quantized per call, one byte per FP8 value.
   EXPECT_EQ(snap.bytes_quantized, 2ull * (M * K + K * N));
-  ASSERT_EQ(snap.per_backend.count("fused"), 1u);
-  EXPECT_EQ(snap.per_backend.at("fused").gemms, 2u);
+  ASSERT_EQ(snap.per_backend.count("sharded"), 1u);
+  EXPECT_EQ(snap.per_backend.at("sharded").gemms, 2u);
   EXPECT_GE(snap.seconds, 0.0);
   EXPECT_GT(snap.projected_mac_energy_uj(paper_config()), 0.0);
 

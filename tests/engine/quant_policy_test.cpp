@@ -83,8 +83,7 @@ TEST(QuantPolicy, AllBackendsThreadInvariant) {
   cfg.random_bits = 9;
   const QuantPolicy policy = QuantPolicy::uniform(cfg);
 
-  for (const char* name : {"fp32", "fused", "reference", "batched",
-                           "systolic"}) {
+  for (const char* name : {"fp32", "reference", "sharded", "systolic"}) {
     ComputeContext one =
         ComputeContext::with_backend(name, policy, /*seed=*/3, /*threads=*/1);
     ComputeContext many =
@@ -128,7 +127,7 @@ TEST(EmuEngineBuilder, ScenarioSelectsBackendAndPolicy) {
                            .threads(2)
                            .seed(99)
                            .build();
-  EXPECT_EQ(sr.backend().name(), "fused");
+  EXPECT_EQ(sr.backend().name(), "sharded");
   EXPECT_TRUE(sr.context().bit_accurate());
   EXPECT_EQ(sr.context().threads, 2);
   EXPECT_EQ(sr.context().seed, 99u);

@@ -1,10 +1,12 @@
-// The "sharded" backend: bitwise parity with the "batched" backend (and
-// therefore with the sequential fused loop) for single GEMMs, gemm_batch
-// over heterogeneous problems, prequantized planes, and the layers'
-// batched backward — invariant across --shards=1..4 and all adder kinds —
-// plus the shard-scheduling telemetry (shard_migrations,
-// planes_packed_per_shard) and the cross-layer weight-gradient bucketing
-// Sequential::backward performs on batching backends.
+// The "sharded" backend, the one bit-accurate GEMM scheduler: bitwise
+// parity with its own sequential per-item loop and with the "reference"
+// golden path for single GEMMs, gemm_batch over heterogeneous problems,
+// prequantized planes, and the layers' batched backward — invariant across
+// --shards=1..4 and all adder kinds — plus the batch and shard-scheduling
+// telemetry (batches, shard_migrations, planes_packed_per_shard) and the
+// cross-layer weight-gradient bucketing Sequential::backward performs on
+// batching backends. The default gemm_batch loop every other backend
+// inherits is held to the same contract on "reference".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,24 +60,25 @@ TEST(ShardedBackend, RegisteredWithBatchingProperties) {
       << "sharded exposes shard-scheduling counters";
 }
 
-TEST(ShardedBackend, SingleGemmMatchesFused) {
+TEST(ShardedBackend, SingleGemmMatchesReference) {
   const int M = 19, N = 23, K = 37;
   const auto A = random_matrix(M, K, 1), B = random_matrix(K, N, 2);
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
   std::vector<float> c_sharded(static_cast<size_t>(M) * N, -1.0f);
-  std::vector<float> c_fused(static_cast<size_t>(M) * N, -2.0f);
+  std::vector<float> c_ref(static_cast<size_t>(M) * N, -2.0f);
   matmul(ComputeContext::with_backend("sharded", policy, /*seed=*/5), M, N, K,
          A.data(), B.data(), c_sharded.data());
-  matmul(ComputeContext::with_backend("fused", policy, /*seed=*/5), M, N, K,
-         A.data(), B.data(), c_fused.data());
-  EXPECT_EQ(c_sharded, c_fused);
+  matmul(ComputeContext::with_backend("reference", policy, /*seed=*/5), M, N,
+         K, A.data(), B.data(), c_ref.data());
+  EXPECT_EQ(c_sharded, c_ref);
 }
 
 // The acceptance anchor: a heterogeneous batch — different shapes, all
 // three adder kinds, distinct seeds, two items sharing one B plane — is
 // bit-identical to the sequential per-item dispatch at every shard count
 // 1..4 (well past this host's shard topology, so routing, stealing, and
-// the per-shard caches all get exercised).
+// the per-shard caches all get exercised). The inherited default loop
+// (on "reference") matches its own per-item loop and the same bits.
 TEST(ShardedBackend, GemmBatchMatchesSequentialAcrossShardCounts) {
   ShardOverrideGuard guard;
   const auto A1 = random_matrix(12, 40, 11), B1 = random_matrix(40, 17, 12);
@@ -102,33 +105,39 @@ TEST(ShardedBackend, GemmBatchMatchesSequentialAcrossShardCounts) {
   items[3].args = {6, 48, 33, A4.data(), 33, B3.data(), 48,
                    nullptr, 48, false,  10,  1};
 
-  const MatmulBackend* sharded = BackendRegistry::instance().get("sharded");
-  // Sequential golden results through the same backend's gemm().
-  std::vector<std::vector<float>> c_seq;
-  for (const auto& it : items) {
-    c_seq.emplace_back(static_cast<size_t>(it.args.M) * it.args.N, -1.0f);
-    GemmBatchItem g = it;
-    g.args.C = c_seq.back().data();
-    sharded->gemm(g.cfg, g.args);
-  }
-
-  for (int shards = 1; shards <= 4; ++shards) {
-    ThreadPool::set_default_shards(shards);
-    std::vector<std::vector<float>> c_batch;
+  // Per-item gemm() loop, or one gemm_batch submission, on `backend`.
+  auto run = [&](const MatmulBackend* backend, bool batched) {
+    std::vector<std::vector<float>> c;
     std::vector<GemmBatchItem> batch = items;
     for (size_t i = 0; i < batch.size(); ++i) {
-      c_batch.emplace_back(
-          static_cast<size_t>(items[i].args.M) * items[i].args.N, -2.0f);
-      batch[i].args.C = c_batch[i].data();
+      c.emplace_back(static_cast<size_t>(items[i].args.M) * items[i].args.N,
+                     -1.0f);
+      batch[i].args.C = c[i].data();
+      if (!batched) backend->gemm(batch[i].cfg, batch[i].args);
     }
-    sharded->gemm_batch(batch.data(), batch.size());
+    if (batched) backend->gemm_batch(batch.data(), batch.size());
+    return c;
+  };
+  const MatmulBackend* sharded = BackendRegistry::instance().get("sharded");
+  const auto c_seq = run(sharded, /*batched=*/false);
+  for (int shards = 1; shards <= 4; ++shards) {
+    ThreadPool::set_default_shards(shards);
+    const auto c_batch = run(sharded, /*batched=*/true);
     for (size_t i = 0; i < items.size(); ++i)
       EXPECT_EQ(c_seq[i], c_batch[i]) << "shards=" << shards << " item " << i;
+  }
+  const MatmulBackend* ref = BackendRegistry::instance().get("reference");
+  const auto r_seq = run(ref, /*batched=*/false);
+  const auto r_batch = run(ref, /*batched=*/true);
+  for (size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(r_seq[i], r_batch[i]) << "reference item " << i;
+    EXPECT_EQ(c_seq[i], r_seq[i]) << "sharded vs reference item " << i;
   }
 }
 
 // Prequantized planes (the cached-weight-plane pattern), two items sharing
-// one bits plane: identical to the float submission on the sharded backend.
+// one bits plane (the pack dedup): identical to the float submission on
+// the sharded backend and through the default loop's decode path.
 TEST(ShardedBackend, PrequantizedPlanesMatchFloatSubmission) {
   const int K = 28, N = 15;
   const auto A1 = random_matrix(10, K, 61), A2 = random_matrix(7, K, 62);
@@ -145,23 +154,25 @@ TEST(ShardedBackend, PrequantizedPlanesMatchFloatSubmission) {
   items[1].args = {7, N, K, A2.data(), K, B.data(), N, nullptr, N,
                    false, 32, 1};
 
-  const MatmulBackend* backend = BackendRegistry::instance().get("sharded");
-  std::vector<std::vector<float>> c_float, c_bits;
-  for (const auto& it : items) {
-    c_float.emplace_back(static_cast<size_t>(it.args.M) * N, -1.0f);
-    c_bits.emplace_back(static_cast<size_t>(it.args.M) * N, -2.0f);
+  for (const char* name : {"sharded", "reference"}) {
+    const MatmulBackend* backend = BackendRegistry::instance().get(name);
+    std::vector<std::vector<float>> c_float, c_bits;
+    for (const auto& it : items) {
+      c_float.emplace_back(static_cast<size_t>(it.args.M) * N, -1.0f);
+      c_bits.emplace_back(static_cast<size_t>(it.args.M) * N, -2.0f);
+    }
+    std::vector<GemmBatchItem> floats = items, bits = items;
+    for (size_t i = 0; i < items.size(); ++i) {
+      floats[i].args.C = c_float[i].data();
+      bits[i].args.C = c_bits[i].data();
+      bits[i].args.B = nullptr;
+      bits[i].Bq = bq.data();
+    }
+    backend->gemm_batch(floats.data(), floats.size());
+    backend->gemm_batch(bits.data(), bits.size());
+    for (size_t i = 0; i < items.size(); ++i)
+      EXPECT_EQ(c_float[i], c_bits[i]) << name << " item " << i;
   }
-  std::vector<GemmBatchItem> floats = items, bits = items;
-  for (size_t i = 0; i < items.size(); ++i) {
-    floats[i].args.C = c_float[i].data();
-    bits[i].args.C = c_bits[i].data();
-    bits[i].args.B = nullptr;
-    bits[i].Bq = bq.data();
-  }
-  backend->gemm_batch(floats.data(), floats.size());
-  backend->gemm_batch(bits.data(), bits.size());
-  for (size_t i = 0; i < items.size(); ++i)
-    EXPECT_EQ(c_float[i], c_bits[i]) << "item " << i;
 }
 
 // A plane fanned out across the whole batch is packed once per shard that
@@ -194,8 +205,8 @@ TEST(ShardedBackend, SharedPlanePacksOncePerShard) {
 }
 
 // Conv2d / Linear batched backward through the sharded backend reproduces
-// the fused gradients bit for bit at every shard count.
-TEST(ShardedBackend, LayerBackwardMatchesFusedAcrossShardCounts) {
+// the reference gradients bit for bit at every shard count.
+TEST(ShardedBackend, LayerBackwardMatchesReferenceAcrossShardCounts) {
   ShardOverrideGuard guard;
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
   struct Run {
@@ -222,18 +233,18 @@ TEST(ShardedBackend, LayerBackwardMatchesFusedAcrossShardCounts) {
     return r;
   };
   for (const bool conv : {false, true}) {
-    const Run fused = run("fused", conv);
+    const Run ref = run("reference", conv);
     for (int shards = 1; shards <= 4; ++shards) {
       ThreadPool::set_default_shards(shards);
       const Run sharded = run("sharded", conv);
-      ASSERT_EQ(fused.grads.size(), sharded.grads.size());
-      for (size_t i = 0; i < fused.grads.size(); ++i)
-        for (int64_t j = 0; j < fused.grads[i].numel(); ++j)
-          ASSERT_EQ(fused.grads[i][j], sharded.grads[i][j])
+      ASSERT_EQ(ref.grads.size(), sharded.grads.size());
+      for (size_t i = 0; i < ref.grads.size(); ++i)
+        for (int64_t j = 0; j < ref.grads[i].numel(); ++j)
+          ASSERT_EQ(ref.grads[i][j], sharded.grads[i][j])
               << (conv ? "conv" : "linear") << " shards=" << shards
               << " param " << i << " @" << j;
-      for (int64_t j = 0; j < fused.gx.numel(); ++j)
-        ASSERT_EQ(fused.gx[j], sharded.gx[j])
+      for (int64_t j = 0; j < ref.gx.numel(); ++j)
+        ASSERT_EQ(ref.gx[j], sharded.gx[j])
             << (conv ? "conv" : "linear") << " shards=" << shards << " gx @"
             << j;
     }
@@ -242,9 +253,9 @@ TEST(ShardedBackend, LayerBackwardMatchesFusedAcrossShardCounts) {
 
 // A multi-layer model: Sequential::backward buckets the per-layer dW GEMMs
 // into cross-layer gemm_batch submissions on batching backends — the
-// gradients must still match the fused (per-layer, sequential) dispatch
-// bit for bit, on both batching backends.
-TEST(ShardedBackend, SequentialModelBackwardMatchesFused) {
+// gradients must still match the reference (per-layer, sequential)
+// dispatch bit for bit.
+TEST(ShardedBackend, SequentialModelBackwardMatchesReference) {
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
   auto run = [&](const char* name) {
     Sequential model;
@@ -269,15 +280,37 @@ TEST(ShardedBackend, SequentialModelBackwardMatchesFused) {
     grads.push_back(gx);
     return grads;
   };
-  const auto fused = run("fused");
-  for (const char* name : {"batched", "sharded"}) {
-    const auto other = run(name);
-    ASSERT_EQ(fused.size(), other.size());
-    for (size_t i = 0; i < fused.size(); ++i)
-      for (int64_t j = 0; j < fused[i].numel(); ++j)
-        ASSERT_EQ(fused[i][j], other[i][j])
-            << name << " tensor " << i << " @" << j;
+  const auto ref = run("reference");
+  const auto sharded = run("sharded");
+  ASSERT_EQ(ref.size(), sharded.size());
+  for (size_t i = 0; i < ref.size(); ++i)
+    for (int64_t j = 0; j < ref[i].numel(); ++j)
+      ASSERT_EQ(ref[i][j], sharded[i][j]) << "tensor " << i << " @" << j;
+}
+
+// MatmulBatch records one batch + per-problem counters into the sink.
+TEST(ShardedBackend, TelemetryCountsBatches) {
+  Telemetry sink;
+  ComputeContext ctx = ComputeContext::with_backend(
+      "sharded", QuantPolicy::uniform(paper_config()), /*seed=*/3);
+  ctx.telemetry = &sink;
+  const auto A = random_matrix(6, 12, 31), B = random_matrix(12, 8, 32);
+  std::vector<float> c1(48), c2(48);
+  {
+    MatmulBatch batch(ctx);
+    batch.add(ctx, 6, 8, 12, A.data(), B.data(), c1.data());
+    batch.add(ctx.fork(1), 6, 8, 12, A.data(), B.data(), c2.data());
+    EXPECT_EQ(batch.size(), 2u);
+    batch.flush();
+    EXPECT_EQ(batch.size(), 0u);
   }
+  const TelemetrySnapshot snap = sink.snapshot();
+  EXPECT_EQ(snap.batches, 1u);
+  EXPECT_EQ(snap.batch_problems, 2u);
+  EXPECT_EQ(snap.gemms, 2u);
+  EXPECT_EQ(snap.macs, 2ull * 6 * 8 * 12);
+  ASSERT_EQ(snap.per_backend.count("sharded"), 1u);
+  EXPECT_EQ(snap.per_backend.at("sharded").batches, 1u);
 }
 
 // MatmulBatch::flush on a shard-scheduling backend records the migration

@@ -49,8 +49,7 @@ Tensor make_sample(int i) {
 
 std::vector<Tensor> offline_refs(int n) {
   auto model = make_model();
-  const EmuEngine offline =
-      EmuEngine::Builder().scenario(kScenario).backend("fused").build();
+  const EmuEngine offline = EmuEngine::Builder().scenario(kScenario).build();
   std::vector<Tensor> refs;
   for (int i = 0; i < n; ++i)
     refs.push_back(model->forward(offline.context(), make_sample(i), false));

@@ -55,8 +55,7 @@ Tensor make_sample(int i) {
 
 Tensor offline_ref(int i) {
   auto model = make_model();
-  const EmuEngine offline =
-      EmuEngine::Builder().scenario(kScenario).backend("fused").build();
+  const EmuEngine offline = EmuEngine::Builder().scenario(kScenario).build();
   return model->forward(offline.context(), make_sample(i), false);
 }
 

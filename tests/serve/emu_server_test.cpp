@@ -41,13 +41,36 @@ Tensor make_sample(int i) {
   return x;
 }
 
+/// Sums of the session's ReplicaBatchEvents: each request leaves exactly
+/// once, so the totals agree between discrete and continuous execution
+/// even though continuous mode reports one event per wave.
+struct EventTotals {
+  size_t requests = 0, completed = 0, expired = 0;
+  EmuServer::BatchCallback sink() {
+    return [this](const ReplicaBatchEvent& ev) {
+      requests += ev.requests;
+      completed += ev.completed;
+      expired += ev.expired;
+    };
+  }
+};
+
+/// Runs waves until at least one request leaves the session (one wave in
+/// discrete mode; up to the model depth in continuous mode) and returns
+/// how many left.
+int run_until_exit(EmuServer& server) {
+  int left = 0;
+  while (left == 0 && (server.pending() > 0 || server.in_flight() > 0))
+    left = server.run_once();
+  return left;
+}
+
 }  // namespace
 
 TEST(EmuServer, ThreadedClientsAllResolveWithCorrectBits) {
   // Offline references first.
   auto offline_model = make_model();
-  const EmuEngine offline =
-      EmuEngine::Builder().scenario(kScenario).backend("fused").build();
+  const EmuEngine offline = EmuEngine::Builder().scenario(kScenario).build();
   std::vector<Tensor> refs;
   for (int i = 0; i < 32; ++i)
     refs.push_back(
@@ -327,45 +350,59 @@ TEST(EmuServer, SubmitAfterStopFailsWithTypedStoppedError) {
 }
 
 TEST(EmuServer, DeadlineEnforcedAtAdmissionAndAtCollect) {
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.start_thread = false;
-  ManualServeClock clock(1000);
-  EmuServer server(make_model(), make_engine(), cfg, &clock);
+  for (const bool continuous : {false, true}) {
+    SCOPED_TRACE(continuous ? "continuous" : "discrete");
+    ServeConfig cfg;
+    cfg.max_batch = 4;
+    cfg.start_thread = false;
+    cfg.continuous = continuous;
+    ManualServeClock clock(1000);
+    EventTotals events;
+    EmuServer server(make_model(), make_engine(), cfg, &clock, nullptr,
+                     events.sink());
 
-  // Already expired at admission: fail fast on both submission paths.
-  SubmitMeta expired;
-  expired.deadline_us = 500;
-  try {
-    server.submit(make_sample(0), expired).get();
-    FAIL() << "expired request must not resolve with a result";
-  } catch (const ServeException& e) {
-    EXPECT_EQ(e.code(), ServeError::kDeadline);
-  }
-  Tensor x = make_sample(1);
-  std::future<InferResult> f;
-  ServeError err = ServeError::kFault;
-  EXPECT_FALSE(server.try_submit(x, &f, expired, &err));
-  EXPECT_EQ(err, ServeError::kDeadline);
-  EXPECT_EQ(x.numel(), 16);  // sample returned here too
+    // Already expired at admission: fail fast on both submission paths.
+    SubmitMeta expired;
+    expired.deadline_us = 500;
+    try {
+      server.submit(make_sample(0), expired).get();
+      FAIL() << "expired request must not resolve with a result";
+    } catch (const ServeException& e) {
+      EXPECT_EQ(e.code(), ServeError::kDeadline);
+    }
+    Tensor x = make_sample(1);
+    std::future<InferResult> f;
+    ServeError err = ServeError::kFault;
+    EXPECT_FALSE(server.try_submit(x, &f, expired, &err));
+    EXPECT_EQ(err, ServeError::kDeadline);
+    EXPECT_EQ(x.numel(), 16);  // sample returned here too
 
-  // Admitted alive, expired by collect time: fails at the batch edge and
-  // never occupies a slot in the forward.
-  SubmitMeta soon;
-  soon.deadline_us = 2000;
-  std::future<InferResult> flate = server.submit(make_sample(2), soon);
-  std::future<InferResult> flive = server.submit(make_sample(3));
-  clock.advance(1500);               // t = 2500 > 2000
-  EXPECT_EQ(server.run_once(), 2);   // both collected, one expired
-  try {
-    flate.get();
-    FAIL() << "collect-expired request must not resolve with a result";
-  } catch (const ServeException& e) {
-    EXPECT_EQ(e.code(), ServeError::kDeadline);
+    // Admitted alive, expired by collect time: fails at the batch edge and
+    // never occupies a slot in the forward.
+    SubmitMeta soon;
+    soon.deadline_us = 2000;
+    std::future<InferResult> flate = server.submit(make_sample(2), soon);
+    std::future<InferResult> flive = server.submit(make_sample(3));
+    clock.advance(1500);                // t = 2500 > 2000
+    EXPECT_EQ(run_until_exit(server), continuous ? 1 : 2);
+    try {
+      flate.get();
+      FAIL() << "collect-expired request must not resolve with a result";
+    } catch (const ServeException& e) {
+      EXPECT_EQ(e.code(), ServeError::kDeadline);
+    }
+    if (continuous) {
+      EXPECT_EQ(run_until_exit(server), 1);  // flive's remaining layers
+    }
+    EXPECT_EQ(server.in_flight(), 0u);
+    InferResult r = flive.get();
+    EXPECT_EQ(r.batch_size, 1);  // the expired request left the batch
+    EXPECT_EQ(r.queue_us, 1500u);
+    EXPECT_EQ(server.telemetry().serve_deadline_misses, 3u);
+    EXPECT_EQ(events.requests, 2u);  // the admission rejects never queued
+    EXPECT_EQ(events.completed, 1u);
+    EXPECT_EQ(events.expired, 1u);
   }
-  InferResult r = flive.get();
-  EXPECT_EQ(r.batch_size, 1);  // the expired request left the batch
-  EXPECT_EQ(server.telemetry().serve_deadline_misses, 3u);
 }
 
 TEST(EmuServer, BlockingSubmitFailsDeadlineInsteadOfWedging) {
@@ -398,48 +435,62 @@ TEST(EmuServer, BlockingSubmitFailsDeadlineInsteadOfWedging) {
 }
 
 TEST(EmuServer, FaultInjectorFailsDelaysAndKillsOnSchedule) {
-  ServeConfig cfg;
-  cfg.max_batch = 1;
-  cfg.start_thread = false;
-  FaultInjector chaos;
-  chaos.fail_batches(0, /*from=*/0, /*to=*/1);
-  chaos.delay_batches(0, /*from=*/1, /*to=*/2, /*delay_us=*/1000);
-  chaos.kill_at(0, /*seq=*/2);
-  EmuServer server(make_model(), make_engine(), cfg, nullptr, &chaos);
+  for (const bool continuous : {false, true}) {
+    SCOPED_TRACE(continuous ? "continuous" : "discrete");
+    ServeConfig cfg;
+    cfg.max_batch = 1;
+    cfg.start_thread = false;
+    cfg.continuous = continuous;
+    // The injector keys on executed waves: a discrete micro-batch is one
+    // wave, a continuous request one wave per model layer.
+    auto model = make_model();
+    const uint64_t waves = continuous ? model->size() : 1;
+    FaultInjector chaos;
+    chaos.fail_batches(0, /*from=*/0, /*to=*/1);
+    chaos.delay_batches(0, /*from=*/1, /*to=*/1 + waves, /*delay_us=*/1000);
+    chaos.kill_at(0, /*seq=*/1 + waves);
+    EventTotals events;
+    EmuServer server(std::move(model), make_engine(), cfg, nullptr, &chaos,
+                     events.sink());
 
-  std::future<InferResult> f0, f1, f2, f3;
-  ASSERT_TRUE(server.try_submit(make_sample(0), &f0));
-  ASSERT_TRUE(server.try_submit(make_sample(1), &f1));
-  ASSERT_TRUE(server.try_submit(make_sample(2), &f2));
-  ASSERT_TRUE(server.try_submit(make_sample(3), &f3));
+    std::future<InferResult> f0, f1, f2, f3;
+    ASSERT_TRUE(server.try_submit(make_sample(0), &f0));
+    ASSERT_TRUE(server.try_submit(make_sample(1), &f1));
+    ASSERT_TRUE(server.try_submit(make_sample(2), &f2));
+    ASSERT_TRUE(server.try_submit(make_sample(3), &f3));
 
-  EXPECT_EQ(server.run_once(), 1);  // seq 0: injected failure
-  try {
-    f0.get();
-    FAIL() << "faulted batch must not resolve with a result";
-  } catch (const ServeException& e) {
-    EXPECT_EQ(e.code(), ServeError::kFault);
+    EXPECT_EQ(run_until_exit(server), 1);  // seq 0: injected failure
+    try {
+      f0.get();
+      FAIL() << "faulted batch must not resolve with a result";
+    } catch (const ServeException& e) {
+      EXPECT_EQ(e.code(), ServeError::kFault);
+    }
+    EXPECT_EQ(run_until_exit(server), 1);  // delayed but correct
+    EXPECT_NO_THROW(f1.get());
+    EXPECT_EQ(server.in_flight(), 0u);
+    EXPECT_EQ(run_until_exit(server), 1);  // the kill
+    try {
+      f2.get();
+      FAIL() << "killed batch must not resolve with a result";
+    } catch (const ServeException& e) {
+      EXPECT_EQ(e.code(), ServeError::kFault);
+    }
+    // Dead replica: admission refused, the queued remainder drains kStopped.
+    EXPECT_FALSE(server.accepting());
+    EXPECT_EQ(server.run_once(), 1);
+    try {
+      f3.get();
+      FAIL() << "post-kill drain must not resolve with a result";
+    } catch (const ServeException& e) {
+      EXPECT_EQ(e.code(), ServeError::kStopped);
+    }
+    EXPECT_EQ(chaos.injected(), 2 + waves);  // fail + delays + kill
+    EXPECT_EQ(server.telemetry().serve_failed_batches, 3u);
+    EXPECT_EQ(events.requests, 4u);
+    EXPECT_EQ(events.completed, 1u);
+    EXPECT_EQ(events.expired, 0u);
   }
-  EXPECT_EQ(server.run_once(), 1);  // seq 1: delayed but correct
-  EXPECT_NO_THROW(f1.get());
-  EXPECT_EQ(server.run_once(), 1);  // seq 2: the kill
-  try {
-    f2.get();
-    FAIL() << "killed batch must not resolve with a result";
-  } catch (const ServeException& e) {
-    EXPECT_EQ(e.code(), ServeError::kFault);
-  }
-  // Dead replica: admission refused, the queued remainder drains kStopped.
-  EXPECT_FALSE(server.accepting());
-  EXPECT_EQ(server.run_once(), 1);
-  try {
-    f3.get();
-    FAIL() << "post-kill drain must not resolve with a result";
-  } catch (const ServeException& e) {
-    EXPECT_EQ(e.code(), ServeError::kStopped);
-  }
-  EXPECT_EQ(chaos.injected(), 3u);
-  EXPECT_EQ(server.telemetry().serve_failed_batches, 3u);
 }
 
 TEST(EmuServer, StopRacingConcurrentSubmittersDrainsWithoutDrop) {

@@ -4,7 +4,7 @@
 // kinds, backends, batch sizes, and the eager vs compiled executors. Also
 // pins the grouped telemetry (gemms_grouped / grouped_samples) and the
 // capability fallback: a backend without the seed-period contract
-// (systolic) silently serves the coalesced per-sample path.
+// (systolic) serves each sample on its own.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -60,13 +60,12 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
 /// telemetry snapshot.
 std::vector<Tensor> serve_all(const std::string& scenario,
                               const std::string& backend, int batch,
-                              bool grouped, bool compile,
+                              bool compile,
                               TelemetrySnapshot* snap = nullptr) {
   ServeConfig cfg;
   cfg.max_batch = batch;
   cfg.queue_capacity = 32;
   cfg.start_thread = false;
-  cfg.grouped = grouped;
   cfg.compile = compile;
   if (compile) cfg.input_shape = {1, 8, 8};
   EmuServer server(
@@ -87,9 +86,9 @@ std::vector<Tensor> serve_all(const std::string& scenario,
   return outs;
 }
 
-/// Offline per-sample references on the fused engine (the paper baseline).
+/// Offline per-sample references on the default (sharded) engine.
 std::vector<Tensor> offline_refs(const std::string& scenario,
-                                 const std::string& backend = "fused") {
+                                 const std::string& backend = "sharded") {
   auto model = make_model();
   const EmuEngine offline =
       EmuEngine::Builder().scenario(scenario).backend(backend).build();
@@ -105,8 +104,7 @@ void check_grouped_matrix(const std::string& scenario,
   for (int batch : {1, 4, 16}) {
     TelemetrySnapshot snap;
     const std::vector<Tensor> got =
-        serve_all(scenario, backend, batch, /*grouped=*/true,
-                  /*compile=*/false, &snap);
+        serve_all(scenario, backend, batch, /*compile=*/false, &snap);
     for (int i = 0; i < 16; ++i)
       expect_bitwise_equal(got[i], refs[i],
                            scenario + " " + backend + " batch=" +
@@ -129,9 +127,10 @@ void check_grouped_matrix(const std::string& scenario,
 }  // namespace
 
 TEST(GroupedServing, EagerSrAllBackendsMatchOffline) {
+  // Both bit-accurate backends that honor seed periods: the fused kernel
+  // (sharded) and the seed MacUnit golden path (reference).
   check_grouped_matrix("eager_sr:e5m2/e6m5:r=9:subON", "sharded");
-  check_grouped_matrix("eager_sr:e5m2/e6m5:r=9:subON", "batched");
-  check_grouped_matrix("eager_sr:e5m2/e6m5:r=9:subON", "fused");
+  check_grouped_matrix("eager_sr:e5m2/e6m5:r=9:subON", "reference");
 }
 
 TEST(GroupedServing, LazySrAndRnMatchOffline) {
@@ -145,28 +144,10 @@ TEST(GroupedServing, Fp32GroupedMatchesOffline) {
   const std::vector<Tensor> refs = offline_refs("fp32", "fp32");
   TelemetrySnapshot snap;
   const std::vector<Tensor> got =
-      serve_all("fp32", "fp32", 4, /*grouped=*/true, /*compile=*/false,
-                &snap);
+      serve_all("fp32", "fp32", 4, /*compile=*/false, &snap);
   for (int i = 0; i < 16; ++i)
     expect_bitwise_equal(got[i], refs[i], "fp32 sample " + std::to_string(i));
   EXPECT_GT(snap.gemms_grouped, 0u);
-}
-
-TEST(GroupedServing, GroupedEqualsUngroupedBitwise) {
-  // The direct A/B: same traffic, grouped on vs off, byte-identical
-  // results — the merge is pure scheduling.
-  const std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
-  for (int batch : {4, 16}) {
-    const std::vector<Tensor> off =
-        serve_all(scenario, "batched", batch, /*grouped=*/false, false);
-    const std::vector<Tensor> on =
-        serve_all(scenario, "batched", batch, /*grouped=*/true, false);
-    for (int i = 0; i < 16; ++i)
-      expect_bitwise_equal(on[i], off[i],
-                           "grouped-vs-ungrouped batch=" +
-                               std::to_string(batch) + " sample=" +
-                               std::to_string(i));
-  }
 }
 
 TEST(GroupedServing, CompiledGroupedMatchesOfflineAndCountsMerges) {
@@ -178,8 +159,7 @@ TEST(GroupedServing, CompiledGroupedMatchesOfflineAndCountsMerges) {
   for (int batch : {1, 4, 16}) {
     TelemetrySnapshot snap;
     const std::vector<Tensor> got =
-        serve_all(scenario, "sharded", batch, /*grouped=*/true,
-                  /*compile=*/true, &snap);
+        serve_all(scenario, "sharded", batch, /*compile=*/true, &snap);
     for (int i = 0; i < 16; ++i)
       expect_bitwise_equal(got[i], refs[i],
                            "compiled grouped batch=" + std::to_string(batch) +
@@ -192,15 +172,14 @@ TEST(GroupedServing, CompiledGroupedMatchesOfflineAndCountsMerges) {
 
 TEST(GroupedServing, SystolicBackendFallsBackToPerSamplePath) {
   // The systolic backend seeds per PE, not per (i, j) hash — it cannot
-  // honor seed periods, so supports_grouped() is false and a grouped
-  // session silently serves the coalesced per-sample path: bits match the
-  // same backend offline, and no merged dispatch is ever recorded.
+  // honor seed periods, so supports_grouped() is false and the session
+  // serves each sample on its own: bits match the same backend offline,
+  // and no merged dispatch is ever recorded.
   const std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
   const std::vector<Tensor> refs = offline_refs(scenario, "systolic");
   TelemetrySnapshot snap;
   const std::vector<Tensor> got =
-      serve_all(scenario, "systolic", 4, /*grouped=*/true, /*compile=*/false,
-                &snap);
+      serve_all(scenario, "systolic", 4, /*compile=*/false, &snap);
   for (int i = 0; i < 16; ++i)
     expect_bitwise_equal(got[i], refs[i],
                          "systolic fallback sample " + std::to_string(i));

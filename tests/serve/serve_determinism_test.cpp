@@ -1,9 +1,9 @@
 // Serving determinism: a served request's output is bitwise identical to
-// the same sample run offline through the "fused" backend — for every
-// adder kind, and for coalesced micro-batch sizes 1, 4, and 16. This is
-// the load-bearing contract of the serving stack: coalescing changes
-// scheduling (per-layer gemm_batch over per-sample problems), never bits,
-// because every sample keeps its own GEMM shape and seed chain.
+// the same sample run offline through the "reference" backend (the seed
+// MacUnit golden path) — for every adder kind, and for micro-batch sizes
+// 1, 4, and 16. This is the load-bearing contract of the serving stack:
+// batching changes scheduling (one grouped GEMM per layer), never bits,
+// because every sample keeps its own seed chain.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -58,11 +58,11 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
 
 void check_scenario(const std::string& scenario,
                     const std::string& serve_backend) {
-  // Offline references through "fused" — the engine the paper experiments
-  // run on — with the default base seed the server will also use.
+  // Offline references through "reference", with the default base seed
+  // the server will also use.
   auto offline_model = make_model();
   const EmuEngine offline =
-      EmuEngine::Builder().scenario(scenario).backend("fused").build();
+      EmuEngine::Builder().scenario(scenario).backend("reference").build();
   std::vector<Tensor> refs;
   for (int i = 0; i < 16; ++i)
     refs.push_back(
@@ -106,26 +106,16 @@ void check_scenario(const std::string& scenario,
 
 }  // namespace
 
-TEST(ServeDeterminism, EagerSrMatchesOfflineFused) {
+TEST(ServeDeterminism, EagerSrMatchesOfflineReference) {
   check_scenario("eager_sr:e5m2/e6m5:r=9:subON", "sharded");
 }
 
-TEST(ServeDeterminism, LazySrMatchesOfflineFused) {
+TEST(ServeDeterminism, LazySrMatchesOfflineReference) {
   check_scenario("lazy_sr:e5m2/e6m5:r=9:subON", "sharded");
 }
 
-TEST(ServeDeterminism, RnMatchesOfflineFused) {
+TEST(ServeDeterminism, RnMatchesOfflineReference) {
   check_scenario("rn:e5m2/e6m5:subON", "sharded");
-}
-
-TEST(ServeDeterminism, BatchedBackendMatchesOfflineFused) {
-  check_scenario("eager_sr:e5m2/e6m5:r=9:subON", "batched");
-}
-
-TEST(ServeDeterminism, FusedBackendFallbackMatchesOffline) {
-  // "fused" has no gemm_batch fast path: forward_batch falls back to the
-  // per-sample loop, which must also be bit-identical.
-  check_scenario("eager_sr:e5m2/e6m5:r=9:subON", "fused");
 }
 
 TEST(ServeDeterminism, ShardSweepKeepsBits) {
@@ -144,8 +134,7 @@ TEST(ServeDeterminism, Resnet20ServedSampleMatchesOffline) {
   const std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
   auto offline_model = make_resnet20(10, 0.25f);
   he_init(*offline_model, kInitSeed);
-  const EmuEngine offline =
-      EmuEngine::Builder().scenario(scenario).backend("fused").build();
+  const EmuEngine offline = EmuEngine::Builder().scenario(scenario).build();
   Tensor x({1, 3, 16, 16});
   Xoshiro256 rng(42);
   for (int64_t j = 0; j < x.numel(); ++j)

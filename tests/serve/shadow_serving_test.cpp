@@ -16,7 +16,9 @@
 //      eager shadows and not for compiled ones.
 //   4. Overload shedding: with shed_pending set, a backed-up queue drops
 //      the batch's shadow samples into serve_shadow_sheds instead of
-//      running them — the reply path is never blocked by shadow work.
+//      running them — the reply path is never blocked by shadow work. A
+//      selected request whose primary fails is shed too, so
+//      serve_shadow_selected == runs + sheds always holds.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -275,6 +277,42 @@ TEST(ShadowServing, ShedsUnderBacklogWithTypedCounter) {
   EXPECT_EQ(snap.serve_shadow_runs, 4u);
   ASSERT_EQ(snap.drift.size(), 1u);
   EXPECT_EQ(snap.drift[0].final_output.samples, 4u);
+}
+
+TEST(ShadowServing, FailedPrimaryShedsItsShadowSample) {
+  // Selection happens at admission; an injected fault on the first wave
+  // then fails that cohort's primaries, so their shadows never run — they
+  // must land in serve_shadow_sheds, not vanish from the accounting.
+  for (const bool continuous : {false, true}) {
+    SCOPED_TRACE(continuous ? "continuous" : "discrete");
+    ServeConfig cfg = base_config(false);
+    cfg.continuous = continuous;
+    cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
+    cfg.shadow.fraction = 1.0;
+    FaultInjector chaos;
+    chaos.fail_batches(0, /*from=*/0, /*to=*/1);
+    EmuServer server(make_model(),
+                     EmuEngine::Builder().scenario(kPrimary).build(), cfg,
+                     nullptr, &chaos);
+    std::vector<std::future<InferResult>> futs(kRequests);
+    for (int i = 0; i < kRequests; ++i)
+      ASSERT_TRUE(server.try_submit(make_sample(i), &futs[i]));
+    while (server.pending() > 0 || server.in_flight() > 0) server.run_once();
+    uint64_t failed = 0;
+    for (auto& f : futs) {
+      try {
+        f.get();
+      } catch (const ServeException& e) {
+        EXPECT_EQ(e.code(), ServeError::kFault);
+        ++failed;
+      }
+    }
+    EXPECT_EQ(failed, 4u);  // the first wave's cohort (max_batch 4)
+    const TelemetrySnapshot snap = server.telemetry();
+    EXPECT_EQ(snap.serve_shadow_selected, static_cast<uint64_t>(kRequests));
+    EXPECT_EQ(snap.serve_shadow_sheds, failed);
+    EXPECT_EQ(snap.serve_shadow_runs, kRequests - failed);
+  }
 }
 
 TEST(ShadowServing, ShadowWorkStaysOutOfThePrimarySink) {
