@@ -21,8 +21,9 @@ void chain_group_avx512(const FusedMacKernel& kernel, const uint32_t* a,
 namespace {
 
 /// Multiplier formats up to this encoding width get a product table
-/// (width 9 -> 2^16 magnitude pairs -> 512 KiB; the paper's FP8 formats
-/// are width 8 -> 128 KiB, comfortably L2-resident).
+/// (width 9 -> 2^16 magnitude pairs -> 512 KiB of addends plus 256 KiB of
+/// 32-bit words; the paper's FP8 formats are width 8 -> 128 + 64 KiB,
+/// comfortably L2-resident).
 constexpr int kMaxTableWidth = 9;
 
 struct TableKey {
@@ -32,8 +33,29 @@ struct TableKey {
 };
 
 std::mutex g_table_mutex;
-std::vector<std::pair<TableKey, std::shared_ptr<const std::vector<MacAddend>>>>
-    g_tables;
+std::vector<std::pair<TableKey, std::shared_ptr<const ProductTable>>> g_tables;
+
+/// ProductTable::words from the decoded addends of an acc_fmt with
+/// precision p; empty when a finite addend's exponent does not fit.
+std::vector<uint32_t> pack_words(const std::vector<MacAddend>& addends,
+                                 int p) {
+  if (p > 29) return {};  // no eager r >= 3 has p + r <= 32
+  const int exp_bits = 31 - p;
+  const int lo = -(1 << (exp_bits - 1)), hi = (1 << (exp_bits - 1)) - 1;
+  std::vector<uint32_t> words(addends.size());
+  for (size_t i = 0; i < addends.size(); ++i) {
+    const MacAddend& e = addends[i];
+    const auto cls = static_cast<FpClass>(e.cls);
+    if (cls == FpClass::kZero) continue;
+    if (cls == FpClass::kInf || cls == FpClass::kNaN) {
+      words[i] = 1u << p;
+      continue;
+    }
+    if (e.exp < lo || e.exp > hi) return {};
+    words[i] = (static_cast<uint32_t>(e.exp) << (p + 1)) | e.sig;
+  }
+  return words;
+}
 
 }  // namespace
 
@@ -64,18 +86,19 @@ FusedMacKernel::FusedMacKernel(const MacConfig& cfg)
     if (!table_) {
       // Build outside the lock (idempotent: a racing builder produces an
       // identical table and the registry just keeps whichever lands first).
-      const size_t n = size_t{1} << (2 * mag_bits_);
-      auto tab = std::make_shared<std::vector<MacAddend>>(n);
+      auto tab = std::make_shared<ProductTable>();
+      tab->addends.resize(size_t{1} << (2 * mag_bits_));
       for (uint32_t ma = 0; ma <= mag_mask_; ++ma) {
         for (uint32_t mb = 0; mb <= mag_mask_; ++mb) {
           const Unpacked u = addend_slow(ma, mb);
-          MacAddend& e = (*tab)[(size_t{ma} << mag_bits_) | mb];
+          MacAddend& e = tab->addends[(size_t{ma} << mag_bits_) | mb];
           e.sig = static_cast<uint32_t>(u.sig);
           e.exp = static_cast<int16_t>(u.exp);
           e.cls = static_cast<uint8_t>(u.cls);
           e.sign_sensitive = u.cls == FpClass::kNaN ? 0 : 1;
         }
       }
+      tab->words = pack_words(tab->addends, cfg_.acc_fmt.precision());
       std::lock_guard<std::mutex> lk(g_table_mutex);
       bool found = false;
       for (const auto& [k, existing] : g_tables) {
@@ -92,12 +115,16 @@ FusedMacKernel::FusedMacKernel(const MacConfig& cfg)
     }
   }
 
-  // Every adder kind has a 16-lane vector chain (eager-SR with its fused
-  // rounding; lazy-SR and RN through the shared late-rounding chain), gated
-  // only on the product table (FP8-class multiplier formats) and cpuid.
-  // Wide multiplier formats and non-AVX-512 hosts run the scalar lockstep
-  // groups.
-  use_avx512_ = table_ != nullptr && mac_kernel_avx512_supported();
+  // Every adder kind has a 16-lane vector chain, gated on the product table
+  // (FP8-class multiplier formats) and cpuid. Eager SR's chain runs in
+  // 32-bit lanes, so it also needs every intermediate of add_eager_sr_core
+  // to fit one: the widest is the aligned operand y << r, p + r bits (the
+  // sum takes p + 2, the sticky-round partial sum r, the LFSR max(r, 4)),
+  // and the addends must pack into the table's words. Everything else runs
+  // the scalar lockstep groups.
+  use_avx512_ = table_ != nullptr && mac_kernel_avx512_supported() &&
+                (cfg_.adder != AdderKind::kEagerSR ||
+                 (params_.p + params_.r <= 32 && !table_->words.empty()));
   group_width_ = use_avx512_ ? 16 : kLanes;
 }
 
@@ -112,7 +139,7 @@ Unpacked FusedMacKernel::addend_slow(uint32_t a, uint32_t b) const {
 
 Unpacked FusedMacKernel::addend_from_table(uint32_t a, uint32_t b) const {
   const MacAddend& e =
-      (*table_)[(size_t{a & mag_mask_} << mag_bits_) | (b & mag_mask_)];
+      table_->addends[(size_t{a & mag_mask_} << mag_bits_) | (b & mag_mask_)];
   Unpacked u;
   u.sig = e.sig;
   u.exp = e.exp;
@@ -159,7 +186,7 @@ void FusedMacKernel::chain_group_impl(const uint32_t* a, const uint32_t* b_ilv,
   // Named lane state (not an array): GCC's scalar replacement runs before
   // loop unrolling, so an indexed array would pin every accumulator to the
   // stack; named locals keep the four chains in registers.
-  const MacAddend* tab = kTable ? table_->data() : nullptr;
+  const MacAddend* tab = kTable ? table_->addends.data() : nullptr;
   const int mag_bits = mag_bits_;
   const uint32_t mag_mask = mag_mask_;
   const uint32_t smask = mul_sign_mask_;

@@ -39,6 +39,20 @@ struct MacAddend {
   uint8_t sign_sensitive = 0; ///< 0 only for NaN (canonical sign false)
 };
 
+/// The product table of one (mul_fmt, acc_fmt, subnormals) triple, indexed
+/// (|a| << mag_bits) | |b| by the operands' magnitude fields.
+struct ProductTable {
+  /// The decoded addends: the scalar paths and the late-rounding vector
+  /// chain read these.
+  std::vector<MacAddend> addends;
+  /// The same addends as one 32-bit word each, for the eager chain's 32-bit
+  /// lanes (p = acc_fmt precision): the significand in bits [0, p), a
+  /// non-finite flag at bit p, and the exponent in two's complement in bits
+  /// [p + 1, 32). Zeros are 0 and NaN/Inf the flag alone. Empty when some
+  /// finite addend's exponent does not fit 31 - p bits.
+  std::vector<uint32_t> words;
+};
+
 class FusedMacKernel {
  public:
   /// `cfg` is normalized by the constructor; the table (when the multiplier
@@ -71,14 +85,19 @@ class FusedMacKernel {
   /// independent output elements fills the pipeline between those chains.
   static constexpr int kLanes = 4;
 
-  /// Output elements processed together by chain_group: 4 on the scalar
-  /// path, 16 (two 8-wide zmm register groups) when one of the AVX-512
-  /// kernels is active — every AdderKind has a vector chain (eager-SR,
-  /// lazy-SR, RN), gated only on the product table and cpuid. The GEMM
-  /// packs B panels group-interleaved at this width.
+  /// Output elements processed together by chain_group: 16 when an
+  /// AVX-512 chain runs, 4 on the scalar lockstep path. The GEMM packs B
+  /// panels group-interleaved at this width. Every vector chain needs the
+  /// product table and cpuid; lazy SR and RN run sixteen 64-bit lanes (two
+  /// zmm groups of eight), and eager SR runs sixteen 32-bit lanes in one
+  /// zmm, so it also needs every intermediate to fit a 32-bit lane: the
+  /// aligned operand y << r is the widest at p + r bits (p = acc_fmt
+  /// precision), and every table addend must pack into
+  /// ProductTable::words. Eager configs with p + r > 32 run the scalar
+  /// groups.
   int group_width() const { return group_width_; }
 
-  /// The largest group_width() on any host.
+  /// The largest group_width() on any host (both vector chains).
   static constexpr int kMaxGroupWidth = 16;
 
   /// Runs group_width() independent chains over a shared A stream, from
@@ -129,7 +148,7 @@ class FusedMacKernel {
   FpQuantizer acc_quant_;  ///< RN float -> acc_fmt, for accumulate entry
   FpFormat prod_fmt_;
   bool direct_ = false;  ///< product bits feed the adder without conversion
-  std::shared_ptr<const std::vector<MacAddend>> table_;
+  std::shared_ptr<const ProductTable> table_;
   int mag_bits_ = 0;       ///< magnitude field width of mul_fmt
   uint32_t mag_mask_ = 0;
   uint32_t mul_sign_mask_ = 0;

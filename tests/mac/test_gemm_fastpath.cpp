@@ -207,7 +207,10 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
   // must not be written. Operands are raw random
   // encodings of the multiplier format, so NaN/Inf/zero/subnormal lanes,
   // parking, and replay all trigger; r sweeps the 1..32 edge widths
-  // (normalized() clamps below each adder's minimum).
+  // (normalized() clamps below each adder's minimum), the benchmark's r = 9
+  // and the paper's r = 13, and the eager chain's 32-bit-lane bound for the
+  // accumulator's precision p: the largest r it admits (32 - p, the vector
+  // chain on AVX-512 hosts) and the next one up (the scalar groups).
   Xoshiro256 rng(0xF0522);
   const FpFormat accs[] = {kFp12, kFp16, FpFormat{4, 8}, FpFormat{7, 3},
                            FpFormat{8, 14}};
@@ -223,7 +226,8 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
     for (const FpFormat& acc : accs) {
       for (const FpFormat& mul : {kFp8E5M2, kFp8E4M3}) {
         for (bool sub : {true, false}) {
-          for (int r : {1, 2, 3, 4, 31, 32}) {
+          const int p = acc.precision();
+          for (int r : {1, 2, 3, 4, 9, 13, 32 - p, 33 - p, 31, 32}) {
             const MacConfig cfg = make_cfg(kind, r, sub, acc, mul).normalized();
             const FusedMacKernel kernel(cfg);
             const FpQuantizer q(cfg.acc_fmt);
@@ -292,6 +296,33 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
         }
       }
     }
+  }
+}
+
+TEST(GemmFastpath, EagerScenariosRunTheVectorChain) {
+  // Every eager scenario the repo runs fits the eager chain's 32-bit lanes
+  // (p + r <= 32), so on an AVX-512 host each must report the vector width:
+  // a gate that sent one to the scalar groups would pass every parity test
+  // and show only as a slower benchmark. E6M5 at r = 31 is past the bound.
+  // The lazy-SR kernel of the same formats reporting the scalar width means
+  // the host has no AVX-512 chains at all.
+  const struct {
+    const char* scenario;
+    int width;
+  } cases[] = {{"eager_sr:e5m2/e6m5:r=3", 16},  {"eager_sr:e5m2/e6m5:r=6", 16},
+               {"eager_sr:e5m2/e6m5:r=9", 16},  {"eager_sr:e5m2/e6m5:r=13", 16},
+               {"eager_sr:e4m3/e6m5:r=4", 16},  {"eager_sr:e4m3/e6m5:r=9", 16},
+               {"eager_sr:e5m2/e5m4:r=8", 16},  {"eager_sr:e4m3/e7m8:r=17", 16},
+               {"eager_sr:e5m2/e6m5:r=31", FusedMacKernel::kLanes}};
+  for (const auto& cs : cases) {
+    std::string error;
+    const auto cfg = MacConfig::parse(cs.scenario, &error);
+    ASSERT_TRUE(cfg.has_value()) << cs.scenario << ": " << error;
+    MacConfig lazy = *cfg;
+    lazy.adder = AdderKind::kLazySR;
+    if (FusedMacKernel(lazy).group_width() == FusedMacKernel::kLanes)
+      GTEST_SKIP() << "no AVX-512 chains on this host";
+    EXPECT_EQ(FusedMacKernel(*cfg).group_width(), cs.width) << cs.scenario;
   }
 }
 
