@@ -21,8 +21,8 @@ namespace srmac {
 ///     - carry out  (paper case (a), "no normalization"): a 2-bit addition
 ///       of {G, L} and the two remaining random MSBs {R1, R2} yields the
 ///       rounding carry; the outcome is *bit-identical* to the lazy design
-///       under the same random word (tested exhaustively), by carry-save
-///       associativity with the S'1 injection.
+///       under the same random word (tested exhaustively on E4M3 at r = 6),
+///       by carry-save associativity with the S'1 injection.
 ///     - no carry  (paper case (b), the window's 1-bit left shift): the
 ///       random LSBs were consumed one position high, so only R1 joins the
 ///       correction (at the guard bit, which already absorbed S'1). R2 is
@@ -35,8 +35,12 @@ namespace srmac {
 /// S'1/S'2 roles between its cases; in this reconstruction S'1 rides the
 /// main adder's carry-in, which places the Sticky-Round result at the
 /// correct weight in every normalization outcome, so S'2 is carried in the
-/// datapath but never gates the correction. Both wirings realize the same
-/// r-bit-quantized SR distribution (validated by the Sec. III-B harness).
+/// datapath but never gates the correction. Whether the two wirings give
+/// the same distribution is not tested. What the tests pin for this one:
+/// bit-identity with lazy on carry-out traces (case (a) above); elsewhere
+/// each result is one of the two neighbours of the exact sum, and its
+/// round-up probability is within 2^-(r-2) plus sampling error of lazy's
+/// f_r / 2^r (the Sec. III-B harness, adder_eager_sr_test.cpp).
 /// The close path (|d| <= 1) has no shifted-out field, so the Sticky Round
 /// stage is bypassed; deep cancellations are exact and never round.
 ///
@@ -53,7 +57,11 @@ namespace srmac {
 ///    3 <= r <= 32, split per the eager scheme: the r-2 LSBs enter at the
 ///    Sticky Round stage (alignment time), the two MSBs at Round
 ///    Correction; higher word bits are ignored. Under the same word the
-///    result is bit-identical to add_lazy_sr (tested exhaustively).
+///    result is bit-identical to add_lazy_sr on effective-addition
+///    carry-out traces (tested exhaustively on E4M3 at r = 6) and on
+///    subnormal results (which take the lazy path); on other traces the two
+///    may round differently, and only their round-up probabilities are
+///    tested to agree, within 2^-(r-2) plus sampling error.
 ///  * Trace — as in add_rn; `round_up` reports the Round Correction carry,
 ///    and the subnormal fallback re-fills the trace on the lazy path.
 uint32_t add_eager_sr(const FpFormat& fmt, uint32_t a, uint32_t b, int r,

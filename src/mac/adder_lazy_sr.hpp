@@ -25,8 +25,10 @@ namespace srmac {
 ///    1 <= r <= 32, all of them at the single post-normalization rounding
 ///    cut; higher bits are ignored. Exposing the word (rather than a
 ///    RandomSource) lets the validation harness drive lazy and eager with
-///    the same randomness — under an identical word the two designs are
-///    bit-identical (the paper's equivalence claim).
+///    the same randomness: under an identical word the two designs are
+///    bit-identical on effective-addition carry-out traces (the paper's
+///    case (a)), and elsewhere their round-up probabilities are tested to
+///    agree within 2^-(r-2) plus sampling error (see add_eager_sr).
 ///  * Trace — as in add_rn; `f_r` holds the r-bit field the random word was
 ///    added to, `round_up` whether that addition carried.
 uint32_t add_lazy_sr(const FpFormat& fmt, uint32_t a, uint32_t b, int r,

@@ -39,7 +39,10 @@ std::vector<std::pair<TableKey, std::shared_ptr<const ProductTable>>> g_tables;
 /// precision p; empty when a finite addend's exponent does not fit.
 std::vector<uint32_t> pack_words(const std::vector<MacAddend>& addends,
                                  int p) {
-  if (p > 29) return {};  // no eager r >= 3 has p + r <= 32
+  // No vector chain admits p > 29: RN's sum takes p + 3 bits and eager's
+  // p + r with r >= 3; only lazy at r = 1, p = 30 would fit and runs the
+  // scalar groups instead.
+  if (p > 29) return {};
   const int exp_bits = 31 - p;
   const int lo = -(1 << (exp_bits - 1)), hi = (1 << (exp_bits - 1)) - 1;
   std::vector<uint32_t> words(addends.size());
@@ -115,16 +118,20 @@ FusedMacKernel::FusedMacKernel(const MacConfig& cfg)
     }
   }
 
-  // Every adder kind has a 16-lane vector chain, gated on the product table
-  // (FP8-class multiplier formats) and cpuid. Eager SR's chain runs in
-  // 32-bit lanes, so it also needs every intermediate of add_eager_sr_core
-  // to fit one: the widest is the aligned operand y << r, p + r bits (the
-  // sum takes p + 2, the sticky-round partial sum r, the LFSR max(r, 4)),
-  // and the addends must pack into the table's words. Everything else runs
-  // the scalar lockstep groups.
-  use_avx512_ = table_ != nullptr && mac_kernel_avx512_supported() &&
-                (cfg_.adder != AdderKind::kEagerSR ||
-                 (params_.p + params_.r <= 32 && !table_->words.empty()));
+  // The 16-lane vector chain runs in 32-bit lanes, gated on the product
+  // table's words (FP8-class multiplier formats whose addends pack), cpuid,
+  // and every intermediate of the adder fitting a lane. Eager SR's widest is
+  // the aligned operand y << r, p + r bits (the sum takes p + 2, the
+  // sticky-round partial sum r). Lazy SR's sum S = (x << r) +- B takes
+  // p + r + 1 bits on a carry-out. RN's takes p + 3, which the words'
+  // p <= 29 already bounds. The LFSR takes max(r, 4) <= 32. Everything else
+  // runs the scalar lockstep groups.
+  const int p = params_.p, r = params_.r;
+  const bool fits = cfg_.adder == AdderKind::kEagerSR  ? p + r <= 32
+                    : cfg_.adder == AdderKind::kLazySR ? p + r <= 31
+                                                       : true;
+  use_avx512_ = table_ != nullptr && !table_->words.empty() && fits &&
+                mac_kernel_avx512_supported();
   group_width_ = use_avx512_ ? 16 : kLanes;
 }
 

@@ -42,14 +42,14 @@ struct MacAddend {
 /// The product table of one (mul_fmt, acc_fmt, subnormals) triple, indexed
 /// (|a| << mag_bits) | |b| by the operands' magnitude fields.
 struct ProductTable {
-  /// The decoded addends: the scalar paths and the late-rounding vector
-  /// chain read these.
+  /// The decoded addends: the scalar lockstep groups, chain() and the
+  /// vector chain's scalar replays read these.
   std::vector<MacAddend> addends;
-  /// The same addends as one 32-bit word each, for the eager chain's 32-bit
-  /// lanes (p = acc_fmt precision): the significand in bits [0, p), a
+  /// The same addends as one 32-bit word each, for the vector chain's
+  /// 32-bit lanes (p = acc_fmt precision): the significand in bits [0, p), a
   /// non-finite flag at bit p, and the exponent in two's complement in bits
-  /// [p + 1, 32). Zeros are 0 and NaN/Inf the flag alone. Empty when some
-  /// finite addend's exponent does not fit 31 - p bits.
+  /// [p + 1, 32). Zeros are 0 and NaN/Inf the flag alone. Empty when p > 29
+  /// or some finite addend's exponent does not fit 31 - p bits.
   std::vector<uint32_t> words;
 };
 
@@ -85,19 +85,18 @@ class FusedMacKernel {
   /// independent output elements fills the pipeline between those chains.
   static constexpr int kLanes = 4;
 
-  /// Output elements processed together by chain_group: 16 when an
+  /// Output elements processed together by chain_group: 16 when the
   /// AVX-512 chain runs, 4 on the scalar lockstep path. The GEMM packs B
-  /// panels group-interleaved at this width. Every vector chain needs the
-  /// product table and cpuid; lazy SR and RN run sixteen 64-bit lanes (two
-  /// zmm groups of eight), and eager SR runs sixteen 32-bit lanes in one
-  /// zmm, so it also needs every intermediate to fit a 32-bit lane: the
-  /// aligned operand y << r is the widest at p + r bits (p = acc_fmt
-  /// precision), and every table addend must pack into
-  /// ProductTable::words. Eager configs with p + r > 32 run the scalar
-  /// groups.
+  /// panels group-interleaved at this width. The vector chain holds sixteen
+  /// 32-bit lanes in one zmm, so it needs cpuid, a product table whose
+  /// addends pack into ProductTable::words (p <= 29, p = acc_fmt
+  /// precision), and every intermediate of the adder within a lane: eager SR
+  /// needs p + r <= 32 (the aligned operand y << r), lazy SR p + r <= 31 (its
+  /// sum's carry-out), and RN p + 3 <= 32, which the words already imply.
+  /// Configs past their adder's bound run the scalar groups.
   int group_width() const { return group_width_; }
 
-  /// The largest group_width() on any host (both vector chains).
+  /// The largest group_width() on any host (the vector chain's).
   static constexpr int kMaxGroupWidth = 16;
 
   /// Runs group_width() independent chains over a shared A stream, from
@@ -134,7 +133,7 @@ class FusedMacKernel {
   Unpacked addend_slow(uint32_t a, uint32_t b) const;
   Unpacked addend_from_table(uint32_t a, uint32_t b) const;
 
-  /// The AVX-512 chains (mac_kernel_avx512.cpp), one per AdderKind.
+  /// The AVX-512 chain (mac_kernel_avx512.cpp), instantiated per AdderKind.
   friend void chain_group_avx512(const FusedMacKernel& kernel,
                                  const uint32_t* a, const uint32_t* b_ilv,
                                  int n, uint64_t* lfsr, float* c, int valid,

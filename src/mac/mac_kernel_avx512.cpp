@@ -1,32 +1,32 @@
-// AVX-512 implementations of the fused accumulation chains, one per
-// AdderKind: the eager-SR chain (rounding fused into the add) and the
-// late-rounding chain shared by lazy-SR and RN (full-width alignment
-// window, normalize, then one rounding decision at the cut).
+// AVX-512 implementation of the fused accumulation chain: one function
+// template, instantiated per AdderKind. Eager SR fuses its rounding into
+// the add; lazy SR and RN align into a K-bit window below the kept p bits,
+// add once, normalize, then make one rounding decision at the cut.
 //
-// Sixteen independent output chains run in lockstep. The eager chain holds
-// them as the sixteen 32-bit lanes of one zmm per field (sig, exp, sign,
-// LFSR state) and gathers its sixteen addends at once from the product
-// table's 32-bit words; FusedMacKernel admits it only for configs whose
-// every intermediate fits a 32-bit lane (p + r <= 32, see group_width()).
-// The late chain runs two groups of eight 64-bit lanes, interleaved so each
-// group's serial add latency hides behind the other's work. Each vector
-// step is a lane-parallel transcription of the corresponding adder core's
-// hot path. Zeros stay in the vector, under
-// prepare_add_u's rules: a zero accumulator is an ordinary lane with sig = 0
-// and its sign; a zero addend (ReLU outputs, im2col padding) leaves the
-// accumulator unchanged (x + 0 is exact), a zero accumulator takes a finite
-// addend exactly (0 + d = d), zero + zero keeps a negative sign only when
-// both are negative, and exact cancellation gives +0. Every other rare event
-// — a non-finite addend, a subnormal (emin) cut, overflow past emax —
-// raises a lane mask and is replayed through the *scalar* core for exactly
-// those lanes, so the vector paths are bit-identical to the scalar engine
-// by construction (and are covered by the same bit-exactness suite).
+// Sixteen independent output chains run in lockstep as the sixteen 32-bit
+// lanes of one zmm per field (sig, exp, sign, LFSR state), and each step
+// gathers its sixteen addends at once from the product table's 32-bit
+// words. FusedMacKernel admits a config only when every intermediate of its
+// adder fits a 32-bit lane (see group_width()). Each vector step is a
+// lane-parallel transcription of the adder core's hot path, and only the
+// align/add/round block differs between the kinds. Zeros stay in the
+// vector, under prepare_add_u's rules: a zero accumulator is an ordinary
+// lane with sig = 0 and its sign; a zero addend (ReLU outputs, im2col
+// padding) leaves the accumulator unchanged (x + 0 is exact), a zero
+// accumulator takes a finite addend exactly (0 + d = d), zero + zero keeps a
+// negative sign only when both are negative, and exact cancellation gives
+// +0. Every other rare event — a non-finite addend, a subnormal (emin) cut,
+// overflow past emax — raises a lane mask and is replayed through the
+// *scalar* core for exactly those lanes, so the vector chain is
+// bit-identical to the scalar engine by construction (and is covered by the
+// same bit-exactness suite).
 //
-// The sixteen lanes' Galois LFSRs live in registers and step once per
-// accumulation in-register, s = (s >> 1) ^ (taps & -(s & 1)), the random
-// word being the low r bits; a replayed lane takes its word from the same
-// step. The caller's lane states are written back at the end, so a chain
-// continues across calls.
+// For the SR adders the sixteen lanes' Galois LFSRs live in registers and
+// step once per accumulation in-register, s = (s >> 1) ^ (taps & -(s & 1)),
+// the random word being the low r bits; a replayed lane takes its word from
+// the same step. The caller's lane states are written back at the end, so a
+// chain continues across calls. RN draws no words and leaves them as they
+// are.
 //
 // Only NaN/Inf accumulators are "parked": held as decoded Unpacked values at
 // the side. Both are absorbing under a finite or zero addend, so a parked
@@ -78,14 +78,12 @@ __attribute__((target("avx512f,avx512cd"))) void quantize_avx512(
 
 namespace {
 
-/// A register group's lane fields spilled for a scalar replay; T is the
-/// lane width (int32_t for the eager chain, int64_t for the late chain).
-template <typename T>
+/// The register group's lane fields spilled for a scalar replay.
 struct alignas(64) LaneArrays {
-  T sig[16];
-  T exp[16];
-  T sign[16];  ///< nonzero for a negative lane
-  T rand[16];  ///< this step's random words, for scalar replays
+  int32_t sig[16];
+  int32_t exp[16];
+  int32_t sign[16];  ///< -1 for a negative lane, else 0
+  int32_t rand[16];  ///< this step's random words, for scalar replays
 };
 
 /// Lanes [0, valid) of a 16-lane group.
@@ -95,13 +93,11 @@ inline __mmask16 valid_mask(int valid) {
 
 /// The decoded accumulator of unparked lane l from its spilled vector
 /// fields (sig = 0 is a signed zero), in decode()'s canonical form.
-template <typename T>
-inline Unpacked lane_value(const AddParams& ap, const LaneArrays<T>& la,
-                           int l) {
+inline Unpacked lane_value(const AddParams& ap, const LaneArrays& la, int l) {
   if (la.sig[l] == 0) return unpacked_zero(ap.fmt, la.sign[l] != 0);
   Unpacked u;
   u.sig = static_cast<uint64_t>(la.sig[l]);
-  u.exp = static_cast<int>(la.exp[l]);
+  u.exp = la.exp[l];
   u.sign = la.sign[l] != 0;
   u.sig_bits = ap.p;
   u.cls = u.exp >= ap.emin ? FpClass::kNormal : FpClass::kSubnormal;
@@ -109,16 +105,14 @@ inline Unpacked lane_value(const AddParams& ap, const LaneArrays<T>& la,
 }
 
 /// Writes a scalar replay's result back into lane l: finite values and
-/// zeros return to the vector fields (a negative sign as `neg`, the chain's
-/// sign encoding), NaN/Inf park in `spare`.
-template <typename T>
-inline void set_lane(LaneArrays<T>& la, Unpacked* spare, uint32_t& parked,
-                     int l, const Unpacked& res, T neg) {
+/// zeros return to the vector fields, NaN/Inf park in `spare`.
+inline void set_lane(LaneArrays& la, Unpacked* spare, uint32_t& parked, int l,
+                     const Unpacked& res) {
   const bool finite =
       res.cls != FpClass::kNaN && res.cls != FpClass::kInf;
-  la.sig[l] = finite ? static_cast<T>(res.sig) : 0;
+  la.sig[l] = finite ? static_cast<int32_t>(res.sig) : 0;
   la.exp[l] = res.exp;
-  la.sign[l] = res.sign ? neg : 0;
+  la.sign[l] = res.sign ? -1 : 0;
   if (finite) {
     parked &= ~(1u << l);
   } else {
@@ -128,7 +122,7 @@ inline void set_lane(LaneArrays<T>& la, Unpacked* spare, uint32_t& parked,
 }
 
 /// Group entry (the chain_group contract): the 16 lanes' starting
-/// accumulators as 32-bit lanes, sign 0 or 1. With `accumulate` the valid
+/// accumulators as 32-bit lanes, sign 0 or -1. With `accumulate` the valid
 /// lanes' floats are quantized RN into acc_fmt (FpQuantizer's body,
 /// vectorized here) and decoded lane-parallel exactly as decode() does;
 /// NaN/Inf lanes park with their decoded value in `spare`. Everything else
@@ -154,7 +148,9 @@ entry_lanes(const FpQuantizer& q, const FpFormat& fmt, const float* c,
       _mm512_srl_epi32(bits, _mm_cvtsi32_si128(man)), vexpmax);
   const __m512i m = _mm512_and_si512(
       bits, _mm512_set1_epi32(static_cast<int>(fmt.man_mask())));
-  sgn = _mm512_srl_epi32(bits, _mm_cvtsi32_si128(fmt.exp_bits + man));
+  sgn = _mm512_sub_epi32(
+      _mm512_setzero_si512(),
+      _mm512_srl_epi32(bits, _mm_cvtsi32_si128(fmt.exp_bits + man)));
   const __mmask16 special = _mm512_cmpeq_epi32_mask(e, vexpmax);
   // The significand with its implicit bit; a zero exponent field keeps the
   // bare mantissa (a subnormal, or zero when the format flushes them), and
@@ -178,29 +174,10 @@ entry_lanes(const FpQuantizer& q, const FpFormat& fmt, const float* c,
   return parked;
 }
 
-/// entry_lanes widened into the late chain's two 8-lane 64-bit groups.
-__attribute__((target("avx512f,avx512cd"), always_inline)) inline uint32_t
-group_entry(const FpQuantizer& q, const FpFormat& fmt, const float* c,
-            int valid, bool accumulate, __m512i* gsig, __m512i* gexp,
-            __m512i* gsign, Unpacked* spare) {
-  __m512i sig, ex, sgn;
-  const uint32_t parked =
-      entry_lanes(q, fmt, c, valid, accumulate, sig, ex, sgn, spare);
-  gsig[0] = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(sig));
-  gsig[1] = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(sig, 1));
-  gexp[0] = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(ex));
-  gexp[1] = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(ex, 1));
-  gsign[0] = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(sgn));
-  gsign[1] = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(sgn, 1));
-  return parked;
-}
-
-/// Group exit (the chain_group contract): the valid lanes' results from
-/// 32-bit lanes (a negative lane's sign is 1 or -1: bit 0 set) as floats,
-/// built
-/// lane-parallel as unpacked_to_float builds them and stored under the
-/// valid-lane mask. Parked lanes and finite results below binary32's
-/// normal range (exp < -126) take the scalar unpacked_to_float.
+/// Group exit (the chain_group contract): the valid lanes' results as
+/// floats, built lane-parallel as unpacked_to_float builds them and stored
+/// under the valid-lane mask. Parked lanes and finite results below
+/// binary32's normal range (exp < -126) take the scalar unpacked_to_float.
 __attribute__((target("avx512f,avx512cd"), always_inline)) inline void
 exit_lanes(const AddParams& ap, __m512i sig, __m512i ex, __m512i sgn,
            uint32_t parked, const Unpacked* spare, float* c, int valid) {
@@ -217,7 +194,7 @@ exit_lanes(const AddParams& ap, __m512i sig, __m512i ex, __m512i sgn,
   _mm512_mask_storeu_epi32(c, vm,
                            _mm512_or_si512(mag, _mm512_slli_epi32(sgn, 31)));
   if (slow != 0) [[unlikely]] {
-    LaneArrays<int32_t> la;
+    LaneArrays la;
     _mm512_store_si512(la.sig, sig);
     _mm512_store_si512(la.exp, ex);
     _mm512_store_si512(la.sign, sgn);
@@ -229,30 +206,25 @@ exit_lanes(const AddParams& ap, __m512i sig, __m512i ex, __m512i sgn,
   }
 }
 
-/// Sixteen 64-bit lanes (two 8-lane groups) truncated to 32-bit lanes.
-__attribute__((target("avx512f,avx512cd"), always_inline)) inline __m512i
-narrow_lanes(const __m512i* g) {
-  return _mm512_inserti64x4(
-      _mm512_castsi256_si512(_mm512_cvtepi64_epi32(g[0])),
-      _mm512_cvtepi64_epi32(g[1]), 1);
+/// The scalar core of adder kKind: the replay of one flagged lane. (Written
+/// as an if-constexpr chain inside the replay loop instead, it made GCC 12
+/// schedule the eager inner loop with three more instructions.)
+template <AdderKind kKind>
+inline Unpacked add_core(const AddParams& ap, const Unpacked& acc,
+                         const Unpacked& ad, uint32_t rand_word) {
+  if constexpr (kKind == AdderKind::kEagerSR)
+    return add_eager_sr_core(ap, acc, ad, rand_word, nullptr);
+  else if constexpr (kKind == AdderKind::kLazySR)
+    return add_lazy_sr_core(ap, acc, ad, rand_word, nullptr);
+  else
+    return add_rn_core(ap, acc, ad, nullptr);
 }
 
-/// exit_lanes from the late chain's two 8-lane 64-bit groups (every field
-/// fits 32 bits: sig has p <= 24 bits, sign is 0 or 1).
-__attribute__((target("avx512f,avx512cd"), always_inline)) inline void
-group_exit(const AddParams& ap, const __m512i* gsig, const __m512i* gexp,
-           const __m512i* gsign, uint32_t parked, const Unpacked* spare,
-           float* c, int valid) {
-  exit_lanes(ap, narrow_lanes(gsig), narrow_lanes(gexp), narrow_lanes(gsign),
-             parked, spare, c, valid);
-}
-
-/// The kernel's private constants the vector chains read, extracted by
+/// The kernel's private constants the vector chain reads, extracted by
 /// chain_group_avx512 at the bottom of this file.
 struct ChainConsts {
   AddParams ap;            ///< precomputed (acc_fmt, r) adder constants
   const FpQuantizer* q;    ///< RN float -> acc_fmt, for accumulate entry
-  const MacAddend* tab;    ///< the product table's decoded addends
   const uint32_t* words;   ///< the product table's 32-bit words
   uint32_t mag_mask;       ///< magnitude field mask of mul_fmt
   int mag_bits;            ///< magnitude field width of mul_fmt
@@ -267,57 +239,75 @@ bcast32(uint64_t v) {
 }
 
 // ---------------------------------------------------------------------------
-// Eager-SR chain, the vector transcription of add_eager_sr_core in the
-// sixteen 32-bit lanes of one zmm. FusedMacKernel runs it only when every
-// intermediate fits a lane: the aligned operand y << r takes p + r <= 32
-// bits, the main sum p + 2, the sticky-round partial sum r, the LFSR
-// max(r, 4). Sign lanes are 0 or -1, so the effective-subtraction mask is
-// their XOR. The two-arm normalization and its mask, written as selects in
-// the core, are folded where the shifts already produce the arm's value:
-// a variable shift by a count that is negative as int32 gives 0.
-__attribute__((target("avx512f,avx512cd"))) void chain_eager(
+// The chain of adder kKind in the sixteen 32-bit lanes of one zmm. Sign
+// lanes are 0 or -1, so the effective-subtraction mask is their XOR, and a
+// variable shift by a count that is negative as int32 gives 0, which folds
+// the cores' two-arm normalizations into ORs of the two shifts.
+//
+// Eager SR transcribes add_eager_sr_core: the aligned operand y << r takes
+// p + r <= 32 bits, the main sum p + 2, the sticky-round partial sum r.
+// Lazy SR and RN transcribe add_lazy_sr_core / add_rn_core with the window
+// K = r (lazy) or K = 2 plus a sticky OR (RN): the sum S = (x << K) +- B
+// takes p + K + 1 bits on a carry-out, so lazy needs p + r <= 31 and RN
+// p + 3 <= 32. FusedMacKernel's gate enforces these bounds.
+template <AdderKind kKind>
+__attribute__((target("avx512f,avx512cd"))) void chain(
     const FusedMacKernel& kernel, const ChainConsts& kc, const uint32_t* a,
     const uint32_t* b_ilv, int n, uint64_t* lfsr, float* c, int valid,
     bool accumulate) {
   constexpr int G = 16;
+  constexpr bool kEager = kKind == AdderKind::kEagerSR;
+  constexpr bool kRn = kKind == AdderKind::kRoundNearest;
   const AddParams ap = kc.ap;
   const uint32_t* tab = kc.words;
   const int p = ap.p;
   const int r = ap.r;
+  const int K = kRn ? 2 : r;  // late rounding's window below the kept p
 
   // Broadcast constants.
   const __m512i vzero = _mm512_setzero_si512();
   const __m512i vone = _mm512_set1_epi32(1);
   const __m512i vallones = _mm512_set1_epi32(-1);
-  const __m512i v31mp = _mm512_set1_epi32(31 - p);
-  const __m512i vrp32 = _mm512_set1_epi32(r + p - 32);
   const __m512i vemin = _mm512_set1_epi32(ap.emin);
   const __m512i vemax = _mm512_set1_epi32(ap.fmt.emax());
   const __m512i vmask_p = bcast32(ap.mask_p);
   const __m512i vmask_p1 = bcast32(ap.mask_p1);
   const __m512i vmask_r = bcast32(ap.mask_r);
-  const __m512i vmask_rm1 = bcast32(ap.mask_rm1);
-  const __m512i vmask_rm2 = bcast32(ap.mask_rm2);
   const __m512i vnonfinite = bcast32(1ull << p);
   const __m512i vmagmask = bcast32(kc.mag_mask);
   const __m512i vtaps = bcast32(kc.taps);
   const __m128i cnt_r = _mm_cvtsi32_si128(r);
-  const __m128i cnt_r1 = _mm_cvtsi32_si128(r - 1);
   const __m128i cnt_p = _mm_cvtsi32_si128(p);
   const __m128i cnt_p1 = _mm_cvtsi32_si128(p + 1);
   const __m128i cnt_sign = _mm_cvtsi32_si128(31 - kc.w1);
+  // Eager only.
+  [[maybe_unused]] const __m512i v31mp = _mm512_set1_epi32(31 - p);
+  [[maybe_unused]] const __m512i vrp32 = _mm512_set1_epi32(r + p - 32);
+  [[maybe_unused]] const __m512i vmask_rm1 = bcast32(ap.mask_rm1);
+  [[maybe_unused]] const __m512i vmask_rm2 = bcast32(ap.mask_rm2);
+  [[maybe_unused]] const __m128i cnt_r1 = _mm_cvtsi32_si128(r - 1);
+  // Lazy SR and RN only.
+  [[maybe_unused]] const __m512i v32mp = _mm512_set1_epi32(32 - p);
+  [[maybe_unused]] const __m512i v32 = _mm512_set1_epi32(32);
+  [[maybe_unused]] const __m512i vK = _mm512_set1_epi32(K);
+  [[maybe_unused]] const __m512i vmsb = bcast32(0x80000000u);
+  [[maybe_unused]] const __m512i vrest = bcast32(0x7fffffffu);
+  [[maybe_unused]] const __m128i cnt_K = _mm_cvtsi32_si128(K);
+  [[maybe_unused]] const __m128i cnt_32mr = _mm_cvtsi32_si128(32 - r);
 
   // Lane state: the vectors hold every finite accumulator (sig = 0 for a
-  // zero); `spare` holds the decoded value of parked (NaN/Inf) lanes.
-  LaneArrays<int32_t> la;
+  // zero); `spare` holds the decoded value of parked (NaN/Inf) lanes. Each
+  // LFSR state fits a lane (lfsr_width() <= 32).
+  LaneArrays la;
   Unpacked spare[G];
   __m512i gsig, gexp, gsign;
   uint32_t parked = entry_lanes(*kc.q, ap.fmt, c, valid, accumulate, gsig,
                                 gexp, gsign, spare);
-  gsign = _mm512_sub_epi32(vzero, gsign);
-  const __m512i st64[2] = {_mm512_loadu_si512(lfsr),
-                           _mm512_loadu_si512(lfsr + 8)};
-  __m512i gst = narrow_lanes(st64);
+  __m512i gst = vzero;
+  if constexpr (!kRn)
+    gst = _mm512_inserti64x4(
+        _mm512_castsi256_si512(_mm512_cvtepi64_epi32(_mm512_loadu_si512(lfsr))),
+        _mm512_cvtepi64_epi32(_mm512_loadu_si512(lfsr + 8)), 1);
 
   for (int i = 0; i < n; ++i) {
     const uint32_t ai = a[i];
@@ -355,11 +345,14 @@ __attribute__((target("avx512f,avx512cd"))) void chain_eager(
         _mm512_mask_and_epi32(_mm512_mask_mov_epi32(gsign, take, dsign),
                               accz & dzero, gsign, dsign);
 
-    // ---- random word: one in-register LFSR step per lane -----------------
-    const __m512i sh = _mm512_srli_epi32(gst, 1);
-    gst = _mm512_mask_xor_epi32(sh, _mm512_test_epi32_mask(gst, vone), sh,
-                                vtaps);
-    const __m512i R = _mm512_and_si512(gst, vmask_r);
+    // ---- random word: one in-register LFSR step per lane (SR only) -------
+    __m512i R = vzero;
+    if constexpr (!kRn) {
+      const __m512i sh = _mm512_srli_epi32(gst, 1);
+      gst = _mm512_mask_xor_epi32(sh, _mm512_test_epi32_mask(gst, vone), sh,
+                                  vtaps);
+      R = _mm512_and_si512(gst, vmask_r);
+    }
 
     // ---- prepare: magnitude swap, effective op (branch-free) ------------
     const __mmask16 swap =
@@ -373,56 +366,110 @@ __attribute__((target("avx512f,avx512cd"))) void chain_eager(
     const __m512i d = _mm512_abs_epi32(_mm512_sub_epi32(gexp, dexp));
     const __m512i opm = _mm512_xor_si512(gsign, dsign);
 
-    // ---- alignment (srlv gives 0 for d >= 32; for d in [p + r, 32) the
-    // shifted value is 0 by itself, the core's d >= p + r arm) -----------
-    const __m512i yk = _mm512_srlv_epi32(_mm512_sll_epi32(y, cnt_r), d);
-    const __m512i Bhi = _mm512_srl_epi32(yk, cnt_r1);
+    // ---- align, add, round: the rounded sig (p + 1 bits on a carry into
+    // the next binade), its exponent before that carry, and the exact
+    // cancellations (kept = 0: +0, sign cleared below) ---------------------
+    __m512i kept, expz;
+    __mmask16 vzerom;
+    if constexpr (kEager) {
+      // Alignment (srlv gives 0 for d >= 32; for d in [p + r, 32) the
+      // shifted value is 0 by itself, the core's d >= p + r arm).
+      const __m512i yk = _mm512_srlv_epi32(_mm512_sll_epi32(y, cnt_r), d);
+      const __m512i Bhi = _mm512_srl_epi32(yk, cnt_r1);
 
-    // ---- sticky-round stage ----------------------------------------------
-    // Dc = ((yk & mask_rm1) ^ opm) & mask_rm1; u = Dc + 2 Rlow + op stays
-    // below 2^r, so S1 = u >> (r - 1) needs no mask.
-    const __m512i Dc = _mm512_ternarylogic_epi32(yk, opm, vmask_rm1, 0x28);
-    const __m512i u = _mm512_sub_epi32(
-        _mm512_add_epi32(Dc,
-                         _mm512_slli_epi32(_mm512_and_si512(R, vmask_rm2), 1)),
-        opm);
-    const __m512i S1 = _mm512_srl_epi32(u, cnt_r1);
+      // Sticky-round stage: Dc = ((yk & mask_rm1) ^ opm) & mask_rm1;
+      // u = Dc + 2 Rlow + op stays below 2^r, so S1 = u >> (r - 1) needs no
+      // mask.
+      const __m512i Dc = _mm512_ternarylogic_epi32(yk, opm, vmask_rm1, 0x28);
+      const __m512i u = _mm512_sub_epi32(
+          _mm512_add_epi32(
+              Dc, _mm512_slli_epi32(_mm512_and_si512(R, vmask_rm2), 1)),
+          opm);
+      const __m512i S1 = _mm512_srl_epi32(u, cnt_r1);
 
-    // ---- main addition + normalization -----------------------------------
-    const __m512i Bc = _mm512_ternarylogic_epi32(Bhi, opm, vmask_p1, 0x28);
-    const __m512i full = _mm512_add_epi32(
-        _mm512_add_epi32(_mm512_slli_epi32(x, 1), Bc), S1);
-    // v = full & ~(opm << (p + 1)) = full & (mask_p1 | ~opm)
-    const __m512i v = _mm512_ternarylogic_epi32(full, opm, vmask_p1, 0xB0);
-    const __mmask16 vzerom = _mm512_testn_epi32_mask(v, v);
-    const __m512i lz = _mm512_lzcnt_epi32(v);
-    const __m512i s = _mm512_sub_epi32(v31mp, lz);  // msb - p
+      // Main addition + normalization.
+      const __m512i Bc = _mm512_ternarylogic_epi32(Bhi, opm, vmask_p1, 0x28);
+      const __m512i full = _mm512_add_epi32(
+          _mm512_add_epi32(_mm512_slli_epi32(x, 1), Bc), S1);
+      // v = full & ~(opm << (p + 1)) = full & (mask_p1 | ~opm)
+      const __m512i v = _mm512_ternarylogic_epi32(full, opm, vmask_p1, 0xB0);
+      vzerom = _mm512_testn_epi32_mask(v, v);
+      const __m512i lz = _mm512_lzcnt_epi32(v);
+      const __m512i s = _mm512_sub_epi32(v31mp, lz);  // msb - p
 
-    // ---- round correction --------------------------------------------------
-    // kept: v >> (s + 1) on the s >= 0 arm, v << (-s - 1) = v << ~s on the
-    // LZD arm; each shift gives 0 on the other arm and both give v at
-    // s = -1. Both keep exactly v's p bits from its MSB down (the core's
-    // & mask_p is a no-op). rc = (t + (R >> (r - 1 - s))) >> (s + 1) with
-    // t = v's low s + 1 bits is 0 on the LZD arm without a select: t = 0 and
-    // R >> r = 0 at s = -1, and the final shift gives 0 below.
-    const __m512i sp1 = _mm512_add_epi32(s, vone);
-    const __m512i kept0 = _mm512_or_si512(
-        _mm512_srlv_epi32(v, sp1),
-        _mm512_sllv_epi32(v, _mm512_xor_si512(s, vallones)));
-    const __m512i t = _mm512_andnot_si512(_mm512_sllv_epi32(vallones, sp1), v);
-    const __m512i rc = _mm512_srlv_epi32(
-        _mm512_add_epi32(t,
-                         _mm512_srlv_epi32(R, _mm512_add_epi32(lz, vrp32))),
-        sp1);
-    __m512i expz = _mm512_add_epi32(exph, s);
+      // Round correction. kept: v >> (s + 1) on the s >= 0 arm,
+      // v << (-s - 1) = v << ~s on the LZD arm; each shift gives 0 on the
+      // other arm and both give v at s = -1. Both keep exactly v's p bits
+      // from its MSB down (the core's & mask_p is a no-op).
+      // rc = (t + (R >> (r - 1 - s))) >> (s + 1) with t = v's low s + 1
+      // bits is 0 on the LZD arm without a select: t = 0 and R >> r = 0 at
+      // s = -1, and the final shift gives 0 below.
+      const __m512i sp1 = _mm512_add_epi32(s, vone);
+      const __m512i kept0 = _mm512_or_si512(
+          _mm512_srlv_epi32(v, sp1),
+          _mm512_sllv_epi32(v, _mm512_xor_si512(s, vallones)));
+      const __m512i t =
+          _mm512_andnot_si512(_mm512_sllv_epi32(vallones, sp1), v);
+      const __m512i rc = _mm512_srlv_epi32(
+          _mm512_add_epi32(t,
+                           _mm512_srlv_epi32(R, _mm512_add_epi32(lz, vrp32))),
+          sp1);
+      expz = _mm512_add_epi32(exph, s);
+      kept = _mm512_add_epi32(kept0, rc);
+    } else {
+      // Alignment into the K-bit window (srlv gives 0 for d >= 32; for d
+      // in [p + K, 32) the shifted value is 0 by itself, the cores'
+      // d >= p + K arm), then one add/subtract: A - B == A + ~B + 1.
+      const __m512i yk = _mm512_sll_epi32(y, cnt_K);
+      __m512i S = _mm512_sub_epi32(
+          _mm512_add_epi32(_mm512_sll_epi32(x, cnt_K),
+                           _mm512_xor_si512(_mm512_srlv_epi32(yk, d), opm)),
+          opm);
+      [[maybe_unused]] __mmask16 stickym = 0;
+      if constexpr (kRn) {
+        // Bits shifted past the window OR into the sticky (the mask is all
+        // ones for d >= 32); a subtrahend that dropped sticky bits borrows
+        // one window ULP (truncation invariant).
+        stickym = _mm512_test_epi32_mask(
+            yk, _mm512_sub_epi32(_mm512_sllv_epi32(vone, d), vone));
+        S = _mm512_mask_add_epi32(
+            S, stickym & _mm512_test_epi32_mask(opm, opm), S, vallones);
+      }
+      vzerom = _mm512_testn_epi32_mask(S, S);
+
+      // Normalization: fw = msb - (p - 1) fraction bits fall below the kept
+      // p (negative: the LZD left shift). The discarded fraction is
+      // left-aligned at bit 31 (the count is >= 32, giving 0, for fw <= 0).
+      const __m512i lz = _mm512_lzcnt_epi32(S);
+      const __m512i fw = _mm512_sub_epi32(v32mp, lz);
+      kept = _mm512_or_si512(_mm512_srlv_epi32(S, fw),
+                             _mm512_sllv_epi32(S, _mm512_sub_epi32(vzero, fw)));
+      const __m512i frac = _mm512_sllv_epi32(S, _mm512_sub_epi32(v32, fw));
+      expz = _mm512_add_epi32(exph, _mm512_sub_epi32(fw, vK));
+
+      // One rounding decision at the cut.
+      if constexpr (kRn) {
+        // RN-even on (guard, rest | sticky, lsb).
+        const __mmask16 upm =
+            _mm512_test_epi32_mask(frac, vmsb) &
+            (_mm512_test_epi32_mask(frac, vrest) | stickym |
+             _mm512_test_epi32_mask(kept, vone));
+        kept = _mm512_mask_add_epi32(kept, upm, kept, vone);
+      } else {
+        // Add-R-and-carry on the top r fraction bits (paper Fig. 1
+        // scheme).
+        kept = _mm512_add_epi32(
+            kept, _mm512_srl_epi32(
+                      _mm512_add_epi32(_mm512_srl_epi32(frac, cnt_32mr), R),
+                      cnt_r));
+      }
+    }
     const __mmask16 eminm = _mm512_cmpgt_epi32_mask(vemin, expz);
-    __m512i kept = _mm512_add_epi32(kept0, rc);
     const __m512i bin = _mm512_srl_epi32(kept, cnt_p);
     kept = _mm512_srlv_epi32(kept, bin);
     expz = _mm512_add_epi32(expz, bin);
     const __mmask16 emaxm = _mm512_cmpgt_epi32_mask(expz, vemax);
 
-    // Exact cancellation (v == 0) leaves kept = 0: +0, sign cleared below.
     const uint32_t bad = dbad | (~(hold | vzerom) & (eminm | emaxm));
 
     // Commit the vector sum on the remaining lanes; bad lanes keep the old
@@ -448,9 +495,8 @@ __attribute__((target("avx512f,avx512cd"))) void chain_eager(
         const Unpacked ad =
             kernel.addend(ai, b_ilv[static_cast<size_t>(i) * G + l]);
         set_lane(la, spare, parked, l,
-                 add_eager_sr_core(ap, cur, ad,
-                                   static_cast<uint32_t>(la.rand[l]), nullptr),
-                 int32_t{-1});
+                 add_core<kKind>(ap, cur, ad,
+                                 static_cast<uint32_t>(la.rand[l])));
       }
       gsig = _mm512_load_si512(la.sig);
       gexp = _mm512_load_si512(la.exp);
@@ -458,242 +504,13 @@ __attribute__((target("avx512f,avx512cd"))) void chain_eager(
     }
   }
 
-  _mm512_storeu_si512(lfsr, _mm512_cvtepu32_epi64(_mm512_castsi512_si256(gst)));
-  _mm512_storeu_si512(lfsr + 8,
-                      _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(gst, 1)));
-  exit_lanes(ap, gsig, gexp, gsign, parked, spare, c, valid);
-}
-
-// ---------------------------------------------------------------------------
-// Late-rounding chain (lazy-SR and RN), the vector transcription of
-// add_lazy_sr_core / add_rn_core: align the smaller operand into a K-bit
-// extension window below the p+1 adder bits (K = r for lazy, K = 2 plus a
-// sticky OR for RN), one full-width add/subtract, LZD normalization, then a
-// single rounding decision at the cut — add-R-and-carry on the top r
-// fraction bits for lazy, guard/rest/even for RN. It runs kGroups register
-// groups of eight 64-bit lanes: two for a group with more than eight valid
-// lanes, one otherwise (the upper eight lanes are then all padding, and
-// their LFSR registers are left as they were).
-template <bool kRn, int kGroups>
-__attribute__((target("avx512f,avx512cd"))) void chain_late(
-    const FusedMacKernel& kernel, const ChainConsts& kc, const uint32_t* a,
-    const uint32_t* b_ilv, int n, uint64_t* lfsr, float* c, int valid,
-    bool accumulate) {
-  constexpr int G = 16;
-  const AddParams ap = kc.ap;
-  const MacAddend* tab = kc.tab;
-  const uint32_t mag_mask = kc.mag_mask;
-  const int mag_bits = kc.mag_bits;
-  const int w1 = kc.w1;
-  const uint64_t taps = kc.taps;
-  const int p = ap.p;
-  const int r = ap.r;
-  const int K = kRn ? 2 : r;  // extension window below the kept p bits
-
-  // Broadcast constants.
-  const __m512i vzero64 = _mm512_setzero_si512();
-  const __m512i vone = _mm512_set1_epi64(1);
-  const __m512i vtwo = _mm512_set1_epi64(2);
-  const __m512i v63 = _mm512_set1_epi64(63);
-  const __m512i v64 = _mm512_set1_epi64(64);
-  const __m512i vpm1 = _mm512_set1_epi64(p - 1);
-  const __m512i vpK1 = _mm512_set1_epi64(p + K - 1);
-  const __m512i vemin = _mm512_set1_epi64(ap.emin);
-  const __m512i vemax = _mm512_set1_epi64(ap.fmt.emax());
-  [[maybe_unused]] const __m512i vmask_r =
-      _mm512_set1_epi64(static_cast<int64_t>(ap.mask_r));
-  const __m512i vmask32 = _mm512_set1_epi64(0xffffffffll);
-  [[maybe_unused]] const __m512i vmsb63 =
-      _mm512_set1_epi64(static_cast<int64_t>(1ull << 63));
-  const __m512i vmagmask = _mm512_set1_epi64(mag_mask);
-  [[maybe_unused]] const __m512i vtaps =
-      _mm512_set1_epi64(static_cast<int64_t>(taps));
-  const __m128i cnt_K = _mm_cvtsi32_si128(K);
-  const __m128i cnt_p = _mm_cvtsi32_si128(p);
-  [[maybe_unused]] const __m128i cnt_r = _mm_cvtsi32_si128(r);
-  [[maybe_unused]] const __m128i cnt_64mr = _mm_cvtsi32_si128(64 - r);
-  const __m128i cnt_w1 = _mm_cvtsi32_si128(w1);
-
-  // Lane state: the vectors hold every finite accumulator (sig = 0 for a
-  // zero); `spare` holds the decoded value of parked (NaN/Inf) lanes.
-  LaneArrays<int64_t> la;
-  Unpacked spare[G];
-  __m512i gsig[2], gexp[2], gsign[2], gst[2];
-  uint32_t parked = group_entry(*kc.q, ap.fmt, c, valid, accumulate, gsig, gexp,
-                                gsign, spare);
-  for (int g = 0; g < kGroups; ++g) gst[g] = _mm512_loadu_si512(lfsr + 8 * g);
-
-  for (int i = 0; i < n; ++i) {
-    const uint32_t ai = a[i];
-    const int64_t abase = static_cast<int64_t>(
-        static_cast<uint64_t>(ai & mag_mask) << mag_bits);
-    const __m512i vabase = _mm512_set1_epi64(abase);
-    const __m512i vasign =
-        _mm512_set1_epi64(static_cast<int64_t>((ai >> w1) & 1u));
-
-    __m512i nsig[2], nexp[2], nsign[2];
-    __m512i R[2] = {vzero64, vzero64};  // random words (lazy only)
-    uint32_t bad = 0;
-    for (int g = 0; g < kGroups; ++g) {
-      // ---- addend: gather the pre-decoded product, apply the sign -------
-      const __m256i b32 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          b_ilv + static_cast<size_t>(i) * G + 8 * g));
-      const __m512i bq = _mm512_cvtepu32_epi64(b32);
-      const __m512i idx =
-          _mm512_or_si512(vabase, _mm512_and_si512(bq, vmagmask));
-      const __m512i e = _mm512_i64gather_epi64(idx, tab, 8);
-      const __m512i dsig = _mm512_and_si512(e, vmask32);
-      const __m512i dexp = _mm512_srai_epi64(_mm512_slli_epi64(e, 16), 48);
-      const __m512i dcls =
-          _mm512_and_si512(_mm512_srli_epi64(e, 48), _mm512_set1_epi64(0xff));
-      // zero addend: cls kZero = 0; non-finite: cls > kNormal = 2
-      const __mmask8 dzero = _mm512_cmpeq_epi64_mask(dcls, vzero64);
-      const __mmask8 dbad = _mm512_cmpgt_epu64_mask(dcls, vtwo);
-      const __m512i bsign =
-          _mm512_and_si512(_mm512_srl_epi64(bq, cnt_w1), vone);
-      const __m512i dsign = _mm512_and_si512(
-          _mm512_srli_epi64(e, 56), _mm512_xor_si512(vasign, bsign));
-
-      // ---- zeros (prepare_add_u's rules, as in the eager chain) ----------
-      const __mmask8 pk = static_cast<__mmask8>(parked >> (8 * g));
-      const __mmask8 accz = _mm512_testn_epi64_mask(gsig[g], gsig[g]);
-      const __mmask8 dspecial = static_cast<__mmask8>(dzero | dbad);
-      const __mmask8 hold = static_cast<__mmask8>(dspecial | accz);
-      const __mmask8 take = static_cast<__mmask8>(accz & ~(dspecial | pk));
-      const __m512i hsig = _mm512_mask_mov_epi64(gsig[g], take, dsig);
-      const __m512i hexp = _mm512_mask_mov_epi64(gexp[g], take, dexp);
-      const __m512i hsign = _mm512_mask_and_epi64(
-          _mm512_mask_mov_epi64(gsign[g], take, dsign),
-          static_cast<__mmask8>(accz & dzero), gsign[g], dsign);
-
-      // ---- prepare: magnitude swap, effective op (branch-free) ----------
-      const __mmask8 keq = _mm512_cmpeq_epi64_mask(dexp, gexp[g]);
-      const __mmask8 swap = static_cast<__mmask8>(
-          _mm512_cmpgt_epi64_mask(dexp, gexp[g]) |
-          (keq & _mm512_cmpgt_epi64_mask(dsig, gsig[g])));
-      const __m512i psign = _mm512_mask_blend_epi64(swap, gsign[g], dsign);
-      const __m512i x = _mm512_mask_blend_epi64(swap, gsig[g], dsig);
-      const __m512i y = _mm512_mask_blend_epi64(swap, dsig, gsig[g]);
-      const __m512i exph = _mm512_mask_blend_epi64(swap, gexp[g], dexp);
-      const __m512i d = _mm512_abs_epi64(_mm512_sub_epi64(gexp[g], dexp));
-      const __m512i op = _mm512_xor_si512(gsign[g], dsign);
-      const __m512i opm = _mm512_sub_epi64(vzero64, op);
-
-      // ---- alignment into the K-bit window (srlv zeroes for d >= 64; for
-      // d in [p+K, 64) the window value underruns to zero by itself, which
-      // is exactly the scalar cores' d >= p+K arm) -------------------------
-      const __m512i ykfull = _mm512_sll_epi64(y, cnt_K);
-      const __m512i B = _mm512_srlv_epi64(ykfull, d);
-
-      // ---- one full-width add/subtract (A - B == A + ~B + 1) -------------
-      __m512i S = _mm512_add_epi64(
-          _mm512_add_epi64(_mm512_sll_epi64(x, cnt_K),
-                           _mm512_xor_si512(B, opm)),
-          op);
-      [[maybe_unused]] __mmask8 stickym = 0;
-      if constexpr (kRn) {
-        // Bits shifted past the window OR into the sticky; a subtrahend that
-        // dropped sticky bits borrows one window ULP (truncation invariant).
-        const __m512i maskd =
-            _mm512_sub_epi64(_mm512_sllv_epi64(vone, d), vone);
-        stickym = _mm512_test_epi64_mask(ykfull, maskd);
-        S = _mm512_mask_sub_epi64(
-            S, _mm512_test_epi64_mask(op, vone) & stickym, S, vone);
-      }
-      const __mmask8 vzerom = _mm512_cmpeq_epi64_mask(S, vzero64);
-
-      // ---- normalization (LZD) -------------------------------------------
-      const __m512i msb = _mm512_sub_epi64(v63, _mm512_lzcnt_epi64(S));
-      const __m512i fw = _mm512_sub_epi64(msb, vpm1);
-      const __mmask8 fwneg = _mm512_cmpgt_epi64_mask(vzero64, fw);
-      __m512i sig = _mm512_mask_blend_epi64(
-          fwneg, _mm512_srlv_epi64(S, fw),
-          _mm512_sllv_epi64(S, _mm512_sub_epi64(vzero64, fw)));
-      // Discarded fraction, left-aligned at bit 63 (sllv count >= 64 for
-      // fw <= 0 gives the scalar cores' frac64 = 0).
-      const __m512i frac = _mm512_sllv_epi64(S, _mm512_sub_epi64(v64, fw));
-      __m512i expz = _mm512_add_epi64(exph, _mm512_sub_epi64(msb, vpK1));
-      const __mmask8 eminm = _mm512_cmpgt_epi64_mask(vemin, expz);
-
-      // ---- one rounding decision at the cut ------------------------------
-      if constexpr (kRn) {
-        // RN-even on (guard, rest | sticky, lsb).
-        const __mmask8 gm = _mm512_test_epi64_mask(frac, vmsb63);
-        const __mmask8 restm =
-            _mm512_cmpneq_epi64_mask(_mm512_slli_epi64(frac, 1), vzero64);
-        const __mmask8 lsbm = _mm512_test_epi64_mask(sig, vone);
-        const __mmask8 upm =
-            gm & static_cast<__mmask8>(restm | stickym | lsbm);
-        sig = _mm512_mask_add_epi64(sig, upm, sig, vone);
-      } else {
-        // Add-R-and-carry on the top r fraction bits (paper Fig. 1 scheme),
-        // R from one in-register LFSR step per lane.
-        const __m512i sh = _mm512_srli_epi64(gst[g], 1);
-        gst[g] = _mm512_mask_xor_epi64(
-            sh, _mm512_test_epi64_mask(gst[g], vone), sh, vtaps);
-        R[g] = _mm512_and_si512(gst[g], vmask_r);
-        const __m512i fr = _mm512_srl_epi64(frac, cnt_64mr);
-        const __m512i up =
-            _mm512_srl_epi64(_mm512_add_epi64(fr, R[g]), cnt_r);
-        sig = _mm512_add_epi64(sig, up);
-      }
-      const __m512i bin = _mm512_srl_epi64(sig, cnt_p);
-      sig = _mm512_srlv_epi64(sig, bin);
-      expz = _mm512_add_epi64(expz, bin);
-      const __mmask8 emaxm = _mm512_cmpgt_epi64_mask(expz, vemax);
-
-      // Exact cancellation (S == 0) leaves sig = 0: +0, sign cleared below.
-      const __mmask8 badg = static_cast<__mmask8>(
-          dbad | (~(hold | vzerom) & (eminm | emaxm)));
-      bad |= static_cast<uint32_t>(badg) << (8 * g);
-
-      // Commit the vector sum on the remaining lanes; bad lanes keep the
-      // old accumulator and are replayed through the scalar core below.
-      const __mmask8 keep = static_cast<__mmask8>(hold | badg);
-      nsig[g] = _mm512_mask_mov_epi64(sig, keep, hsig);
-      nexp[g] = _mm512_mask_mov_epi64(expz, keep, hexp);
-      nsign[g] = _mm512_mask_mov_epi64(
-          _mm512_maskz_mov_epi64(static_cast<__mmask8>(~vzerom), psign), keep,
-          hsign);
-    }
-
-    if (bad != 0) [[unlikely]] {
-      // Scalar replay for flagged lanes, through the exact same decoded
-      // core the scalar engine runs.
-      for (int g = 0; g < kGroups; ++g) {
-        _mm512_store_si512(la.sig + 8 * g, nsig[g]);
-        _mm512_store_si512(la.exp + 8 * g, nexp[g]);
-        _mm512_store_si512(la.sign + 8 * g, nsign[g]);
-        _mm512_store_si512(la.rand + 8 * g, R[g]);
-      }
-      for (uint32_t bl = bad; bl != 0; bl &= bl - 1) {
-        const int l = __builtin_ctz(bl);
-        const Unpacked cur =
-            (parked >> l) & 1 ? spare[l] : lane_value(ap, la, l);
-        const Unpacked ad =
-            kernel.addend(ai, b_ilv[static_cast<size_t>(i) * G + l]);
-        set_lane(la, spare, parked, l,
-                 kRn ? add_rn_core(ap, cur, ad, nullptr)
-                     : add_lazy_sr_core(ap, cur, ad,
-                                        static_cast<uint64_t>(la.rand[l]),
-                                        nullptr),
-                 int64_t{1});
-      }
-      for (int g = 0; g < kGroups; ++g) {
-        nsig[g] = _mm512_load_si512(la.sig + 8 * g);
-        nexp[g] = _mm512_load_si512(la.exp + 8 * g);
-        nsign[g] = _mm512_load_si512(la.sign + 8 * g);
-      }
-    }
-    for (int g = 0; g < kGroups; ++g) {
-      gsig[g] = nsig[g];
-      gexp[g] = nexp[g];
-      gsign[g] = nsign[g];
-    }
+  if constexpr (!kRn) {
+    _mm512_storeu_si512(lfsr,
+                        _mm512_cvtepu32_epi64(_mm512_castsi512_si256(gst)));
+    _mm512_storeu_si512(
+        lfsr + 8, _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(gst, 1)));
   }
-
-  for (int g = 0; g < kGroups; ++g) _mm512_storeu_si512(lfsr + 8 * g, gst[g]);
-  group_exit(ap, gsig, gexp, gsign, parked, spare, c, valid);
+  exit_lanes(ap, gsig, gexp, gsign, parked, spare, c, valid);
 }
 
 }  // namespace
@@ -703,26 +520,21 @@ void chain_group_avx512(const FusedMacKernel& kernel, const uint32_t* a,
                         int valid, bool accumulate) {
   const ChainConsts kc{kernel.params_,
                        &kernel.acc_quant_,
-                       kernel.table_->addends.data(),
                        kernel.table_->words.data(),
                        kernel.mag_mask_,
                        kernel.mag_bits_,
                        kernel.cfg_.mul_fmt.width() - 1,
                        kernel.lfsr_taps_};
-  const bool wide = valid > 8;
   switch (kernel.cfg_.adder) {
     case AdderKind::kEagerSR:
-      return chain_eager(kernel, kc, a, b_ilv, n, lfsr, c, valid, accumulate);
-    case AdderKind::kLazySR:
-      return wide ? chain_late<false, 2>(kernel, kc, a, b_ilv, n, lfsr, c,
-                                         valid, accumulate)
-                  : chain_late<false, 1>(kernel, kc, a, b_ilv, n, lfsr, c,
-                                         valid, accumulate);
-    case AdderKind::kRoundNearest:
-      return wide ? chain_late<true, 2>(kernel, kc, a, b_ilv, n, lfsr, c,
-                                        valid, accumulate)
-                  : chain_late<true, 1>(kernel, kc, a, b_ilv, n, lfsr, c,
+      return chain<AdderKind::kEagerSR>(kernel, kc, a, b_ilv, n, lfsr, c,
                                         valid, accumulate);
+    case AdderKind::kLazySR:
+      return chain<AdderKind::kLazySR>(kernel, kc, a, b_ilv, n, lfsr, c,
+                                       valid, accumulate);
+    case AdderKind::kRoundNearest:
+      return chain<AdderKind::kRoundNearest>(kernel, kc, a, b_ilv, n, lfsr, c,
+                                             valid, accumulate);
   }
 }
 

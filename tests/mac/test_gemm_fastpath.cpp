@@ -192,6 +192,85 @@ TEST(GemmFastpath, TableAddendMatchesStepSemantics) {
   }
 }
 
+/// One config of the parity fuzz below: chain_group over random operands
+/// against decode + chain() + unpacked_to_float, lane by lane. `finite`
+/// draws positive multiplier encodings with exponent field within one of
+/// the bias (nonzero same-sign products of similar magnitude) instead of raw
+/// random encodings; `combo` varies which lanes hold zero columns and
+/// special starts.
+void expect_group_matches_chain(const MacConfig& cfg, bool finite, int combo,
+                                Xoshiro256& rng) {
+  const FusedMacKernel kernel(cfg);
+  const FpQuantizer q(cfg.acc_fmt);
+  const FpFormat& mf = cfg.mul_fmt;
+  const int G = kernel.group_width();
+  const int n = 96, n1 = 37;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float special_starts[] = {0.0f, -0.0f,
+                                  std::numeric_limits<float>::quiet_NaN(),
+                                  inf, -inf};
+  const float sentinel = 12345.0f;  // padding lanes must keep it
+  const auto operand = [&]() -> uint32_t {
+    if (!finite) return static_cast<uint32_t>(rng.below(1u << mf.width()));
+    const auto e = static_cast<uint32_t>(mf.bias() - 1 + rng.below(3));
+    return e << mf.man_bits |
+           static_cast<uint32_t>(rng.below(1u << mf.man_bits));
+  };
+  std::vector<uint32_t> a(n), b_ilv(static_cast<size_t>(n) * G);
+  for (auto& v : a) v = operand();
+  // In the raw stream every fifth lane's B column holds only zeros of
+  // random sign, so its whole chain sums signed zeros.
+  for (size_t idx = 0; idx < b_ilv.size(); ++idx)
+    b_ilv[idx] = !finite && (static_cast<int>(idx % G) + combo) % 5 == 4
+                     ? (rng.below(2) ? mf.sign_mask() : 0u)
+                     : operand();
+  std::vector<uint64_t> seeds(G);
+  for (auto& v : seeds)
+    v = GaloisLfsr::seed_state(kernel.lfsr_width(), rng.next());
+  std::vector<float> start(G);
+  for (int l = 0; l < G; ++l)
+    start[l] = (l + combo) % 3 == 0
+                   ? special_starts[(l + combo) / 3 % 5]
+                   : unpacked_to_float(
+                         cfg.acc_fmt,
+                         decode(cfg.acc_fmt,
+                                static_cast<uint32_t>(rng.below(
+                                    uint64_t{1} << cfg.acc_fmt.width()))));
+  for (int valid : {G, G / 2 + 1, G / 2 - 1}) {
+    for (bool accumulate : {false, true}) {
+      std::vector<float> c = start;
+      std::fill(c.begin() + valid, c.end(), sentinel);
+      std::vector<uint64_t> vlfsr = seeds;
+      kernel.chain_group(a.data(), b_ilv.data(), n1, vlfsr.data(), c.data(),
+                         valid, accumulate);
+      kernel.chain_group(a.data() + n1,
+                         b_ilv.data() + static_cast<size_t>(n1) * G, n - n1,
+                         vlfsr.data(), c.data(), valid, /*accumulate=*/true);
+      const std::string what = cfg.name() + " mul=" + mf.name() +
+                               (finite ? " finite" : " raw") +
+                               " valid=" + std::to_string(valid) +
+                               (accumulate ? " acc" : "") + " lane ";
+      for (int l = 0; l < G; ++l) {
+        Unpacked sc = accumulate && l < valid
+                          ? decode(cfg.acc_fmt, q(start[l]))
+                          : unpacked_zero(cfg.acc_fmt, false);
+        uint64_t s = seeds[l];
+        std::vector<uint32_t> bcol(n);
+        for (int k = 0; k < n; ++k)
+          bcol[k] = b_ilv[static_cast<size_t>(k) * G + l];
+        kernel.chain(sc, a.data(), bcol.data(), n, s);
+        const float want =
+            l < valid ? unpacked_to_float(cfg.acc_fmt, sc) : sentinel;
+        ASSERT_EQ(std::bit_cast<uint32_t>(c[l]), std::bit_cast<uint32_t>(want))
+            << what << l;
+        if (l < valid) {
+          ASSERT_EQ(vlfsr[l], s) << what << l;
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
   // Scalar-vs-vector parity fuzz for every adder kind through the group
   // entry/exit contract: for each (adder, acc fmt, mul fmt, subnormals, r)
@@ -204,94 +283,36 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
   // (some summing only signed zeros, which pins the zero + zero sign rule),
   // read with and without `accumulate`, in a full group and in partial ones
   // (more and fewer valid lanes than half the group) whose padding lanes
-  // must not be written. Operands are raw random
-  // encodings of the multiplier format, so NaN/Inf/zero/subnormal lanes,
-  // parking, and replay all trigger; r sweeps the 1..32 edge widths
-  // (normalized() clamps below each adder's minimum), the benchmark's r = 9
-  // and the paper's r = 13, and the eager chain's 32-bit-lane bound for the
-  // accumulator's precision p: the largest r it admits (32 - p, the vector
-  // chain on AVX-512 hosts) and the next one up (the scalar groups).
+  // must not be written.
+  //
+  // Each config runs two operand streams. Raw random encodings of the
+  // multiplier format make NaN/Inf/zero/subnormal lanes, parking, and replay
+  // all trigger. But they park most lanes early, so a gate one bit too loose
+  // would pass on them alone; the finite stream's same-sign products of
+  // similar magnitude run long chains of effective additions that carry out
+  // of the window. r sweeps the 1..32 edge widths (normalized() clamps below
+  // each adder's minimum), the benchmark's r = 9, the paper's r = 13, and
+  // the 32-bit-lane bounds for the accumulator's precision p: 31 - p and
+  // 32 - p, the largest r the lazy and the eager gate admit (the vector
+  // chain on AVX-512 hosts), and 33 - p (the scalar groups for both).
   Xoshiro256 rng(0xF0522);
-  const FpFormat accs[] = {kFp12, kFp16, FpFormat{4, 8}, FpFormat{7, 3},
-                           FpFormat{8, 14}};
+  const FpFormat accs[] = {kFp12,          kFp16,           FpFormat{4, 8},
+                           FpFormat{7, 3}, FpFormat{8, 14}, kFp32};
   const AdderKind kinds[] = {AdderKind::kLazySR, AdderKind::kRoundNearest,
                              AdderKind::kEagerSR};
-  const float inf = std::numeric_limits<float>::infinity();
-  const float special_starts[] = {0.0f, -0.0f,
-                                  std::numeric_limits<float>::quiet_NaN(),
-                                  inf, -inf};
-  const float sentinel = 12345.0f;  // padding lanes must keep it
   int combo = 0;
   for (AdderKind kind : kinds) {
     for (const FpFormat& acc : accs) {
       for (const FpFormat& mul : {kFp8E5M2, kFp8E4M3}) {
         for (bool sub : {true, false}) {
           const int p = acc.precision();
-          for (int r : {1, 2, 3, 4, 9, 13, 32 - p, 33 - p, 31, 32}) {
-            const MacConfig cfg = make_cfg(kind, r, sub, acc, mul).normalized();
-            const FusedMacKernel kernel(cfg);
-            const FpQuantizer q(cfg.acc_fmt);
-            const int G = kernel.group_width();
-            const int n = 96, n1 = 37;
-            std::vector<uint32_t> a(n), b_ilv(static_cast<size_t>(n) * G);
-            for (auto& v : a)
-              v = static_cast<uint32_t>(rng.below(1u << cfg.mul_fmt.width()));
-            // Every fifth lane's B column holds only zeros of random sign,
-            // so its whole chain sums signed zeros.
-            for (size_t idx = 0; idx < b_ilv.size(); ++idx)
-              b_ilv[idx] =
-                  (static_cast<int>(idx % G) + combo) % 5 == 4
-                      ? (rng.below(2) ? cfg.mul_fmt.sign_mask() : 0u)
-                      : static_cast<uint32_t>(
-                            rng.below(1u << cfg.mul_fmt.width()));
-            std::vector<uint64_t> seeds(G);
-            for (auto& v : seeds)
-              v = GaloisLfsr::seed_state(kernel.lfsr_width(), rng.next());
-            std::vector<float> start(G);
-            for (int l = 0; l < G; ++l)
-              start[l] = (l + combo) % 3 == 0
-                             ? special_starts[(l + combo) / 3 % 5]
-                             : unpacked_to_float(
-                                   cfg.acc_fmt,
-                                   decode(cfg.acc_fmt,
-                                          static_cast<uint32_t>(rng.below(
-                                              1u << cfg.acc_fmt.width()))));
-            for (int valid : {G, G / 2 + 1, G / 2 - 1}) {
-              for (bool accumulate : {false, true}) {
-                std::vector<float> c = start;
-                std::fill(c.begin() + valid, c.end(), sentinel);
-                std::vector<uint64_t> vlfsr = seeds;
-                kernel.chain_group(a.data(), b_ilv.data(), n1, vlfsr.data(),
-                                   c.data(), valid, accumulate);
-                kernel.chain_group(a.data() + n1,
-                                   b_ilv.data() + static_cast<size_t>(n1) * G,
-                                   n - n1, vlfsr.data(), c.data(), valid,
-                                   /*accumulate=*/true);
-                const std::string what =
-                    cfg.name() + " mul=" + mul.name() +
-                    " valid=" + std::to_string(valid) +
-                    (accumulate ? " acc" : "") + " lane ";
-                for (int l = 0; l < G; ++l) {
-                  Unpacked sc = accumulate && l < valid
-                                    ? decode(cfg.acc_fmt, q(start[l]))
-                                    : unpacked_zero(cfg.acc_fmt, false);
-                  uint64_t s = seeds[l];
-                  std::vector<uint32_t> bcol(n);
-                  for (int k = 0; k < n; ++k)
-                    bcol[k] = b_ilv[static_cast<size_t>(k) * G + l];
-                  kernel.chain(sc, a.data(), bcol.data(), n, s);
-                  const float want =
-                      l < valid ? unpacked_to_float(cfg.acc_fmt, sc) : sentinel;
-                  ASSERT_EQ(std::bit_cast<uint32_t>(c[l]),
-                            std::bit_cast<uint32_t>(want))
-                      << what << l;
-                  if (l < valid) {
-                    ASSERT_EQ(vlfsr[l], s) << what << l;
-                  }
-                }
-              }
+          for (int r : {1, 2, 3, 4, 9, 13, 31 - p, 32 - p, 33 - p, 31, 32}) {
+            const MacConfig cfg =
+                make_cfg(kind, r, sub, acc, mul).normalized();
+            for (bool finite : {false, true}) {
+              expect_group_matches_chain(cfg, finite, combo++, rng);
+              if (HasFatalFailure()) return;
             }
-            ++combo;
           }
         }
       }
@@ -299,13 +320,15 @@ TEST(GemmFastpath, VectorChainsMatchScalarAcrossRandomFormats) {
   }
 }
 
-TEST(GemmFastpath, EagerScenariosRunTheVectorChain) {
-  // Every eager scenario the repo runs fits the eager chain's 32-bit lanes
-  // (p + r <= 32), so on an AVX-512 host each must report the vector width:
-  // a gate that sent one to the scalar groups would pass every parity test
-  // and show only as a slower benchmark. E6M5 at r = 31 is past the bound.
-  // The lazy-SR kernel of the same formats reporting the scalar width means
-  // the host has no AVX-512 chains at all.
+TEST(GemmFastpath, RepoScenariosRunTheVectorChain) {
+  // Every scenario the repo runs fits its adder's 32-bit-lane bound (eager
+  // p + r <= 32, lazy p + r <= 31, RN p <= 29), so on an AVX-512 host each
+  // must report the vector width: a gate that sent one to the scalar groups
+  // would pass every parity test and show only as a slower benchmark. The
+  // lazy and RN rows are the scenarios the tests, benches and examples run,
+  // Table III's RN rows included. Eager E6M5 at r = 31 and lazy E6M5 at r = 26
+  // (p + r = 32) are past their bounds. RN E5M2/E6M5, which every gate
+  // admits, reporting the scalar width means the host has no AVX-512 chain.
   const struct {
     const char* scenario;
     int width;
@@ -313,15 +336,22 @@ TEST(GemmFastpath, EagerScenariosRunTheVectorChain) {
                {"eager_sr:e5m2/e6m5:r=9", 16},  {"eager_sr:e5m2/e6m5:r=13", 16},
                {"eager_sr:e4m3/e6m5:r=4", 16},  {"eager_sr:e4m3/e6m5:r=9", 16},
                {"eager_sr:e5m2/e5m4:r=8", 16},  {"eager_sr:e4m3/e7m8:r=17", 16},
-               {"eager_sr:e5m2/e6m5:r=31", FusedMacKernel::kLanes}};
+               {"eager_sr:e5m2/e6m5:r=31", FusedMacKernel::kLanes},
+               {"lazy_sr:e5m2/e6m5:r=1", 16},   {"lazy_sr:e5m2/e6m5:r=6", 16},
+               {"lazy_sr:e5m2/e6m5:r=9", 16},   {"lazy_sr:e5m2/e6m5:r=13", 16},
+               {"lazy_sr:e4m3/e6m5:r=4", 16},   {"lazy_sr:e4m3/e5m6:r=3", 16},
+               {"lazy_sr:e5m2/e6m5:r=26", FusedMacKernel::kLanes},
+               {"rn:e5m2/e6m5", 16},            {"rn:e4m3/e6m5", 16},
+               {"rn:e4m3/e8m23", 16},           {"rn:e5m2/e5m10", 16},
+               {"rn:e5m2/e8m7", 16}};
+  const auto probe = MacConfig::parse("rn:e5m2/e6m5");
+  ASSERT_TRUE(probe.has_value());
+  if (FusedMacKernel(*probe).group_width() == FusedMacKernel::kLanes)
+    GTEST_SKIP() << "no AVX-512 chain on this host";
   for (const auto& cs : cases) {
     std::string error;
     const auto cfg = MacConfig::parse(cs.scenario, &error);
     ASSERT_TRUE(cfg.has_value()) << cs.scenario << ": " << error;
-    MacConfig lazy = *cfg;
-    lazy.adder = AdderKind::kLazySR;
-    if (FusedMacKernel(lazy).group_width() == FusedMacKernel::kLanes)
-      GTEST_SKIP() << "no AVX-512 chains on this host";
     EXPECT_EQ(FusedMacKernel(*cfg).group_width(), cs.width) << cs.scenario;
   }
 }
