@@ -15,7 +15,10 @@
 //   --batch=N        with --backend: also submit N problems sharing one B
 //                    plane through gemm_batch and report the batch speedup
 //                    over the N sequential gemm() dispatches
-//   --threads=N, --seed=N   as in every engine CLI (src/engine/cli.hpp)
+//   --threads=N      thread count of the multi-thread rows (default 0 =
+//                    the pool's parallelism; 1 drops them, leaving only the
+//                    single-thread rows)
+//   --seed=N         base seed of the kernels' per-element LFSRs
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -85,6 +88,8 @@ int main(int argc, char** argv) {
   const int M = smoke ? 48 : 256, N = smoke ? 48 : 256, K = smoke ? 48 : 256;
   const int reps = smoke ? 1 : 3;
   const int hw = ThreadPool::global().parallelism();
+  const int mt = eng.threads > 0 ? eng.threads : hw;  // multi-thread rows
+  const uint64_t seed = eng.seed;
 
   // Default: the paper's reference MAC (E5M2 inputs, E6M5 acc, eager SR).
   std::string error;
@@ -103,21 +108,21 @@ int main(int argc, char** argv) {
   for (auto& v : B) v = static_cast<float>(rng.normal());
 
   auto fast = [&](int threads) {
-    gemm_mac(cfg, M, N, K, A.data(), K, B.data(), N, C.data(), N, false, 7,
+    gemm_mac(cfg, M, N, K, A.data(), K, B.data(), N, C.data(), N, false, seed,
              threads);
   };
   auto reference = [&](int threads) {
     gemm_mac_reference(cfg, M, N, K, A.data(), K, B.data(), N, C.data(), N,
-                       false, 7, threads);
+                       false, seed, threads);
   };
 
   std::vector<Result> results;
   if (eng.backend.empty()) {
     results.push_back(run_case("reference", 1, M, N, K, reps, reference));
     results.push_back(run_case("fast", 1, M, N, K, reps, fast));
-    if (hw > 1) {
-      results.push_back(run_case("reference", hw, M, N, K, reps, reference));
-      results.push_back(run_case("fast", hw, M, N, K, reps, fast));
+    if (mt > 1) {
+      results.push_back(run_case("reference", mt, M, N, K, reps, reference));
+      results.push_back(run_case("fast", mt, M, N, K, reps, fast));
     }
   } else {
     // Registry mode: one named backend through the MatmulBackend dispatch,
@@ -140,18 +145,18 @@ int main(int argc, char** argv) {
       a.ldb = N;
       a.C = C.data();
       a.ldc = N;
-      a.seed = 7;
+      a.seed = seed;
       a.threads = threads;
       backend->gemm(cfg, a);
     };
     results.push_back(run_case("reference", 1, M, N, K, reps, reference));
     results.push_back(run_case(backend->name(), 1, M, N, K, reps, via_backend));
-    if (hw > 1) {
+    if (mt > 1) {
       // Reference at the same thread count, so the multi-thread row's
       // speedup_vs_reference stays meaningful in BENCH_gemm.json.
-      results.push_back(run_case("reference", hw, M, N, K, reps, reference));
+      results.push_back(run_case("reference", mt, M, N, K, reps, reference));
       results.push_back(
-          run_case(backend->name(), hw, M, N, K, reps, via_backend));
+          run_case(backend->name(), mt, M, N, K, reps, via_backend));
     }
     if (batch > 1) {
       // Batch mode: `batch` problems over the same operands (one shared B
@@ -172,7 +177,7 @@ int main(int argc, char** argv) {
         items[b].args.ldb = N;
         items[b].args.C = Cs[b].data();
         items[b].args.ldc = N;
-        items[b].args.seed = 7 + b;
+        items[b].args.seed = seed + static_cast<uint64_t>(b);
       }
       auto seq = [&](int threads) {
         for (int b = 0; b < batch; ++b) {
@@ -189,11 +194,11 @@ int main(int argc, char** argv) {
           run_case("seq" + tag, 1, M, N, K * batch, reps, seq));
       results.push_back(
           run_case("batch" + tag, 1, M, N, K * batch, reps, batched));
-      if (hw > 1) {
+      if (mt > 1) {
         results.push_back(
-            run_case("seq" + tag, hw, M, N, K * batch, reps, seq));
+            run_case("seq" + tag, mt, M, N, K * batch, reps, seq));
         results.push_back(
-            run_case("batch" + tag, hw, M, N, K * batch, reps, batched));
+            run_case("batch" + tag, mt, M, N, K * batch, reps, batched));
       }
     }
   }

@@ -1,7 +1,7 @@
 // Closed-loop serving benchmark: drives an EmuServer session with
 // concurrent clients and compares request-at-a-time serving (max_batch=1)
-// against dynamic micro-batching (max_batch=N; each micro-batch's same-shape
-// per-layer GEMMs merge into one grouped dispatch, docs/SERVING.md) on the
+// against dynamic micro-batching (max_batch=N; each GEMM op of the compiled
+// program runs the micro-batch as one wide kernel, docs/SERVING.md) on the
 // same model, scenario, and backend — the request-level workload the
 // ROADMAP's serving milestone asks for. Writes BENCH_serve.json for the
 // perf-tracking workflow (docs/PERF.md, docs/SERVING.md); the CI regression
@@ -10,13 +10,6 @@
 // Every client verifies its responses bitwise against an offline forward
 // of the same sample on the same engine configuration, so a throughput win
 // can never come from changed arithmetic.
-//
-// A "compiledN" leg re-runs the batched configuration through an
-// ahead-of-time CompiledModel (ServeConfig::compile, docs/COMPILER.md):
-// weight planes quantize+pack once at session construction and the
-// BN/bias/ReLU epilogues fuse into the GEMM tails, so the row prices
-// exactly the steady-state overhead compilation removes — under the same
-// bitwise anchor (the CI gate floors compiledN/batchN).
 //
 // A "wireN" leg re-runs the batched configuration behind a WireServer on a
 // loopback ephemeral port, every client holding its own WireClient
@@ -136,8 +129,7 @@ double percentile_us(std::vector<double> us, int pct) {
 /// the best-throughput repetition is reported.
 LegResult run_leg(const std::string& path, const ModelSpec& model,
                   const EngineCliArgs& eng, int max_batch, int clients,
-                  int requests, int reps, const std::vector<Tensor>& refs,
-                  bool compile = false) {
+                  int requests, int reps, const std::vector<Tensor>& refs) {
   LegResult best;
   best.path = path;
   best.max_batch = max_batch;
@@ -148,7 +140,6 @@ LegResult run_leg(const std::string& path, const ModelSpec& model,
     cfg.max_wait_us = eng.serve_wait_us;
     cfg.queue_capacity = static_cast<size_t>(std::max(64, 4 * clients));
     cfg.input_shape = model.input_shape();
-    cfg.compile = compile;
     EmuEngine engine = engine_or_die(eng);
     Telemetry& telemetry = engine.telemetry();
     EmuServer server(model.build(), std::move(engine), cfg);
@@ -596,14 +587,6 @@ int main(int argc, char** argv) {
   const LegResult coal =
       run_leg(tag, model, eng, batch, clients, requests, reps, refs);
   const double speedup = coal.req_per_s / base.req_per_s;
-  // The compiled leg: same session shape as the batched one but serving
-  // through an ahead-of-time CompiledModel (docs/COMPILER.md) — planes
-  // packed once, epilogues fused, zero steady-state packing. The clients'
-  // bitwise check against the eager offline refs makes the speedup honest.
-  const LegResult compiled =
-      run_leg("compiled" + std::to_string(batch), model, eng, batch, clients,
-              requests, reps, refs, /*compile=*/true);
-  const double compiled_speedup = compiled.req_per_s / coal.req_per_s;
   const LegResult classes =
       run_classes_leg("classes" + std::to_string(batch), model, eng, batch,
                       clients, requests, reps, refs);
@@ -611,8 +594,7 @@ int main(int argc, char** argv) {
                                       eng, batch, clients, requests, reps,
                                       refs);
 
-  std::vector<const LegResult*> rows = {&base, &coal, &compiled, &classes,
-                                        &wire};
+  std::vector<const LegResult*> rows = {&base, &coal, &classes, &wire};
   LegResult fleet, wreck;
   if (replicas > 1) {
     fleet = run_fleet_leg("fleet" + std::to_string(replicas), model, eng,
@@ -637,8 +619,6 @@ int main(int argc, char** argv) {
                 r->mean_batch, r->completed, r->failed);
   std::printf("coalescing speedup (%s vs batch1): %.2fx\n", tag.c_str(),
               speedup);
-  std::printf("compiled speedup (compiled%d vs %s): %.2fx\n", batch,
-              tag.c_str(), compiled_speedup);
   for (const ClassLat& cl : classes.class_lat)
     std::printf("class %-7s (w-pri %d): %5d req, p50 %8.1fus, p95 %8.1fus\n",
                 cl.name.c_str(), cl.priority, cl.requests, cl.p50_us,
@@ -676,7 +656,6 @@ int main(int argc, char** argv) {
   js << "  \"serve_replicas\": " << replicas << ",\n";
   js << "  \"chaos\": " << (chaos ? "true" : "false") << ",\n";
   js << "  \"speedup_batched_vs_batch1\": " << speedup << ",\n";
-  js << "  \"speedup_compiled_vs_batched\": " << compiled_speedup << ",\n";
   js << "  \"results\": [\n";
   bool first = true;
   for (const LegResult* r : rows) {

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   scfg.max_batch = std::max(1, eng.serve_batch);
   scfg.max_wait_us = eng.serve_wait_us;
   scfg.input_shape = model.input_shape();
-  scfg.compile = eng.serve_compile;
   if (!eng.shadow_scenario.empty()) {
     scfg.shadow.session = eng.shadow_session();
     scfg.shadow.fraction = eng.shadow_fraction;
@@ -160,14 +159,14 @@ int main(int argc, char** argv) {
   }
 
   if (!port_file.empty()) write_port_file(port_file, wire->port());
-  // Reaching here with compile=1 means every session compiled: EmuServer's
-  // constructor (and each ClusterController replica's) throws on a failed
-  // compile, landing in the error path above instead.
+  // compiled=0: the compiler rejected the backend, so every session serves
+  // one sample at a time through model.forward.
+  const EmuServer& primary = cluster ? cluster->replica(0) : *server;
   std::printf("serve_daemon: model=%s scenario=%s backend=%s replicas=%d "
-              "compile=%d port=%u\n",
+              "compiled=%d port=%u\n",
               model.name.c_str(), eng.scenario.c_str(),
-              engine_or_die(eng).backend().name().c_str(),
-              replicas, scfg.compile ? 1 : 0,
+              engine_or_die(eng).backend().name().c_str(), replicas,
+              primary.compiled() ? 1 : 0,
               static_cast<unsigned>(wire->port()));
   std::fflush(stdout);
 

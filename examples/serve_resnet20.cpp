@@ -3,8 +3,9 @@
 // stack (docs/SERVING.md).
 //
 //  1. Build a (width-reduced) ResNet-20 and an EmuEngine scenario.
-//  2. Start the server: bounded admission queue + dynamic micro-batcher
-//     merging each micro-batch's per-layer GEMMs into one grouped dispatch.
+//  2. Start the server: the model is lowered into a compiled program at
+//     construction; a bounded admission queue + dynamic micro-batcher feed
+//     it, and each GEMM op runs the whole micro-batch as one wide kernel.
 //  3. Fire closed-loop clients at it and read the serving telemetry:
 //     requests/sec, coalesced batch sizes, p50/p95/p99 latency.
 //  4. Verify a served output is bitwise identical to the same sample run
@@ -13,8 +14,8 @@
 // Usage: serve_resnet20 [--requests N] [--checkpoint=FILE]
 //                       [engine flags incl. --serve-*]
 //   defaults: 64 requests, --serve-clients=8 clients, --serve-batch=16,
-//   the default backend "sharded" (any supports_grouped() backend merges
-//   each micro-batch's GEMMs into one grouped dispatch per layer).
+//   the default backend "sharded" (the compiler rejects "reference" and
+//   "systolic", which then serve one sample at a time).
 //   --checkpoint=FILE serves FILE's weights instead of the deterministic
 //   init (the architecture here stays this example's ResNet-20 — the file
 //   must have been saved from a matching one, e.g. by this example's zoo

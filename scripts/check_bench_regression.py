@@ -29,7 +29,7 @@ Floors file format:
          "smoke": true, "baseline_req_per_s": 400.0,
          "require_resolved": true},
         {"bench": "serve", "leg": "multicore", "smoke": true,
-         "min_grouped_speedup": 1.0, "min_hardware_parallelism": 2},
+         "min_hardware_parallelism": 2},
         {"bench": "serve", "path": "classes16", "class": "gold",
          "smoke": true, "max_p95_us": 500000.0,
          "min_completed_fraction": 1.0},
@@ -50,18 +50,14 @@ with "path" matches that serving leg's requests/sec against
 "min_speedup" checks the file's recorded batchN-vs-batch1 coalescing
 speedup directly (no tolerance — it is already a floor; note the speedup
 is a strong function of core count, so full-size floors pin the recorded
-trend file, not an arbitrary target), and "min_compiled_speedup" does the
-same for the recorded compiledN-vs-batchN speedup (the ahead-of-time
-CompiledModel serving path, docs/COMPILER.md). Fleet/chaos serve legs carry
+trend file, not an arbitrary target). Fleet/chaos serve legs carry
 completed/failed counters; a floor with "require_resolved" asserts
 completed + failed == requests (no request vanished or hung during the
 chaos run) and "min_completed_fraction" bounds how much of the load the
 degraded fleet may shed/fail (both no-tolerance checks — they are
-correctness floors, not throughput). "min_grouped_speedup" floors the
-file's recorded groupedN-vs-batchN merge speedup (grouped same-shape
-execution, docs/SERVING.md) and "min_hardware_parallelism" asserts the
-runner actually had cores for the merge to use — together they make the
-multicore CI leg prove the grouped win instead of assuming it. A serve
+correctness floors, not throughput). "min_hardware_parallelism" asserts
+the file's recorded hardware_parallelism (no tolerance), so the multicore
+CI leg proves it ran on a runner with cores to use. A serve
 floor carrying "class" matches a row's per-class "class_lat" entries by
 class name and applies "max_p95_us" (a latency CEILING, no tolerance) and
 per-class "min_completed_fraction" — the SLO-ordering gate. Serve floors
@@ -168,21 +164,6 @@ def check_file(path, data, floors, tolerance, report, report_speedup,
                 matched.add(i)
                 report_speedup(path, data.get("speedup_batched_vs_batch1"),
                                rule)
-                continue
-            if "min_compiled_speedup" in rule:
-                matched.add(i)
-                report_speedup(path, data.get("speedup_compiled_vs_batched"),
-                               rule, key="min_compiled_speedup",
-                               label="compiled")
-                continue
-            if "min_grouped_speedup" in rule:
-                matched.add(i)
-                report_speedup(path, data.get("speedup_grouped_vs_batched"),
-                               rule, key="min_grouped_speedup",
-                               label="grouped")
-                if "min_hardware_parallelism" in rule:
-                    report_parallelism(
-                        path, data.get("hardware_parallelism"), rule)
                 continue
             if "min_hardware_parallelism" in rule:
                 matched.add(i)
@@ -303,23 +284,22 @@ def main():
                  requests, 100.0 * frac,
                  (", floor %.0f%%" % (100.0 * need)) if need else ""))
 
-    def report_speedup(path, value, rule, key="min_speedup",
-                       label="coalescing"):
-        need = float(rule[key])
+    def report_speedup(path, value, rule):
+        need = float(rule["min_speedup"])
         checked[0] += 1
         ok = value is not None and float(value) >= need
         shown = float(value) if value is not None else 0.0
-        print("%s %s: %s speedup = %.2fx (floor %.2fx)"
-              % ("ok  " if ok else "FAIL", path, label, shown, need))
+        print("%s %s: coalescing speedup = %.2fx (floor %.2fx)"
+              % ("ok  " if ok else "FAIL", path, shown, need))
         if not ok:
-            failures.append("%s: %s speedup %.2fx below floor %.2fx"
-                            % (path, label, shown, need))
+            failures.append("%s: coalescing speedup %.2fx below floor %.2fx"
+                            % (path, shown, need))
 
     def report_parallelism(path, value, rule):
-        # Sanity anchor for the multicore leg: a grouped-speedup floor on a
-        # 1-core runner proves nothing, so the floor asserts the runner's
-        # recorded hardware_parallelism too (no tolerance — it is a fact
-        # about the machine, not a measurement).
+        # Sanity anchor for the multicore leg: its floors prove nothing on
+        # a 1-core runner, so this one asserts the runner's recorded
+        # hardware_parallelism (no tolerance — it is a fact about the
+        # machine, not a measurement).
         need = int(rule["min_hardware_parallelism"])
         got = int(value) if value is not None else 0
         checked[0] += 1

@@ -178,7 +178,7 @@ long srmac_session_forward(srmac_session* s, const float* input,
       s->compiled->refresh();  // pick up checkpoint loads / weight writes
       std::vector<Tensor> xs;
       xs.push_back(std::move(x));
-      s->compiled->forward_batch(xs);
+      s->compiled->forward_batch(xs, 0, s->compiled->stages());
       y = std::move(xs[0]);
     } else {
       y = s->model->forward(s->engine->context(), x, /*training=*/false);

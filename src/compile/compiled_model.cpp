@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
@@ -16,43 +18,58 @@ double now_s() {
 }
 }  // namespace
 
-// The exec_* bodies replicate the eager layers' math expression for
+// The exec_* bodies replicate the layers' forward math expression for
 // expression (nn/layers.cpp, nn/resnet.cpp) — same float casts, same
 // double accumulators, same kernel entry points with the same (normalized
 // config, shape, operand bits, seed). That identity is what the
 // differential harness pins; any "optimization" that reassociates a float
-// expression here breaks bitwise equality with eager serving.
+// expression here breaks bitwise equality with the offline forward.
 
-void CompiledModel::forward_batch(std::vector<Tensor>& xs) {
+void CompiledModel::forward_batch(std::vector<Tensor>& xs, size_t first,
+                                  size_t last) {
+  if (first > last || last > stages_.size())
+    throw std::out_of_range("CompiledModel::forward_batch: stages [" +
+                            std::to_string(first) + ", " +
+                            std::to_string(last) + ") outside a " +
+                            std::to_string(stages_.size()) +
+                            "-stage program");
   const int batch = static_cast<int>(xs.size());
-  if (batch == 0) return;
+  if (batch == 0 || first == last) return;
   if (batch > capacity_)
     throw CompileException(
         CompileError::kCapacityExceeded,
         "batch of " + std::to_string(batch) + " exceeds the compiled capacity " +
             std::to_string(capacity_));
-  const double t0 = telemetry_ ? now_s() : 0.0;
 
-  // Stage the inputs into buffer 0 (samples may arrive as (1,C,H,W) or bare
-  // (C,H,W) — the serving admission edge normalizes to batch dimension 1).
+  // Stage the inputs into stage `first`'s input buffer (samples may arrive
+  // as (1,C,H,W) or bare (C,H,W) — the serving admission edge normalizes to
+  // batch dimension 1).
+  const int in_buf = first == 0 ? 0 : stages_[first - 1].out_buf;
+  const std::vector<int>& in_shape =
+      first == 0 ? input_shape_ : stages_[first - 1].out_shape;
+  const int64_t in_n = buf_numel_[static_cast<size_t>(in_buf)];
   for (int s = 0; s < batch; ++s) {
     const Tensor& x = xs[s];
-    const int skip = (x.ndim() == static_cast<int>(input_shape_.size()) + 1 &&
-                      x.dim(0) == 1)
-                         ? 1
-                         : 0;
-    bool ok = x.ndim() - skip == static_cast<int>(input_shape_.size());
-    for (size_t d = 0; ok && d < input_shape_.size(); ++d)
-      ok = x.dim(static_cast<int>(d) + skip) == input_shape_[d];
+    const int skip =
+        (x.ndim() == static_cast<int>(in_shape.size()) + 1 && x.dim(0) == 1)
+            ? 1
+            : 0;
+    bool ok = x.ndim() - skip == static_cast<int>(in_shape.size());
+    for (size_t d = 0; ok && d < in_shape.size(); ++d)
+      ok = x.dim(static_cast<int>(d) + skip) == in_shape[d];
     if (!ok)
       throw CompileException(CompileError::kShapeMismatch,
                              "sample shape does not match the compiled input "
                              "shape (recompile for a different shape)");
-    std::memcpy(buf(0) + static_cast<size_t>(s) * in_numel_, x.data(),
-                static_cast<size_t>(in_numel_) * sizeof(float));
+    std::memcpy(buf(in_buf) + static_cast<size_t>(s) * in_n, x.data(),
+                static_cast<size_t>(in_n) * sizeof(float));
   }
 
-  for (const Op& op : ops_) {
+  kernel_s_ = 0;
+  uint64_t gemms = 0, macs = 0, act_bytes = 0;
+  const size_t op_begin = first == 0 ? 0 : stages_[first - 1].op_end;
+  for (size_t i = op_begin; i < stages_[last - 1].op_end; ++i) {
+    const Op& op = ops_[i];
     switch (op.kind) {
       case OpKind::kConvGemm: exec_conv(op, batch); break;
       case OpKind::kLinearGemm: exec_linear(op, batch); break;
@@ -61,22 +78,29 @@ void CompiledModel::forward_batch(std::vector<Tensor>& xs) {
       case OpKind::kEltwise: exec_eltwise(op, batch); break;
       case OpKind::kJoin: exec_join(op, batch); break;
     }
+    if (op.kind == OpKind::kConvGemm || op.kind == OpKind::kLinearGemm) {
+      gemms += 1;  // one wide kernel call for the whole batch
+      macs += static_cast<uint64_t>(batch) * op.M * op.N * op.K;
+      act_bytes += static_cast<uint64_t>(batch) * op.act_bytes;
+    }
   }
 
   // The only steady-state allocations of the whole pass: the output tensors
-  // handed back to the caller (eager serving allocates those too).
-  const float* src = buf(out_buf_);
+  // handed back to the caller.
+  const Stage& out = stages_[last - 1];
+  std::vector<int> out_shape(1, 1);  // forward() keeps batch dimension 1
+  out_shape.insert(out_shape.end(), out.out_shape.begin(),
+                   out.out_shape.end());
+  const int64_t out_n = buf_numel_[static_cast<size_t>(out.out_buf)];
   for (int s = 0; s < batch; ++s) {
-    Tensor out(output_shape_);
-    std::memcpy(out.data(), src + static_cast<size_t>(s) * out_numel_,
-                static_cast<size_t>(out_numel_) * sizeof(float));
-    xs[s] = std::move(out);
+    Tensor y(out_shape);
+    std::memcpy(y.data(), buf(out.out_buf) + static_cast<size_t>(s) * out_n,
+                static_cast<size_t>(out_n) * sizeof(float));
+    xs[s] = std::move(y);
   }
 
-  if (telemetry_)
-    telemetry_->record_compiled_forward(
-        gemms_per_sample_ * batch, macs_per_sample_ * batch,
-        act_bytes_per_sample_ * batch, now_s() - t0);
+  if (telemetry_ && gemms)
+    telemetry_->record_compiled_forward(gemms, macs, act_bytes, kernel_s_);
 }
 
 uint64_t CompiledModel::refresh() {
@@ -114,8 +138,9 @@ void CompiledModel::rebuild_plane(Op& op) {
         op.wt[static_cast<size_t>(k) * op.N + o] = w.at(o, k);
     return;
   }
-  // Bit-accurate Linear: requantize the transposed plane (as the eager
-  // cache's transposed path does) and repack it into the panel layout.
+  // Bit-accurate Linear: requantize the transposed plane (as the layer's
+  // WeightQuantCache transposed path does) and repack it into the panel
+  // layout.
   std::vector<uint32_t> wqt(static_cast<size_t>(op.K) * op.N);
   gemm_quantize_transposed(op.cfg.mul_fmt, op.N, op.K, w.data(), wqt.data(),
                            threads_);
@@ -169,7 +194,7 @@ void CompiledModel::exec_conv(const Op& op, int batch) {
       [&](int64_t lo, int64_t hi) {
         for (int64_t s = lo; s < hi; ++s)
           im2col(src + s * in_n, op.ch, op.H, op.W, op.kk, op.kk, op.stride,
-                 op.pad, cols_.data() + s * L,
+                 op.pad, cols_.get() + s * L,
                  /*row_stride=*/static_cast<int64_t>(wideN));
       },
       threads_);
@@ -177,18 +202,21 @@ void CompiledModel::exec_conv(const Op& op, int batch) {
     // One quantize + one pack + one kernel for the whole batch
     // (quantization is elementwise, so the wide panel's bits equal the
     // per-sample panels' bits column for column).
-    gemm_quantize(op.cfg.mul_fmt, op.K, wideN, cols_.data(), wideN,
-                  qcols_.data(), threads_);
-    gemm_pack_b_into(op.cfg, op.K, wideN, qcols_.data(), wideN, &panel_,
+    gemm_quantize(op.cfg.mul_fmt, op.K, wideN, cols_.get(), wideN,
+                  qcols_.get(), threads_);
+    gemm_pack_b_into(op.cfg, op.K, wideN, qcols_.get(), wideN, &panel_,
                      threads_);
+  }
+  const double t0 = telemetry_ ? now_s() : 0.0;
+  if (op.bits)
     gemm_mac_bits_packed(op.cfg, op.M, wideN, op.K, op.aq.data(), op.K,
-                         panel_, gout_.data(), wideN, /*accumulate=*/false,
+                         panel_, gout_.get(), wideN, /*accumulate=*/false,
                          op.seed, threads_, /*seed_row_period=*/0,
                          /*seed_col_period=*/static_cast<int>(L));
-  } else {
-    gemm_ref(op.M, wideN, op.K, op.w->value.data(), op.K, cols_.data(), wideN,
-             gout_.data(), wideN, /*accumulate=*/false, threads_);
-  }
+  else
+    gemm_ref(op.M, wideN, op.K, op.w->value.data(), op.K, cols_.get(), wideN,
+             gout_.get(), wideN, /*accumulate=*/false, threads_);
+  if (telemetry_) kernel_s_ += now_s() - t0;
   if (telemetry_ && batch > 1) telemetry_->record_grouped_gemm(batch);
   // Scatter wide (c, s*L + t) -> sample s's (c, t) slice, then the
   // per-sample epilogue pass.
@@ -199,7 +227,7 @@ void CompiledModel::exec_conv(const Op& op, int batch) {
           float* out = dst + s * out_n;
           for (int c = 0; c < op.M; ++c)
             std::memcpy(out + static_cast<size_t>(c) * L,
-                        gout_.data() + (static_cast<size_t>(c) * batch + s) * L,
+                        gout_.get() + (static_cast<size_t>(c) * batch + s) * L,
                         static_cast<size_t>(L) * sizeof(float));
           apply_epilogue(op, out, out_n);
         }
@@ -216,19 +244,21 @@ void CompiledModel::exec_linear(const Op& op, int batch) {
   // kernel writes every sample's output in place. seed_row_period = 1
   // makes row s seed as row 0, a standalone M=1 forward's seed, so the
   // merge changes no bits.
-  if (op.bits) {
-    // One elementwise quantization sweep over all samples' activation rows
-    // (identical bits to matmul_qb's per-sample quantize).
-    gemm_quantize(op.cfg.mul_fmt, batch, op.K, src, op.K, qact_.data(),
+  // One elementwise quantization sweep over all samples' activation rows
+  // (identical bits to matmul_qb's per-sample quantize).
+  if (op.bits)
+    gemm_quantize(op.cfg.mul_fmt, batch, op.K, src, op.K, qact_.get(),
                   threads_);
-    gemm_mac_bits_packed(op.cfg, batch, op.N, op.K, qact_.data(), op.K,
+  const double t0 = telemetry_ ? now_s() : 0.0;
+  if (op.bits)
+    gemm_mac_bits_packed(op.cfg, batch, op.N, op.K, qact_.get(), op.K,
                          op.bpanels, dst, op.N, /*accumulate=*/false, op.seed,
                          threads_, /*seed_row_period=*/1,
                          /*seed_col_period=*/0);
-  } else {
+  else
     gemm_ref(batch, op.N, op.K, src, op.K, op.wt.data(), op.N, dst, op.N,
              /*accumulate=*/false, threads_);
-  }
+  if (telemetry_) kernel_s_ += now_s() - t0;
   if (telemetry_ && batch > 1) telemetry_->record_grouped_gemm(batch);
   for (int s = 0; s < batch; ++s)
     apply_epilogue(op, dst + static_cast<size_t>(s) * op.N, op.N);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -14,7 +15,8 @@
 namespace srmac {
 
 /// A model lowered ahead of time against one EmuEngine scenario and one
-/// input shape — the zero-overhead serve path (docs/COMPILER.md).
+/// input shape — the executor every serving session runs
+/// (docs/COMPILER.md).
 ///
 /// What "compiled" means here, concretely:
 ///  - every weight plane is quantized into the scenario's multiplier format
@@ -27,18 +29,23 @@ namespace srmac {
 ///    tail, and bias/ReLU/residual-join elementwise work is fused into the
 ///    same single output pass — no intermediate tensors between layers.
 ///
-/// The bitwise contract is the same one the serving stack already holds:
-/// forward_batch(xs) leaves each xs[i] bit-identical to
-/// model.forward(engine.context(), xs[i], false) offline, and therefore to
-/// eager serving under the same engine. It holds because each compiled GEMM
-/// replays the exact (normalized MacConfig, shape, quantized operand bits,
-/// fork-chain seed) of the eager walk through the same fused kernel, and
-/// everything between GEMMs replays the layers' exact float expressions
+/// The bitwise contract: forward_batch(xs, 0, stages()) leaves each xs[i]
+/// bit-identical to model.forward(engine.context(), xs[i], false) offline.
+/// It holds because each compiled GEMM replays the exact (normalized
+/// MacConfig, shape, quantized operand bits, fork-chain seed) of the
+/// layers' own forward through the same fused kernel, and everything
+/// between GEMMs replays the layers' exact float expressions
 /// (tests/compile/compiled_vs_eager_test.cpp fuzzes this across models,
 /// adder kinds, formats, shard counts, and batch sizes).
 ///
+/// Stages: the program is split after each top-level Sequential child
+/// (together with the BatchNorm/ReLU children fused into it; no fusion
+/// crosses a boundary). Running stages [a, b) and then [b, c) with the
+/// activations copied out and back in between gives the bits of one
+/// [a, c) call — the unit continuous batching advances a request by.
+///
 /// Invalidation: compiled weight planes are keyed on Param::version, the
-/// same counter the eager WeightQuantCache keys on. refresh() compares and
+/// same counter the layers' WeightQuantCache keys on. refresh() compares and
 /// rebuilds stale planes — an optimizer step or checkpoint load is picked
 /// up by the next micro-batch, exactly once per plane per bump. BN
 /// gamma/beta and Linear bias are read live from their Params at execution
@@ -58,16 +65,18 @@ class CompiledModel {
     uint64_t planes_packed = 0;  ///< weight planes quantized/packed/copied
     uint64_t folds = 0;          ///< ops folded away (BN affines, Flattens)
     uint64_t fusions = 0;        ///< epilogue steps fused into GEMM tails
-    uint64_t gemm_ops = 0;       ///< GEMM ops per compiled forward sample
+    uint64_t gemm_ops = 0;       ///< GEMM ops: kernel calls per forward
   };
 
-  /// Runs one coalesced batch of independent single-sample activations
-  /// (each xs[i] with batch dimension 1) through the compiled program,
-  /// replacing each xs[i] with the model output for that sample. Throws
-  /// CompileException kShapeMismatch when a sample does not match the
-  /// compiled input shape, kCapacityExceeded when xs.size() exceeds the
-  /// compiled capacity.
-  void forward_batch(std::vector<Tensor>& xs);
+  /// Runs stages [first, last) over one coalesced batch of independent
+  /// single-sample activations (each xs[i] with batch dimension 1): copies
+  /// the samples into stage `first`'s input buffer, runs the stages' ops,
+  /// and replaces each xs[i] with stage `last - 1`'s output for that
+  /// sample. (0, stages()) is the whole model. Throws std::out_of_range on
+  /// a range outside [0, stages()], CompileException kShapeMismatch when a
+  /// sample does not match stage `first`'s input shape, kCapacityExceeded
+  /// when xs.size() exceeds the compiled capacity.
+  void forward_batch(std::vector<Tensor>& xs, size_t first, size_t last);
 
   /// Rebuilds every weight plane whose Param::version moved since it was
   /// last built (optimizer step, checkpoint load); returns how many planes
@@ -76,9 +85,9 @@ class CompiledModel {
   /// it before every micro-batch.
   uint64_t refresh();
 
+  size_t stages() const { return stages_.size(); }
   int capacity() const { return capacity_; }
   const std::vector<int>& input_shape() const { return input_shape_; }
-  const std::vector<int>& output_shape() const { return output_shape_; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -135,9 +144,21 @@ class CompiledModel {
     std::optional<Affine> affine;
     Param* bias = nullptr;  ///< kLinearGemm: read live (never stale)
     bool relu = false;
+
+    uint64_t act_bytes = 0;  ///< per sample: activation bytes quantized
   };
 
-  float* buf(int idx) { return buffers_[static_cast<size_t>(idx)].data(); }
+  /// One top-level child of the model: its ops end at op_end (they start
+  /// at the previous stage's op_end), its per-sample output lives in
+  /// out_buf with shape out_shape. Stage i's input is stage i-1's output
+  /// (stage 0's: buffer 0, input_shape_).
+  struct Stage {
+    size_t op_end = 0;
+    int out_buf = 0;
+    std::vector<int> out_shape;
+  };
+
+  float* buf(int idx) { return buffers_[static_cast<size_t>(idx)].get(); }
   void rebuild_plane(Op& op);
   void exec_conv(const Op& op, int batch);
   void exec_linear(const Op& op, int batch);
@@ -150,27 +171,28 @@ class CompiledModel {
   Telemetry* telemetry_ = nullptr;
   int threads_ = 0;
   int capacity_ = 0;
-  std::vector<int> input_shape_, output_shape_;  ///< per sample, no batch dim
-  int64_t in_numel_ = 0, out_numel_ = 0;
+  std::vector<int> input_shape_;  ///< per sample, no batch dim
 
   std::vector<Op> ops_;
-  std::vector<std::vector<float>> buffers_;  ///< [i]: capacity * numel floats
-  std::vector<int64_t> buf_numel_;           ///< per-sample numel of buffer i
-  int out_buf_ = 0;                          ///< buffer holding the output
+  std::vector<Stage> stages_;
+  /// Buffers and scratch are allocated uninitialized: every op writes each
+  /// element it later reads within the same forward_batch call, and a
+  /// page is first touched by the first batch that reaches it, so session
+  /// setup does not pay to zero capacity-sized regions.
+  std::vector<std::unique_ptr<float[]>> buffers_;  ///< [i]: cap * numel
+  std::vector<int64_t> buf_numel_;  ///< per-sample numel of buffer i
 
   // Shared per-request scratch, sized at compile for the largest op: every
   // GEMM op runs the whole micro-batch as one wide kernel (grouped
   // same-shape execution, docs/SERVING.md).
-  std::vector<float> cols_;      ///< wide im2col panel, capacity * max(K*L)
-  std::vector<uint32_t> qcols_;  ///< quantized wide panel, capacity*max(K*L)
-  std::vector<uint32_t> qact_;   ///< quantized Linear activations, cap*max(K)
-  PackedBPanels panel_;          ///< conv B pack target, the wide panel
-  std::vector<float> gout_;      ///< wide conv GEMM output, cap * max(M*L)
+  std::unique_ptr<float[]> cols_;      ///< wide im2col panel, cap*max(K*L)
+  std::unique_ptr<uint32_t[]> qcols_;  ///< quantized wide panel, cap*max(K*L)
+  std::unique_ptr<uint32_t[]> qact_;   ///< quantized Linear rows, cap*max(K)
+  PackedBPanels panel_;                ///< conv B pack target, the wide panel
+  std::unique_ptr<float[]> gout_;      ///< wide conv GEMM out, cap*max(M*L)
 
   Stats stats_;
-  uint64_t gemms_per_sample_ = 0;
-  uint64_t macs_per_sample_ = 0;
-  uint64_t act_bytes_per_sample_ = 0;  ///< activation quantize bytes
+  double kernel_s_ = 0;  ///< GEMM kernel seconds of the running call
 };
 
 }  // namespace srmac

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -137,8 +138,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
         max_wide_panel = std::max(
             max_wide_panel,
             gemm_packed_b_words(op.cfg, op.K, m.capacity_ * op.N));
-        m.act_bytes_per_sample_ += static_cast<uint64_t>(kl) *
-                                   fmt_bytes(op.cfg.mul_fmt);
+        op.act_bytes = static_cast<uint64_t>(kl) * fmt_bytes(op.cfg.mul_fmt);
       }
       if (bn) {
         fold_affine(op, *bn, op.M);
@@ -152,8 +152,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       op.dst = add_buffer(static_cast<int64_t>(op.M) * op.N);
       cur = op.dst;
       shape = {op.M, oh, ow};
-      m.gemms_per_sample_ += 1;
-      m.macs_per_sample_ += static_cast<uint64_t>(op.M) * op.N * op.K;
+      m.stats_.gemm_ops += 1;
       m.ops_.push_back(std::move(op));
     }
 
@@ -177,7 +176,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       if (bits) {
         op.cfg = cc.mac_config().normalized();
         op.seed = cc.seed;
-        // W^T quantized elementwise (the eager cache's transposed plane),
+        // W^T quantized elementwise (the layer cache's transposed plane),
         // then packed once into the fused kernel's panel layout.
         std::vector<uint32_t> wqt(static_cast<size_t>(op.K) * op.N);
         gemm_quantize_transposed(op.cfg.mul_fmt, op.N, op.K, w.data(),
@@ -185,8 +184,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
         gemm_pack_b_into(op.cfg, op.K, op.N, wqt.data(), op.N, &op.bpanels,
                          m.threads_);
         max_lin_k = std::max<int64_t>(max_lin_k, op.K);
-        m.act_bytes_per_sample_ += static_cast<uint64_t>(op.K) *
-                                   fmt_bytes(op.cfg.mul_fmt);
+        op.act_bytes = static_cast<uint64_t>(op.K) * fmt_bytes(op.cfg.mul_fmt);
       } else {
         // fp32: materialize W^T once (matmul_nt's per-call transpose).
         op.wt.resize(static_cast<size_t>(op.K) * op.N);
@@ -202,8 +200,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       op.dst = add_buffer(op.N);
       cur = op.dst;
       shape = {op.N};
-      m.gemms_per_sample_ += 1;
-      m.macs_per_sample_ += static_cast<uint64_t>(op.N) * op.K;
+      m.stats_.gemm_ops += 1;
       m.ops_.push_back(std::move(op));
     }
 
@@ -241,7 +238,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       const int oh = (H - mp.kernel()) / mp.stride() + 1;
       const int ow = (W - mp.kernel()) / mp.stride() + 1;
       // H < k truncates to oh == 1 but the window would read past the
-      // input (the eager layer's bounds asserts compile out in Release, so
+      // input (the layer's own bounds asserts compile out in Release, so
       // this boundary must catch it).
       if (oh <= 0 || ow <= 0 || H < mp.kernel() || W < mp.kernel())
         mismatch("input " + std::to_string(H) + "x" + std::to_string(W) +
@@ -294,7 +291,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
     }
 
     void lower_basic(BasicBlock& b, const ComputeContext& cc) {
-      // Replays forward_batch()'s fixed fork salts (nn/resnet.cpp): conv1 =
+      // Replays forward()'s fixed fork salts (nn/resnet.cpp): conv1 =
       // fork(1), conv2 = fork(2), projection = fork(3); the BN/ReLU
       // children take no context.
       const int in_buf = cur;
@@ -340,11 +337,14 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       join(main_buf, sc_buf, main_shape);
     }
 
-    void lower_sequential(Sequential& seq, const ComputeContext& cc) {
-      // Sequential::forward_batch's chain: child i runs under
+    /// `top_level`: record a stage boundary after each child, together
+    /// with the BatchNorm/ReLU children fused into it.
+    void lower_sequential(Sequential& seq, const ComputeContext& cc,
+                          bool top_level) {
+      // Sequential::forward's chain: child i runs under
       // cc.fork(i+1).for_layer(name). Children consumed by a fusion
       // lookahead (BN/ReLU after a GEMM) still advance the salt — they
-      // ignore their context in the eager walk too.
+      // ignore their context in the layers' own walk too.
       int salt = 0;
       for (size_t i = 0; i < seq.size(); ++i) {
         Layer& child = seq.child(i);
@@ -395,38 +395,36 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
         } else if (auto* nb = dynamic_cast<BottleneckBlock*>(&child)) {
           lower_bottleneck(*nb, ctx);
         } else if (auto* nested = dynamic_cast<Sequential*>(&child)) {
-          lower_sequential(*nested, ctx);
+          lower_sequential(*nested, ctx, /*top_level=*/false);
         } else {
           throw CompileException(
               CompileError::kUnsupportedLayer,
               "no lowering rule for layer \"" + child.name() + "\"");
         }
+        if (top_level)
+          m.stages_.push_back(CompiledModel::Stage{m.ops_.size(), cur, shape});
       }
     }
   };
 
   Lowerer lo{m, base.bit_accurate(), opts.input_shape};
-  m.in_numel_ = Lowerer::numel_of(opts.input_shape);
-  lo.add_buffer(m.in_numel_);  // buffer 0: input staging
-  lo.lower_sequential(model, base);
-
-  m.out_buf_ = lo.cur;
-  m.out_numel_ = lo.numel();
-  m.output_shape_.assign(1, 1);  // eager forwards keep batch dimension 1
-  m.output_shape_.insert(m.output_shape_.end(), lo.shape.begin(),
-                         lo.shape.end());
-  m.stats_.gemm_ops = m.gemms_per_sample_;
+  lo.add_buffer(Lowerer::numel_of(opts.input_shape));  // buffer 0: input
+  lo.lower_sequential(model, base, /*top_level=*/true);
 
   // Preplan every buffer and scratch region for (input_shape, max_batch):
   // after this, a steady-state forward allocates only its output tensors.
   const size_t cap = static_cast<size_t>(m.capacity_);
-  m.buffers_.resize(m.buf_numel_.size());
-  for (size_t i = 0; i < m.buf_numel_.size(); ++i)
-    m.buffers_[i].assign(cap * static_cast<size_t>(m.buf_numel_[i]), 0.0f);
-  m.cols_.assign(cap * static_cast<size_t>(lo.max_conv_kl), 0.0f);
-  m.qcols_.assign(cap * static_cast<size_t>(lo.max_conv_nk), 0);
-  m.qact_.assign(cap * static_cast<size_t>(lo.max_lin_k), 0);
-  m.gout_.assign(cap * static_cast<size_t>(lo.max_conv_ml), 0.0f);
+  for (const int64_t numel : m.buf_numel_)
+    m.buffers_.push_back(std::make_unique_for_overwrite<float[]>(
+        cap * static_cast<size_t>(numel)));
+  m.cols_ = std::make_unique_for_overwrite<float[]>(
+      cap * static_cast<size_t>(lo.max_conv_kl));
+  m.qcols_ = std::make_unique_for_overwrite<uint32_t[]>(
+      cap * static_cast<size_t>(lo.max_conv_nk));
+  m.qact_ = std::make_unique_for_overwrite<uint32_t[]>(
+      cap * static_cast<size_t>(lo.max_lin_k));
+  m.gout_ = std::make_unique_for_overwrite<float[]>(
+      cap * static_cast<size_t>(lo.max_conv_ml));
   m.panel_.bt.reserve(lo.max_wide_panel);
 
   if (base.telemetry)

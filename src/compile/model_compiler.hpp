@@ -10,18 +10,19 @@ namespace srmac {
 
 /// Lowers a model + engine scenario into a CompiledModel (docs/COMPILER.md).
 ///
-/// The pass walks the Sequential exactly as forward_batch() does — the same
-/// per-child fork salts and per-layer policy rules, recursing into the
+/// The pass walks the Sequential exactly as Sequential::forward does — the
+/// same per-child fork salts and per-layer policy rules, recursing into the
 /// residual blocks' fixed fork chains — and records, per GEMM, the absolute
-/// seed and normalized MacConfig the eager dispatch would use. Weight
+/// seed and normalized MacConfig the layer's own forward would use. Weight
 /// planes are quantized (and, for Linear, panel-packed) at compile time;
 /// BatchNorm inference affines are folded into the preceding GEMM's
 /// epilogue; ReLU/bias/residual joins fuse into the same output pass;
-/// Flatten folds away entirely. Activation, im2col, and quantized-operand
-/// buffers are preplanned for (input_shape, max_batch): each GEMM op runs a
-/// micro-batch as ONE wide kernel (grouped same-shape execution,
-/// docs/SERVING.md), with seed periods preserving each sample's standalone
-/// bits.
+/// Flatten folds away entirely. Each top-level child (with the BN/ReLU
+/// children fused into it) ends one stage of the program. Activation,
+/// im2col, and quantized-operand buffers are preplanned for (input_shape,
+/// max_batch): each GEMM op runs a micro-batch as ONE wide kernel (grouped
+/// same-shape execution, docs/SERVING.md), with the kernel's seed periods
+/// preserving each sample's standalone bits.
 ///
 /// Typed rejections (CompileException):
 ///  - kUnsupportedBackend: a bit-accurate backend without prequantized

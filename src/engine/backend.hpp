@@ -24,14 +24,6 @@ struct GemmArgs {
   bool accumulate = false;
   uint64_t seed = kDefaultSeed;
   int threads = 0;  ///< 0 = hardware concurrency
-  /// Seed-derivation periods for grouped same-shape execution (see the
-  /// gemm_mac_bits_packed contract in mac/gemm.hpp): a non-zero period
-  /// folds that output coordinate modulo the period before the per-element
-  /// seed hash, so independent problems concatenated into one wide GEMM
-  /// keep their standalone seeds. 0 = identity (the default, unchanged
-  /// behavior).
-  int seed_row_period = 0;
-  int seed_col_period = 0;
 };
 
 /// GemmArgs with operands already quantized to cfg.mul_fmt bit patterns —
@@ -47,9 +39,6 @@ struct GemmBitsArgs {
   bool accumulate = false;
   uint64_t seed = kDefaultSeed;
   int threads = 0;
-  /// Seed-derivation periods; same contract as GemmArgs.
-  int seed_row_period = 0;
-  int seed_col_period = 0;
 };
 
 /// One element of a batched GEMM submission: the problem plus the MAC
@@ -97,17 +86,6 @@ class MatmulBackend {
   /// dequantize-and-requantize fallback (lossless: RN of a representable
   /// value is exact), they just forgo the requantization saving.
   virtual bool supports_prequantized() const { return false; }
-
-  /// Whether this backend honors the seed_row_period / seed_col_period
-  /// fields of GemmArgs / GemmBitsArgs — the grouped same-shape execution
-  /// contract (docs/SERVING.md): several independent problems concatenated
-  /// into one wide GEMM reproduce the per-problem seeds their standalone
-  /// dispatches would have used, so callers may merge same-shape work into
-  /// one dispatch without changing a single output bit. Backends that seed
-  /// by a scheme other than the per-element (i, j) hash (e.g. the systolic
-  /// model's per-PE seeding) must return false so grouping callers fall
-  /// back to per-problem dispatch.
-  virtual bool supports_grouped() const { return false; }
 
   /// Whether gemm_batch() does better than the default sequential loop.
   /// Callers holding several independent GEMMs (the layers' backward pair,

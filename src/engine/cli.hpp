@@ -23,9 +23,6 @@
 //                     1 = a single EmuServer session, no controller)
 //   --serve-deadline-us=N serving: per-request deadline (0 = none)
 //   --serve-slo-us=N  serving: p95 SLO target of the fleet load score
-//   --serve-compile   serving: serve through an ahead-of-time CompiledModel
-//                     (ServeConfig::compile; docs/COMPILER.md) — weight
-//                     planes pack once, epilogues fuse, bits unchanged
 //   --shadow-scenario=SPEC serving: shadow A/B — re-run a sample of
 //                     requests through a second engine built from SPEC
 //                     after the primary forward (docs/SERVING.md)
@@ -62,7 +59,6 @@ struct EngineCliArgs {
   int serve_replicas = 1;        // fleet size (1 = no ClusterController)
   uint64_t serve_deadline_us = 0;  // per-request deadline (0 = none)
   uint64_t serve_slo_us = 20000;   // p95 SLO target of the fleet load score
-  bool serve_compile = false;      // serve through a CompiledModel
   // Shadow A/B (ServeConfig::shadow; docs/SERVING.md):
   std::string shadow_scenario;     // empty = shadowing off
   double shadow_fraction = 1.0;    // trace-id-hash sample fraction
@@ -77,7 +73,6 @@ struct EngineCliArgs {
     s.backend = backend;
     s.seed = seed;
     s.threads = threads;
-    s.compile = serve_compile;
     return s;
   }
 
@@ -87,7 +82,6 @@ struct EngineCliArgs {
   SessionSpec shadow_session() const {
     SessionSpec s = session();
     s.scenario = shadow_scenario;
-    s.compile = false;  // callers opt in via ShadowConfig::session.compile
     return s;
   }
 };
@@ -108,7 +102,6 @@ inline const char* engine_cli_usage() {
          "  --serve-replicas=N serving fleet size (1 = single session)\n"
          "  --serve-deadline-us=N  per-request deadline (0 = none)\n"
          "  --serve-slo-us=N   p95 SLO target of the fleet load score\n"
-         "  --serve-compile    serve through an ahead-of-time CompiledModel\n"
          "  --shadow-scenario=SPEC  shadow A/B: second scenario to re-run a\n"
          "                   sample of requests under (empty = off)\n"
          "  --shadow-fraction=F  shadow sample fraction in [0,1] (default 1)\n";
@@ -148,8 +141,6 @@ inline EngineCliArgs parse_engine_cli(int argc, char** argv) {
     if (const char* v = val("--shadow-fraction"))
       args.shadow_fraction = std::strtod(v, nullptr);
     if (std::strcmp(argv[i], "--hfp8") == 0) args.hfp8 = true;
-    if (std::strcmp(argv[i], "--serve-compile") == 0)
-      args.serve_compile = true;
   }
   if (args.shards > 0) ThreadPool::set_default_shards(args.shards);
   return args;

@@ -37,8 +37,7 @@ class EmuEngine {
     Builder& backend(const std::string& name);
 
     /// Applies a whole SessionSpec at once: scenario, backend, seed, and
-    /// threads (spec.compile is a serving-layer concern the engine does not
-    /// consume). The shared entry point of the CLI helper, serve_daemon,
+    /// threads. The shared entry point of the CLI helper, serve_daemon,
     /// the C API, and EmuServer's shadow sessions.
     Builder& spec(const SessionSpec& s);
 

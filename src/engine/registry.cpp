@@ -64,8 +64,6 @@ void MatmulBackend::gemm_batch(const GemmBatchItem* items,
     b.accumulate = a.accumulate;
     b.seed = a.seed;
     b.threads = a.threads;
-    b.seed_row_period = a.seed_row_period;
-    b.seed_col_period = a.seed_col_period;
     if (it.Aq) {
       b.Aq = it.Aq;
       b.lda = a.lda;
@@ -142,9 +140,6 @@ class Fp32Backend final : public MatmulBackend {
  public:
   std::string name() const override { return "fp32"; }
   bool bit_accurate() const override { return false; }
-  // No randomness at all, so seed periods are vacuously honored — grouping
-  // callers may concatenate problems freely.
-  bool supports_grouped() const override { return true; }
   void gemm(const MacConfig&, const GemmArgs& a) const override {
     gemm_ref(a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc, a.accumulate,
              a.threads);
@@ -157,11 +152,9 @@ class ReferenceBackend final : public MatmulBackend {
  public:
   std::string name() const override { return "reference"; }
   bool bit_accurate() const override { return true; }
-  bool supports_grouped() const override { return true; }
   void gemm(const MacConfig& cfg, const GemmArgs& a) const override {
     gemm_mac_reference(cfg, a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
-                       a.accumulate, a.seed, a.threads, a.seed_row_period,
-                       a.seed_col_period);
+                       a.accumulate, a.seed, a.threads);
   }
 };
 
@@ -191,16 +184,13 @@ class ShardedBackend final : public MatmulBackend, public ShardStatsSource {
   bool bit_accurate() const override { return true; }
   bool supports_prequantized() const override { return true; }
   bool supports_batch() const override { return true; }
-  bool supports_grouped() const override { return true; }
   void gemm(const MacConfig& cfg, const GemmArgs& a) const override {
     gemm_mac(cfg, a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
-             a.accumulate, a.seed, a.threads, a.seed_row_period,
-             a.seed_col_period);
+             a.accumulate, a.seed, a.threads);
   }
   void gemm_bits(const MacConfig& cfg, const GemmBitsArgs& a) const override {
     gemm_mac_bits(cfg, a.M, a.N, a.K, a.Aq, a.lda, a.Bq, a.ldb, a.C, a.ldc,
-                  a.accumulate, a.seed, a.threads, a.seed_row_period,
-                  a.seed_col_period);
+                  a.accumulate, a.seed, a.threads);
   }
 
   void gemm_batch(const GemmBatchItem* items, size_t count) const override {
@@ -282,8 +272,7 @@ class ShardedBackend final : public MatmulBackend, public ShardStatsSource {
             }
           }
           gemm_mac_bits_packed(cfg, a.M, a.N, a.K, aq, lda, *panels, a.C,
-                               a.ldc, a.accumulate, a.seed, a.threads,
-                               a.seed_row_period, a.seed_col_period);
+                               a.ldc, a.accumulate, a.seed, a.threads);
         },
         [S](int64_t i) { return static_cast<int>(i % S); }, &run,
         batch_thread_cap(items, count));

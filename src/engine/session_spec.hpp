@@ -10,12 +10,12 @@ namespace srmac {
 class EmuEngine;
 
 /// The shared description of one emulation session: which scenario it runs,
-/// on which backend, with which seed/thread defaults, and whether it serves
-/// through the ahead-of-time compiler. Before this struct existed the same
-/// four fields were plumbed separately through EmuEngine::Builder, the CLI
-/// helper, serve_daemon's flag parsing, and the C API's session builder —
-/// and drifted apart; now all of them carry a SessionSpec, and a shadow A/B
-/// session (ServeConfig::shadow) is simply a second one.
+/// on which backend, with which seed/thread defaults. Before this struct
+/// existed the same fields were plumbed separately through
+/// EmuEngine::Builder, the CLI helper, serve_daemon's flag parsing, and the
+/// C API's session builder — and drifted apart; now all of them carry a
+/// SessionSpec, and a shadow A/B session (ServeConfig::shadow) is simply a
+/// second one.
 struct SessionSpec {
   /// Scenario string in the shared grammar (MacConfig::to_string), or
   /// "fp32" for the float baseline.
@@ -29,10 +29,6 @@ struct SessionSpec {
   uint64_t seed = kDefaultSeed;  ///< base seed of the per-element LFSRs
   int threads = 0;               ///< GEMM thread cap (0 = hardware)
 
-  /// Serve through an ahead-of-time CompiledModel (consumed by the serving
-  /// layer and the daemon; EmuEngine itself is compilation-agnostic).
-  bool compile = false;
-
   /// Builds the engine this spec describes (EmuEngine::Builder::spec).
   /// Throws std::invalid_argument on an unparsable scenario or unknown
   /// backend name.
@@ -40,8 +36,7 @@ struct SessionSpec {
 
   friend bool operator==(const SessionSpec& a, const SessionSpec& b) {
     return a.scenario == b.scenario && a.backend == b.backend &&
-           a.seed == b.seed && a.threads == b.threads &&
-           a.compile == b.compile;
+           a.seed == b.seed && a.threads == b.threads;
   }
 };
 

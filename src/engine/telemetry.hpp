@@ -66,10 +66,11 @@ struct TelemetrySnapshot {
                                   ///< Param::version bump (checkpoint load)
   /// Activation operand bytes the compiled executor quantized inside its
   /// own kernels, per request. Compiled serving keeps `bytes_quantized` at
-  /// zero — that counter tracks the eager dispatch layer, whose per-request
-  /// weight/plane requantization is what compilation eliminates — while
-  /// this one keeps the per-request activation quantization (unavoidable in
-  /// any mode: inputs arrive as floats) honestly accounted.
+  /// zero — that counter tracks the layers' matmul dispatch (training, and
+  /// sessions the compiler rejects), whose per-call plane requantization
+  /// is what compilation eliminates — while this one keeps the per-request
+  /// activation quantization (unavoidable in any mode: inputs arrive as
+  /// floats) honestly accounted.
   uint64_t compile_activation_bytes = 0;
 
   // ---- serving-side counters (EmuServer, docs/SERVING.md) ----
@@ -240,13 +241,15 @@ class Telemetry {
   /// observing Param::version bumps (optimizer step or checkpoint load).
   void record_compile_rebuild(uint64_t planes);
 
-  /// Records one compiled forward pass of `gemms` GEMMs totalling `macs`
-  /// MAC steps, with `activation_bytes` bytes of activation operands freshly
-  /// quantized inside the compiled kernels (byte-rounded per value at the
-  /// per-op format, precomputed by the compiler). Lands in the gemms/macs
-  /// totals under the "compiled" per-backend row and in
+  /// Records one compiled forward call that made `gemms` GEMM kernel calls
+  /// (one per GEMM op: the op runs the whole batch as one wide kernel)
+  /// totalling `macs` MAC steps in `seconds` of kernel time (im2col,
+  /// quantize, pack and epilogues excluded), with `activation_bytes` bytes
+  /// of activation operands freshly quantized for those kernels
+  /// (byte-rounded per value at the per-op format). Lands in the
+  /// gemms/macs/seconds totals under the "compiled" per-backend row and in
   /// compile_activation_bytes — never in bytes_quantized, which stays the
-  /// eager dispatch layer's counter (and zero in compiled steady state).
+  /// dispatch layer's counter (and zero in compiled steady state).
   void record_compiled_forward(uint64_t gemms, uint64_t macs,
                                uint64_t activation_bytes, double seconds);
 

@@ -11,22 +11,6 @@
 
 namespace srmac {
 
-namespace {
-
-/// Whether a micro-batch merges into one wide GEMM per layer: several
-/// samples, a backend that honors seed periods (MatmulBackend::
-/// supports_grouped), and one shared problem shape. Anything else — the
-/// systolic model, mixed shapes, a lone sample — runs per sample.
-bool groupable(const ComputeContext& ctx, const std::vector<Tensor>& xs) {
-  if (xs.size() < 2 || !ctx.backend || !ctx.backend->supports_grouped())
-    return false;
-  for (size_t i = 1; i < xs.size(); ++i)
-    if (xs[i].shape() != xs[0].shape()) return false;
-  return true;
-}
-
-}  // namespace
-
 // -------------------------- WeightQuantCache -------------------------------
 
 const std::vector<uint32_t>& WeightQuantCache::get(const Param& p,
@@ -123,60 +107,6 @@ Tensor Conv2d::forward(const ComputeContext& ctx, const Tensor& x,
       std::copy_n(out_flat.data() + (static_cast<size_t>(c) * N + n) * L, L,
                   out.data() + (static_cast<size_t>(n) * out_ch_ + c) * L);
   return out;
-}
-
-void Conv2d::forward_batch(const ComputeContext& ctx,
-                           std::vector<Tensor>& xs) {
-  if (!groupable(ctx, xs)) {
-    Layer::forward_batch(ctx, xs);
-    return;
-  }
-  // Grouped same-shape execution (docs/SERVING.md): merge the whole
-  // micro-batch into ONE wide GEMM — the samples' im2col panels
-  // concatenate along the column axis, and seed_col_period = L makes
-  // column s*L+t seed exactly as the standalone forward()'s column t, so
-  // every sample keeps its own bits while the kernel sees one big problem
-  // instead of xs.size() small ones.
-  const int n = static_cast<int>(xs.size());
-  const Tensor& x0 = xs[0];
-  assert(x0.ndim() == 4 && x0.dim(0) == 1 && x0.dim(1) == in_ch_);
-  const int H = x0.dim(2), W = x0.dim(3);
-  const int oh = conv_out_dim(H, k_, stride_, pad_);
-  const int ow = conv_out_dim(W, k_, stride_, pad_);
-  const int K = in_ch_ * k_ * k_;
-  const int L = oh * ow;
-  // Wide panel K x (n*L), sample s in columns [s*L, (s+1)*L) — the same
-  // layout build_cols produces for a stacked batch.
-  cols_.resize(static_cast<size_t>(K) * n * L);
-  ThreadPool::global().parallel_for(
-      0, n,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t s = lo; s < hi; ++s)
-          im2col(xs[s].data(), in_ch_, H, W, k_, k_, stride_, pad_,
-                 cols_.data() + s * static_cast<int64_t>(L),
-                 /*row_stride=*/static_cast<int64_t>(n) * L);
-      },
-      ctx.threads);
-  Tensor wide({out_ch_, n * L});
-  if (ctx.bit_accurate()) {
-    const auto& wq = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/false);
-    matmul_qa(ctx, out_ch_, n * L, K, wq.data(), cols_.data(), wide.data(),
-              /*accumulate=*/false, /*seed_row_period=*/0,
-              /*seed_col_period=*/L);
-  } else {
-    matmul(ctx, out_ch_, n * L, K, w_.value.data(), cols_.data(),
-           wide.data(), /*accumulate=*/false, /*seed_row_period=*/0,
-           /*seed_col_period=*/L);
-  }
-  if (ctx.telemetry) ctx.telemetry->record_grouped_gemm(n);
-  // Scatter (c, s*L + t) -> sample s's (1, out_ch, oh, ow).
-  for (int s = 0; s < n; ++s) {
-    Tensor out({1, out_ch_, oh, ow});
-    for (int c = 0; c < out_ch_; ++c)
-      std::copy_n(wide.data() + (static_cast<size_t>(c) * n + s) * L, L,
-                  out.data() + static_cast<size_t>(c) * L);
-    xs[s] = std::move(out);
-  }
 }
 
 Tensor Conv2d::backward(const ComputeContext& ctx, const Tensor& gout) {
@@ -287,39 +217,6 @@ Tensor Linear::forward(const ComputeContext& ctx, const Tensor& x,
   for (int n = 0; n < N; ++n)
     for (int o = 0; o < out_f_; ++o) out.at(n, o) += b_.value[o];
   return out;
-}
-
-void Linear::forward_batch(const ComputeContext& ctx,
-                           std::vector<Tensor>& xs) {
-  if (!groupable(ctx, xs)) {
-    Layer::forward_batch(ctx, xs);
-    return;
-  }
-  // Grouped same-shape execution: stack the samples' rows into one
-  // (n x in_f) A operand and run a single GEMM against the shared W^T
-  // plane. seed_row_period = 1 makes every row seed as row 0, which is
-  // exactly the (1 x out_f) seed of each sample's standalone forward().
-  const int n = static_cast<int>(xs.size());
-  assert(xs[0].ndim() == 2 && xs[0].dim(0) == 1 && xs[0].dim(1) == in_f_);
-  Tensor a({n, in_f_});
-  for (int s = 0; s < n; ++s)
-    std::copy_n(xs[s].data(), in_f_, a.data() + static_cast<size_t>(s) * in_f_);
-  Tensor out({n, out_f_});
-  if (ctx.bit_accurate()) {
-    const auto& wqt = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/true);
-    matmul_qb(ctx, n, out_f_, in_f_, a.data(), wqt.data(), out.data(),
-              /*accumulate=*/false, /*seed_row_period=*/1,
-              /*seed_col_period=*/0);
-  } else {
-    matmul_nt(ctx, n, out_f_, in_f_, a.data(), w_.value.data(), out.data());
-  }
-  if (ctx.telemetry) ctx.telemetry->record_grouped_gemm(n);
-  for (int s = 0; s < n; ++s) {
-    Tensor o({1, out_f_});
-    for (int of = 0; of < out_f_; ++of)
-      o.at(0, of) = out.at(s, of) + b_.value[of];
-    xs[s] = std::move(o);
-  }
 }
 
 Tensor Linear::backward(const ComputeContext& ctx, const Tensor& gout) {

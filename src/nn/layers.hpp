@@ -11,12 +11,6 @@ class Conv2d : public Layer {
  public:
   Conv2d(int in_ch, int out_ch, int k, int stride = 1, int pad = -1);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Grouped inference: the samples' im2col panels concatenate into one
-  /// wide GEMM against the cached weight plane (seed_col_period keeps each
-  /// sample's standalone bits). Runs the base per-sample loop on backends
-  /// without supports_grouped() and on mixed shapes.
-  void forward_batch(const ComputeContext& ctx,
-                     std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;
   void collect_params(std::vector<Param*>& out) override { out.push_back(&w_); }
   std::string name() const override { return "Conv2d"; }
@@ -46,12 +40,6 @@ class Linear : public Layer {
  public:
   Linear(int in_f, int out_f);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Grouped inference: the samples' rows stack into one A operand for a
-  /// single GEMM against the cached transposed weight plane
-  /// (seed_row_period keeps each sample's standalone bits). Same per-sample
-  /// fallback as Conv2d.
-  void forward_batch(const ComputeContext& ctx,
-                     std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;
   void collect_params(std::vector<Param*>& out) override {
     out.push_back(&w_);

@@ -71,23 +71,6 @@ class Layer {
   virtual Tensor forward(const ComputeContext& ctx, const Tensor& x,
                          bool training) = 0;
   virtual Tensor backward(const ComputeContext& ctx, const Tensor& gout) = 0;
-
-  /// Inference-mode forward of several *independent* single-sample
-  /// activations (each xs[i] has batch dimension 1), updated in place —
-  /// the serving stack's micro-batch entry (docs/SERVING.md). The contract
-  /// is bitwise: xs[i] after the call equals forward(ctx, xs[i], false),
-  /// for every i. Samples must therefore keep their own seeds — plainly
-  /// stacking them into one tensor would shift per-element seed
-  /// derivation — so GEMM layers override this to merge same-shape samples
-  /// into one wide GEMM whose seed periods replay each sample's standalone
-  /// seeds (MatmulBackend::supports_grouped), and composite blocks to walk
-  /// their children once per layer. The default is the plain per-sample
-  /// loop, trivially bit-identical.
-  virtual void forward_batch(const ComputeContext& ctx,
-                             std::vector<Tensor>& xs) {
-    for (Tensor& x : xs) x = forward(ctx, x, /*training=*/false);
-  }
-
   virtual void collect_params(std::vector<Param*>& out) { (void)out; }
   virtual std::string name() const = 0;
 };
@@ -105,15 +88,6 @@ class Sequential : public Layer {
     for (auto& l : layers_)
       h = l->forward(ctx.fork(++salt).for_layer(l->name()), h, training);
     return h;
-  }
-  void forward_batch(const ComputeContext& ctx,
-                     std::vector<Tensor>& xs) override {
-    // Same per-layer fork/rule chain as forward(), applied once per layer
-    // for the whole micro-batch — each child sees every sample before the
-    // next child runs, so its GEMMs can merge into one dispatch.
-    int salt = 0;
-    for (auto& l : layers_)
-      l->forward_batch(ctx.fork(++salt).for_layer(l->name()), xs);
   }
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override {
     // Cross-layer weight-gradient bucketing: on a batching backend the
@@ -165,8 +139,8 @@ class Sequential : public Layer {
   std::string name() const override { return "Sequential"; }
   size_t size() const { return layers_.size(); }
 
-  /// The i-th child, in the order forward()/forward_batch() walk them — the
-  /// introspection surface the model compiler lowers through (src/compile).
+  /// The i-th child, in the order forward() walks them — the introspection
+  /// surface the model compiler lowers through (src/compile).
   Layer& child(size_t i) const { return *layers_.at(i); }
 
  private:

@@ -39,24 +39,6 @@ Tensor BasicBlock::forward(const ComputeContext& ctx, const Tensor& x,
   return relu2_.forward(ctx, h, training);
 }
 
-void BasicBlock::forward_batch(const ComputeContext& ctx,
-                               std::vector<Tensor>& xs) {
-  // Mirrors forward()'s child order and fork salts exactly; only the
-  // batch-at-a-time walk differs, which is invisible to the bits.
-  std::vector<Tensor> sc = xs;  // shortcut branch keeps the input
-  conv1_.forward_batch(ctx.fork(1), xs);
-  bn1_.forward_batch(ctx, xs);
-  relu1_.forward_batch(ctx, xs);
-  conv2_.forward_batch(ctx.fork(2), xs);
-  bn2_.forward_batch(ctx, xs);
-  if (project_) {
-    proj_->forward_batch(ctx.fork(3), sc);
-    proj_bn_->forward_batch(ctx, sc);
-  }
-  for (size_t s = 0; s < xs.size(); ++s) add_inplace(xs[s], sc[s]);
-  relu2_.forward_batch(ctx, xs);
-}
-
 Tensor BasicBlock::backward(const ComputeContext& ctx, const Tensor& gout) {
   Tensor g = relu2_.backward(ctx, gout);
   // g splits into the residual branch and the shortcut.
@@ -118,25 +100,6 @@ Tensor BottleneckBlock::forward(const ComputeContext& ctx, const Tensor& x,
   }
   add_inplace(h, sc);
   return relu3_.forward(ctx, h, training);
-}
-
-void BottleneckBlock::forward_batch(const ComputeContext& ctx,
-                                    std::vector<Tensor>& xs) {
-  std::vector<Tensor> sc = xs;
-  conv1_.forward_batch(ctx.fork(1), xs);
-  bn1_.forward_batch(ctx, xs);
-  relu1_.forward_batch(ctx, xs);
-  conv2_.forward_batch(ctx.fork(2), xs);
-  bn2_.forward_batch(ctx, xs);
-  relu2_.forward_batch(ctx, xs);
-  conv3_.forward_batch(ctx.fork(3), xs);
-  bn3_.forward_batch(ctx, xs);
-  if (project_) {
-    proj_->forward_batch(ctx.fork(4), sc);
-    proj_bn_->forward_batch(ctx, sc);
-  }
-  for (size_t s = 0; s < xs.size(); ++s) add_inplace(xs[s], sc[s]);
-  relu3_.forward_batch(ctx, xs);
 }
 
 Tensor BottleneckBlock::backward(const ComputeContext& ctx,

@@ -13,18 +13,12 @@ class BasicBlock : public Layer {
  public:
   BasicBlock(int in_ch, int out_ch, int stride);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Micro-batch inference: the same child walk and context forks as
-  /// forward(), with each child seeing the whole batch — so each conv's
-  /// GEMMs merge into one grouped dispatch (bit-identical to the
-  /// per-sample walk).
-  void forward_batch(const ComputeContext& ctx,
-                     std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "BasicBlock"; }
 
   // Child accessors for the model compiler: the lowering pass replays
-  // forward_batch()'s child order and fork salts from these.
+  // forward()'s child order and fork salts from these.
   Conv2d& conv1() { return conv1_; }
   Conv2d& conv2() { return conv2_; }
   BatchNorm2d& bn1() { return bn1_; }
@@ -49,9 +43,6 @@ class BottleneckBlock : public Layer {
  public:
   BottleneckBlock(int in_ch, int mid_ch, int out_ch, int stride);
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;
-  /// Micro-batch inference walk, as BasicBlock::forward_batch.
-  void forward_batch(const ComputeContext& ctx,
-                     std::vector<Tensor>& xs) override;
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override;
   void collect_params(std::vector<Param*>& out) override;
   std::string name() const override { return "BottleneckBlock"; }

@@ -23,44 +23,28 @@ EmuServer::EmuServer(std::unique_ptr<Sequential> model, EmuEngine engine,
       queue_(cfg.queue_capacity, class_weights(cfg)),
       batcher_(queue_, cfg_, *clock_) {
   if (!model_) throw std::invalid_argument("EmuServer: null model");
-  if (cfg_.continuous && cfg_.compile)
+  if (cfg_.input_shape.empty())
     throw std::invalid_argument(
-        "EmuServer: continuous batching is incompatible with compile (the "
-        "compiled program executes the whole graph per call; continuous "
-        "batching steps requests one layer per wave)");
-  if (cfg_.compile) {
-    // Ahead-of-time lowering happens before any traffic (and before the
-    // batcher thread exists), so a model/backend the compiler rejects
-    // fails the session constructor with a typed CompileException instead
-    // of faulting batches at runtime.
-    if (cfg_.input_shape.empty())
-      throw CompileException(
-          CompileError::kBadConfig,
-          "ServeConfig::compile requires input_shape (the compiler plans "
-          "buffers for one fixed sample shape)");
-    ModelCompiler::Options copts;
-    copts.input_shape = cfg_.input_shape;
-    copts.max_batch = std::max(1, cfg_.max_batch);
+        "EmuServer: ServeConfig::input_shape is required (the compiler "
+        "plans buffers for it and admission checks every sample against it)");
+  // Ahead-of-time lowering happens before any traffic (and before the
+  // batcher thread exists). A backend or layer the compiler cannot lower
+  // serves through the per-sample model.forward loop instead; a graph that
+  // rejects the configured shape fails the constructor typed.
+  ModelCompiler::Options copts;
+  copts.input_shape = cfg_.input_shape;
+  copts.max_batch = std::max(1, cfg_.max_batch);
+  try {
     compiled_ = ModelCompiler(engine_).compile(*model_, copts);
+  } catch (const CompileException& e) {
+    if (e.code() != CompileError::kUnsupportedBackend &&
+        e.code() != CompileError::kUnsupportedLayer)
+      throw;
   }
-  if (cfg_.shadow.enabled()) {
-    // Shadow session construction fails typed and early, exactly like the
-    // primary compile path: a bad shadow scenario throws invalid_argument
-    // from the builder before any traffic exists.
+  // A bad shadow scenario throws invalid_argument from the builder before
+  // any traffic exists.
+  if (cfg_.shadow.enabled())
     shadow_engine_.emplace(cfg_.shadow.session.build_engine());
-    if (cfg_.shadow.session.compile) {
-      if (cfg_.input_shape.empty())
-        throw CompileException(
-            CompileError::kBadConfig,
-            "ServeConfig::shadow: a compiled shadow session requires "
-            "input_shape (the compiler plans buffers for one fixed sample "
-            "shape)");
-      ModelCompiler::Options copts;
-      copts.input_shape = cfg_.input_shape;
-      copts.max_batch = 1;  // shadow re-runs samples one at a time
-      shadow_compiled_ = ModelCompiler(*shadow_engine_).compile(*model_, copts);
-    }
-  }
   if (cfg_.start_thread) thread_ = std::thread([this] { serve_loop(); });
 }
 
@@ -84,16 +68,14 @@ Tensor EmuServer::normalize_input(Tensor x) const {
   }
   // Admission-edge shape check: requests are untrusted input, and the
   // layers' own shape assertions compile out in Release builds.
-  if (!cfg_.input_shape.empty()) {
-    const std::vector<int>& want = cfg_.input_shape;
-    bool ok = sample.ndim() == static_cast<int>(want.size()) + 1;
-    for (int d = 0; ok && d < static_cast<int>(want.size()); ++d)
-      ok = sample.dim(d + 1) == want[static_cast<size_t>(d)];
-    if (!ok)
-      throw std::invalid_argument(
-          "EmuServer::submit: sample shape does not match the session's "
-          "configured input_shape");
-  }
+  const std::vector<int>& want = cfg_.input_shape;
+  bool ok = sample.ndim() == static_cast<int>(want.size()) + 1;
+  for (int d = 0; ok && d < static_cast<int>(want.size()); ++d)
+    ok = sample.dim(d + 1) == want[static_cast<size_t>(d)];
+  if (!ok)
+    throw std::invalid_argument(
+        "EmuServer::submit: sample shape does not match the session's "
+        "configured input_shape");
   return sample;
 }
 
@@ -325,24 +307,20 @@ int EmuServer::run_wave(std::vector<ServeRequest>& admitted) {
   // The wave forms here: its new slots' queue time ends now.
   const uint64_t wave_us = clock_->now_us();
   for (size_t i = fresh; i < n; ++i) inflight_[i].formed_us = wave_us;
-  const size_t depth = model_->size();
+  const size_t depth = stages();
   try {
-    // Inference-pinned dispatch: the engine context starts at
-    // GemmPass::kForward with the engine's base seed — the chain an
-    // offline model.forward(engine.context(), x, false) walks. Slots
-    // sharing a cursor advance as one group: a continuous session by one
-    // child (child i under fork(i+1).for_layer(name), Sequential's own
-    // chain, whichever wave reaches it), a discrete one through the whole
-    // model in one call. Compiled sessions replay that chain through the
-    // precompiled program; refresh() first picks up any Param::version
-    // bumps (checkpoint load, optimizer step) by rebuilding exactly the
-    // stale planes.
-    const ComputeContext base = engine_.context();
+    // Inference-pinned dispatch: the program was lowered against the
+    // engine context, which starts at GemmPass::kForward with the engine's
+    // base seed — the chain an offline model.forward(engine.context(), x,
+    // false) walks. refresh() first picks up any Param::version bumps
+    // (checkpoint load, optimizer step) by rebuilding exactly the stale
+    // planes.
     if (compiled_) compiled_->refresh();
     // Distinct cursors, ascending — older requests run their (deeper)
-    // layer first, then newly admitted ones start at layer 0. Slots at the
-    // same depth carry same-shape activations, so the grouped merge
-    // composes with continuous batching.
+    // stage first, then newly admitted ones start at stage 0. Slots at the
+    // same cursor carry same-shape activations and advance as one batch: a
+    // continuous session by one stage, a discrete one through the whole
+    // program.
     std::vector<size_t> cursors;
     for (const InFlight& s : inflight_) cursors.push_back(s.cursor);
     std::sort(cursors.begin(), cursors.end());
@@ -354,16 +332,12 @@ int EmuServer::run_wave(std::vector<ServeRequest>& admitted) {
       std::vector<Tensor> xs(idx.size());
       for (size_t j = 0; j < idx.size(); ++j)
         xs[j] = std::move(inflight_[idx[j]].req.input);
-      size_t next = depth;
-      if (cfg_.continuous) {
-        Layer& child = model_->child(cur);
-        child.forward_batch(
-            base.fork(static_cast<int>(cur) + 1).for_layer(child.name()), xs);
-        next = cur + 1;
-      } else if (compiled_) {
-        compiled_->forward_batch(xs);
+      const size_t next = cfg_.continuous ? cur + 1 : depth;
+      if (compiled_) {
+        compiled_->forward_batch(xs, cur, next);
       } else {
-        model_->forward_batch(base, xs);
+        const ComputeContext base = engine_.context();
+        for (Tensor& x : xs) x = model_->forward(base, x, /*training=*/false);
       }
       for (size_t j = 0; j < idx.size(); ++j) {
         inflight_[idx[j]].req.input = std::move(xs[j]);
@@ -453,56 +427,39 @@ void EmuServer::run_shadow_sample(ShadowSample& s) {
   const std::vector<double>& eps = cfg_.shadow.epsilons;
   const std::string& pri = engine_.scenario();
   const std::string& sh = shadow_engine_->scenario();
-  if (shadow_compiled_) {
-    // Compiled shadow: one program call, final-output drift only (the
-    // compiled executor exposes no per-layer seam).
-    shadow_compiled_->refresh();
-    std::vector<Tensor> xs;
-    xs.push_back(std::move(s.input));
-    shadow_compiled_->forward_batch(xs);
-    const size_t n = static_cast<size_t>(
-        std::min(s.primary_out.numel(), xs[0].numel()));
-    drift.record_final(pri, sh, eps, s.primary_out.data(), xs[0].data(), n);
-    return;
-  }
   ComputeContext sc = shadow_engine_->context();
   if (!cfg_.shadow.per_layer) {
-    std::vector<Tensor> xs;
-    xs.push_back(std::move(s.input));
-    model_->forward_batch(sc, xs);
-    const size_t n = static_cast<size_t>(
-        std::min(s.primary_out.numel(), xs[0].numel()));
-    drift.record_final(pri, sh, eps, s.primary_out.data(), xs[0].data(), n);
+    const Tensor y = model_->forward(sc, s.input, /*training=*/false);
+    const size_t n =
+        static_cast<size_t>(std::min(s.primary_out.numel(), y.numel()));
+    drift.record_final(pri, sh, eps, s.primary_out.data(), y.data(), n);
     return;
   }
   // Per-layer lockstep: re-run the primary scenario alongside the shadow,
   // comparing after every child. The walk replays exactly the fork/rule
-  // chain Sequential::forward_batch applies (child i under
+  // chain Sequential::forward applies (child i under
   // fork(i+1).for_layer(name)), so the re-run primary activations are
   // bitwise the ones the serving forward produced. Both walks — including
   // the primary re-run — account their GEMMs to the *shadow* sink, keeping
   // the primary sink's counters a pure measure of serving traffic.
   ComputeContext pc = engine_.context();
   pc.telemetry = &shadow_engine_->telemetry();
-  std::vector<Tensor> pa;
-  pa.push_back(s.input);  // copy: the walk consumes both
-  std::vector<Tensor> sa;
-  sa.push_back(std::move(s.input));
+  Tensor pa = s.input;  // copy: the walk consumes both
+  Tensor sa = std::move(s.input);
   for (size_t i = 0; i < model_->size(); ++i) {
     Layer& child = model_->child(i);
     const uint64_t salt = static_cast<uint64_t>(i) + 1;
-    child.forward_batch(pc.fork(salt).for_layer(child.name()), pa);
-    child.forward_batch(sc.fork(salt).for_layer(child.name()), sa);
-    const size_t n =
-        static_cast<size_t>(std::min(pa[0].numel(), sa[0].numel()));
-    drift.record_layer(pri, sh, eps, i, child.name(), pa[0].data(),
-                       sa[0].data(), n);
+    pa = child.forward(pc.fork(salt).for_layer(child.name()), pa, false);
+    sa = child.forward(sc.fork(salt).for_layer(child.name()), sa, false);
+    const size_t n = static_cast<size_t>(std::min(pa.numel(), sa.numel()));
+    drift.record_layer(pri, sh, eps, i, child.name(), pa.data(), sa.data(),
+                       n);
   }
   // The final row compares the shadow output against the *served* output
   // (not the re-run), so it holds even if the lockstep replay were wrong.
-  const size_t n = static_cast<size_t>(
-      std::min(s.primary_out.numel(), sa[0].numel()));
-  drift.record_final(pri, sh, eps, s.primary_out.data(), sa[0].data(), n);
+  const size_t n =
+      static_cast<size_t>(std::min(s.primary_out.numel(), sa.numel()));
+  drift.record_final(pri, sh, eps, s.primary_out.data(), sa.data(), n);
 }
 
 void EmuServer::stop() {

@@ -24,9 +24,13 @@ namespace srmac {
 /// emulation stack (docs/SERVING.md). One EmuServer owns a model plus the
 /// EmuEngine scenario it serves under, accepts concurrent single-sample
 /// submissions from any thread, and coalesces them into dynamic
-/// micro-batches whose same-shape per-layer GEMMs merge into one grouped
-/// dispatch — so a weight plane is fetched and packed once per batch
-/// instead of once per request.
+/// micro-batches. Construction lowers the model through ModelCompiler for
+/// ServeConfig::input_shape; each micro-batch then runs the compiled
+/// program, whose GEMM ops merge the batch into one wide kernel — so a
+/// weight plane is quantized and packed once per session instead of once
+/// per request. A backend or layer the compiler rejects (reference,
+/// systolic, a user-defined Layer) serves through the per-sample
+/// model.forward loop instead.
 ///
 /// Serving is inference-pinned: every dispatch runs the engine policy's
 /// forward-pass MacConfig (ComputeContext defaults to GemmPass::kForward
@@ -34,8 +38,8 @@ namespace srmac {
 /// engine's base seed anchors the per-layer fork chain — which makes a
 /// served output bitwise identical to `model.forward(engine.context(), x,
 /// false)` offline, regardless of how requests were coalesced
-/// (tests/serve/serve_determinism_test.cpp; the layer-level contract is
-/// Layer::forward_batch in nn/module.hpp).
+/// (tests/serve/serve_determinism_test.cpp,
+/// tests/compile/compiled_vs_eager_test.cpp).
 ///
 /// Failure semantics are typed (ServeError): a request future never hangs
 /// and never fails anonymously — submit-after-stop is kStopped, a blown
@@ -48,8 +52,9 @@ namespace srmac {
 /// Threading: submit()/try_submit() are safe from any thread; the bounded
 /// admission queue blocks producers when full (backpressure). Exactly one
 /// thread executes forwards — the internal batcher thread, or the caller
-/// of run_once() when constructed with start_thread=false — because layer
-/// forward passes reuse member scratch and are not reentrant. Serving
+/// of run_once() when constructed with start_thread=false — because the
+/// compiled program's buffers and the layers' scratch are not reentrant.
+/// Serving
 /// telemetry (request count, batch-size histogram, latency samples for
 /// p50/p95/p99, deadline misses) lands in the engine's Telemetry sink
 /// under the session's cfg.replica_id row.
@@ -144,11 +149,17 @@ class EmuServer {
     return shadow_engine_ ? &*shadow_engine_ : nullptr;
   }
 
-  /// The compiled program this session serves through, or nullptr in eager
-  /// mode (cfg.compile=false). Built once at construction; checkpoint loads
-  /// into the live model are picked up through CompiledModel::refresh()
-  /// before every micro-batch (one Param::version compare per GEMM op).
+  /// The compiled program this session serves through, or nullptr when
+  /// the compiler rejected the backend or a layer (the session then serves
+  /// through the per-sample model.forward loop). Built once at
+  /// construction; checkpoint loads into the live model are picked up
+  /// through CompiledModel::refresh() before every wave (one
+  /// Param::version compare per GEMM op).
   const CompiledModel* compiled() const { return compiled_.get(); }
+
+  /// Waves a continuous request takes: the compiled program's stages, or 1
+  /// for the per-sample loop.
+  size_t stages() const { return compiled_ ? compiled_->stages() : 1; }
 
   /// Snapshot of the engine's telemetry sink (GEMM counters plus the
   /// serve_* serving counters). Callable from any thread.
@@ -160,10 +171,10 @@ class EmuServer {
 
  private:
   /// One in-flight slot: a request whose activation (req.input) has
-  /// advanced through the model's first `cursor` child layers.
+  /// advanced through the first `cursor` stages of the program.
   struct InFlight {
     ServeRequest req;
-    size_t cursor = 0;       ///< next child layer to run
+    size_t cursor = 0;       ///< next stage to run
     uint64_t formed_us = 0;  ///< when its first wave formed (queue_us term)
     bool shadowed = false;   ///< selected by the shadow trace-id hash
     Tensor shadow_input;     ///< admission-time input copy (iff shadowed)
@@ -189,10 +200,10 @@ class EmuServer {
   /// The single execution routine: admits `admitted` into free slots
   /// (collect-time deadline enforcement, shadow selection), applies the
   /// kill/fault schedule, advances the slots, then resolves and releases
-  /// finished ones. A discrete session runs every slot to full depth in
-  /// this one call (one wave = one micro-batch; compiled: one
-  /// CompiledModel::forward_batch); a continuous one advances every slot
-  /// one layer. Returns the requests that left the session this call.
+  /// finished ones. A discrete session runs every slot through the whole
+  /// program in this one call (one wave = one micro-batch); a continuous
+  /// one advances every slot one stage. Returns the requests that left the
+  /// session this call.
   int run_wave(std::vector<ServeRequest>& admitted);
   bool shadow_active() const { return shadow_engine_.has_value(); }
   void maybe_run_shadow(std::vector<ShadowSample>& picked);
@@ -211,15 +222,13 @@ class EmuServer {
   std::unique_ptr<Sequential> model_;
   EmuEngine engine_;
   const ServeConfig cfg_;
-  std::unique_ptr<CompiledModel> compiled_;  ///< set iff cfg_.compile
-  /// Shadow A/B session (set iff cfg_.shadow.enabled()): a second engine —
-  /// and, when the shadow spec compiles, a second compiled program — over
-  /// the *same* model. Sharing the model is safe: WeightQuantCache keys
-  /// planes by format, so the two scenarios keep separate packed planes,
-  /// and all shadow forwards run on the executor thread after the batch
-  /// resolved (the single-executor invariant covers them).
+  std::unique_ptr<CompiledModel> compiled_;  ///< null: per-sample fallback
+  /// Shadow A/B engine (set iff cfg_.shadow.enabled()) over the *same*
+  /// model. Sharing the model is safe: WeightQuantCache keys planes by
+  /// format, so the two scenarios keep separate packed planes, and all
+  /// shadow forwards run on the executor thread after the batch resolved
+  /// (the single-executor invariant covers them).
   std::optional<EmuEngine> shadow_engine_;
-  std::unique_ptr<CompiledModel> shadow_compiled_;
   const ServeClock* clock_;
   FaultInjector* injector_;
   const BatchCallback on_batch_;

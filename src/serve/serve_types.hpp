@@ -119,12 +119,12 @@ inline bool shadow_selects(uint64_t trace_id, double fraction) {
 /// (bitwise-identity tests in tests/serve/shadow_serving_test.cpp) and
 /// never blocks the reply path — under load it sheds with a typed counter.
 struct ShadowConfig {
-  /// The shadow session: scenario/backend/seed/threads plus compile (a
-  /// compiled shadow compares final outputs only; an eager one can record
-  /// per-layer divergence). The scenario starts empty — enabling shadow
-  /// requires naming one explicitly as well as setting fraction > 0.
-  /// Callers comparing scenarios should keep seed equal to the primary
-  /// engine's so divergence measures the scenario, not the seed.
+  /// The shadow session: scenario/backend/seed/threads. The shadow re-runs
+  /// each selected sample through the model's own forward, one sample at a
+  /// time. The scenario starts empty — enabling shadow requires naming one
+  /// explicitly as well as setting fraction > 0. Callers comparing
+  /// scenarios should keep seed equal to the primary engine's so divergence
+  /// measures the scenario, not the seed.
   SessionSpec session = [] {
     SessionSpec s;
     s.scenario.clear();  // SessionSpec's default names the engine default
@@ -147,10 +147,10 @@ struct ShadowConfig {
   /// executed. 0 = never shed (benches and tests that need every sample).
   size_t shed_pending = 0;
 
-  /// Record per-layer divergence rows (eager shadow only: the lockstep
-  /// walk re-runs the primary layer by layer alongside the shadow, roughly
-  /// doubling per-sample shadow cost — both forwards are accounted to the
-  /// shadow engine's sink). false: final-output drift only.
+  /// Record per-layer divergence rows: the lockstep walk re-runs the
+  /// primary child by child alongside the shadow, roughly doubling
+  /// per-sample shadow cost — both forwards are accounted to the shadow
+  /// engine's sink. false: final-output drift only.
   bool per_layer = true;
 
   bool enabled() const { return fraction > 0.0 && !session.scenario.empty(); }
@@ -182,13 +182,12 @@ struct ServeConfig {
   /// (and any single-threaded embedding) use.
   bool start_thread = true;
 
-  /// Expected per-sample shape, without the batch dimension (e.g. {3,32,32}
-  /// or {16}). When set, submit() rejects mismatched samples with
-  /// std::invalid_argument at the admission edge. Serving accepts tensors
-  /// from untrusted callers, and the layer-level shape assertions compile
-  /// out in Release — an unchecked wrong-shaped sample would read out of
-  /// bounds inside a GEMM, so sessions should set this. Empty = accept any
-  /// single-sample tensor (embedders that validate upstream).
+  /// Per-sample shape, without the batch dimension (e.g. {3,32,32} or
+  /// {16}). Required: the constructor throws std::invalid_argument when it
+  /// is empty. The compiler plans the session's buffers for it, and
+  /// submit() rejects mismatched samples with std::invalid_argument at the
+  /// admission edge — requests come from untrusted callers, and the
+  /// layers' own shape assertions compile out in Release.
   std::vector<int> input_shape;
 
   /// Default per-request deadline, relative to submission, in microseconds
@@ -204,23 +203,11 @@ struct ServeConfig {
   /// standalone session.
   int replica_id = 0;
 
-  /// Serve through an ahead-of-time CompiledModel (src/compile,
-  /// docs/COMPILER.md) instead of the eager per-layer walk: weight planes
-  /// quantize+pack once at session construction, BN/bias/ReLU epilogues
-  /// fuse into the GEMM tails, and all per-request buffers are preplanned —
-  /// bit-identical outputs (the compiled executor replays the eager fork
-  /// chain), lower steady-state overhead. Requires `input_shape` to be set
-  /// (the compiler plans buffers for one shape); construction throws
-  /// CompileException for models/backends the compiler cannot lower.
-  bool compile = false;
-
   /// Continuous batching (docs/SERVING.md): instead of draining a whole
   /// micro-batch before forming the next, the executor advances all
-  /// in-flight requests one layer per wave; a finishing request releases
-  /// its slot at the wave boundary and the batcher back-fills it
-  /// mid-flight. Incompatible with `compile` (the compiled program
-  /// executes the full graph per call); the constructor rejects the
-  /// combination.
+  /// in-flight requests one compiled stage per wave; a finishing request
+  /// releases its slot at the wave boundary and the batcher back-fills it
+  /// mid-flight.
   bool continuous = false;
 
   /// Priority/SLO classes of the admission queue, highest priority first.

@@ -91,8 +91,7 @@ void transpose_into(float* dst, const float* src, int rows, int cols,
 }  // namespace
 
 void matmul(const ComputeContext& ctx, int M, int N, int K, const float* A,
-            const float* B, float* C, bool accumulate, int seed_row_period,
-            int seed_col_period) {
+            const float* B, float* C, bool accumulate) {
   GemmArgs args;
   args.M = M;
   args.N = N;
@@ -106,20 +105,16 @@ void matmul(const ComputeContext& ctx, int M, int N, int K, const float* A,
   args.accumulate = accumulate;
   args.seed = ctx.seed;
   args.threads = ctx.threads;
-  args.seed_row_period = seed_row_period;
-  args.seed_col_period = seed_col_period;
   dispatch(ctx, args);
 }
 
 void matmul_qa(const ComputeContext& ctx, int M, int N, int K,
-               const uint32_t* Aq, const float* B, float* C, bool accumulate,
-               int seed_row_period, int seed_col_period) {
+               const uint32_t* Aq, const float* B, float* C, bool accumulate) {
   assert(ctx.bit_accurate() && "quantized-operand matmul needs a MAC context");
   const MacConfig cfg = ctx.mac_config().normalized();
   if (!ctx.backend->supports_prequantized()) {
     const std::vector<float> a = decode_plane(cfg.mul_fmt, M, K, Aq);
-    matmul(ctx, M, N, K, a.data(), B, C, accumulate, seed_row_period,
-           seed_col_period);
+    matmul(ctx, M, N, K, a.data(), B, C, accumulate);
     return;
   }
   std::vector<uint32_t> qb(static_cast<size_t>(K) * N);
@@ -137,21 +132,17 @@ void matmul_qa(const ComputeContext& ctx, int M, int N, int K,
   args.accumulate = accumulate;
   args.seed = ctx.seed;
   args.threads = ctx.threads;
-  args.seed_row_period = seed_row_period;
-  args.seed_col_period = seed_col_period;
   // Only B was freshly quantized; the cached A plane was not.
   dispatch_bits(ctx, cfg, args, static_cast<uint64_t>(K) * N);
 }
 
 void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
-               const uint32_t* Bq, float* C, bool accumulate,
-               int seed_row_period, int seed_col_period) {
+               const uint32_t* Bq, float* C, bool accumulate) {
   assert(ctx.bit_accurate() && "quantized-operand matmul needs a MAC context");
   const MacConfig cfg = ctx.mac_config().normalized();
   if (!ctx.backend->supports_prequantized()) {
     const std::vector<float> b = decode_plane(cfg.mul_fmt, K, N, Bq);
-    matmul(ctx, M, N, K, A, b.data(), C, accumulate, seed_row_period,
-           seed_col_period);
+    matmul(ctx, M, N, K, A, b.data(), C, accumulate);
     return;
   }
   std::vector<uint32_t> qa(static_cast<size_t>(M) * K);
@@ -169,8 +160,6 @@ void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
   args.accumulate = accumulate;
   args.seed = ctx.seed;
   args.threads = ctx.threads;
-  args.seed_row_period = seed_row_period;
-  args.seed_col_period = seed_col_period;
   dispatch_bits(ctx, cfg, args, static_cast<uint64_t>(M) * K);
 }
 

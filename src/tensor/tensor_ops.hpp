@@ -13,15 +13,8 @@ namespace srmac {
 /// through here, as in the paper's Sec. IV emulation flow: the context's
 /// backend executes, its policy decides the per-pass quantization, and its
 /// telemetry sink (when present) records the dispatch.
-/// The trailing seed periods implement grouped same-shape execution
-/// (docs/SERVING.md): when non-zero they fold the per-element seed
-/// coordinates modulo the period, so several independent problems
-/// concatenated into one wide GEMM keep the exact seeds of their standalone
-/// dispatches. Pass them only when ctx.backend->supports_grouped(); the
-/// defaults (0, 0) are the identity and change nothing.
 void matmul(const ComputeContext& ctx, int M, int N, int K, const float* A,
-            const float* B, float* C, bool accumulate = false,
-            int seed_row_period = 0, int seed_col_period = 0);
+            const float* B, float* C, bool accumulate = false);
 
 /// C = A * B^T and C = A^T * B conveniences for the backward GEMMs.
 /// (Implemented by materializing the transpose; the MAC chain order over k
@@ -40,11 +33,9 @@ void matmul_tn(const ComputeContext& ctx, int M, int N, int K,
 /// results match the float path bit for bit.
 void matmul_qa(const ComputeContext& ctx, int M, int N, int K,
                const uint32_t* Aq, const float* B, float* C,
-               bool accumulate = false, int seed_row_period = 0,
-               int seed_col_period = 0);
+               bool accumulate = false);
 void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
-               const uint32_t* Bq, float* C, bool accumulate = false,
-               int seed_row_period = 0, int seed_col_period = 0);
+               const uint32_t* Bq, float* C, bool accumulate = false);
 
 /// Collects independent GEMMs and submits them in one
 /// MatmulBackend::gemm_batch dispatch — the batch-submission front end of

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -192,37 +193,49 @@ TEST(ModelCompilerErrors, ForwardBatchGuardsCapacityAndShape) {
   auto compiled = ModelCompiler(engine).compile(*model, opts);
 
   // One sample over the planned capacity: typed, and the batch untouched.
+  const size_t all = compiled->stages();
   std::vector<Tensor> over(3, spec.sample(0));
-  EXPECT_EQ(expect_compile_error([&] { compiled->forward_batch(over); },
-                                 "capacity"),
-            CompileError::kCapacityExceeded);
+  EXPECT_EQ(
+      expect_compile_error([&] { compiled->forward_batch(over, 0, all); },
+                           "capacity"),
+      CompileError::kCapacityExceeded);
 
   // A wrong-shaped sample inside an otherwise valid batch: typed too.
   std::vector<Tensor> wrong;
   wrong.push_back(spec.sample(0));
   wrong.push_back(Tensor({1, 8}));
-  EXPECT_EQ(expect_compile_error([&] { compiled->forward_batch(wrong); },
-                                 "sample shape"),
-            CompileError::kShapeMismatch);
+  EXPECT_EQ(
+      expect_compile_error([&] { compiled->forward_batch(wrong, 0, all); },
+                           "sample shape"),
+      CompileError::kShapeMismatch);
+
+  // A stage range past the program's end is rejected before any work.
+  std::vector<Tensor> one{spec.sample(0)};
+  EXPECT_THROW(compiled->forward_batch(one, 0, all + 1), std::out_of_range);
 
   // ... and the program still serves correctly afterwards.
   std::vector<Tensor> ok{spec.sample(0)};
-  compiled->forward_batch(ok);
+  compiled->forward_batch(ok, 0, all);
   EXPECT_EQ(ok[0].shape(), (std::vector<int>{1, 10}));
 }
 
-TEST(ModelCompilerErrors, ServerCompileRequiresInputShape) {
+TEST(ModelCompilerErrors, ServerFallsBackOnlyForRejectedBackendsAndLayers) {
+  // A backend or layer the compiler rejects leaves the session serving
+  // through the per-sample loop; a shape the graph rejects is a
+  // configuration error and fails construction typed, before any traffic.
   ServeConfig cfg;
-  cfg.compile = true;
   cfg.start_thread = false;
-  // input_shape left empty: the compiler cannot plan buffers for "any"
-  // shape, so construction must fail typed instead of deferring the error
-  // to the first request.
+  cfg.input_shape = {8};  // mlp:16,2 wants 16 features
   EXPECT_EQ(expect_compile_error(
                 [&] {
                   EmuServer server(ModelSpec::parse("mlp:16,2")->build(),
                                    bits_engine(), cfg);
                 },
-                "server without input_shape"),
-            CompileError::kBadConfig);
+                "server with a mismatched input_shape"),
+            CompileError::kShapeMismatch);
+  cfg.input_shape = {16};
+  EmuServer fallback(ModelSpec::parse("mlp:16,2")->build(),
+                     bits_engine("reference"), cfg);
+  EXPECT_EQ(fallback.compiled(), nullptr);
+  EXPECT_EQ(fallback.stages(), 1u);
 }

@@ -74,7 +74,6 @@ TEST(CompiledCheckpoint, LoadRebuildsEachPlaneExactlyOnce) {
   ServeConfig cfg;
   cfg.start_thread = false;
   cfg.input_shape = spec.input_shape();
-  cfg.compile = true;
   EmuServer server(
       spec.build(kSeedA),
       EmuEngine::Builder().scenario(kScenario).backend("sharded").build(),
@@ -111,7 +110,6 @@ TEST(CompiledCheckpoint, FailedLoadLeavesOldCompiledStateServing) {
   ServeConfig cfg;
   cfg.start_thread = false;
   cfg.input_shape = spec.input_shape();
-  cfg.compile = true;
   EmuServer server(
       spec.build(kSeedA),
       EmuEngine::Builder().scenario(kScenario).backend("sharded").build(),

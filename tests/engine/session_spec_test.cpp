@@ -43,7 +43,6 @@ TEST(SessionSpec, DefaultsMatchTheStackDefaults) {
   EXPECT_TRUE(s.backend.empty());
   EXPECT_EQ(s.seed, kDefaultSeed);
   EXPECT_EQ(s.threads, 0);
-  EXPECT_FALSE(s.compile);
   EXPECT_EQ(s, SessionSpec{});
 }
 
@@ -95,7 +94,6 @@ TEST(SessionSpec, CliArgsRoundTripThroughSession) {
   args.backend = "reference";
   args.seed = 77;
   args.threads = 3;
-  args.serve_compile = true;
   args.shadow_scenario = "lazy_sr:e5m2/e6m5:r=9:subON";
 
   const SessionSpec s = args.session();
@@ -103,12 +101,10 @@ TEST(SessionSpec, CliArgsRoundTripThroughSession) {
   EXPECT_EQ(s.backend, "reference");
   EXPECT_EQ(s.seed, 77u);
   EXPECT_EQ(s.threads, 3);
-  EXPECT_TRUE(s.compile);
 
   const SessionSpec sh = args.shadow_session();
   EXPECT_EQ(sh.scenario, args.shadow_scenario);
   EXPECT_EQ(sh.backend, "reference");
   EXPECT_EQ(sh.seed, 77u);
   EXPECT_EQ(sh.threads, 3);
-  EXPECT_FALSE(sh.compile);  // shadow compile is an explicit opt-in
 }

@@ -22,7 +22,7 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "check_bench_regression.py")
 
 
-def serve_file(leg="", transport=None, grouped_speedup=2.0, parallelism=4,
+def serve_file(leg="", transport=None, speedup=3.0, parallelism=4,
                classes_p95=None, smoke=True):
     """A minimal bench_serve-shaped JSON document."""
     doc = {
@@ -30,9 +30,7 @@ def serve_file(leg="", transport=None, grouped_speedup=2.0, parallelism=4,
         "smoke": smoke,
         "leg": leg,
         "hardware_parallelism": parallelism,
-        "speedup_batched_vs_batch1": 3.0,
-        "speedup_compiled_vs_batched": 1.2,
-        "speedup_grouped_vs_batched": grouped_speedup,
+        "speedup_batched_vs_batch1": speedup,
         "results": [
             {"path": "batch16", "req_per_s": 1000.0, "requests": 240,
              "completed": 240, "failed": 0},
@@ -139,19 +137,17 @@ class ClassFloorTest(GateHarness):
 
 
 class SpeedupAndParallelismTest(GateHarness):
-    def test_grouped_speedup_floor_passes_and_trips(self):
-        floors = [{"bench": "serve", "smoke": True,
-                   "min_grouped_speedup": 1.0}]
+    def test_coalescing_speedup_floor_passes_and_trips(self):
+        floors = [{"bench": "serve", "smoke": True, "min_speedup": 1.05}]
         ok = self.run_gate(
-            floors, [self.write("a.json", serve_file(grouped_speedup=1.5))])
-        self.assert_gate(ok, 0, "grouped speedup")
+            floors, [self.write("a.json", serve_file(speedup=1.5))])
+        self.assert_gate(ok, 0, "coalescing speedup")
         bad = self.run_gate(
-            floors, [self.write("b.json", serve_file(grouped_speedup=0.7))])
+            floors, [self.write("b.json", serve_file(speedup=0.7))])
         self.assert_gate(bad, 1, "below floor")
 
     def test_hardware_parallelism_floor(self):
         floors = [{"bench": "serve", "smoke": True,
-                   "min_grouped_speedup": 1.0,
                    "min_hardware_parallelism": 2}]
         ok = self.run_gate(
             floors, [self.write("a.json", serve_file(parallelism=4))])
@@ -245,7 +241,7 @@ class SelectorCrossMatchTest(GateHarness):
         # A multicore-leg floor must skip (not gate) a file bench_serve
         # wrote without --leg — and vice versa.
         floors = [{"bench": "serve", "leg": "multicore", "smoke": True,
-                   "min_grouped_speedup": 100.0}]  # would trip if matched
+                   "min_hardware_parallelism": 100}]  # would trip if matched
         proc = self.run_gate(floors,
                              [self.write("b.json", serve_file(leg=""))],
                              extra_args=["--min-rows", "0"])
@@ -253,15 +249,15 @@ class SelectorCrossMatchTest(GateHarness):
 
     def test_leg_selector_matches_stamped_files(self):
         floors = [{"bench": "serve", "leg": "multicore", "smoke": True,
-                   "min_grouped_speedup": 1.0}]
+                   "min_hardware_parallelism": 2}]
         proc = self.run_gate(
             floors,
             [self.write("b.json", serve_file(leg="multicore"))])
-        self.assert_gate(proc, 0, "grouped speedup")
+        self.assert_gate(proc, 0, "hardware_parallelism = 4")
 
     def test_unstamped_floor_skips_stamped_files(self):
         floors = [{"bench": "serve", "smoke": True,
-                   "min_grouped_speedup": 100.0}]  # would trip if matched
+                   "min_hardware_parallelism": 100}]  # would trip if matched
         proc = self.run_gate(
             floors, [self.write("b.json", serve_file(leg="multicore"))],
             extra_args=["--min-rows", "0"])
@@ -287,7 +283,7 @@ class SelectorCrossMatchTest(GateHarness):
 
     def test_smoke_selector_respected(self):
         floors = [{"bench": "serve", "smoke": False,
-                   "min_grouped_speedup": 100.0}]  # would trip if matched
+                   "min_hardware_parallelism": 100}]  # would trip if matched
         proc = self.run_gate(
             floors, [self.write("b.json", serve_file(smoke=True))],
             extra_args=["--min-rows", "0"])

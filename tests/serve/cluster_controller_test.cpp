@@ -67,6 +67,7 @@ void expect_bitwise(const Tensor& got, const Tensor& want,
 /// Manual-mode fleet config: deterministic run_once() drive, no threads.
 ClusterConfig manual_cfg(int replicas) {
   ClusterConfig cfg;
+  cfg.serve.input_shape = {16};
   cfg.replicas = replicas;
   cfg.serve.start_thread = false;
   cfg.serve.max_batch = 2;
@@ -346,6 +347,7 @@ TEST(ClusterController, ThreadedChaosKillNeverHangsAndKeepsBits) {
   // 3-replica fleet while the injector kills a replica. Every future must
   // resolve (result or typed error) and every result must be bitwise.
   ClusterConfig cfg;
+  cfg.serve.input_shape = {16};
   cfg.replicas = 3;
   cfg.serve.max_batch = 4;
   cfg.serve.max_wait_us = 100;
@@ -384,6 +386,7 @@ TEST(ClusterController, ThreadedChaosKillNeverHangsAndKeepsBits) {
 
 TEST(ClusterController, ThreadedStopDrainsEveryAdmittedRequest) {
   ClusterConfig cfg;
+  cfg.serve.input_shape = {16};
   cfg.replicas = 2;
   cfg.serve.max_batch = 4;
   cfg.serve.max_wait_us = 50;

@@ -1,18 +1,17 @@
 // Continuous batching (docs/SERVING.md): the executor advances every
-// in-flight request one layer per wave; a finishing request releases its
-// slot at the wave boundary and the batcher back-fills it mid-flight — so a
-// short request never stalls behind a long one's full drain. Driven
-// deterministically with start_thread=false + run_once() (one call = one
-// back-fill + one wave). The bitwise contract is unchanged: layer i always
-// executes under Sequential's fork(i+1) salt regardless of which wave
-// reaches it.
+// in-flight request one compiled stage per wave; a finishing request
+// releases its slot at the wave boundary and the batcher back-fills it
+// mid-flight — so a short request never stalls behind a long one's full
+// drain. Driven deterministically with start_thread=false + run_once() (one
+// call = one back-fill + one wave). The bitwise contract is unchanged:
+// stage i always replays Sequential's fork(i+1) salt for its child
+// regardless of which wave reaches it.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,9 @@ namespace {
 
 constexpr const char* kScenario = "eager_sr:e5m2/e6m5:r=9:subON";
 constexpr uint64_t kInitSeed = 0xC0FFEE;
-constexpr int kDepth = 5;  // children of make_model(): one wave each
+// Stages of make_model()'s compiled program, one wave each: the Conv2d
+// and its ReLU fuse into one stage, so five children make four stages.
+constexpr int kDepth = 4;
 
 std::unique_ptr<Sequential> make_model() {
   auto net = std::make_unique<Sequential>();
@@ -68,13 +69,16 @@ ServeConfig continuous_cfg(int max_batch) {
   cfg.max_batch = max_batch;
   cfg.start_thread = false;
   cfg.continuous = true;
+  cfg.input_shape = {1, 8, 8};
   return cfg;
 }
 
 }  // namespace
 
-TEST(ContinuousBatching, OneWavePerLayerAndBitwiseOutputs) {
+TEST(ContinuousBatching, OneWavePerStageAndBitwiseOutputs) {
   EmuServer server(make_model(), make_engine(), continuous_cfg(4));
+  ASSERT_NE(server.compiled(), nullptr);
+  ASSERT_EQ(server.stages(), static_cast<size_t>(kDepth));
   std::vector<std::future<InferResult>> futs(4);
   for (int i = 0; i < 4; ++i)
     ASSERT_TRUE(server.try_submit(make_sample(i), &futs[i]));
@@ -82,7 +86,7 @@ TEST(ContinuousBatching, OneWavePerLayerAndBitwiseOutputs) {
   EXPECT_EQ(server.in_flight(), 0u);
 
   // kDepth waves: the first back-fills all four into slots; none resolves
-  // until the last layer has run.
+  // until the last stage has run.
   for (int wave = 0; wave < kDepth - 1; ++wave) {
     EXPECT_EQ(server.run_once(), 0) << "wave " << wave;
     EXPECT_EQ(server.in_flight(), 4u);
@@ -105,30 +109,30 @@ TEST(ContinuousBatching, OneWavePerLayerAndBitwiseOutputs) {
 
 TEST(ContinuousBatching, BackfillJoinsMidFlightWithoutStallingEither) {
   // r0 starts alone; two waves in, r1 arrives and the next wave back-fills
-  // it while r0 is mid-model. r0 resolves kDepth waves after ITS start, r1
-  // kDepth waves after ITS OWN admission — the long-running cohort never
+  // it while r0 is mid-program. r0 resolves kDepth waves after ITS start,
+  // r1 kDepth waves after ITS OWN admission — the long-running cohort never
   // gated the newcomer's start, and the newcomer never delayed r0.
   EmuServer server(make_model(), make_engine(), continuous_cfg(4));
+  ASSERT_NE(server.compiled(), nullptr);
   std::future<InferResult> f0, f1;
   ASSERT_TRUE(server.try_submit(make_sample(0), &f0));
-  EXPECT_EQ(server.run_once(), 0);  // wave 1: r0 at layer 1
-  EXPECT_EQ(server.run_once(), 0);  // wave 2: r0 at layer 2
+  EXPECT_EQ(server.run_once(), 0);  // wave 1: r0 at stage 1
+  EXPECT_EQ(server.run_once(), 0);  // wave 2: r0 at stage 2
   EXPECT_EQ(server.in_flight(), 1u);
 
   ASSERT_TRUE(server.try_submit(make_sample(1), &f1));
   EXPECT_EQ(server.run_once(), 0);  // wave 3: back-fills r1; both advance
   EXPECT_EQ(server.in_flight(), 2u);
-  EXPECT_EQ(server.run_once(), 0);          // wave 4
-  EXPECT_EQ(server.run_once(), 1);          // wave 5: r0 done (its 5th wave)
+  EXPECT_EQ(server.run_once(), 1);          // wave 4: r0 done (its 4th wave)
   EXPECT_TRUE(ready(f0));
-  EXPECT_FALSE(ready(f1));                  // r1 has 2 layers left
+  EXPECT_FALSE(ready(f1));                  // r1 has 2 stages left
   EXPECT_EQ(server.in_flight(), 1u);
-  EXPECT_EQ(server.run_once(), 0);          // r1's wave 4
-  EXPECT_EQ(server.run_once(), 1);          // r1's wave 5
+  EXPECT_EQ(server.run_once(), 0);          // r1's wave 3
+  EXPECT_EQ(server.run_once(), 1);          // r1's wave 4
   EXPECT_TRUE(ready(f1));
 
-  // Interleaved execution stayed bitwise (same-cursor groups replay the
-  // exact per-layer fork chain).
+  // Interleaved execution stayed bitwise (same-cursor groups run the same
+  // compiled stage, which replays its child's fork chain).
   for (int i = 0; i < 2; ++i) {
     const Tensor ref = offline_ref(i);
     const Tensor got = (i == 0 ? f0 : f1).get().output;
@@ -195,12 +199,4 @@ TEST(ContinuousBatching, ThreadedSessionResolvesEverythingBitwise) {
                              static_cast<size_t>(ref.numel()) * sizeof(float)))
         << "sample " << i;
   }
-}
-
-TEST(ContinuousBatching, RejectsCompiledSessions) {
-  ServeConfig cfg = continuous_cfg(4);
-  cfg.compile = true;
-  cfg.input_shape = {1, 8, 8};
-  EXPECT_THROW(EmuServer(make_model(), make_engine(), cfg),
-               std::invalid_argument);
 }

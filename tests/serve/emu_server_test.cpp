@@ -10,6 +10,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -31,6 +32,13 @@ std::unique_ptr<Sequential> make_model() {
 
 EmuEngine make_engine(const std::string& backend = "sharded") {
   return EmuEngine::Builder().scenario(kScenario).backend(backend).build();
+}
+
+/// The session config every case starts from: input_shape is required.
+ServeConfig serve_cfg() {
+  ServeConfig cfg;
+  cfg.input_shape = {16};
+  return cfg;
 }
 
 Tensor make_sample(int i) {
@@ -56,8 +64,8 @@ struct EventTotals {
 };
 
 /// Runs waves until at least one request leaves the session (one wave in
-/// discrete mode; up to the model depth in continuous mode) and returns
-/// how many left.
+/// discrete mode; up to the program's stages in continuous mode) and
+/// returns how many left.
 int run_until_exit(EmuServer& server) {
   int left = 0;
   while (left == 0 && (server.pending() > 0 || server.in_flight() > 0))
@@ -76,7 +84,7 @@ TEST(EmuServer, ThreadedClientsAllResolveWithCorrectBits) {
     refs.push_back(
         offline_model->forward(offline.context(), make_sample(i), false));
 
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.max_batch = 8;
   cfg.max_wait_us = 200;
   cfg.queue_capacity = 16;
@@ -116,7 +124,7 @@ TEST(EmuServer, ThreadedClientsAllResolveWithCorrectBits) {
 TEST(EmuServer, PartialBatchExecutesAfterLinger) {
   // One lonely request must not wait for a full batch: the max_wait_us
   // deadline fires and a batch of 1 executes.
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.max_batch = 8;
   cfg.max_wait_us = 5000;
   EmuServer server(make_model(), make_engine(), cfg);
@@ -125,7 +133,7 @@ TEST(EmuServer, PartialBatchExecutesAfterLinger) {
 }
 
 TEST(EmuServer, MaxBatchSplitsPendingRequests) {
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.max_batch = 4;
   cfg.start_thread = false;
   EmuServer server(make_model(), make_engine(), cfg);
@@ -140,7 +148,7 @@ TEST(EmuServer, MaxBatchSplitsPendingRequests) {
 }
 
 TEST(EmuServer, TrySubmitBackpressuresOnFullQueue) {
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.queue_capacity = 2;
   cfg.max_batch = 4;
   cfg.start_thread = false;
@@ -158,7 +166,7 @@ TEST(EmuServer, TrySubmitBackpressuresOnFullQueue) {
 }
 
 TEST(EmuServer, BlockingSubmitWaitsForSpace) {
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.queue_capacity = 1;
   cfg.max_batch = 1;
   cfg.start_thread = false;
@@ -187,7 +195,7 @@ TEST(EmuServer, BlockingSubmitWaitsForSpace) {
 }
 
 TEST(EmuServer, StopDrainsAdmittedRequestsAndRefusesNew) {
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.max_batch = 4;
   cfg.start_thread = false;
   EmuServer server(make_model(), make_engine(), cfg);
@@ -203,7 +211,7 @@ TEST(EmuServer, StopDrainsAdmittedRequestsAndRefusesNew) {
 }
 
 TEST(EmuServer, ThreadedStopDrainsInFlightWork) {
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.max_batch = 4;
   cfg.max_wait_us = 50;
   EmuServer server(make_model(), make_engine(), cfg);
@@ -215,12 +223,12 @@ TEST(EmuServer, ThreadedStopDrainsInFlightWork) {
 }
 
 TEST(EmuServer, RunOnceOnThreadedServerThrows) {
-  EmuServer server(make_model(), make_engine(), ServeConfig{});
+  EmuServer server(make_model(), make_engine(), serve_cfg());
   EXPECT_THROW(server.run_once(), std::logic_error);
 }
 
 TEST(EmuServer, NormalizesBareSampleShapesAndRejectsBatches) {
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.start_thread = false;
   EmuServer server(make_model(), make_engine(), cfg);
   std::future<InferResult> f;
@@ -232,11 +240,10 @@ TEST(EmuServer, NormalizesBareSampleShapesAndRejectsBatches) {
 
 TEST(EmuServer, ConfiguredInputShapeRejectsMismatchesAtAdmission) {
   // Requests are untrusted input and the layers' shape asserts compile out
-  // in Release — a session with input_shape set must reject wrong-shaped
-  // samples at submit() instead of reading out of bounds in a GEMM.
-  ServeConfig cfg;
+  // in Release — the session must reject wrong-shaped samples at submit()
+  // instead of reading out of bounds in a GEMM.
+  ServeConfig cfg = serve_cfg();
   cfg.start_thread = false;
-  cfg.input_shape = {16};
   EmuServer server(make_model(), make_engine(), cfg);
   std::future<InferResult> f;
   ASSERT_TRUE(server.try_submit(Tensor({16}), &f));       // exact match
@@ -245,6 +252,15 @@ TEST(EmuServer, ConfiguredInputShapeRejectsMismatchesAtAdmission) {
   EXPECT_THROW(server.submit(Tensor({17})), std::invalid_argument);
   EXPECT_THROW(server.submit(Tensor({1, 4, 4})), std::invalid_argument);
   EXPECT_EQ(server.run_once(), 2);  // only the valid samples were admitted
+}
+
+TEST(EmuServer, EmptyInputShapeIsRejectedAtConstruction) {
+  // The compiler plans the session's buffers for input_shape and admission
+  // checks every sample against it, so a session cannot run without one.
+  ServeConfig cfg;
+  cfg.start_thread = false;
+  EXPECT_THROW(EmuServer(make_model(), make_engine(), cfg),
+               std::invalid_argument);
 }
 
 TEST(ServeTelemetry, LatencyReservoirStaysBounded) {
@@ -265,7 +281,7 @@ TEST(ServeTelemetry, LatencyReservoirStaysBounded) {
 }
 
 TEST(EmuServer, InjectedClockPinsLatenciesExactly) {
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.max_batch = 4;
   cfg.start_thread = false;
   ManualServeClock clock(1000);
@@ -292,7 +308,7 @@ TEST(EmuServer, InjectedClockPinsLatenciesExactly) {
 TEST(EmuServer, TrySubmitReturnsSampleOnRejection) {
   // A rejected try_submit must hand the sample back (normalized), so a
   // routing layer retries it on another replica without a deep copy.
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.queue_capacity = 1;
   cfg.max_batch = 1;
   cfg.start_thread = false;
@@ -326,7 +342,7 @@ TEST(EmuServer, TrySubmitReturnsSampleOnRejection) {
 TEST(EmuServer, SubmitAfterStopFailsWithTypedStoppedError) {
   // Both admission paths must fail uniformly after stop(): a typed
   // ServeError::kStopped, never a broken promise or an anonymous error.
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.start_thread = false;
   EmuServer server(make_model(), make_engine(), cfg);
   server.stop();
@@ -352,7 +368,7 @@ TEST(EmuServer, SubmitAfterStopFailsWithTypedStoppedError) {
 TEST(EmuServer, DeadlineEnforcedAtAdmissionAndAtCollect) {
   for (const bool continuous : {false, true}) {
     SCOPED_TRACE(continuous ? "continuous" : "discrete");
-    ServeConfig cfg;
+    ServeConfig cfg = serve_cfg();
     cfg.max_batch = 4;
     cfg.start_thread = false;
     cfg.continuous = continuous;
@@ -408,7 +424,7 @@ TEST(EmuServer, DeadlineEnforcedAtAdmissionAndAtCollect) {
 TEST(EmuServer, BlockingSubmitFailsDeadlineInsteadOfWedging) {
   // A full queue plus a deadline: submit() waits only the request's time
   // budget, then fails kDeadline — a wedged session cannot hold clients.
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.queue_capacity = 1;
   cfg.max_batch = 1;
   cfg.start_thread = false;
@@ -437,21 +453,20 @@ TEST(EmuServer, BlockingSubmitFailsDeadlineInsteadOfWedging) {
 TEST(EmuServer, FaultInjectorFailsDelaysAndKillsOnSchedule) {
   for (const bool continuous : {false, true}) {
     SCOPED_TRACE(continuous ? "continuous" : "discrete");
-    ServeConfig cfg;
+    ServeConfig cfg = serve_cfg();
     cfg.max_batch = 1;
     cfg.start_thread = false;
     cfg.continuous = continuous;
-    // The injector keys on executed waves: a discrete micro-batch is one
-    // wave, a continuous request one wave per model layer.
-    auto model = make_model();
-    const uint64_t waves = continuous ? model->size() : 1;
     FaultInjector chaos;
+    EventTotals events;
+    EmuServer server(make_model(), make_engine(), cfg, nullptr, &chaos,
+                     events.sink());
+    // The injector keys on executed waves: a discrete micro-batch is one
+    // wave, a continuous request one wave per compiled stage.
+    const uint64_t waves = continuous ? server.stages() : 1;
     chaos.fail_batches(0, /*from=*/0, /*to=*/1);
     chaos.delay_batches(0, /*from=*/1, /*to=*/1 + waves, /*delay_us=*/1000);
     chaos.kill_at(0, /*seq=*/1 + waves);
-    EventTotals events;
-    EmuServer server(std::move(model), make_engine(), cfg, nullptr, &chaos,
-                     events.sink());
 
     std::future<InferResult> f0, f1, f2, f3;
     ASSERT_TRUE(server.try_submit(make_sample(0), &f0));
@@ -498,7 +513,7 @@ TEST(EmuServer, StopRacingConcurrentSubmittersDrainsWithoutDrop) {
   // resolve: a result for everything admitted before the close, a typed
   // kStopped for everything after — no drops, no hangs, no anonymous
   // errors. This is the drain-without-drop case the TSan CI leg pins.
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.max_batch = 4;
   cfg.max_wait_us = 50;
   cfg.queue_capacity = 8;
@@ -536,10 +551,8 @@ TEST(EmuServer, TelemetryResetClearsServingCounters) {
   // serve_* counters, the GEMM counters, and the compile_* counters
   // (planes packed + fused epilogues at construction, activation bytes per
   // request, a rebuild forced through refresh() by a version bump).
-  ServeConfig cfg;
+  ServeConfig cfg = serve_cfg();
   cfg.start_thread = false;
-  cfg.input_shape = {16};
-  cfg.compile = true;
   auto model = make_model();
   EmuEngine engine = make_engine();
   Telemetry& telemetry = engine.telemetry();

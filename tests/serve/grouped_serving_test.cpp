@@ -1,10 +1,11 @@
-// Grouped same-shape execution (docs/SERVING.md): a micro-batch's
-// per-sample GEMMs merge into ONE wider dispatch per layer, and the outputs
-// stay bitwise identical to the offline per-sample forward — across adder
-// kinds, backends, batch sizes, and the eager vs compiled executors. Also
-// pins the grouped telemetry (gemms_grouped / grouped_samples) and the
-// capability fallback: a backend without the seed-period contract
-// (systolic) serves each sample on its own.
+// Grouped same-shape execution (docs/SERVING.md): each GEMM op of the
+// compiled program runs a whole micro-batch as ONE wide kernel, and the
+// outputs stay bitwise identical to the offline per-sample forward —
+// across adder kinds and batch sizes. Also pins the grouped telemetry
+// (gemms_grouped / grouped_samples) and the fallback rule: a session whose
+// backend (reference, systolic) or layer the compiler rejects serves each
+// sample through model.forward on its own, bitwise, with no merged
+// dispatch.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -25,13 +26,26 @@ namespace {
 
 constexpr uint64_t kInitSeed = 0xC0FFEE;
 
-// Conv + composite block + head: exercises the grouped Conv2d branch (wide
-// im2col panel, col_period), the BasicBlock batched walk, per-sample
-// fallback layers, and the grouped Linear branch (stacked A, row_period).
-std::unique_ptr<Sequential> make_model() {
+/// A layer the compiler has no lowering rule for (an identity).
+class OpaqueLayer : public Layer {
+ public:
+  Tensor forward(const ComputeContext&, const Tensor& x, bool) override {
+    return x;
+  }
+  Tensor backward(const ComputeContext&, const Tensor& g) override {
+    return g;
+  }
+  std::string name() const override { return "opaque"; }
+};
+
+// Conv + composite block + head: exercises the compiled conv op (wide
+// im2col panel, col_period), the BasicBlock lowering, and the Linear op
+// (stacked A, row_period). `opaque` inserts a layer the compiler rejects.
+std::unique_ptr<Sequential> make_model(bool opaque = false) {
   auto net = std::make_unique<Sequential>();
   net->add(std::make_unique<Conv2d>(1, 4, 3));
   net->add(std::make_unique<ReLU>());
+  if (opaque) net->add(std::make_unique<OpaqueLayer>());
   net->add(std::make_unique<BasicBlock>(4, 8, 2));
   net->add(std::make_unique<GlobalAvgPool>());
   net->add(std::make_unique<Linear>(8, 5));
@@ -55,21 +69,25 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
       << what;
 }
 
+struct Served {
+  std::vector<Tensor> outs;
+  TelemetrySnapshot snap;
+  bool compiled = false;
+};
+
 /// Serves 16 deterministic samples in micro-batches of exactly `batch`
-/// through one session; returns the outputs and (optionally) the session's
-/// telemetry snapshot.
-std::vector<Tensor> serve_all(const std::string& scenario,
-                              const std::string& backend, int batch,
-                              bool compile,
-                              TelemetrySnapshot* snap = nullptr) {
+/// through one session; returns the outputs, the session's telemetry, and
+/// whether it ran the compiled program.
+Served serve_all(const std::string& scenario, const std::string& backend,
+                 int batch, bool opaque = false, bool continuous = false) {
   ServeConfig cfg;
   cfg.max_batch = batch;
   cfg.queue_capacity = 32;
   cfg.start_thread = false;
-  cfg.compile = compile;
-  if (compile) cfg.input_shape = {1, 8, 8};
+  cfg.continuous = continuous;
+  cfg.input_shape = {1, 8, 8};
   EmuServer server(
-      make_model(),
+      make_model(opaque),
       EmuEngine::Builder().scenario(scenario).backend(backend).build(), cfg);
   std::vector<std::future<InferResult>> futs(16);
   int submitted = 0;
@@ -78,18 +96,22 @@ std::vector<Tensor> serve_all(const std::string& scenario,
     const int upto = std::min(16, submitted + batch);
     for (; submitted < upto; ++submitted)
       EXPECT_TRUE(server.try_submit(make_sample(submitted), &futs[submitted]));
+    // The per-sample fallback is one stage: even a continuous session
+    // resolves its cohort in a single wave.
     EXPECT_EQ(server.run_once(), upto - before);
   }
-  if (snap) *snap = server.telemetry();
-  std::vector<Tensor> outs(16);
-  for (int i = 0; i < 16; ++i) outs[i] = futs[i].get().output;
-  return outs;
+  Served r;
+  r.snap = server.telemetry();
+  r.compiled = server.compiled() != nullptr;
+  for (int i = 0; i < 16; ++i) r.outs.push_back(futs[i].get().output);
+  return r;
 }
 
-/// Offline per-sample references on the default (sharded) engine.
+/// Offline per-sample references on `backend`.
 std::vector<Tensor> offline_refs(const std::string& scenario,
-                                 const std::string& backend = "sharded") {
-  auto model = make_model();
+                                 const std::string& backend = "sharded",
+                                 bool opaque = false) {
+  auto model = make_model(opaque);
   const EmuEngine offline =
       EmuEngine::Builder().scenario(scenario).backend(backend).build();
   std::vector<Tensor> refs;
@@ -98,91 +120,83 @@ std::vector<Tensor> offline_refs(const std::string& scenario,
   return refs;
 }
 
-void check_grouped_matrix(const std::string& scenario,
-                          const std::string& backend) {
+void check_grouped_matrix(const std::string& scenario) {
   const std::vector<Tensor> refs = offline_refs(scenario);
   for (int batch : {1, 4, 16}) {
-    TelemetrySnapshot snap;
-    const std::vector<Tensor> got =
-        serve_all(scenario, backend, batch, /*compile=*/false, &snap);
+    const Served got = serve_all(scenario, "sharded", batch);
+    EXPECT_TRUE(got.compiled);
     for (int i = 0; i < 16; ++i)
-      expect_bitwise_equal(got[i], refs[i],
-                           scenario + " " + backend + " batch=" +
-                               std::to_string(batch) + " sample=" +
-                               std::to_string(i));
+      expect_bitwise_equal(got.outs[i], refs[i],
+                           scenario + " batch=" + std::to_string(batch) +
+                               " sample=" + std::to_string(i));
     if (batch > 1) {
       // Merges happened, and every merged dispatch carried the full
       // micro-batch (requests arrive in exact batches here).
-      EXPECT_GT(snap.gemms_grouped, 0u) << scenario << " " << backend;
-      EXPECT_EQ(snap.grouped_samples,
-                snap.gemms_grouped * static_cast<uint64_t>(batch))
-          << scenario << " " << backend << " batch=" << batch;
+      EXPECT_GT(got.snap.gemms_grouped, 0u) << scenario;
+      EXPECT_EQ(got.snap.grouped_samples,
+                got.snap.gemms_grouped * static_cast<uint64_t>(batch))
+          << scenario << " batch=" << batch;
     } else {
       // A single-sample batch has nothing to merge.
-      EXPECT_EQ(snap.gemms_grouped, 0u) << scenario << " " << backend;
+      EXPECT_EQ(got.snap.gemms_grouped, 0u) << scenario;
     }
+  }
+}
+
+/// The fallback contract: the session did not compile, served every
+/// sample bitwise against the same backend offline, and never recorded a
+/// merged dispatch — discrete and continuous alike. Its GEMMs go through
+/// the layers' matmul dispatch, whose quantization counter must show them
+/// (the control for the compiled sessions' zero).
+void check_fallback(const std::string& backend, bool opaque) {
+  const std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
+  const std::vector<Tensor> refs = offline_refs(scenario, backend, opaque);
+  for (const bool continuous : {false, true}) {
+    const Served got = serve_all(scenario, backend, 4, opaque, continuous);
+    const std::string what = backend + (opaque ? " opaque" : "") +
+                             (continuous ? " continuous" : " discrete");
+    EXPECT_FALSE(got.compiled) << what;
+    for (int i = 0; i < 16; ++i)
+      expect_bitwise_equal(got.outs[i], refs[i],
+                           what + " sample " + std::to_string(i));
+    EXPECT_EQ(got.snap.gemms_grouped, 0u) << what;
+    EXPECT_EQ(got.snap.grouped_samples, 0u) << what;
+    EXPECT_EQ(got.snap.compile_activation_bytes, 0u) << what;
+    EXPECT_GT(got.snap.bytes_quantized, 0u) << what;
   }
 }
 
 }  // namespace
 
-TEST(GroupedServing, EagerSrAllBackendsMatchOffline) {
-  // Both bit-accurate backends that honor seed periods: the fused kernel
-  // (sharded) and the seed MacUnit golden path (reference).
-  check_grouped_matrix("eager_sr:e5m2/e6m5:r=9:subON", "sharded");
-  check_grouped_matrix("eager_sr:e5m2/e6m5:r=9:subON", "reference");
-}
-
-TEST(GroupedServing, LazySrAndRnMatchOffline) {
-  check_grouped_matrix("lazy_sr:e5m2/e6m5:r=9:subON", "sharded");
-  check_grouped_matrix("rn:e5m2/e6m5:subON", "sharded");
+TEST(GroupedServing, AllAdderKindsMatchOffline) {
+  check_grouped_matrix("eager_sr:e5m2/e6m5:r=9:subON");
+  check_grouped_matrix("lazy_sr:e5m2/e6m5:r=9:subON");
+  check_grouped_matrix("rn:e5m2/e6m5:subON");
 }
 
 TEST(GroupedServing, Fp32GroupedMatchesOffline) {
   // No randomness in fp32 — grouping is vacuously bitwise, and the merged
   // dispatch telemetry still counts.
   const std::vector<Tensor> refs = offline_refs("fp32", "fp32");
-  TelemetrySnapshot snap;
-  const std::vector<Tensor> got =
-      serve_all("fp32", "fp32", 4, /*compile=*/false, &snap);
+  const Served got = serve_all("fp32", "fp32", 4);
+  EXPECT_TRUE(got.compiled);
   for (int i = 0; i < 16; ++i)
-    expect_bitwise_equal(got[i], refs[i], "fp32 sample " + std::to_string(i));
-  EXPECT_GT(snap.gemms_grouped, 0u);
+    expect_bitwise_equal(got.outs[i], refs[i],
+                         "fp32 sample " + std::to_string(i));
+  EXPECT_GT(got.snap.gemms_grouped, 0u);
 }
 
-TEST(GroupedServing, CompiledGroupedMatchesOfflineAndCountsMerges) {
-  // The compiled executor's grouped path: one wide fused kernel per GEMM
-  // op (wide im2col pack for conv, zero-copy multi-row dispatch for
-  // linear), still bitwise vs the offline eager forward.
-  const std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
-  const std::vector<Tensor> refs = offline_refs(scenario);
-  for (int batch : {1, 4, 16}) {
-    TelemetrySnapshot snap;
-    const std::vector<Tensor> got =
-        serve_all(scenario, "sharded", batch, /*compile=*/true, &snap);
-    for (int i = 0; i < 16; ++i)
-      expect_bitwise_equal(got[i], refs[i],
-                           "compiled grouped batch=" + std::to_string(batch) +
-                               " sample=" + std::to_string(i));
-    if (batch > 1) {
-      EXPECT_GT(snap.gemms_grouped, 0u);
-    }
-  }
+TEST(GroupedServing, ReferenceBackendServesPerSample) {
+  // The seed MacUnit golden path has no prequantized dispatch, so the
+  // compiler rejects it.
+  check_fallback("reference", /*opaque=*/false);
 }
 
-TEST(GroupedServing, SystolicBackendFallsBackToPerSamplePath) {
-  // The systolic backend seeds per PE, not per (i, j) hash — it cannot
-  // honor seed periods, so supports_grouped() is false and the session
-  // serves each sample on its own: bits match the same backend offline,
-  // and no merged dispatch is ever recorded.
-  const std::string scenario = "eager_sr:e5m2/e6m5:r=9:subON";
-  const std::vector<Tensor> refs = offline_refs(scenario, "systolic");
-  TelemetrySnapshot snap;
-  const std::vector<Tensor> got =
-      serve_all(scenario, "systolic", 4, /*compile=*/false, &snap);
-  for (int i = 0; i < 16; ++i)
-    expect_bitwise_equal(got[i], refs[i],
-                         "systolic fallback sample " + std::to_string(i));
-  EXPECT_EQ(snap.gemms_grouped, 0u);
-  EXPECT_EQ(snap.grouped_samples, 0u);
+TEST(GroupedServing, SystolicBackendServesPerSample) {
+  // The systolic model seeds per PE, not per (i, j) hash.
+  check_fallback("systolic", /*opaque=*/false);
+}
+
+TEST(GroupedServing, UnloweredLayerServesPerSample) {
+  check_fallback("sharded", /*opaque=*/true);
 }

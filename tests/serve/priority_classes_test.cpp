@@ -64,6 +64,7 @@ TEST(PriorityClasses, WeightedDrainIsDeterministicUnderContention) {
   // 3-request micro-batch drains gold,gold,bronze — a pure function of
   // push order and weights, no clocks involved.
   ServeConfig cfg;
+  cfg.input_shape = {16};
   cfg.max_batch = 3;
   cfg.start_thread = false;
   cfg.classes = {PriorityClass{"gold", 2, 0, 0, 1.0},
@@ -98,6 +99,7 @@ TEST(PriorityClasses, SingleClassDefaultIsPlainFifo) {
   // No classes configured = the pre-class behavior: strict arrival order,
   // and any priority value lands in the one implicit class.
   ServeConfig cfg;
+  cfg.input_shape = {16};
   cfg.max_batch = 2;
   cfg.start_thread = false;
   EmuServer server(make_model(), make_engine(), cfg);
@@ -114,6 +116,7 @@ TEST(PriorityClasses, SingleClassDefaultIsPlainFifo) {
 
 TEST(PriorityClasses, OutOfRangePriorityClampsToLowestClass) {
   ServeConfig cfg;
+  cfg.input_shape = {16};
   cfg.max_batch = 1;
   cfg.start_thread = false;
   cfg.classes = gold_silver_bronze();
@@ -135,6 +138,7 @@ TEST(PriorityClasses, PerClassDeadlineDefaultApplies) {
   // no deadline). Advance the manual clock past the gold budget before the
   // batch forms: gold expires with kDeadline, bronze still completes.
   ServeConfig cfg;
+  cfg.input_shape = {16};
   cfg.max_batch = 4;
   cfg.start_thread = false;
   cfg.classes = {PriorityClass{"gold", 2, 0, /*deadline_us=*/100, 1.0},
@@ -160,6 +164,7 @@ TEST(PriorityClasses, ClusterShedsLowestClassFirstWithTypedOverload) {
   // full limit. Fill the fleet to 2 in flight: bronze is refused with a
   // typed kOverloaded while gold is still admitted.
   ClusterConfig cfg;
+  cfg.serve.input_shape = {16};
   cfg.replicas = 1;
   cfg.serve.max_batch = 8;
   cfg.serve.queue_capacity = 16;
@@ -202,6 +207,7 @@ TEST(PriorityClasses, ContinuousAndClassesCompose) {
   // Weighted admission feeds the wave engine: under contention the gold
   // cohort enters the slots first even though bronze arrived earlier.
   ServeConfig cfg;
+  cfg.input_shape = {16};
   cfg.max_batch = 2;
   cfg.start_thread = false;
   cfg.continuous = true;

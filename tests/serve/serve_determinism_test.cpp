@@ -2,8 +2,8 @@
 // the same sample run offline through the "reference" backend (the seed
 // MacUnit golden path) — for every adder kind, and for micro-batch sizes
 // 1, 4, and 16. This is the load-bearing contract of the serving stack:
-// batching changes scheduling (one grouped GEMM per layer), never bits,
-// because every sample keeps its own seed chain.
+// batching changes scheduling (one wide kernel per compiled GEMM op), never
+// bits, because every sample keeps its own seed chain.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -26,9 +26,9 @@ namespace {
 constexpr uint64_t kInitSeed = 0xC0FFEE;
 constexpr int kClasses = 5;
 
-// Conv + composite block + head: exercises Conv2d::forward_batch, the
-// BasicBlock batched walk (including the projection shortcut), the default
-// per-sample fallback layers, and Linear::forward_batch.
+// Conv + composite block + head: exercises the compiled conv op with its
+// fused ReLU, the BasicBlock lowering (including the projection shortcut),
+// GAP, and the Linear op.
 std::unique_ptr<Sequential> make_model() {
   auto net = std::make_unique<Sequential>();
   net->add(std::make_unique<Conv2d>(1, 4, 3));
@@ -72,6 +72,7 @@ void check_scenario(const std::string& scenario,
     ServeConfig cfg;
     cfg.max_batch = batch;
     cfg.queue_capacity = 32;
+    cfg.input_shape = {1, 8, 8};
     cfg.start_thread = false;  // drive micro-batches deterministically
     ManualServeClock clock;
     EmuServer server(
@@ -146,6 +147,7 @@ TEST(ServeDeterminism, Resnet20ServedSampleMatchesOffline) {
   ServeConfig cfg;
   cfg.max_batch = 4;
   cfg.start_thread = false;
+  cfg.input_shape = {3, 16, 16};
   EmuServer server(
       std::move(served_model),
       EmuEngine::Builder().scenario(scenario).backend("sharded").build(),

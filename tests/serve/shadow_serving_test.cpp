@@ -3,17 +3,17 @@
 //
 //   1. Non-interference: with a shadow block at fraction 1.0, every
 //      primary response stays bitwise identical to (a) the same session
-//      without shadowing and (b) the offline model.forward — across eager
-//      and compiled serving and across adder kinds. The shadow pass runs
-//      strictly after the batch's promises resolve, reads only copies,
-//      and its arithmetic lands in its own engine's telemetry sink.
+//      without shadowing and (b) the offline model.forward — across adder
+//      kinds. The shadow pass runs strictly after the batch's promises
+//      resolve, reads only copies, and its arithmetic lands in its own
+//      engine's telemetry sink.
 //   2. Deterministic sampling: shadow_selects is a pure function of the
 //      trace id — reproducible, fraction-monotone (nested sets), and
 //      roughly proportional.
 //   3. Drift telemetry: the (primary, shadow) pair's series record every
 //      selected sample; shadowing the primary under itself records
-//      exactly-zero drift (the bitwise anchor); per-layer rows appear for
-//      eager shadows and not for compiled ones.
+//      exactly-zero drift (the bitwise anchor); per-layer rows appear
+//      with per_layer and not without it.
 //   4. Overload shedding: with shed_pending set, a backed-up queue drops
 //      the batch's shadow samples into serve_shadow_sheds instead of
 //      running them — the reply path is never blocked by shadow work. A
@@ -65,12 +65,11 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
       << what;
 }
 
-ServeConfig base_config(bool compiled) {
+ServeConfig base_config() {
   ServeConfig cfg;
   cfg.max_batch = 4;
   cfg.queue_capacity = 32;
   cfg.start_thread = false;  // deterministic run_once() harness
-  cfg.compile = compiled;
   cfg.input_shape = {12};
   return cfg;
 }
@@ -87,13 +86,11 @@ std::vector<Tensor> serve_all(EmuServer& server) {
   return outs;
 }
 
-/// The non-interference check for one (primary serving mode, shadow
-/// scenario) combination: shadowed outputs == unshadowed outputs ==
-/// offline forwards, and the drift pair recorded every sample.
-void check_non_interference(bool compiled, const std::string& shadow,
-                            bool shadow_compiled = false) {
-  const std::string what = std::string(compiled ? "compiled" : "eager") +
-                           " shadow=" + shadow;
+/// The non-interference check for one shadow scenario: shadowed outputs ==
+/// unshadowed outputs == offline forwards, and the drift pair recorded
+/// every sample.
+void check_non_interference(const std::string& shadow) {
+  const std::string what = "shadow=" + shadow;
   // Offline references on the same scenario/seed.
   auto offline_model = make_model();
   const EmuEngine offline = EmuEngine::Builder().scenario(kPrimary).build();
@@ -104,15 +101,15 @@ void check_non_interference(bool compiled, const std::string& shadow,
 
   // Control: the same session without a shadow block.
   EmuServer plain(make_model(), EmuEngine::Builder().scenario(kPrimary).build(),
-                  base_config(compiled));
+                  base_config());
   const std::vector<Tensor> unshadowed = serve_all(plain);
 
-  ServeConfig cfg = base_config(compiled);
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = shadow;
-  cfg.shadow.session.compile = shadow_compiled;
   cfg.shadow.fraction = 1.0;
   EmuServer server(make_model(),
                    EmuEngine::Builder().scenario(kPrimary).build(), cfg);
+  ASSERT_NE(server.compiled(), nullptr);  // the primary serves compiled
   ASSERT_NE(server.shadow_engine(), nullptr);
   const std::vector<Tensor> shadowed = serve_all(server);
 
@@ -138,25 +135,19 @@ void check_non_interference(bool compiled, const std::string& shadow,
 
 }  // namespace
 
-TEST(ShadowServing, EagerPrimaryKeepsBitsAcrossAdderKinds) {
-  check_non_interference(false, "rn:e5m2/e6m5:r=0:subON");
-  check_non_interference(false, "lazy_sr:e5m2/e6m5:r=9:subON");
-  check_non_interference(false, "eager_sr:e5m2/e6m5:r=13:subON");
+TEST(ShadowServing, PrimaryKeepsBitsAcrossAdderKinds) {
+  check_non_interference("rn:e5m2/e6m5:r=0:subON");
+  check_non_interference("lazy_sr:e5m2/e6m5:r=9:subON");
+  check_non_interference("eager_sr:e5m2/e6m5:r=13:subON");
 }
 
-TEST(ShadowServing, CompiledPrimaryKeepsBits) {
-  check_non_interference(true, "rn:e5m2/e6m5:r=0:subON");
-  check_non_interference(true, "lazy_sr:e5m2/e6m5:r=9:subON");
-}
-
-TEST(ShadowServing, CompiledShadowKeepsBitsAndSkipsLayerRows) {
-  check_non_interference(false, "rn:e5m2/e6m5:r=0:subON",
-                         /*shadow_compiled=*/true);
-  // A compiled shadow compares final outputs only.
-  ServeConfig cfg = base_config(false);
+TEST(ShadowServing, FinalOnlyShadowSkipsLayerRows) {
+  // per_layer=false runs the shadow as one model.forward and compares the
+  // final outputs only.
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
-  cfg.shadow.session.compile = true;
   cfg.shadow.fraction = 1.0;
+  cfg.shadow.per_layer = false;
   EmuServer server(make_model(),
                    EmuEngine::Builder().scenario(kPrimary).build(), cfg);
   serve_all(server);
@@ -165,13 +156,14 @@ TEST(ShadowServing, CompiledShadowKeepsBitsAndSkipsLayerRows) {
   EXPECT_TRUE(snap.drift[0].layers.empty());
   EXPECT_EQ(snap.drift[0].final_output.samples,
             static_cast<uint64_t>(kRequests));
+  EXPECT_GT(snap.drift[0].final_output.max_abs, 0.0);
 }
 
 TEST(ShadowServing, SelfShadowDriftIsExactlyZero) {
   // Same scenario, same seed: the shadow forward must replay the primary
   // bit for bit, at the final output AND at every layer — the anchor
   // bench_drift's self pair (and its 0.0 CI ceiling) rests on.
-  ServeConfig cfg = base_config(false);
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = kPrimary;
   cfg.shadow.fraction = 1.0;
   EmuServer server(make_model(),
@@ -183,13 +175,13 @@ TEST(ShadowServing, SelfShadowDriftIsExactlyZero) {
   EXPECT_EQ(pair.final_output.samples, static_cast<uint64_t>(kRequests));
   EXPECT_EQ(pair.final_output.max_abs, 0.0);
   EXPECT_EQ(pair.final_output.mismatches.front(), 0u);
-  ASSERT_FALSE(pair.layers.empty());  // per_layer defaults on, eager shadow
+  ASSERT_FALSE(pair.layers.empty());  // per_layer defaults on
   for (const DriftLayerSnapshot& l : pair.layers)
     EXPECT_EQ(l.series.max_abs, 0.0) << "layer " << l.index << " " << l.layer;
 }
 
 TEST(ShadowServing, PerLayerRowsFollowTheModelWalk) {
-  ServeConfig cfg = base_config(false);
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
   cfg.shadow.fraction = 1.0;
   EmuServer server(make_model(),
@@ -233,7 +225,7 @@ TEST(ShadowServing, FractionalSamplingCountsSelected) {
   // Trace ids 1..N via SubmitMeta: the session must select exactly the
   // ids shadow_selects picks at the configured fraction.
   const double fraction = 0.5;
-  ServeConfig cfg = base_config(false);
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
   cfg.shadow.fraction = fraction;
   EmuServer server(make_model(),
@@ -259,7 +251,7 @@ TEST(ShadowServing, ShedsUnderBacklogWithTypedCounter) {
   // shed_pending=1: while requests are still queued behind the executing
   // batch, its shadow samples are dropped (counted), never run. The last
   // batch drains with an empty queue, so its shadows execute.
-  ServeConfig cfg = base_config(false);
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
   cfg.shadow.fraction = 1.0;
   cfg.shadow.shed_pending = 1;
@@ -285,7 +277,7 @@ TEST(ShadowServing, FailedPrimaryShedsItsShadowSample) {
   // must land in serve_shadow_sheds, not vanish from the accounting.
   for (const bool continuous : {false, true}) {
     SCOPED_TRACE(continuous ? "continuous" : "discrete");
-    ServeConfig cfg = base_config(false);
+    ServeConfig cfg = base_config();
     cfg.continuous = continuous;
     cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
     cfg.shadow.fraction = 1.0;
@@ -318,13 +310,13 @@ TEST(ShadowServing, FailedPrimaryShedsItsShadowSample) {
 TEST(ShadowServing, ShadowWorkStaysOutOfThePrimarySink) {
   // The energy-projection contract: the primary sink's GEMM/MAC counters
   // must measure exactly the serving traffic, shadowed or not.
-  ServeConfig plain_cfg = base_config(false);
+  ServeConfig plain_cfg = base_config();
   EmuServer plain(make_model(),
                   EmuEngine::Builder().scenario(kPrimary).build(), plain_cfg);
   serve_all(plain);
   const TelemetrySnapshot base = plain.telemetry();
 
-  ServeConfig cfg = base_config(false);
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
   cfg.shadow.fraction = 1.0;
   EmuServer server(make_model(),
@@ -342,7 +334,7 @@ TEST(ShadowServing, ShadowWorkStaysOutOfThePrimarySink) {
 }
 
 TEST(ShadowServing, DisabledConfigMeansNoShadowEngine) {
-  ServeConfig cfg = base_config(false);
+  ServeConfig cfg = base_config();
   cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
   cfg.shadow.fraction = 0.0;  // scenario set but fraction 0: disabled
   EXPECT_FALSE(cfg.shadow.enabled());
@@ -356,8 +348,8 @@ TEST(ShadowServing, DisabledConfigMeansNoShadowEngine) {
 }
 
 TEST(ShadowServing, ContinuousBatchingShadowsFromAdmissionCopies) {
-  // Continuous mode overwrites each slot's activation in place layer by
-  // layer, so the shadow input is captured at admission; the contract is
+  // Continuous mode overwrites each slot's activation in place stage by
+  // stage, so the shadow input is captured at admission; the contract is
   // the same — primary bits untouched, every sample's drift recorded.
   auto offline_model = make_model();
   const EmuEngine offline = EmuEngine::Builder().scenario(kPrimary).build();
@@ -366,7 +358,7 @@ TEST(ShadowServing, ContinuousBatchingShadowsFromAdmissionCopies) {
     refs.push_back(
         offline_model->forward(offline.context(), make_sample(i), false));
 
-  ServeConfig cfg = base_config(false);
+  ServeConfig cfg = base_config();
   cfg.continuous = true;
   cfg.shadow.session.scenario = "rn:e5m2/e6m5:r=0:subON";
   cfg.shadow.fraction = 1.0;
