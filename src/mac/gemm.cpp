@@ -77,6 +77,14 @@ static_assert(kNc % FusedMacKernel::kMaxGroupWidth == 0 &&
 /// elements to outweigh the pool's dispatch.
 constexpr int64_t kQuantGrain = 16384;
 
+/// MAC steps per gemm_mac_bits_packed thread. One thread runs the fused
+/// chain at about two nanoseconds a step and a pool dispatch costs ten to
+/// twenty microseconds, so a problem needs several thousand steps per
+/// thread before a second thread pays for itself. Smaller problems (a
+/// serving wave through a small Linear layer) run inline on the caller and
+/// wait on no worker.
+constexpr int64_t kMacGrain = 8192;
+
 /// dst[i] = q(src[i]) for i in [0, n): the converter's loop compiled for
 /// AVX-512 when the MAC kernel's cpuid gate passes, else the portable build
 /// of the same body (same bits either way).
@@ -197,6 +205,10 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
          B.bt.size() == panel_words(K, N, G) &&
          "PackedBPanels must be packed for this problem and config");
   const uint32_t* bt = B.bt.data();
+  const int cap = static_cast<int>(
+      std::clamp<int64_t>(static_cast<int64_t>(M) * N * K / kMacGrain, 1,
+                          ThreadPool::global().parallelism()));
+  threads = threads > 0 ? std::min(threads, cap) : cap;
   ThreadPool::global().parallel_for(
       0, M,
       [&](int64_t row_lo, int64_t row_hi) {

@@ -119,6 +119,44 @@ TEST(GemmFastpath, BitIdenticalToMacUnitReference) {
   }
 }
 
+TEST(GemmFastpath, ThreadCountKeepsBitsAcrossTheMacGrain) {
+  // The kernel runs a problem on at most one thread per 8192 MAC steps, so
+  // small problems run inline. Shapes on both sides of that grain (inline,
+  // capped at two and at three threads, the whole pool, fewer rows than
+  // threads) must give the reference's bits at every requested count.
+  const struct {
+    int m, n, k;
+  } shapes[] = {{16, 16, 16}, {33, 20, 20}, {24, 30, 30},
+                {25, 32, 32}, {64, 32, 32}, {7, 100, 90}};
+  const AdderKind kinds[] = {AdderKind::kEagerSR, AdderKind::kLazySR,
+                             AdderKind::kRoundNearest};
+  Xoshiro256 rng(0x6A1E);
+  uint64_t seed = 500;
+  for (const auto& sh : shapes) {
+    for (AdderKind kind : kinds) {
+      const MacConfig cfg = make_cfg(kind, 9, true, kFp12);
+      std::vector<float> A(static_cast<size_t>(sh.m) * sh.k);
+      std::vector<float> B(static_cast<size_t>(sh.k) * sh.n);
+      fill_inputs(rng, A, false);
+      fill_inputs(rng, B, false);
+      std::vector<float> Cr(static_cast<size_t>(sh.m) * sh.n);
+      gemm_mac_reference(cfg, sh.m, sh.n, sh.k, A.data(), sh.k, B.data(),
+                         sh.n, Cr.data(), sh.n, false, seed, /*threads=*/1);
+      for (int threads : {1, 2, 4, 0}) {
+        std::vector<float> Cf(Cr.size());
+        gemm_mac(cfg, sh.m, sh.n, sh.k, A.data(), sh.k, B.data(), sh.n,
+                 Cf.data(), sh.n, false, seed, threads);
+        expect_bitwise_equal(Cf, Cr,
+                             cfg.name() + " " + std::to_string(sh.m) + "x" +
+                                 std::to_string(sh.n) + "x" +
+                                 std::to_string(sh.k) + " threads=" +
+                                 std::to_string(threads));
+      }
+      ++seed;
+    }
+  }
+}
+
 TEST(GemmFastpath, BitIdenticalForWideMultiplierFormat) {
   // E5M10 inputs exceed the product-table width gate, forcing the kernel's
   // slow addend path; the engine must stay bit-identical there too.
