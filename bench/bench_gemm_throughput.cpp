@@ -12,9 +12,9 @@
 //   --backend=NAME   bench one registry backend against the reference
 //                    instead of the default fused-vs-reference pair — the
 //                    CI backend smoke loops this over every built-in
-//   --batch=N        with --backend: also submit N problems sharing one B
-//                    plane through gemm_batch and report the batch speedup
-//                    over the N sequential gemm() dispatches
+//   --batch=N        with --backend: also run N problems sharing one B
+//                    plane as one MatmulBatch and report the batch speedup
+//                    over the N sequential matmul() dispatches
 //   --threads=N      thread count of the multi-thread rows (default 0 =
 //                    the pool's parallelism; 1 drops them, leaving only the
 //                    single-thread rows)
@@ -28,9 +28,11 @@
 #include <vector>
 
 #include "engine/cli.hpp"
+#include "engine/compute_context.hpp"
 #include "engine/registry.hpp"
 #include "mac/gemm.hpp"
 #include "rng/xoshiro.hpp"
+#include "tensor/tensor_ops.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace srmac;
@@ -161,33 +163,30 @@ int main(int argc, char** argv) {
     if (batch > 1) {
       // Batch mode: `batch` problems over the same operands (one shared B
       // plane — the weight-plane fan-out pattern) with distinct seeds and
-      // outputs, submitted once via gemm_batch vs looped via gemm(). The
-      // MAC total is batch * M*N*K; rows compare the two schedules.
+      // outputs, run once through MatmulBatch (one problem per pool
+      // thread) vs looped through matmul(). The MAC total is
+      // batch * M*N*K; rows compare the two schedules.
       std::vector<std::vector<float>> Cs(batch,
                                          std::vector<float>(C.size()));
-      std::vector<GemmBatchItem> items(batch);
-      for (int b = 0; b < batch; ++b) {
-        items[b].cfg = cfg;
-        items[b].args.M = M;
-        items[b].args.N = N;
-        items[b].args.K = K;
-        items[b].args.A = A.data();
-        items[b].args.lda = K;
-        items[b].args.B = B.data();
-        items[b].args.ldb = N;
-        items[b].args.C = Cs[b].data();
-        items[b].args.ldc = N;
-        items[b].args.seed = seed + static_cast<uint64_t>(b);
-      }
+      const ComputeContext base =
+          ComputeContext::with_backend(eng.backend, QuantPolicy::uniform(cfg));
+      auto problem = [&](int b, int threads) {
+        ComputeContext c = base;
+        c.seed = seed + static_cast<uint64_t>(b);
+        c.threads = threads;
+        return c;
+      };
       auto seq = [&](int threads) {
-        for (int b = 0; b < batch; ++b) {
-          items[b].args.threads = threads;
-          backend->gemm(items[b].cfg, items[b].args);
-        }
+        for (int b = 0; b < batch; ++b)
+          matmul(problem(b, threads), M, N, K, A.data(), B.data(),
+                 Cs[b].data());
       };
       auto batched = [&](int threads) {
-        for (int b = 0; b < batch; ++b) items[b].args.threads = threads;
-        backend->gemm_batch(items.data(), items.size());
+        MatmulBatch mb(problem(0, threads));
+        for (int b = 0; b < batch; ++b)
+          mb.add(problem(b, threads), M, N, K, A.data(), B.data(),
+                 Cs[b].data());
+        mb.flush();
       };
       const std::string tag = "x" + std::to_string(batch);
       results.push_back(
@@ -241,7 +240,6 @@ int main(int argc, char** argv) {
   js << "  \"m\": " << M << ", \"n\": " << N << ", \"k\": " << K << ",\n";
   js << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   js << "  \"hardware_parallelism\": " << hw << ",\n";
-  js << "  \"shards\": " << ThreadPool::default_shards() << ",\n";
   js << "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];

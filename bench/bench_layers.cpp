@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   js << "{\n  \"bench\": \"layers\",\n";
   js << "  \"engine\": \"" << engine.describe() << "\",\n";
   js << "  \"batch\": " << batch << ",\n";
-  js << "  \"shards\": " << ThreadPool::default_shards() << ",\n";
   js << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   js << "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {

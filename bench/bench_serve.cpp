@@ -66,6 +66,7 @@
 #include "serve/cluster_controller.hpp"
 #include "serve/emu_server.hpp"
 #include "serve/fault_injector.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace srmac;
 
@@ -646,7 +647,6 @@ int main(int argc, char** argv) {
   js << "  \"clients\": " << clients << ",\n";
   js << "  \"serve_wait_us\": " << eng.serve_wait_us << ",\n";
   js << "  \"requests\": " << requests << ",\n";
-  js << "  \"shards\": " << ThreadPool::default_shards() << ",\n";
   // The coalescing speedup is a strong function of core count: batch-16
   // problems run concurrently across the pool, batch-1 serving is serial.
   js << "  \"hardware_parallelism\": " << ThreadPool::global().parallelism()

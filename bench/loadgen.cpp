@@ -44,6 +44,7 @@
 #include "io/checkpoint.hpp"
 #include "net/wire_client.hpp"
 #include "nn/model_zoo.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace srmac;
 
@@ -234,7 +235,6 @@ int main(int argc, char** argv) {
     js << "  \"scenario\": \"" << eng.scenario << "\",\n";
     js << "  \"clients\": " << clients << ",\n";
     js << "  \"requests\": " << requests << ",\n";
-    js << "  \"shards\": " << ThreadPool::default_shards() << ",\n";
     js << "  \"hardware_parallelism\": "
        << ThreadPool::global().parallelism() << ",\n";
     js << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";

@@ -36,7 +36,7 @@ namespace srmac {
 /// layers' own forward through the same fused kernel, and everything
 /// between GEMMs replays the layers' exact float expressions
 /// (tests/compile/compiled_vs_eager_test.cpp fuzzes this across models,
-/// adder kinds, formats, shard counts, and batch sizes).
+/// adder kinds, formats, and batch sizes).
 ///
 /// Stages: the program is split after each top-level Sequential child
 /// (together with the BatchNorm/ReLU children fused into it; no fusion

@@ -11,8 +11,6 @@
 //                     the scenario's accumulator and adder
 //   --seed=N          base LFSR seed (default kDefaultSeed)
 //   --threads=N       thread cap (default 0 = hardware concurrency)
-//   --shards=N        worker-shard count for sharded scheduling (default 0
-//                     = auto: SRMAC_SHARDS env, then detected NUMA nodes)
 //   --serve-batch=N   serving: micro-batch coalescing cap (EmuServer
 //                     max_batch; 1 = no coalescing)
 //   --serve-wait-us=N serving: linger for stragglers after the first
@@ -41,7 +39,6 @@
 
 #include "engine/emu_engine.hpp"
 #include "engine/session_spec.hpp"
-#include "util/thread_pool.hpp"
 
 namespace srmac {
 
@@ -51,7 +48,6 @@ struct EngineCliArgs {
   bool hfp8 = false;
   uint64_t seed = kDefaultSeed;
   int threads = 0;
-  int shards = 0;  // 0 = auto (SRMAC_SHARDS env, then topology)
   // Serving knobs (EmuServer / bench_serve / examples):
   int serve_batch = 16;          // micro-batch coalescing cap
   uint64_t serve_wait_us = 200;  // straggler linger per micro-batch
@@ -94,8 +90,6 @@ inline const char* engine_cli_usage() {
          "  --hfp8           E4M3-forward / E5M2-backward multiplier formats\n"
          "  --seed=N         base LFSR seed\n"
          "  --threads=N      thread cap (0 = hardware concurrency)\n"
-         "  --shards=N       worker shards for sharded scheduling\n"
-         "                   (0 = auto: SRMAC_SHARDS env, then NUMA topology)\n"
          "  --serve-batch=N  serving micro-batch cap (1 = no coalescing)\n"
          "  --serve-wait-us=N  micro-batch straggler linger in microseconds\n"
          "  --serve-clients=N  closed-loop client threads (serve bench)\n"
@@ -108,10 +102,7 @@ inline const char* engine_cli_usage() {
 }
 
 /// Scans argv for the engine flags above; everything else is ignored (the
-/// caller parses its own flags from the same argv). A --shards value is
-/// applied immediately as the process-wide default
-/// (ThreadPool::set_default_shards), so the "sharded" backend's dispatches
-/// pick it up without further plumbing.
+/// caller parses its own flags from the same argv).
 inline EngineCliArgs parse_engine_cli(int argc, char** argv) {
   EngineCliArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -125,7 +116,6 @@ inline EngineCliArgs parse_engine_cli(int argc, char** argv) {
     if (const char* v = val("--backend")) args.backend = v;
     if (const char* v = val("--seed")) args.seed = std::strtoull(v, nullptr, 0);
     if (const char* v = val("--threads")) args.threads = std::atoi(v);
-    if (const char* v = val("--shards")) args.shards = std::atoi(v);
     if (const char* v = val("--serve-batch")) args.serve_batch = std::atoi(v);
     if (const char* v = val("--serve-wait-us"))
       args.serve_wait_us = std::strtoull(v, nullptr, 0);
@@ -142,7 +132,6 @@ inline EngineCliArgs parse_engine_cli(int argc, char** argv) {
       args.shadow_fraction = std::strtod(v, nullptr);
     if (std::strcmp(argv[i], "--hfp8") == 0) args.hfp8 = true;
   }
-  if (args.shards > 0) ThreadPool::set_default_shards(args.shards);
   return args;
 }
 

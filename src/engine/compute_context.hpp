@@ -29,10 +29,10 @@ struct ComputeContext {
   Telemetry* telemetry = nullptr;
   GemmPass pass = GemmPass::kForward;
 
-  /// When non-null (set by Sequential::backward on a batching backend),
-  /// layers defer their weight-gradient GEMM into this batch instead of
-  /// dispatching it themselves — cross-layer gradient bucketing, flushed by
-  /// the owner in bounded buckets. Operands of a deferred GEMM must stay
+  /// When non-null (set by Sequential::backward), layers defer their
+  /// weight-gradient GEMM into this batch instead of dispatching it
+  /// themselves — cross-layer gradient bucketing, flushed by the owner in
+  /// bounded buckets. Operands of a deferred GEMM must stay
   /// valid until that flush: layer-owned caches qualify, locals go through
   /// MatmulBatch::scratch. Results are bit-identical either way (the item
   /// carries its own pass/seed; scheduling is invisible to the bits).

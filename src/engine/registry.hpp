@@ -15,8 +15,8 @@ namespace srmac {
 /// The four built-ins ("fp32", "reference", "sharded", "systolic") are
 /// registered inside instance() — not by static initializers, which a
 /// static-library link would silently drop — and additional backends
-/// (remote, test doubles) register at runtime under new names without
-/// touching any call site. register_backend on an existing name replaces
+/// (out-of-tree engines, test doubles) register at runtime under new names
+/// without touching any call site. register_backend on an existing name replaces
 /// the factory; shared instances get() already handed out stay alive and
 /// unchanged.
 class BackendRegistry {

@@ -37,20 +37,6 @@ void Telemetry::record_batch(const std::string& backend, uint64_t problems,
   b.batch_problems += problems;
 }
 
-void Telemetry::record_sharded(
-    const std::string& backend, uint64_t migrations,
-    const std::vector<uint64_t>& planes_packed_per_shard,
-    uint64_t plane_bytes_quantized) {
-  std::lock_guard<std::mutex> lock(mu_);
-  totals_.shard_migrations += migrations;
-  totals_.bytes_quantized += plane_bytes_quantized;
-  if (totals_.planes_packed_per_shard.size() < planes_packed_per_shard.size())
-    totals_.planes_packed_per_shard.resize(planes_packed_per_shard.size());
-  for (size_t s = 0; s < planes_packed_per_shard.size(); ++s)
-    totals_.planes_packed_per_shard[s] += planes_packed_per_shard[s];
-  totals_.per_backend[backend].shard_migrations += migrations;
-}
-
 void Telemetry::record_grouped_gemm(uint64_t samples) {
   std::lock_guard<std::mutex> lock(mu_);
   totals_.gemms_grouped += 1;

@@ -15,9 +15,8 @@ namespace srmac {
 struct BackendStats {
   uint64_t gemms = 0;    ///< GEMM dispatches (batch items count individually)
   uint64_t macs = 0;     ///< MAC steps retired (sum of M*N*K)
-  uint64_t batches = 0;         ///< gemm_batch submissions
-  uint64_t batch_problems = 0;  ///< problems inside those submissions
-  uint64_t shard_migrations = 0;  ///< problems stolen across worker shards
+  uint64_t batches = 0;         ///< MatmulBatch flushes
+  uint64_t batch_problems = 0;  ///< problems inside those flushes
   double seconds = 0.0;  ///< wall time inside the backend
 };
 
@@ -45,12 +44,10 @@ struct TelemetrySnapshot {
   uint64_t gemms = 0;
   uint64_t macs = 0;
   uint64_t bytes_quantized = 0;  ///< operand bytes freshly quantized
-  uint64_t batches = 0;          ///< gemm_batch submissions
-  uint64_t batch_problems = 0;   ///< problems inside those submissions
-  uint64_t shard_migrations = 0;  ///< problems stolen across worker shards
-  /// B planes the sharded scheduler packed, indexed by shard (grows to the
-  /// largest shard count seen; a plane reused across a batch packs once per
-  /// shard that touches it, not once per problem).
+  uint64_t batches = 0;          ///< MatmulBatch flushes
+  uint64_t batch_problems = 0;   ///< problems inside those flushes
+  /// Always empty: nothing writes it. Kept only because the repository
+  /// benchmark (perfbench/) reads it for its engine.planes_packed row.
   std::vector<uint64_t> planes_packed_per_shard;
   double seconds = 0.0;
   std::map<std::string, BackendStats> per_backend;
@@ -161,7 +158,7 @@ class Telemetry {
   void record_gemm(const std::string& backend, int M, int N, int K,
                    double seconds);
 
-  /// Records one gemm_batch dispatch of `problems` GEMMs totalling `macs`
+  /// Records one MatmulBatch flush of `problems` GEMMs totalling `macs`
   /// MAC steps. The problems also count into the per-problem gemms/macs
   /// counters (one batch of 4 reads as 4 GEMMs + 1 batch), so throughput
   /// math stays uniform whether or not work was batched.
@@ -171,15 +168,6 @@ class Telemetry {
   /// Records `values` operand words freshly quantized into `fmt`
   /// (byte-rounded per value: ceil(width/8)).
   void record_quantize(uint64_t values, const FpFormat& fmt);
-
-  /// Records the shard-scheduling counters of one sharded gemm_batch
-  /// dispatch: how many problems were stolen across shards, how many B
-  /// planes each shard packed, and the operand bytes those per-shard packs
-  /// quantized (deltas, added to the running totals; the bytes land in
-  /// bytes_quantized, replacing the dispatcher's once-per-batch estimate).
-  void record_sharded(const std::string& backend, uint64_t migrations,
-                      const std::vector<uint64_t>& planes_packed_per_shard,
-                      uint64_t plane_bytes_quantized);
 
   /// Records one grouped GEMM dispatch that merged `samples` same-shape
   /// per-sample problems into a single wide kernel. The dispatch itself

@@ -110,7 +110,6 @@ std::string TelemetrySnapshot::to_json() const {
   append_u64(out, "bytes_quantized", bytes_quantized);
   append_u64(out, "batches", batches);
   append_u64(out, "batch_problems", batch_problems);
-  append_u64(out, "shard_migrations", shard_migrations);
   append_f64(out, "seconds", seconds);
   out += "\"per_backend\": {";
   bool first = true;
@@ -123,7 +122,6 @@ std::string TelemetrySnapshot::to_json() const {
     append_u64(out, "macs", kv.second.macs);
     append_u64(out, "batches", kv.second.batches);
     append_u64(out, "batch_problems", kv.second.batch_problems);
-    append_u64(out, "shard_migrations", kv.second.shard_migrations);
     append_f64(out, "seconds", kv.second.seconds, /*comma=*/false);
     out += '}';
   }

@@ -14,8 +14,8 @@ namespace srmac {
 /// in a group; the last one is zero-padded to the full group width, and the
 /// padding lanes' outputs are never read or written. Built once by
 /// gemm_pack_b and reusable across every GEMM that multiplies against the
-/// same weight plane — the "sharded" backend packs each unique plane once
-/// per shard and shares it across that shard's problems.
+/// same weight plane — the compiled model packs each weight plane once and
+/// reuses it for every request (docs/COMPILER.md).
 struct PackedBPanels {
   int K = 0;
   int N = 0;
@@ -45,7 +45,7 @@ void gemm_pack_b_into(const MacConfig& cfg, int K, int N, const uint32_t* Bq,
 
 /// gemm_mac_bits with B already packed by gemm_pack_b under the same
 /// (normalized) cfg. This is the inner entry point of both gemm_mac_bits
-/// and the sharded backend's per-problem loop.
+/// and the compiled model's GEMM ops.
 ///
 /// `seed_row_period` / `seed_col_period`: when non-zero, the per-element
 /// LFSR seed derives from (i % row_period, j % col_period) instead of

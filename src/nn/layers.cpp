@@ -137,34 +137,27 @@ Tensor Conv2d::backward(const ComputeContext& ctx, const Tensor& gout) {
   // The two backward GEMMs — dW = gout * cols^T (weight gradient) and
   // gcols = W^T * gout (data gradient) — are independent. With a deferred
   // bucket the dW GEMM joins it (cols^T is materialized into the bucket at
-  // add time) and the data gradient, which the serial gx chain needs now,
-  // dispatches immediately; otherwise both go down as one gemm_batch
-  // submission. Bit-identical every way — each item carries its own
-  // pass/seed, scheduling is invisible to the bits.
+  // add time); otherwise it dispatches at once. The data gradient, which
+  // the serial gx chain needs now, always dispatches at once. Each GEMM
+  // carries its own pass/seed, so the schedule is invisible to the bits.
+  const ComputeContext ctx_dw = ctx.fork(1).weight_grad();
+  if (ctx.grad_batch)
+    ctx.grad_batch->add_nt(ctx_dw, out_ch_, K, N * L, g_flat, cols_.data(),
+                           w_.grad.data(), /*accumulate=*/true);
+  else
+    matmul_nt(ctx_dw, out_ch_, K, N * L, g_flat, cols_.data(), w_.grad.data(),
+              /*accumulate=*/true);
   const ComputeContext ctx_gx = ctx.fork(2);
   Tensor gcols({K, N * L});
-  MatmulBatch local(ctx);
-  MatmulBatch& dw_sink = ctx.grad_batch ? *ctx.grad_batch : local;
-  dw_sink.add_nt(ctx.fork(1).weight_grad(), out_ch_, K, N * L, g_flat,
-                 cols_.data(), w_.grad.data(), /*accumulate=*/true);
   if (ctx_gx.bit_accurate()) {
     // The cached transposed weight plane; non-prequantized backends get it
     // decoded back losslessly by the dispatch.
     const auto& wqt = wq_.get(w_, ctx_gx.quant_fmt(), /*transposed=*/true);
-    if (ctx.grad_batch)
-      matmul_qa(ctx_gx, K, N * L, out_ch_, wqt.data(), g_flat, gcols.data());
-    else
-      local.add_qa(ctx_gx, K, N * L, out_ch_, wqt.data(), g_flat,
-                   gcols.data());
+    matmul_qa(ctx_gx, K, N * L, out_ch_, wqt.data(), g_flat, gcols.data());
   } else {
-    if (ctx.grad_batch)
-      matmul_tn(ctx_gx, K, N * L, out_ch_, w_.value.data(), g_flat,
-                gcols.data());
-    else
-      local.add_tn(ctx_gx, K, N * L, out_ch_, w_.value.data(), g_flat,
-                   gcols.data());
+    matmul_tn(ctx_gx, K, N * L, out_ch_, w_.value.data(), g_flat,
+              gcols.data());
   }
-  local.flush();
   // End of this layer's backward is a safe flush point for the deferred
   // bucket (our staged g_flat is no longer needed; every other pending
   // item's operands are layer members or batch-owned copies), so the
@@ -224,34 +217,28 @@ Tensor Linear::backward(const ComputeContext& ctx, const Tensor& gout) {
   // dW = gout^T * x ; db = column sums ; gx = gout * W. The two GEMMs are
   // independent: with a deferred bucket (ctx.grad_batch) the dW GEMM joins
   // it — add_tn copies gout^T into the bucket and x_cache_ is a member, so
-  // both operands outlive this call — and gx dispatches immediately;
-  // otherwise both submit as one gemm_batch. Bit-identical either way.
+  // both operands outlive this call — and otherwise dispatches at once; gx
+  // always dispatches at once. Bit-identical either way.
   for (int n = 0; n < N; ++n)
     for (int o = 0; o < out_f_; ++o) b_.grad[o] += gout.at(n, o);
+  const ComputeContext ctx_dw = ctx.fork(1).weight_grad();
+  if (ctx.grad_batch)
+    ctx.grad_batch->add_tn(ctx_dw, out_f_, in_f_, N, gout.data(),
+                           x_cache_.data(), w_.grad.data(),
+                           /*accumulate=*/true);
+  else
+    matmul_tn(ctx_dw, out_f_, in_f_, N, gout.data(), x_cache_.data(),
+              w_.grad.data(), /*accumulate=*/true);
   Tensor gx({N, in_f_});
   const ComputeContext ctx_gx = ctx.fork(2);
-  MatmulBatch local(ctx);
-  MatmulBatch& dw_sink = ctx.grad_batch ? *ctx.grad_batch : local;
-  dw_sink.add_tn(ctx.fork(1).weight_grad(), out_f_, in_f_, N, gout.data(),
-                 x_cache_.data(), w_.grad.data(), /*accumulate=*/true);
   if (ctx_gx.bit_accurate()) {
     // The cached weight plane; non-prequantized backends get it decoded
     // back losslessly by the dispatch.
     const auto& wq = wq_.get(w_, ctx_gx.quant_fmt(), /*transposed=*/false);
-    if (ctx.grad_batch)
-      matmul_qb(ctx_gx, N, in_f_, out_f_, gout.data(), wq.data(), gx.data());
-    else
-      local.add_qb(ctx_gx, N, in_f_, out_f_, gout.data(), wq.data(),
-                   gx.data());
+    matmul_qb(ctx_gx, N, in_f_, out_f_, gout.data(), wq.data(), gx.data());
   } else {
-    if (ctx.grad_batch)
-      matmul(ctx_gx, N, in_f_, out_f_, gout.data(), w_.value.data(),
-             gx.data());
-    else
-      local.add(ctx_gx, N, in_f_, out_f_, gout.data(), w_.value.data(),
-                gx.data());
+    matmul(ctx_gx, N, in_f_, out_f_, gout.data(), w_.value.data(), gx.data());
   }
-  local.flush();
   // Safe flush point, as in Conv2d::backward: bounds the bucket's staged
   // memory regardless of how deeply this layer is nested.
   if (ctx.grad_batch &&

@@ -90,18 +90,17 @@ class Sequential : public Layer {
     return h;
   }
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override {
-    // Cross-layer weight-gradient bucketing: on a batching backend the
-    // layers' dW GEMMs are deferred into one MatmulBatch and flushed in
-    // buckets of kGradBucket problems, so gemm_batch sees multi-problem
-    // submissions spanning layers (more problems than shards) instead of
-    // one pair per layer. Bounded buckets cap how long deferred operand
-    // copies (MatmulBatch::scratch) stay alive. The data-gradient chain
-    // stays serial — only the independent dW GEMMs defer — and per-item
-    // seeds make the bits identical to per-layer dispatch. A Sequential
-    // nested under one that already buckets just forwards the pointer.
+    // Cross-layer weight-gradient bucketing: the layers' dW GEMMs are
+    // deferred into one MatmulBatch and flushed in buckets of kGradBucket
+    // problems, which the batch runs one per pool thread. Bounded buckets
+    // cap how long deferred operand copies (MatmulBatch::scratch) stay
+    // alive. The data-gradient chain stays serial — only the independent
+    // dW GEMMs defer — and per-item seeds make the bits identical to
+    // per-layer dispatch. A Sequential nested under one that already
+    // buckets just forwards the pointer.
     std::optional<MatmulBatch> bucket;
     ComputeContext c = ctx;
-    if (!ctx.grad_batch && ctx.backend && ctx.backend->supports_batch()) {
+    if (!ctx.grad_batch) {
       bucket.emplace(ctx);
       c.grad_batch = &*bucket;
     }
@@ -118,7 +117,7 @@ class Sequential : public Layer {
   }
 
   /// Deferred weight-gradient GEMMs per bucket flush; a handful keeps the
-  /// shard queues fed without holding every layer's staged operands alive
+  /// pool threads fed without holding every layer's staged operands alive
   /// at once.
   static constexpr size_t kGradBucket = 4;
 

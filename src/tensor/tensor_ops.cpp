@@ -182,7 +182,7 @@ void MatmulBatch::add(const ComputeContext& ctx, int M, int N, int K,
                       bool accumulate) {
   assert(ctx.backend == base_.backend &&
          "every GEMM of a batch must target the base context's backend");
-  GemmBatchItem item;
+  Item item;
   item.cfg = ctx.mac_config().normalized();
   item.args.M = M;
   item.args.N = N;
@@ -215,80 +215,44 @@ void MatmulBatch::add_tn(const ComputeContext& ctx, int M, int N, int K,
   add(ctx, M, N, K, A.data(), B, C, accumulate);
 }
 
-void MatmulBatch::add_qa(const ComputeContext& ctx, int M, int N, int K,
-                         const uint32_t* Aq, const float* B, float* C,
-                         bool accumulate) {
-  assert(ctx.bit_accurate() && "quantized-operand add needs a MAC context");
-  add(ctx, M, N, K, /*A=*/nullptr, B, C, accumulate);
-  items_.back().Aq = Aq;
-}
-
-void MatmulBatch::add_qb(const ComputeContext& ctx, int M, int N, int K,
-                         const float* A, const uint32_t* Bq, float* C,
-                         bool accumulate) {
-  assert(ctx.bit_accurate() && "quantized-operand add needs a MAC context");
-  add(ctx, M, N, K, A, /*B=*/nullptr, C, accumulate);
-  items_.back().Bq = Bq;
-}
-
 void MatmulBatch::flush() {
   if (items_.empty()) return;
   assert(base_.backend && "ComputeContext must carry a backend");
-  // Shard-scheduling backends expose cumulative counters; snapshot around
-  // the dispatch and record the delta.
-  const auto* shard_src =
-      base_.telemetry ? dynamic_cast<const ShardStatsSource*>(base_.backend)
-                      : nullptr;
-  const ShardStatsSource::Stats before =
-      shard_src ? shard_src->shard_stats() : ShardStatsSource::Stats{};
-  const double t0 = base_.telemetry ? now_s() : 0.0;
-  base_.backend->gemm_batch(items_.data(), items_.size());
-  if (shard_src) {
-    ShardStatsSource::Stats after = shard_src->shard_stats();
-    after.migrations -= before.migrations;
-    after.plane_bytes_quantized -= before.plane_bytes_quantized;
-    for (size_t s = 0;
-         s < after.planes_packed.size() && s < before.planes_packed.size();
-         ++s)
-      after.planes_packed[s] -= before.planes_packed[s];
-    base_.telemetry->record_sharded(base_.backend->name(), after.migrations,
-                                    after.planes_packed,
-                                    after.plane_bytes_quantized);
-  }
-  if (base_.telemetry) {
-    uint64_t macs = 0;
-    // Fresh-quantization accounting, per item format (items of one batch
-    // may run different policy passes). Cached planes (Aq/Bq) were not
-    // quantized by this dispatch; the default loop quantizes every float
-    // operand per item, while a shard-scheduling backend quantizes a
-    // shared B plane once per shard and reported the exact bytes through
-    // record_sharded above, so its B planes are skipped here entirely.
-    std::vector<std::pair<FpFormat, uint64_t>> per_fmt;
-    auto count_quant = [&](const FpFormat& fmt, uint64_t values) {
-      for (auto& [f, v] : per_fmt) {
-        if (f == fmt) {
-          v += values;
-          return;
-        }
-      }
-      per_fmt.emplace_back(fmt, values);
-    };
-    for (const GemmBatchItem& it : items_) {
-      macs += static_cast<uint64_t>(it.args.M) * it.args.N * it.args.K;
-      if (!base_.bit_accurate()) continue;
-      const FpFormat fmt = it.cfg.normalized().mul_fmt;
-      if (!it.Aq)
-        count_quant(fmt, static_cast<uint64_t>(it.args.M) * it.args.K);
-      if (!it.Bq && !shard_src)
-        count_quant(fmt, static_cast<uint64_t>(it.args.K) * it.args.N);
+  // Move the items and their operands out first: a throwing GEMM must leave
+  // the batch empty, or the destructor would run the failed batch again.
+  // `owned` keeps the staged operands alive until the GEMMs have run.
+  const std::vector<Item> items = std::exchange(items_, {});
+  const std::deque<std::vector<float>> owned = std::exchange(owned_, {});
+  // The largest item thread cap, or none (0) when any item is uncapped.
+  int cap = 0;
+  for (const Item& it : items) {
+    if (it.args.threads <= 0) {
+      cap = 0;
+      break;
     }
-    base_.telemetry->record_batch(base_.backend->name(), items_.size(), macs,
-                                  now_s() - t0);
-    for (const auto& [fmt, values] : per_fmt)
-      base_.telemetry->record_quantize(values, fmt);
+    cap = std::max(cap, it.args.threads);
   }
-  items_.clear();
-  owned_.clear();
+  const double t0 = base_.telemetry ? now_s() : 0.0;
+  ThreadPool::global().parallel_for(
+      0, static_cast<int64_t>(items.size()),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+          base_.backend->gemm(items[i].cfg, items[i].args);
+      },
+      cap, /*grain=*/1);
+  if (!base_.telemetry) return;
+  uint64_t macs = 0;
+  for (const Item& it : items)
+    macs += static_cast<uint64_t>(it.args.M) * it.args.N * it.args.K;
+  base_.telemetry->record_batch(base_.backend->name(), items.size(), macs,
+                                now_s() - t0);
+  // Every item quantized both of its operands, in its own pass's format.
+  if (base_.bit_accurate())
+    for (const Item& it : items)
+      base_.telemetry->record_quantize(
+          static_cast<uint64_t>(it.args.M) * it.args.K +
+              static_cast<uint64_t>(it.args.K) * it.args.N,
+          it.cfg.mul_fmt);
 }
 
 void add_inplace(Tensor& a, const Tensor& b) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <vector>
 
 #include "engine/compute_context.hpp"
@@ -37,24 +38,29 @@ void matmul_qa(const ComputeContext& ctx, int M, int N, int K,
 void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
                const uint32_t* Bq, float* C, bool accumulate = false);
 
-/// Collects independent GEMMs and submits them in one
-/// MatmulBackend::gemm_batch dispatch — the batch-submission front end of
-/// the "sharded" backend. Each added GEMM carries its *own* context's
-/// quantization pass and fork seed (a layer's weight-gradient and
-/// data-gradient GEMMs run different policy passes), so results are
-/// bit-identical to dispatching the same GEMMs sequentially; what changes
-/// is scheduling: the backend shards whole problems across the thread pool
-/// and packs shared operand planes once. All contexts must share the base
-/// context's backend, and operands must stay alive until flush() (the _nt /
-/// _tn variants materialize and own their transposes internally).
+/// Collects independent GEMMs and runs them as one batch — the engine's one
+/// batch scheduler. flush() hands the problems out one per pool thread,
+/// each through the base backend's gemm(), on every backend. Each added
+/// GEMM carries its *own* context's quantization pass and fork seed (the
+/// layers' weight-gradient GEMMs of one bucket run under different forks),
+/// so results are bit-identical to dispatching the same GEMMs sequentially;
+/// only the schedule changes. All contexts must share the base context's
+/// backend, and operands must stay alive until flush() (the _nt / _tn
+/// variants materialize and own their transposes internally).
 class MatmulBatch {
  public:
   /// `base` supplies the backend and telemetry sink; it must outlive the
-  /// batch. Deferred GEMMs run at flush() (also called by the destructor).
+  /// batch. Deferred GEMMs run at flush().
   explicit MatmulBatch(const ComputeContext& base) : base_(base) {}
   MatmulBatch(const MatmulBatch&) = delete;
   MatmulBatch& operator=(const MatmulBatch&) = delete;
-  ~MatmulBatch() { flush(); }
+
+  /// Flushes what is still deferred — unless an exception is unwinding the
+  /// scope that owns the batch: then the GEMMs are dropped, so a failing
+  /// backend cannot throw a second time out of the destructor.
+  ~MatmulBatch() {
+    if (std::uncaught_exceptions() == uncaught_) flush();
+  }
 
   /// Defers C[MxN] = A[MxK] * B[KxN] (+C) under `ctx`'s pass/seed.
   void add(const ComputeContext& ctx, int M, int N, int K, const float* A,
@@ -67,16 +73,6 @@ class MatmulBatch {
   void add_tn(const ComputeContext& ctx, int M, int N, int K,
               const float* A_t, const float* B, float* C,
               bool accumulate = false);
-
-  /// add() with one operand already quantized to ctx.quant_fmt() bit
-  /// patterns — the layers' cached weight planes, so a batched backward
-  /// does not requantize weights the cache already holds. Only valid on
-  /// bit-accurate contexts (as matmul_qa/matmul_qb).
-  void add_qa(const ComputeContext& ctx, int M, int N, int K,
-              const uint32_t* Aq, const float* B, float* C,
-              bool accumulate = false);
-  void add_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
-              const uint32_t* Bq, float* C, bool accumulate = false);
 
   size_t size() const { return items_.size(); }
 
@@ -96,16 +92,26 @@ class MatmulBatch {
     return n;
   }
 
-  /// Dispatches every deferred GEMM through the base backend's gemm_batch
-  /// (recording one batch plus per-problem counters into telemetry; on a
-  /// shard-scheduling backend also the shard_migrations /
-  /// planes_packed_per_shard deltas), then clears the batch for reuse.
+  /// Runs every deferred GEMM through the base backend's gemm(), one per
+  /// pool thread (grain 1, capped by the items' `threads`; a lone GEMM runs
+  /// on the caller with the backend's own threading), records one batch
+  /// plus per-problem counters into telemetry, and leaves the batch empty
+  /// for reuse. When a GEMM throws, the batch is left empty as well and the
+  /// first exception is rethrown once every GEMM has finished.
   void flush();
 
  private:
+  /// One deferred GEMM: the problem plus the MAC configuration it runs
+  /// under.
+  struct Item {
+    MacConfig cfg;
+    GemmArgs args;
+  };
+
   ComputeContext base_;
-  std::vector<GemmBatchItem> items_;
-  std::deque<std::vector<float>> owned_;  ///< materialized transposes
+  std::vector<Item> items_;
+  std::deque<std::vector<float>> owned_;  ///< scratch and transposes
+  int uncaught_ = std::uncaught_exceptions();
 };
 
 /// Elementwise helpers used by the layers (always FP32: the paper quantizes

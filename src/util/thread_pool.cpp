@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
-#include <filesystem>
-#include <fstream>
+#include <exception>
 #include <mutex>
 
 namespace srmac {
@@ -18,10 +16,28 @@ namespace {
 /// run inline instead of deadlocking on the workers they themselves occupy.
 thread_local bool t_in_pool_task = false;
 
+/// Marks the current thread as inside a pool chunk for one scope, and
+/// restores the previous mark on exit — on the exception path too.
+class InPoolTask {
+ public:
+  InPoolTask() : prev_(t_in_pool_task) { t_in_pool_task = true; }
+  ~InPoolTask() { t_in_pool_task = prev_; }
+  InPoolTask(const InPoolTask&) = delete;
+  InPoolTask& operator=(const InPoolTask&) = delete;
+
+ private:
+  bool prev_;
+};
+
 /// One batch = one parallel_for invocation in flight.
 struct Batch {
   std::function<void(int64_t, int64_t)> body;
   std::atomic<int> remaining{0};  ///< chunks not yet finished
+  /// Set by the first chunk that throws, which alone then writes `error`;
+  /// the caller reads it after `remaining` reaches zero (acquire), so the
+  /// no-throw path takes no lock.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
 };
 
 /// A chunk of a batch's index range, queued on one worker's deque.
@@ -67,9 +83,13 @@ struct ThreadPool::State {
   }
 
   void run_chunk(const Chunk& c) {
-    t_in_pool_task = true;
-    c.batch->body(c.lo, c.hi);
-    t_in_pool_task = false;
+    try {
+      InPoolTask scope;
+      c.batch->body(c.lo, c.hi);
+    } catch (...) {
+      if (!c.batch->failed.exchange(true, std::memory_order_relaxed))
+        c.batch->error = std::current_exception();
+    }
     if (c.batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lk(wake_m);
       done_cv.notify_all();
@@ -116,157 +136,6 @@ void ThreadPool::worker_loop(int id) {
   }
 }
 
-int parse_cpulist_count(const std::string& list) {
-  int count = 0;
-  size_t pos = 0;
-  while (pos < list.size()) {
-    size_t end = list.find(',', pos);
-    if (end == std::string::npos) end = list.size();
-    const std::string entry = list.substr(pos, end - pos);
-    pos = end + 1;
-    if (entry.empty()) continue;
-    char* rest = nullptr;
-    const long lo = std::strtol(entry.c_str(), &rest, 10);
-    if (rest == entry.c_str() || lo < 0) continue;  // not a number
-    if (*rest == '-') {
-      char* rest2 = nullptr;
-      const long hi = std::strtol(rest + 1, &rest2, 10);
-      if (rest2 == rest + 1 || hi < lo) continue;  // malformed range
-      count += static_cast<int>(hi - lo + 1);
-    } else {
-      count += 1;
-    }
-  }
-  return count;
-}
-
-namespace {
-
-ShardTopology detect_topology() try {
-  ShardTopology topo;
-  std::error_code ec;
-  const std::filesystem::path root("/sys/devices/system/node");
-  if (!std::filesystem::is_directory(root, ec) || ec) return topo;
-  // increment(ec), not a range-for: the range-for's operator++ throws, and
-  // a sandboxed /sys that fails mid-readdir must degrade to the 1-shard
-  // fallback, not terminate the process.
-  std::filesystem::directory_iterator it(root, ec), end;
-  for (; !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind("node", 0) != 0 || name.size() <= 4) continue;
-    if (name.find_first_not_of("0123456789", 4) != std::string::npos) continue;
-    std::ifstream cpulist(it->path() / "cpulist");
-    std::string list;
-    if (cpulist) std::getline(cpulist, list);
-    const int cpus = parse_cpulist_count(list);
-    // Memory-only nodes (CXL expanders, pmem) have an empty cpulist; a
-    // shard with no CPUs would only collect phantom queues drained by
-    // cross-node steals, so they don't count.
-    if (cpus > 0) topo.cpus_per_shard.push_back(cpus);
-  }
-  if (ec || topo.cpus_per_shard.empty()) return ShardTopology{};
-  topo.shards = static_cast<int>(topo.cpus_per_shard.size());
-  topo.from_sysfs = true;
-  return topo;
-} catch (...) {
-  return ShardTopology{};  // any filesystem surprise means "no topology"
-}
-
-/// The --shards override; 0 = auto (env, then topology).
-std::atomic<int> g_shard_override{0};
-
-}  // namespace
-
-const ShardTopology& ThreadPool::topology() {
-  static const ShardTopology topo = detect_topology();
-  return topo;
-}
-
-void ThreadPool::set_default_shards(int shards) {
-  g_shard_override.store(std::max(0, shards), std::memory_order_relaxed);
-}
-
-int ThreadPool::default_shards() {
-  const int forced = g_shard_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  static const int env_shards = [] {
-    const char* v = std::getenv("SRMAC_SHARDS");
-    return v ? std::atoi(v) : 0;
-  }();
-  if (env_shards > 0) return env_shards;
-  return topology().shards;
-}
-
-void ThreadPool::parallel_for_sharded(
-    int64_t count, int nshards, const std::function<void(int64_t)>& item,
-    const std::function<int(int64_t)>& shard_of, ShardStats* stats,
-    int max_threads) {
-  if (stats) *stats = ShardStats{};
-  if (count <= 0) return;
-  if (nshards <= 0) nshards = default_shards();
-  const int S = static_cast<int>(
-      std::min<int64_t>(std::max(1, nshards), count));
-
-  // One FIFO queue per shard; whole items are routed by shard_of. The
-  // queues exist per dispatch, so the shard count is a per-call parameter
-  // (--shards sweeps need no pool reconstruction).
-  struct ShardQueue {
-    std::mutex m;
-    std::deque<int64_t> q;
-  };
-  std::vector<ShardQueue> queues(S);
-  for (int64_t i = 0; i < count; ++i) {
-    const int s = ((shard_of(i) % S) + S) % S;
-    queues[s].q.push_back(i);
-  }
-
-  int participants = parallelism();
-  if (max_threads > 0) participants = std::min(participants, max_threads);
-  participants = static_cast<int>(std::min<int64_t>(participants, count));
-  participants = std::max(participants, 1);
-  const int P = participants;
-
-  std::atomic<uint64_t> migrated{0};
-  // Each participant homes on shard p*S/P (contiguous, balanced): with
-  // P >= S every shard has a resident drainer, with P < S the homeless
-  // shards are drained through the steal scan below.
-  auto drain = [&](int p) {
-    const int home = static_cast<int>(static_cast<int64_t>(p) * S / P);
-    while (true) {
-      int64_t idx = -1;
-      int from = -1;
-      for (int attempt = 0; attempt < S; ++attempt) {
-        ShardQueue& sq = queues[(home + attempt) % S];
-        std::lock_guard<std::mutex> lk(sq.m);
-        if (sq.q.empty()) continue;
-        if (attempt == 0) {
-          idx = sq.q.front();  // own shard drains in routed order
-          sq.q.pop_front();
-        } else {
-          idx = sq.q.back();  // thieves take from the tail
-          sq.q.pop_back();
-        }
-        from = (home + attempt) % S;
-        break;
-      }
-      if (idx < 0) return;
-      if (from != home) migrated.fetch_add(1, std::memory_order_relaxed);
-      item(idx);
-    }
-  };
-
-  // The participants themselves schedule on the plain pool, one chunk per
-  // participant (grain 1); nested calls inside a pool task collapse to one
-  // inline participant, which drains every shard sequentially.
-  parallel_for(
-      0, P,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t p = lo; p < hi; ++p) drain(static_cast<int>(p));
-      },
-      P, /*grain=*/1);
-  if (stats) stats->migrations = migrated.load(std::memory_order_relaxed);
-}
-
 void ThreadPool::parallel_for(
     int64_t begin, int64_t end,
     const std::function<void(int64_t, int64_t)>& body, int max_threads,
@@ -274,11 +143,13 @@ void ThreadPool::parallel_for(
   const int64_t span = end - begin;
   if (span <= 0) return;
   grain = std::max<int64_t>(1, grain);
+  // At most span / grain chunks, split evenly, keeps every chunk at least
+  // `grain` indices long.
+  const int64_t max_chunks = std::max<int64_t>(1, span / grain);
 
   int nthreads = parallelism();
   if (max_threads > 0) nthreads = std::min(nthreads, max_threads);
-  nthreads = static_cast<int>(
-      std::min<int64_t>(nthreads, (span + grain - 1) / grain));
+  nthreads = static_cast<int>(std::min<int64_t>(nthreads, max_chunks));
 
   if (nthreads <= 1 || t_in_pool_task) {
     body(begin, end);
@@ -286,24 +157,25 @@ void ThreadPool::parallel_for(
   }
 
   // A few chunks per thread so stealing can rebalance uneven chunk costs.
+  // Any pool thread may take any chunk, so when fewer threads than the
+  // whole pool may take part, one chunk per thread is what keeps the cap.
   State& st = *state_;
   const int64_t nchunks =
-      std::min<int64_t>(static_cast<int64_t>(nthreads) * 4,
-                        (span + grain - 1) / grain);
-  const int64_t chunk = (span + nchunks - 1) / nchunks;
+      nthreads < parallelism()
+          ? nthreads
+          : std::min<int64_t>(static_cast<int64_t>(nthreads) * 4, max_chunks);
 
   Batch batch;
   batch.body = body;
-  batch.remaining.store(static_cast<int>((span + chunk - 1) / chunk));
+  batch.remaining.store(static_cast<int>(nchunks));
 
   {
     const int nshards = static_cast<int>(st.shards.size());
-    int shard = 0;
-    for (int64_t lo = begin; lo < end; lo += chunk, ++shard) {
-      const int64_t hi = std::min(end, lo + chunk);
-      State::Shard& s = st.shards[shard % nshards];
+    for (int64_t c = 0; c < nchunks; ++c) {
+      State::Shard& s = st.shards[c % nshards];
       std::lock_guard<std::mutex> lk(s.m);
-      s.q.push_back(Chunk{&batch, lo, hi});
+      s.q.push_back(Chunk{&batch, begin + span * c / nchunks,
+                          begin + span * (c + 1) / nchunks});
       st.queued.fetch_add(1, std::memory_order_relaxed);
     }
     std::lock_guard<std::mutex> lk(st.wake_m);
@@ -328,6 +200,7 @@ void ThreadPool::parallel_for(
       });
     }
   }
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 }  // namespace srmac

@@ -3,25 +3,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 namespace srmac {
-
-/// Worker-shard layout detected once per process: the number of NUMA nodes
-/// (from /sys/devices/system/node on Linux) and the CPUs each contributes.
-/// Hosts without that sysfs tree — or with a single node — report one
-/// shard; the scheduling then degrades to the plain pool.
-struct ShardTopology {
-  int shards = 1;                   ///< detected shard count (>= 1)
-  bool from_sysfs = false;          ///< true when /sys/devices/system/node was read
-  std::vector<int> cpus_per_shard;  ///< CPUs per detected node (empty on fallback)
-};
-
-/// Parses a sysfs cpulist string ("0-3,8,10-11") into a CPU count.
-/// Malformed input counts the entries it can parse; exposed for tests.
-int parse_cpulist_count(const std::string& list);
 
 /// Persistent work-stealing thread pool shared by the emulation engine.
 ///
@@ -56,43 +41,16 @@ class ThreadPool {
   /// Runs body(lo, hi) over disjoint chunks covering [begin, end), on up to
   /// `max_threads` threads (0 = no cap), with at least `grain` indices per
   /// chunk. Blocks until the whole range has been processed. Calls from
-  /// inside a pool task run inline (no nested parallelism).
+  /// inside a pool task run inline (no nested parallelism). When a chunk
+  /// throws, the other chunks still run; once all have finished, the first
+  /// exception is rethrown on the caller.
   void parallel_for(int64_t begin, int64_t end,
                     const std::function<void(int64_t, int64_t)>& body,
                     int max_threads = 0, int64_t grain = 1);
 
-  /// The NUMA layout detected from /sys/devices/system/node (computed on
-  /// first call, then cached). Used as the default shard count of
-  /// parallel_for_sharded and the "sharded" compute backend.
-  static const ShardTopology& topology();
-
-  /// Overrides the default shard count (the --shards=N / SRMAC_SHARDS=N
-  /// knob). 0 restores auto (env, then detected topology). Takes effect on
-  /// the next sharded dispatch; in-flight dispatches are unaffected.
-  static void set_default_shards(int shards);
-
-  /// Shard count sharded dispatches use when the caller passes 0:
-  /// set_default_shards override > SRMAC_SHARDS env > detected topology.
-  static int default_shards();
-
-  /// Counters of one sharded dispatch.
-  struct ShardStats {
-    uint64_t migrations = 0;  ///< items executed off their routed shard
-  };
-
-  /// Runs item(i) exactly once for each i in [0, count). Items are routed
-  /// to `nshards` shard queues by shard_of(i) (reduced mod nshards;
-  /// nshards <= 0 means default_shards()). Each participating thread homes
-  /// on one shard, drains that queue first, and steals from other shards
-  /// only when its own runs dry — whole items migrate, never fractions —
-  /// so shard-local state (the sharded backend's packed B planes) stays
-  /// with the threads that populated it. Item bodies must not depend on
-  /// execution order or placement; `stats`, when non-null, receives the
-  /// cross-shard steal count of this dispatch.
-  void parallel_for_sharded(int64_t count, int nshards,
-                            const std::function<void(int64_t)>& item,
-                            const std::function<int(int64_t)>& shard_of,
-                            ShardStats* stats = nullptr, int max_threads = 0);
+  /// Always 1: the pool has no worker shards. Kept only because the
+  /// repository benchmark (perfbench/) prints it on its host line.
+  static int default_shards() { return 1; }
 
  private:
   explicit ThreadPool(int workers);

@@ -4,8 +4,8 @@
 // (the definition of the model's arithmetic), in discrete and continuous
 // sessions alike, across model-zoo architectures, a bottleneck-block model,
 // adder kinds, quantization formats, random-bit widths, subnormal modes,
-// shard counts, and micro-batch sizes — while doing zero plane packing and
-// zero dispatch-layer quantization per steady-state request (the telemetry
+// and micro-batch sizes — while doing zero plane packing and zero
+// dispatch-layer quantization per steady-state request (the telemetry
 // invariant that defines "compiled"). Also pins the stage split continuous
 // batching advances by, and what the compiled executor books as GEMM work.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "nn/resnet.hpp"
 #include "rng/xoshiro.hpp"
 #include "serve/emu_server.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace srmac;
 
@@ -88,11 +86,6 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
                            static_cast<size_t>(a.numel()) * sizeof(float)))
       << what;
-}
-
-uint64_t shard_packs(const TelemetrySnapshot& t) {
-  return std::accumulate(t.planes_packed_per_shard.begin(),
-                         t.planes_packed_per_shard.end(), uint64_t{0});
 }
 
 /// Serves kRequests samples through one session in micro-batches of
@@ -240,17 +233,6 @@ TEST(CompiledVsEager, BottleneckAcrossAdderKinds) {
   check_case(c, "rn:e5m2/e6m5:subON", "sharded");
 }
 
-TEST(CompiledVsEager, ShardSweepKeepsBits) {
-  // The offline references dispatch through the sharded backend, whose
-  // shard count is pure scheduling; the compiled executor never reads it.
-  for (int shards : {1, 3}) {
-    ThreadPool::set_default_shards(shards);
-    check_case(zoo_case("resnet20:8"), "eager_sr:e5m2/e6m5:r=9:subON",
-               "sharded");
-  }
-  ThreadPool::set_default_shards(0);  // restore auto for other tests
-}
-
 // ---- the stage split continuous batching advances by ----
 
 TEST(CompiledVsEager, StagesComposeToTheWholeProgram) {
@@ -336,11 +318,9 @@ TEST(CompiledVsEager, SteadyStateDoesNoPackingOrRequantization) {
       serve_all(zoo_case(spec), "eager_sr:e5m2/e6m5:r=9:subON", "sharded",
                 /*batch=*/16, continuous, &steady);
       // The per-call costs of the layers' own dispatch must be absent: no
-      // weight/operand plane was packed by any shard, no bytes went
-      // through the dispatch layer's quantization accounting, and no
-      // compiled plane was rebuilt (the weights did not change).
+      // bytes went through the dispatch layer's quantization accounting,
+      // and no compiled plane was rebuilt (the weights did not change).
       EXPECT_EQ(steady.bytes_quantized, 0u);
-      EXPECT_EQ(shard_packs(steady), 0u);
       EXPECT_EQ(steady.compile_planes_packed, 0u);
       EXPECT_EQ(steady.compile_rebuilds, 0u);
       // Honest per-request floor: activations still quantize (inputs

@@ -1,10 +1,15 @@
 // The backend registry and the four built-in MatmulBackend implementations:
 // selection by name, the sharded/reference bit-parity acceptance check on
 // the paper's configuration, pre-quantized-plane routing, telemetry
-// recording, and drop-in registration of out-of-tree backends.
+// recording, drop-in registration of out-of-tree backends — which
+// MatmulBatch calls concurrently, one problem per pool thread — and how a
+// backend's exception reaches the caller through the batch scheduler.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,6 +17,7 @@
 #include "engine/emu_engine.hpp"
 #include "engine/registry.hpp"
 #include "mac/gemm.hpp"
+#include "nn/layers.hpp"
 #include "rng/xoshiro.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -119,12 +125,9 @@ TEST(BackendRegistry, DuplicateRegistrationReplacesFactoryKeepsInstances) {
       << "fresh instances come from the replacement factory";
 }
 
-// A MatmulBatch on a backend without supports_batch() routes through the
-// default sequential gemm_batch loop: bit-identical to per-GEMM dispatch,
-// and still recorded as one batch in telemetry.
-TEST(BackendRegistry, BatchOnNonBatchingBackendFallsBackSequentially) {
-  const MatmulBackend* ref = BackendRegistry::instance().get("reference");
-  ASSERT_FALSE(ref->supports_batch());
+// A MatmulBatch on "reference" is bit-identical to per-GEMM dispatch and is
+// recorded as one batch in telemetry.
+TEST(BackendRegistry, BatchOnReferenceMatchesPerGemmDispatch) {
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
   Telemetry sink;
   ComputeContext ctx = ComputeContext::with_backend("reference", policy, 17);
@@ -144,19 +147,18 @@ TEST(BackendRegistry, BatchOnNonBatchingBackendFallsBackSequentially) {
   const TelemetrySnapshot snap = sink.snapshot();
   EXPECT_EQ(snap.batches, 1u);
   EXPECT_EQ(snap.batch_problems, 2u);
-  EXPECT_TRUE(snap.planes_packed_per_shard.empty())
-      << "no shard counters on a non-sharding backend";
 }
 
 TEST(BackendRegistry, CustomBackendDropsIn) {
   // A backend that counts dispatches and delegates to fp32 — the shape of
-  // any out-of-tree backend (NUMA, remote).
+  // any out-of-tree backend. gemm() runs concurrently under MatmulBatch,
+  // so the counter is atomic.
   struct CountingBackend final : MatmulBackend {
-    mutable int calls = 0;
+    mutable std::atomic<int> calls{0};
     std::string name() const override { return "counting"; }
     bool bit_accurate() const override { return false; }
     void gemm(const MacConfig&, const GemmArgs& a) const override {
-      ++calls;
+      calls.fetch_add(1);
       gemm_ref(a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
                a.accumulate, a.threads);
     }
@@ -170,7 +172,79 @@ TEST(BackendRegistry, CustomBackendDropsIn) {
   const auto A = random_matrix(3, 4, 1), B = random_matrix(4, 5, 2);
   std::vector<float> C(15);
   matmul(ctx, 3, 5, 4, A.data(), B.data(), C.data());
-  EXPECT_EQ(backend->calls, 1);
+  EXPECT_EQ(backend->calls.load(), 1);
+
+  // Four problems through the batch scheduler: one gemm() call each, the
+  // same bits as the direct dispatch.
+  std::vector<std::vector<float>> Cs(4, std::vector<float>(15, -1.0f));
+  MatmulBatch batch(ctx);
+  for (auto& c : Cs) batch.add(ctx, 3, 5, 4, A.data(), B.data(), c.data());
+  batch.flush();
+  EXPECT_EQ(backend->calls.load(), 5);
+  for (const auto& c : Cs) EXPECT_EQ(c, C);
+}
+
+/// A float backend whose gemm() throws on the problem with seed `bad_seed`,
+/// or on every problem once `fail_all` is set; counts its calls.
+struct ThrowingBackend final : MatmulBackend {
+  uint64_t bad_seed = 0;
+  std::atomic<bool> fail_all{false};
+  mutable std::atomic<int> calls{0};
+  std::string name() const override { return "throwing"; }
+  bool bit_accurate() const override { return false; }
+  void gemm(const MacConfig&, const GemmArgs& a) const override {
+    calls.fetch_add(1);
+    if (fail_all.load() || a.seed == bad_seed)
+      throw std::runtime_error("backend failure");
+    gemm_ref(a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
+             a.accumulate, a.threads);
+  }
+};
+
+// A gemm() that throws inside the batch scheduler reaches the caller of
+// flush(), and the batch is left empty — items and staged operands — so
+// neither a later flush() nor the destructor runs the failed batch again.
+TEST(BackendRegistry, ThrowingBackendLeavesTheBatchEmpty) {
+  ThrowingBackend backend;
+  ComputeContext ctx;
+  ctx.backend = &backend;
+  backend.bad_seed = ctx.fork(2).seed;
+  const auto A = random_matrix(8, 6, 3), B_t = random_matrix(5, 6, 4);
+  std::vector<std::vector<float>> Cs(4, std::vector<float>(40));
+  int calls_after_flush = 0;
+  {
+    MatmulBatch batch(ctx);
+    for (int i = 0; i < 4; ++i)
+      batch.add_nt(ctx.fork(i), 8, 5, 6, A.data(), B_t.data(), Cs[i].data(),
+                   /*accumulate=*/true);
+    EXPECT_GT(batch.staged_floats(), 0u);
+    EXPECT_THROW(batch.flush(), std::runtime_error);
+    EXPECT_EQ(batch.size(), 0u);
+    EXPECT_EQ(batch.staged_floats(), 0u);
+    calls_after_flush = backend.calls.load();
+    EXPECT_GE(calls_after_flush, 1);
+    EXPECT_LE(calls_after_flush, 4);
+    batch.flush();
+  }
+  EXPECT_EQ(backend.calls.load(), calls_after_flush)
+      << "the failed batch must not run again";
+}
+
+// A backward that fails while the weight-gradient bucket still holds
+// deferred GEMMs throws to its caller: the bucket drops them as the
+// exception unwinds instead of running them (and throwing again) from its
+// destructor.
+TEST(BackendRegistry, ThrowingBackendFailsBackwardCleanly) {
+  ThrowingBackend backend;
+  ComputeContext ctx;
+  ctx.backend = &backend;
+  Sequential model;
+  model.add(std::make_unique<Linear>(6, 5));
+  model.add(std::make_unique<Linear>(5, 3));
+  const Tensor out = model.forward(ctx, Tensor({2, 6}, 0.5f), true);
+  backend.fail_all = true;
+  EXPECT_THROW(model.backward(ctx.backward(), Tensor(out.shape(), 1.0f)),
+               std::runtime_error);
 }
 
 // Acceptance: sharded == reference, bit for bit, on the paper's E5M2/E6M5

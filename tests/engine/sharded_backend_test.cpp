@@ -1,16 +1,17 @@
-// The "sharded" backend, the one bit-accurate GEMM scheduler: bitwise
-// parity with its own sequential per-item loop and with the "reference"
-// golden path for single GEMMs, gemm_batch over heterogeneous problems,
-// prequantized planes, and the layers' batched backward — invariant across
-// --shards=1..4 and all adder kinds — plus the batch and shard-scheduling
-// telemetry (batches, shard_migrations, planes_packed_per_shard) and the
-// cross-layer weight-gradient bucketing Sequential::backward performs on
-// batching backends. The default gemm_batch loop every other backend
-// inherits is held to the same contract on "reference".
+// The "sharded" backend (the fused engine under its registry name) and the
+// one batch scheduler, MatmulBatch, which runs a batch's problems one per
+// pool thread on every backend: bitwise parity with the "reference" golden
+// path for single GEMMs, prequantized operand planes, heterogeneous
+// batches, the layers' backward with and without a weight-gradient bucket,
+// and the cross-layer bucketing Sequential::backward performs; the batch
+// telemetry; and scheduling invariance at model level — SGD steps and
+// gradients are bitwise equal at every thread count, on every backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/compute_context.hpp"
@@ -18,17 +19,13 @@
 #include "mac/gemm.hpp"
 #include "nn/init.hpp"
 #include "nn/layers.hpp"
+#include "nn/model_zoo.hpp"
 #include "rng/xoshiro.hpp"
 #include "tensor/tensor_ops.hpp"
-#include "util/thread_pool.hpp"
+#include "train/optimizer.hpp"
 
 namespace srmac {
 namespace {
-
-/// Restores the process-wide shard override when a test returns.
-struct ShardOverrideGuard {
-  ~ShardOverrideGuard() { ThreadPool::set_default_shards(0); }
-};
 
 MacConfig paper_config() {
   MacConfig cfg;
@@ -47,7 +44,13 @@ std::vector<float> random_matrix(int rows, int cols, uint64_t seed) {
   return m;
 }
 
-TEST(ShardedBackend, RegisteredWithBatchingProperties) {
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(ShardedBackend, RegisteredAsTheFusedEngine) {
   const auto names = BackendRegistry::instance().names();
   EXPECT_NE(std::find(names.begin(), names.end(), "sharded"), names.end());
   const MatmulBackend* b = BackendRegistry::instance().get("sharded");
@@ -55,9 +58,6 @@ TEST(ShardedBackend, RegisteredWithBatchingProperties) {
   EXPECT_EQ(b->name(), "sharded");
   EXPECT_TRUE(b->bit_accurate());
   EXPECT_TRUE(b->supports_prequantized());
-  EXPECT_TRUE(b->supports_batch());
-  EXPECT_NE(dynamic_cast<const ShardStatsSource*>(b), nullptr)
-      << "sharded exposes shard-scheduling counters";
 }
 
 TEST(ShardedBackend, SingleGemmMatchesReference) {
@@ -73,188 +73,130 @@ TEST(ShardedBackend, SingleGemmMatchesReference) {
   EXPECT_EQ(c_sharded, c_ref);
 }
 
-// The acceptance anchor: a heterogeneous batch — different shapes, all
-// three adder kinds, distinct seeds, two items sharing one B plane — is
-// bit-identical to the sequential per-item dispatch at every shard count
-// 1..4 (well past this host's shard topology, so routing, stealing, and
-// the per-shard caches all get exercised). The inherited default loop
-// (on "reference") matches its own per-item loop and the same bits.
-TEST(ShardedBackend, GemmBatchMatchesSequentialAcrossShardCounts) {
-  ShardOverrideGuard guard;
-  const auto A1 = random_matrix(12, 40, 11), B1 = random_matrix(40, 17, 12);
-  const auto A2 = random_matrix(9, 40, 13);  // shares B1 (dedup)
-  const auto A3 = random_matrix(21, 33, 14), B3 = random_matrix(33, 48, 15);
-  const auto A4 = random_matrix(6, 33, 16);  // shares B3
+// Prequantized planes (the layers' cached weight planes) through
+// matmul_qa / matmul_qb: native gemm_bits on "sharded", the decode
+// fallback on "reference" — identical to the float dispatch either way.
+TEST(ShardedBackend, PrequantizedPlanesMatchFloatDispatch) {
+  const int M = 10, N = 15, K = 28;
+  const auto A = random_matrix(M, K, 61), B = random_matrix(K, N, 63);
+  const MacConfig cfg = paper_config().normalized();
+  std::vector<uint32_t> aq(static_cast<size_t>(M) * K);
+  std::vector<uint32_t> bq(static_cast<size_t>(K) * N);
+  gemm_quantize(cfg.mul_fmt, M, K, A.data(), K, aq.data());
+  gemm_quantize(cfg.mul_fmt, K, N, B.data(), N, bq.data());
+  for (const char* name : {"sharded", "reference"}) {
+    const ComputeContext ctx = ComputeContext::with_backend(
+        name, QuantPolicy::uniform(cfg), /*seed=*/31);
+    std::vector<float> c_float(static_cast<size_t>(M) * N, -1.0f);
+    std::vector<float> c_qa(c_float.size(), -2.0f);
+    std::vector<float> c_qb(c_float.size(), -3.0f);
+    matmul(ctx, M, N, K, A.data(), B.data(), c_float.data());
+    matmul_qa(ctx, M, N, K, aq.data(), B.data(), c_qa.data());
+    matmul_qb(ctx, M, N, K, A.data(), bq.data(), c_qb.data());
+    EXPECT_EQ(c_float, c_qa) << name;
+    EXPECT_EQ(c_float, c_qb) << name;
+  }
+}
 
+// A heterogeneous batch — different shapes, all three adder kinds,
+// distinct seeds, two problems sharing one B plane — run one problem per
+// pool thread is bit-identical to the sequential per-problem dispatch, on
+// "sharded" and on "reference", uncapped and capped at two threads; and
+// the two backends agree.
+TEST(MatmulBatch, HeterogeneousBatchMatchesSequential) {
+  struct Problem {
+    int M, N, K;
+    std::vector<float> A;
+    const std::vector<float>* B;
+    MacConfig cfg;
+    uint64_t seed;
+  };
+  const auto B1 = random_matrix(40, 17, 12), B3 = random_matrix(33, 48, 15);
   MacConfig lazy = paper_config();
   lazy.adder = AdderKind::kLazySR;
   MacConfig rn = paper_config();
   rn.adder = AdderKind::kRoundNearest;
-
-  std::vector<GemmBatchItem> items(4);
-  items[0].cfg = paper_config();
-  items[0].args = {12, 17, 40, A1.data(), 40, B1.data(), 17,
-                   nullptr, 17, false,   7,  1};
-  items[1].cfg = lazy;
-  items[1].args = {9, 17, 40, A2.data(), 40, B1.data(), 17,
-                   nullptr, 17, false,  8,  1};
-  items[2].cfg = rn;
-  items[2].args = {21, 48, 33, A3.data(), 33, B3.data(), 48,
-                   nullptr, 48, false,   9,  1};
-  items[3].cfg = paper_config();
-  items[3].args = {6, 48, 33, A4.data(), 33, B3.data(), 48,
-                   nullptr, 48, false,  10,  1};
-
-  // Per-item gemm() loop, or one gemm_batch submission, on `backend`.
-  auto run = [&](const MatmulBackend* backend, bool batched) {
+  const std::vector<Problem> problems = {
+      {12, 17, 40, random_matrix(12, 40, 11), &B1, paper_config(), 7},
+      {9, 17, 40, random_matrix(9, 40, 13), &B1, lazy, 8},
+      {21, 48, 33, random_matrix(21, 33, 14), &B3, rn, 9},
+      {6, 48, 33, random_matrix(6, 33, 16), &B3, paper_config(), 10},
+  };
+  auto run = [&](const char* backend, bool batched, int threads) {
     std::vector<std::vector<float>> c;
-    std::vector<GemmBatchItem> batch = items;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      c.emplace_back(static_cast<size_t>(items[i].args.M) * items[i].args.N,
-                     -1.0f);
-      batch[i].args.C = c[i].data();
-      if (!batched) backend->gemm(batch[i].cfg, batch[i].args);
+    for (const Problem& p : problems)
+      c.emplace_back(static_cast<size_t>(p.M) * p.N, -1.0f);
+    auto ctx_of = [&](const Problem& p) {
+      return ComputeContext::with_backend(backend, QuantPolicy::uniform(p.cfg),
+                                          p.seed, threads);
+    };
+    MatmulBatch batch(ctx_of(problems[0]));
+    for (size_t i = 0; i < problems.size(); ++i) {
+      const Problem& p = problems[i];
+      if (batched)
+        batch.add(ctx_of(p), p.M, p.N, p.K, p.A.data(), p.B->data(),
+                  c[i].data());
+      else
+        matmul(ctx_of(p), p.M, p.N, p.K, p.A.data(), p.B->data(), c[i].data());
     }
-    if (batched) backend->gemm_batch(batch.data(), batch.size());
+    EXPECT_EQ(batch.size(), batched ? problems.size() : 0u);
+    batch.flush();
+    EXPECT_EQ(batch.size(), 0u);
     return c;
   };
-  const MatmulBackend* sharded = BackendRegistry::instance().get("sharded");
-  const auto c_seq = run(sharded, /*batched=*/false);
-  for (int shards = 1; shards <= 4; ++shards) {
-    ThreadPool::set_default_shards(shards);
-    const auto c_batch = run(sharded, /*batched=*/true);
-    for (size_t i = 0; i < items.size(); ++i)
-      EXPECT_EQ(c_seq[i], c_batch[i]) << "shards=" << shards << " item " << i;
-  }
-  const MatmulBackend* ref = BackendRegistry::instance().get("reference");
-  const auto r_seq = run(ref, /*batched=*/false);
-  const auto r_batch = run(ref, /*batched=*/true);
-  for (size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(r_seq[i], r_batch[i]) << "reference item " << i;
-    EXPECT_EQ(c_seq[i], r_seq[i]) << "sharded vs reference item " << i;
-  }
-}
-
-// Prequantized planes (the cached-weight-plane pattern), two items sharing
-// one bits plane (the pack dedup): identical to the float submission on
-// the sharded backend and through the default loop's decode path.
-TEST(ShardedBackend, PrequantizedPlanesMatchFloatSubmission) {
-  const int K = 28, N = 15;
-  const auto A1 = random_matrix(10, K, 61), A2 = random_matrix(7, K, 62);
-  const auto B = random_matrix(K, N, 63);
-  const MacConfig cfg = paper_config().normalized();
-  std::vector<uint32_t> bq(static_cast<size_t>(K) * N);
-  gemm_quantize(cfg.mul_fmt, K, N, B.data(), N, bq.data());
-
-  std::vector<GemmBatchItem> items(2);
-  items[0].cfg = cfg;
-  items[0].args = {10, N, K, A1.data(), K, B.data(), N, nullptr, N,
-                   false,  31, 1};
-  items[1].cfg = cfg;
-  items[1].args = {7, N, K, A2.data(), K, B.data(), N, nullptr, N,
-                   false, 32, 1};
-
-  for (const char* name : {"sharded", "reference"}) {
-    const MatmulBackend* backend = BackendRegistry::instance().get(name);
-    std::vector<std::vector<float>> c_float, c_bits;
-    for (const auto& it : items) {
-      c_float.emplace_back(static_cast<size_t>(it.args.M) * N, -1.0f);
-      c_bits.emplace_back(static_cast<size_t>(it.args.M) * N, -2.0f);
+  const auto r_seq = run("reference", /*batched=*/false, 0);
+  for (const char* backend : {"sharded", "reference"}) {
+    for (const int threads : {0, 2}) {
+      const auto c_batch = run(backend, /*batched=*/true, threads);
+      for (size_t i = 0; i < problems.size(); ++i)
+        EXPECT_EQ(c_batch[i], r_seq[i])
+            << backend << " threads=" << threads << " problem " << i;
     }
-    std::vector<GemmBatchItem> floats = items, bits = items;
-    for (size_t i = 0; i < items.size(); ++i) {
-      floats[i].args.C = c_float[i].data();
-      bits[i].args.C = c_bits[i].data();
-      bits[i].args.B = nullptr;
-      bits[i].Bq = bq.data();
-    }
-    backend->gemm_batch(floats.data(), floats.size());
-    backend->gemm_batch(bits.data(), bits.size());
-    for (size_t i = 0; i < items.size(); ++i)
-      EXPECT_EQ(c_float[i], c_bits[i]) << name << " item " << i;
   }
 }
 
-// A plane fanned out across the whole batch is packed once per shard that
-// executes one of its problems — not once per problem.
-TEST(ShardedBackend, SharedPlanePacksOncePerShard) {
-  ShardOverrideGuard guard;
-  ThreadPool::set_default_shards(2);
-  // A fresh instance so the cumulative counters start at zero.
-  auto backend = BackendRegistry::instance().create("sharded");
-  const auto* stats_src = dynamic_cast<const ShardStatsSource*>(backend.get());
-  ASSERT_NE(stats_src, nullptr);
-
-  const int M = 5, N = 9, K = 21, batch = 8;
-  const auto B = random_matrix(K, N, 71);
-  std::vector<std::vector<float>> As, Cs;
-  std::vector<GemmBatchItem> items(batch);
-  for (int i = 0; i < batch; ++i) {
-    As.push_back(random_matrix(M, K, 80 + i));
-    Cs.emplace_back(static_cast<size_t>(M) * N);
-    items[i].cfg = paper_config();
-    items[i].args = {M, N, K, As[i].data(), K, B.data(), N,
-                     Cs[i].data(), N, false, static_cast<uint64_t>(90 + i), 1};
-  }
-  backend->gemm_batch(items.data(), items.size());
-
-  const ShardStatsSource::Stats stats = stats_src->shard_stats();
-  ASSERT_EQ(stats.planes_packed.size(), 2u);
-  EXPECT_EQ(stats.planes_packed[0], 1u) << "one pack per shard, not per item";
-  EXPECT_EQ(stats.planes_packed[1], 1u);
-}
-
-// Conv2d / Linear batched backward through the sharded backend reproduces
-// the reference gradients bit for bit at every shard count.
-TEST(ShardedBackend, LayerBackwardMatchesReferenceAcrossShardCounts) {
-  ShardOverrideGuard guard;
+// Conv2d / Linear backward called directly — no Sequential, so no bucket:
+// the weight-gradient and data-gradient GEMMs both dispatch at once — on
+// "sharded" reproduces the reference gradients bit for bit.
+TEST(ShardedBackend, LayerBackwardWithoutBucketMatchesReference) {
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
   struct Run {
     std::vector<Tensor> grads;
     Tensor gx;
   };
   auto run = [&](const char* name, bool conv) {
-    Sequential model;
+    std::unique_ptr<Layer> layer;
     if (conv)
-      model.add(std::make_unique<Conv2d>(3, 4, 3));
+      layer = std::make_unique<Conv2d>(3, 4, 3);
     else
-      model.add(std::make_unique<Linear>(10, 6));
-    he_init(model, 0xBEEF);
+      layer = std::make_unique<Linear>(10, 6);
+    he_init(*layer, 0xBEEF);
     const ComputeContext ctx =
         ComputeContext::with_backend(name, policy, /*seed=*/21);
     const Tensor x = conv ? Tensor({2, 3, 8, 8}, 0.25f) : Tensor({4, 10}, 0.5f);
-    Tensor out = model.forward(ctx, x, /*training=*/true);
+    Tensor out = layer->forward(ctx, x, /*training=*/true);
     Tensor gout(out.shape(), 1.0f);
     Run r;
-    r.gx = model.backward(ctx.backward(), gout);
+    r.gx = layer->backward(ctx.backward(), gout);
     std::vector<Param*> params;
-    model.collect_params(params);
+    layer->collect_params(params);
     for (Param* p : params) r.grads.push_back(p->grad);
     return r;
   };
   for (const bool conv : {false, true}) {
     const Run ref = run("reference", conv);
-    for (int shards = 1; shards <= 4; ++shards) {
-      ThreadPool::set_default_shards(shards);
-      const Run sharded = run("sharded", conv);
-      ASSERT_EQ(ref.grads.size(), sharded.grads.size());
-      for (size_t i = 0; i < ref.grads.size(); ++i)
-        for (int64_t j = 0; j < ref.grads[i].numel(); ++j)
-          ASSERT_EQ(ref.grads[i][j], sharded.grads[i][j])
-              << (conv ? "conv" : "linear") << " shards=" << shards
-              << " param " << i << " @" << j;
-      for (int64_t j = 0; j < ref.gx.numel(); ++j)
-        ASSERT_EQ(ref.gx[j], sharded.gx[j])
-            << (conv ? "conv" : "linear") << " shards=" << shards << " gx @"
-            << j;
-    }
+    const Run sharded = run("sharded", conv);
+    ASSERT_EQ(ref.grads.size(), sharded.grads.size());
+    for (size_t i = 0; i < ref.grads.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(ref.grads[i], sharded.grads[i]))
+          << (conv ? "conv" : "linear") << " param " << i;
+    EXPECT_TRUE(bitwise_equal(ref.gx, sharded.gx)) << (conv ? "conv" : "linear");
   }
 }
 
 // A multi-layer model: Sequential::backward buckets the per-layer dW GEMMs
-// into cross-layer gemm_batch submissions on batching backends — the
-// gradients must still match the reference (per-layer, sequential)
-// dispatch bit for bit.
+// into cross-layer MatmulBatch flushes — the gradients must still match the
+// reference backend (which buckets the same way) bit for bit.
 TEST(ShardedBackend, SequentialModelBackwardMatchesReference) {
   const QuantPolicy policy = QuantPolicy::uniform(paper_config());
   auto run = [&](const char* name) {
@@ -284,40 +226,12 @@ TEST(ShardedBackend, SequentialModelBackwardMatchesReference) {
   const auto sharded = run("sharded");
   ASSERT_EQ(ref.size(), sharded.size());
   for (size_t i = 0; i < ref.size(); ++i)
-    for (int64_t j = 0; j < ref[i].numel(); ++j)
-      ASSERT_EQ(ref[i][j], sharded[i][j]) << "tensor " << i << " @" << j;
+    EXPECT_TRUE(bitwise_equal(ref[i], sharded[i])) << "tensor " << i;
 }
 
-// MatmulBatch records one batch + per-problem counters into the sink.
-TEST(ShardedBackend, TelemetryCountsBatches) {
-  Telemetry sink;
-  ComputeContext ctx = ComputeContext::with_backend(
-      "sharded", QuantPolicy::uniform(paper_config()), /*seed=*/3);
-  ctx.telemetry = &sink;
-  const auto A = random_matrix(6, 12, 31), B = random_matrix(12, 8, 32);
-  std::vector<float> c1(48), c2(48);
-  {
-    MatmulBatch batch(ctx);
-    batch.add(ctx, 6, 8, 12, A.data(), B.data(), c1.data());
-    batch.add(ctx.fork(1), 6, 8, 12, A.data(), B.data(), c2.data());
-    EXPECT_EQ(batch.size(), 2u);
-    batch.flush();
-    EXPECT_EQ(batch.size(), 0u);
-  }
-  const TelemetrySnapshot snap = sink.snapshot();
-  EXPECT_EQ(snap.batches, 1u);
-  EXPECT_EQ(snap.batch_problems, 2u);
-  EXPECT_EQ(snap.gemms, 2u);
-  EXPECT_EQ(snap.macs, 2ull * 6 * 8 * 12);
-  ASSERT_EQ(snap.per_backend.count("sharded"), 1u);
-  EXPECT_EQ(snap.per_backend.at("sharded").batches, 1u);
-}
-
-// MatmulBatch::flush on a shard-scheduling backend records the migration
-// and per-shard pack counters into the telemetry sink.
-TEST(ShardedBackend, TelemetryRecordsShardCounters) {
-  ShardOverrideGuard guard;
-  ThreadPool::set_default_shards(2);
+// MatmulBatch records one batch + per-problem counters into the sink, and
+// both operands of every problem as freshly quantized bytes.
+TEST(MatmulBatch, TelemetryCountsBatches) {
   Telemetry sink;
   ComputeContext ctx = ComputeContext::with_backend(
       "sharded", QuantPolicy::uniform(paper_config()), /*seed=*/3);
@@ -329,23 +243,120 @@ TEST(ShardedBackend, TelemetryRecordsShardCounters) {
     batch.add(ctx, 6, 8, 12, A.data(), B.data(), c1.data());
     batch.add(ctx.fork(1), 6, 8, 12, A.data(), B.data(), c2.data());
     batch.add(ctx.fork(2), 6, 8, 12, A.data(), B.data(), c3.data());
+    EXPECT_EQ(batch.size(), 3u);
     batch.flush();
+    EXPECT_EQ(batch.size(), 0u);
   }
   const TelemetrySnapshot snap = sink.snapshot();
   EXPECT_EQ(snap.batches, 1u);
   EXPECT_EQ(snap.batch_problems, 3u);
-  // One shared B plane, packed once by each of the two shards with routed
-  // work. (The vector's length tracks the largest shard count the shared
-  // backend instance has ever run with, so only the sum is asserted.)
-  ASSERT_GE(snap.planes_packed_per_shard.size(), 2u);
-  uint64_t packed = 0;
-  for (const uint64_t p : snap.planes_packed_per_shard) packed += p;
-  EXPECT_EQ(packed, 2u);
-  // bytes_quantized agrees with the per-shard packs: three A operands
-  // quantized per problem plus the shared B plane quantized once per
-  // shard (one byte per E5M2 value) — not the once-per-batch estimate.
-  EXPECT_EQ(snap.bytes_quantized, 3ull * 6 * 12 + packed * 12 * 8);
+  EXPECT_EQ(snap.gemms, 3u);
+  EXPECT_EQ(snap.macs, 3ull * 6 * 8 * 12);
+  // One byte per E5M2 value: A and B quantized once per problem.
+  EXPECT_EQ(snap.bytes_quantized, 3ull * (6 * 12 + 12 * 8));
   ASSERT_EQ(snap.per_backend.count("sharded"), 1u);
+  EXPECT_EQ(snap.per_backend.at("sharded").batches, 1u);
+}
+
+// ---- scheduling invariance at model level ----
+
+/// A batch of `n` deterministic samples of `spec` and their labels.
+Tensor sample_batch(const ModelSpec& spec, int n) {
+  std::vector<int> shape = spec.input_shape();
+  shape.insert(shape.begin(), n);
+  Tensor x(shape);
+  for (int i = 0; i < n; ++i) {
+    const Tensor s = spec.sample(100 + i);
+    std::memcpy(x.data() + static_cast<size_t>(i) * s.numel(), s.data(),
+                static_cast<size_t>(s.numel()) * sizeof(float));
+  }
+  return x;
+}
+
+const std::vector<int> kLabels = {3, 1, 4, 1};
+
+// Three SGD steps of resnet20:16 at batch 4 on "sharded": the losses and
+// the trained weights are bitwise equal whether every GEMM and every
+// bucket runs on the caller (threads 1) or fans out over 2 or 4 threads.
+TEST(SchedulingInvariance, SgdStepsMatchAcrossThreadCounts) {
+  const ModelSpec spec = ModelSpec::parse_or_die("resnet20:16");
+  const Tensor x = sample_batch(spec, 4);
+  constexpr float kLossScale = 1024.0f;
+  struct Out {
+    std::vector<float> losses;
+    std::vector<Tensor> weights;
+  };
+  auto train = [&](int threads) {
+    std::unique_ptr<Sequential> model = spec.build();
+    std::vector<Param*> params;
+    model->collect_params(params);
+    SgdMomentum optim(params, 0.05f);
+    optim.zero_grad();
+    const ComputeContext base = ComputeContext::with_backend(
+        "sharded", QuantPolicy::uniform(paper_config()), /*seed=*/9, threads);
+    SoftmaxCrossEntropy head;
+    Out out;
+    for (int step = 0; step < 3; ++step) {
+      const ComputeContext ctx = base.fork(0xE0000 + step);
+      const Tensor logits = model->forward(ctx, x, /*training=*/true);
+      out.losses.push_back(head.forward_loss(logits, kLabels));
+      model->backward(ctx.backward(), head.backward_loss(kLossScale));
+      optim.step(kLossScale);
+      optim.zero_grad();
+    }
+    for (Param* p : params) out.weights.push_back(p->value);
+    return out;
+  };
+  const Out one = train(1);
+  for (const int threads : {2, 4}) {
+    const Out many = train(threads);
+    ASSERT_EQ(one.losses.size(), many.losses.size());
+    for (size_t s = 0; s < one.losses.size(); ++s)
+      EXPECT_EQ(std::memcmp(&one.losses[s], &many.losses[s], sizeof(float)),
+                0)
+          << "threads=" << threads << " step " << s;
+    ASSERT_EQ(one.weights.size(), many.weights.size());
+    for (size_t i = 0; i < one.weights.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(one.weights[i], many.weights[i]))
+          << "threads=" << threads << " param " << i;
+  }
+}
+
+// One Sequential::backward per built-in backend leaves bitwise-equal
+// gradients when the weight-gradient bucket runs on the caller (threads 1)
+// and when it runs one problem per pool thread (threads 0).
+TEST(SchedulingInvariance, BucketedBackwardMatchesOnEveryBackend) {
+  struct Case {
+    const char* backend;
+    const char* model;
+  };
+  for (const Case& c : {Case{"fp32", "resnet20:16"},
+                        Case{"reference", "resnet20:8"},
+                        Case{"sharded", "resnet20:16"},
+                        Case{"systolic", "resnet20:16"}}) {
+    const ModelSpec spec = ModelSpec::parse_or_die(c.model);
+    const Tensor x = sample_batch(spec, 4);
+    auto grads = [&](int threads) {
+      std::unique_ptr<Sequential> model = spec.build();
+      const ComputeContext ctx = ComputeContext::with_backend(
+          c.backend, QuantPolicy::uniform(paper_config()), /*seed=*/17,
+          threads);
+      SoftmaxCrossEntropy head;
+      head.forward_loss(model->forward(ctx, x, /*training=*/true), kLabels);
+      std::vector<Tensor> out;
+      out.push_back(model->backward(ctx.backward(), head.backward_loss(1.0f)));
+      std::vector<Param*> params;
+      model->collect_params(params);
+      for (Param* p : params) out.push_back(p->grad);
+      return out;
+    };
+    const std::vector<Tensor> caller = grads(1);
+    const std::vector<Tensor> pooled = grads(0);
+    ASSERT_EQ(caller.size(), pooled.size()) << c.backend;
+    for (size_t i = 0; i < caller.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(caller[i], pooled[i]))
+          << c.backend << " tensor " << i;
+  }
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "nn/resnet.hpp"
 #include "rng/xoshiro.hpp"
 #include "serve/emu_server.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace srmac;
 
@@ -117,16 +116,6 @@ TEST(ServeDeterminism, LazySrMatchesOfflineReference) {
 
 TEST(ServeDeterminism, RnMatchesOfflineReference) {
   check_scenario("rn:e5m2/e6m5:subON", "sharded");
-}
-
-TEST(ServeDeterminism, ShardSweepKeepsBits) {
-  // The shard count is pure scheduling: force 2 and 4 shards and compare
-  // against the same offline refs.
-  for (int shards : {2, 4}) {
-    ThreadPool::set_default_shards(shards);
-    check_scenario("eager_sr:e5m2/e6m5:r=9:subON", "sharded");
-  }
-  ThreadPool::set_default_shards(0);  // restore auto for other tests
 }
 
 TEST(ServeDeterminism, Resnet20ServedSampleMatchesOffline) {
