@@ -12,10 +12,12 @@
 // Anchors:
 //   - The first pair shadows the primary under itself. Same scenario, same
 //     seed, same fork chain => the drift must be exactly zero; the bench
-//     exits nonzero otherwise, and the CI gate floors the row at 0.0 — a
-//     standing end-to-end proof that the shadow path replays the primary
-//     bitwise (the non-interference tests are in
-//     tests/serve/shadow_serving_test.cpp).
+//     exits nonzero otherwise — a standing end-to-end proof that the
+//     shadow path replays the primary bitwise (the non-interference tests
+//     are in tests/serve/shadow_serving_test.cpp).
+//   - The sweep checks its own rows and exits nonzero unless it wrote at
+//     least kMinPairRows pairs, every pair has both energy columns, and
+//     every pair's final max-abs is within its shadow adder's ceiling.
 //   - Both energy columns project the PRIMARY sink's MAC count (shadow
 //     work is accounted to the shadow engine's own sink, so the primary
 //     counters measure exactly the serving traffic) through
@@ -59,6 +61,18 @@ const char* kShadowGrid[] = {
     "eager_sr:e4m3/e6m5:r=9:subON",  // E4M3 multiplier inputs
     "eager_sr:e5m2/e5m4:r=8:subON",  // narrower accumulator (r = p+3)
 };
+
+/// Sweep completeness and the per-adder final max-abs ceilings. The
+/// arithmetic is bit-deterministic across hosts, so the ceilings (about
+/// twice the recorded smoke values of 1.4-2.1) leave room for grid growth,
+/// not for jitter.
+constexpr size_t kMinPairRows = 8;
+struct Ceiling {
+  const char* shadow_prefix;
+  double max_abs;
+};
+constexpr Ceiling kCeilings[] = {
+    {"rn:", 4.0}, {"lazy_sr:", 4.0}, {"eager_sr:", 5.0}};
 
 struct PairRow {
   std::string primary, shadow;
@@ -213,6 +227,32 @@ int main(int argc, char** argv) {
                     ? r.shadow_energy_uj / r.primary_energy_uj
                     : 0.0);
   }
+
+  int bad = 0;
+  if (rows.size() < kMinPairRows) {
+    std::fprintf(stderr, "error: only %zu pair rows, expected at least %zu\n",
+                 rows.size(), kMinPairRows);
+    ++bad;
+  }
+  for (const PairRow& r : rows) {
+    if (r.primary_energy_uj <= 0 || r.shadow_energy_uj <= 0) {
+      std::fprintf(stderr, "error: pair %s -> %s has no projected energy\n",
+                   r.primary.c_str(), r.shadow.c_str());
+      ++bad;
+    }
+    for (const Ceiling& c : kCeilings)
+      if (r.shadow.rfind(c.shadow_prefix, 0) == 0 &&
+          !(r.drift.final_output.max_abs <= c.max_abs)) {
+        std::fprintf(stderr,
+                     "error: pair %s -> %s final max_abs %.6g exceeds the "
+                     "%s ceiling %.1f\n",
+                     r.primary.c_str(), r.shadow.c_str(),
+                     r.drift.final_output.max_abs, c.shadow_prefix,
+                     c.max_abs);
+        ++bad;
+      }
+  }
+  if (bad) return 1;
 
   std::ofstream js(json_path);
   if (!js) {

@@ -10,11 +10,11 @@
 // broken arithmetic, never a config skew.
 //
 // Latency here is measured client-side (send to receive, wire included),
-// unlike bench_serve's server-side telemetry percentiles.
+// unlike the server-side telemetry percentiles.
 //
 // Usage: loadgen --port N | --port-file PATH [--host H] [--model SPEC]
 //                [--checkpoint FILE] [--requests N] [--deadline-us N]
-//                [--json PATH] [--smoke] [engine flags]
+//                [--smoke] [engine flags]
 //   --port-file P    poll P (written by serve_daemon --port-file) for up
 //                    to 15 s, then read the port from it
 //   --model SPEC     model-zoo grammar (default mlp:64,3) — must match the
@@ -24,8 +24,6 @@
 //                    the same file the daemon serves
 //   --requests N     total requests (default 2000; smoke 240)
 //   --deadline-us N  per-request deadline budget (0 = none)
-//   --json PATH      write a BENCH-style row (transport "wire", path
-//                    "loadgen") for scripts/check_bench_regression.py
 //   --serve-clients=N  closed-loop client threads (engine CLI; default 16)
 #include <algorithm>
 #include <atomic>
@@ -44,7 +42,6 @@
 #include "io/checkpoint.hpp"
 #include "net/wire_client.hpp"
 #include "nn/model_zoo.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace srmac;
 
@@ -88,7 +85,7 @@ uint16_t port_from_file(const std::string& path) {
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1", port_file, ckpt_path;
-  std::string model_spec = "mlp:64,3", json_path;
+  std::string model_spec = "mlp:64,3";
   int port = 0, requests = 0;
   uint64_t deadline_us = 0;
   bool smoke = false, scenario_flag_given = false;
@@ -107,8 +104,6 @@ int main(int argc, char** argv) {
       requests = std::atoi(argv[++i]);
     else if (std::strcmp(argv[i], "--deadline-us") == 0 && i + 1 < argc)
       deadline_us = static_cast<uint64_t>(std::atoll(argv[++i]));
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
     else if (std::strcmp(argv[i], "--smoke") == 0)
       smoke = true;
     else if (std::strncmp(argv[i], "--scenario=", 11) == 0)
@@ -141,10 +136,8 @@ int main(int argc, char** argv) {
   // Offline references, computed locally: the bitwise anchor. The daemon
   // never sees these — agreement must come from the arithmetic itself.
   std::vector<Tensor> refs;
-  std::string backend;
   {
     EmuEngine engine = engine_or_die(eng);
-    backend = engine.backend().name();
     std::unique_ptr<Sequential> net = model.build();
     if (!ckpt_path.empty()) load_checkpoint(ckpt_path, *net);
     for (int s = 0; s < kSamplePool; ++s)
@@ -220,37 +213,5 @@ int main(int argc, char** argv) {
               "p50 %.0fus p95 %.0fus p99 %.0fus (client-side)\n",
               completed.load(), failed.load(), wall, req_per_s, p50, p95,
               p99);
-
-  if (!json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::fprintf(stderr, "error: cannot open %s for writing\n",
-                   json_path.c_str());
-      return 1;
-    }
-    js << "{\n  \"bench\": \"serve\",\n";
-    js << "  \"transport\": \"wire\",\n";
-    js << "  \"model\": \"" << model.name << "\",\n";
-    js << "  \"backend\": \"" << backend << "\",\n";
-    js << "  \"scenario\": \"" << eng.scenario << "\",\n";
-    js << "  \"clients\": " << clients << ",\n";
-    js << "  \"requests\": " << requests << ",\n";
-    js << "  \"hardware_parallelism\": "
-       << ThreadPool::global().parallelism() << ",\n";
-    js << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-    js << "  \"results\": [\n";
-    js << "    {\"path\": \"loadgen\", \"requests\": " << requests
-       << ", \"seconds\": " << wall << ", \"req_per_s\": " << req_per_s
-       << ", \"p50_us\": " << p50 << ", \"p95_us\": " << p95
-       << ", \"p99_us\": " << p99 << ", \"completed\": " << completed.load()
-       << ", \"failed\": " << failed.load() << "}\n";
-    js << "  ]\n}\n";
-    js.flush();
-    if (!js) {
-      std::fprintf(stderr, "error: failed writing %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -66,6 +67,15 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       throw CompileException(CompileError::kShapeMismatch, what);
     }
 
+    /// conv_out_dim, with its geometry error reported as kShapeMismatch.
+    int out_dim(const char* layer, int in, int k, int stride, int pad) {
+      try {
+        return conv_out_dim(in, k, stride, pad);
+      } catch (const std::invalid_argument& e) {
+        mismatch(std::string(layer) + ": " + e.what());
+      }
+    }
+
     static uint64_t fmt_bytes(const FpFormat& fmt) {
       return static_cast<uint64_t>((fmt.width() + 7) / 8);
     }
@@ -98,13 +108,8 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
         mismatch("Conv2d expects (" + std::to_string(conv.in_channels()) +
                  ",H,W) input at this point of the graph");
       const int H = shape[1], W = shape[2], k = conv.kernel();
-      const int oh = conv_out_dim(H, k, conv.stride(), conv.padding());
-      const int ow = conv_out_dim(W, k, conv.stride(), conv.padding());
-      if (oh <= 0 || ow <= 0)
-        mismatch("input " + std::to_string(H) + "x" + std::to_string(W) +
-                 " too small for a " + std::to_string(k) + "x" +
-                 std::to_string(k) + " stride-" +
-                 std::to_string(conv.stride()) + " convolution");
+      const int oh = out_dim("Conv2d", H, k, conv.stride(), conv.padding());
+      const int ow = out_dim("Conv2d", W, k, conv.stride(), conv.padding());
       CompiledModel::Op op;
       op.kind = CompiledModel::OpKind::kConvGemm;
       op.src = cur;
@@ -235,15 +240,8 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
     void lower_maxpool(MaxPool2d& mp) {
       if (shape.size() != 3) mismatch("MaxPool2d expects (C,H,W) activations");
       const int H = shape[1], W = shape[2];
-      const int oh = (H - mp.kernel()) / mp.stride() + 1;
-      const int ow = (W - mp.kernel()) / mp.stride() + 1;
-      // H < k truncates to oh == 1 but the window would read past the
-      // input (the layer's own bounds asserts compile out in Release, so
-      // this boundary must catch it).
-      if (oh <= 0 || ow <= 0 || H < mp.kernel() || W < mp.kernel())
-        mismatch("input " + std::to_string(H) + "x" + std::to_string(W) +
-                 " too small for a " + std::to_string(mp.kernel()) +
-                 "-wide pooling window");
+      const int oh = out_dim("MaxPool2d", H, mp.kernel(), mp.stride(), 0);
+      const int ow = out_dim("MaxPool2d", W, mp.kernel(), mp.stride(), 0);
       CompiledModel::Op op;
       op.kind = CompiledModel::OpKind::kMaxPool;
       op.src = cur;

@@ -48,7 +48,7 @@ struct EngineCliArgs {
   bool hfp8 = false;
   uint64_t seed = kDefaultSeed;
   int threads = 0;
-  // Serving knobs (EmuServer / bench_serve / examples):
+  // Serving knobs (EmuServer / serve_daemon / loadgen / examples):
   int serve_batch = 16;          // micro-batch coalescing cap
   uint64_t serve_wait_us = 200;  // straggler linger per micro-batch
   int serve_clients = 16;        // closed-loop client load-generator threads

@@ -127,14 +127,14 @@ struct TelemetrySnapshot {
 
   /// The whole snapshot as one compact JSON object (telemetry_json.cpp):
   /// counters, per-backend rows, compile/serve/fleet sections, shadow
-  /// counters, and the drift pairs. The canonical emitter — bench_serve,
-  /// bench_drift, serve_daemon, and the wire TELEMETRY frame all use it
-  /// instead of hand-rolling the counter fields.
+  /// counters, and the drift pairs. The canonical emitter — serve_daemon,
+  /// the wire TELEMETRY frame and the C API all use it instead of
+  /// hand-rolling the counter fields.
   std::string to_json() const;
 };
 
-/// One fleet replica row as a JSON object, keyed the way bench_serve's
-/// replica_stats rows always were ("replica", "requests", "batches", ...).
+/// One fleet replica row as a JSON object ("replica", "requests",
+/// "batches", ...).
 std::string to_json(const ServeReplicaStats& row, int replica);
 
 /// One drift pair snapshot as a JSON object: scenario pair, epsilons,

@@ -98,7 +98,7 @@ void gemm_mac_bits(const MacConfig& cfg, int M, int N, int K,
 
 /// The seed implementation: one MacUnit per output element stepping through
 /// packed bits, kept as the golden reference the fused engine is verified
-/// against (and as the baseline of bench_gemm_throughput).
+/// against.
 void gemm_mac_reference(const MacConfig& cfg, int M, int N, int K,
                         const float* A, int lda, const float* B, int ldb,
                         float* C, int ldc, bool accumulate = false,

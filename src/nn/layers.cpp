@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "mac/gemm.hpp"
@@ -51,6 +53,9 @@ Conv2d::Conv2d(int in_ch, int out_ch, int k, int stride, int pad)
       k_(k),
       stride_(stride),
       pad_(pad < 0 ? k / 2 : pad) {
+  if (stride <= 0)
+    throw std::invalid_argument("Conv2d stride must be > 0, got " +
+                                std::to_string(stride));
   w_.name = "conv_w";
   w_.value = Tensor({out_ch, in_ch * k * k});
   w_.grad = Tensor({out_ch, in_ch * k * k});
@@ -364,12 +369,17 @@ Tensor ReLU::backward(const ComputeContext&, const Tensor& gout) {
 
 // ------------------------------ MaxPool2d ----------------------------------
 
-MaxPool2d::MaxPool2d(int k, int stride) : k_(k), stride_(stride < 0 ? k : stride) {}
+MaxPool2d::MaxPool2d(int k, int stride) : k_(k), stride_(stride < 0 ? k : stride) {
+  if (stride_ <= 0)
+    throw std::invalid_argument("MaxPool2d stride must be > 0, got " +
+                                std::to_string(stride_));
+}
 
 Tensor MaxPool2d::forward(const ComputeContext&, const Tensor& x,
                           bool training) {
   const int N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
-  const int oh = (H - k_) / stride_ + 1, ow = (W - k_) / stride_ + 1;
+  const int oh = conv_out_dim(H, k_, stride_, 0);
+  const int ow = conv_out_dim(W, k_, stride_, 0);
   in_shape_ = x.shape();
   Tensor out({N, C, oh, ow});
   if (training) argmax_ = Tensor({N, C, oh, ow});

@@ -162,7 +162,7 @@ struct ShadowConfig {
 struct ServeConfig {
   /// Coalescing cap: a micro-batch executes as soon as this many requests
   /// are pending. 1 disables coalescing (the classic request-at-a-time
-  /// server — the baseline bench_serve compares against).
+  /// server).
   int max_batch = 16;
 
   /// How long the batcher lingers for stragglers after the first request of

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/tensor.hpp"
 
@@ -19,7 +21,20 @@ namespace srmac {
 void im2col(const float* img, int C, int H, int W, int kh, int kw, int stride,
             int pad, float* cols, int64_t row_stride);
 
+/// Output size along one axis of a k-wide conv or pool window: the one
+/// geometry function every conv and pool path calls. Throws
+/// std::invalid_argument on stride <= 0, and on a window wider than the
+/// padded input (truncating division would report 1 and the window would
+/// read past the input).
 inline int conv_out_dim(int in, int k, int stride, int pad) {
+  if (stride <= 0)
+    throw std::invalid_argument("conv/pool stride must be > 0, got " +
+                                std::to_string(stride));
+  if (in + 2 * pad < k)
+    throw std::invalid_argument(
+        "input " + std::to_string(in) + " with padding " +
+        std::to_string(pad) + " is too small for a " + std::to_string(k) +
+        "-wide window");
   return (in + 2 * pad - k) / stride + 1;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "compile/model_compiler.hpp"
+#include "nn/layers.hpp"
 #include "nn/model_zoo.hpp"
 #include "serve/emu_server.hpp"
 
@@ -169,6 +170,30 @@ TEST(ModelCompilerErrors, ShapeMismatchIsTypedNotAssert) {
                                    "vgg degenerate spatial"),
               CompileError::kShapeMismatch);
   }
+  {
+    // A 3x3 stride-2 unpadded conv on a 2x2 input: truncating division
+    // gives oh = 1, but the window is wider than the input.
+    Sequential model;
+    model.add(std::make_unique<Conv2d>(1, 2, 3, /*stride=*/2, /*pad=*/0));
+    ModelCompiler::Options opts;
+    opts.input_shape = {1, 2, 2};
+    EXPECT_EQ(expect_compile_error([&] { mc.compile(model, opts); },
+                                   "conv window wider than input"),
+              CompileError::kShapeMismatch);
+  }
+  {
+    // A 3-wide pooling window over a 2x2 input.
+    Sequential model;
+    model.add(std::make_unique<MaxPool2d>(3));
+    ModelCompiler::Options opts;
+    opts.input_shape = {1, 2, 2};
+    EXPECT_EQ(expect_compile_error([&] { mc.compile(model, opts); },
+                                   "pool window wider than input"),
+              CompileError::kShapeMismatch);
+  }
+  // A zero stride never reaches the compiler: the layers reject it.
+  EXPECT_THROW(Conv2d(1, 2, 3, /*stride=*/0), std::invalid_argument);
+  EXPECT_THROW(MaxPool2d(2, /*stride=*/0), std::invalid_argument);
 }
 
 TEST(ModelCompilerErrors, UnsupportedLayerIsTyped) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 
 #include "nn/init.hpp"
 #include "nn/resnet.hpp"
@@ -146,6 +147,20 @@ TEST(GradCheck, MaxPool) {
     x[i] = 0.05f * perm[static_cast<size_t>(i)] - 2.0f;
   MaxPool2d pool(2);
   check_input_grad(pool, x, 5e-2f, 24, 1e-3f);
+}
+
+TEST(Geometry, BadStrideAndWindowsWiderThanTheInputThrow) {
+  EXPECT_THROW(Conv2d(1, 2, 3, /*stride=*/0), std::invalid_argument);
+  EXPECT_THROW(MaxPool2d(2, /*stride=*/0), std::invalid_argument);
+  Xoshiro256 rng(10);
+  const Tensor x = randn({1, 1, 2, 2}, rng);
+  // oh = (2 - 3) / 2 + 1 truncates to 1; the window reads past the input.
+  Conv2d conv(1, 2, 3, /*stride=*/2, /*pad=*/0);
+  EXPECT_THROW(conv.forward(ComputeContext::fp32(), x, false),
+               std::invalid_argument);
+  MaxPool2d pool(3);
+  EXPECT_THROW(pool.forward(ComputeContext::fp32(), x, false),
+               std::invalid_argument);
 }
 
 TEST(GradCheck, GlobalAvgPool) {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -344,44 +345,63 @@ TEST(ClusterController, ChaosKillMidDrainIsDeterministicAndBitwise) {
 
 TEST(ClusterController, ThreadedChaosKillNeverHangsAndKeepsBits) {
   // The TSan-leg chaos smoke: 4 concurrent clients against a threaded
-  // 3-replica fleet while the injector kills a replica. Every future must
-  // resolve (result or typed error) and every result must be bitwise.
-  ClusterConfig cfg;
-  cfg.serve.input_shape = {16};
-  cfg.replicas = 3;
-  cfg.serve.max_batch = 4;
-  cfg.serve.max_wait_us = 100;
-  cfg.serve.queue_capacity = 16;
-  cfg.breaker_threshold = 1;
-  cfg.breaker_open_us = 50000;
-  FaultInjector chaos;
-  chaos.kill_at(/*replica=*/2, /*seq=*/1);
-  ClusterController cluster(make_model, make_engine, cfg, nullptr, &chaos);
+  // 3-replica fleet while the injector wrecks the last replica. Every
+  // future must resolve (result or typed error), every result must be
+  // bitwise, and the degraded fleet must still complete half the load.
+  struct Schedule {
+    const char* name;
+    std::function<void(FaultInjector&, int victim)> apply;
+  };
+  const Schedule schedules[] = {
+      {"kill at batch 1",
+       [](FaultInjector& f, int victim) { f.kill_at(victim, /*seq=*/1); }},
+      {"delay 1-3 by 2 ms, fail 3-5, kill at 5",
+       [](FaultInjector& f, int victim) {
+         f.delay_batches(victim, /*from=*/1, /*to=*/3, /*delay_us=*/2000);
+         f.fail_batches(victim, /*from=*/3, /*to=*/5);
+         f.kill_at(victim, /*seq=*/5);
+       }},
+  };
   const std::vector<Tensor> refs = offline_refs(32);
+  for (const Schedule& schedule : schedules) {
+    SCOPED_TRACE(schedule.name);
+    ClusterConfig cfg;
+    cfg.serve.input_shape = {16};
+    cfg.replicas = 3;
+    cfg.serve.max_batch = 4;
+    cfg.serve.max_wait_us = 100;
+    cfg.serve.queue_capacity = 16;
+    cfg.breaker_threshold = 1;
+    cfg.breaker_open_us = 50000;
+    FaultInjector chaos;
+    schedule.apply(chaos, cfg.replicas - 1);
+    ClusterController cluster(make_model, make_engine, cfg, nullptr, &chaos);
 
-  std::atomic<int> completed{0}, typed{0}, mismatched{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c)
-    clients.emplace_back([&, c] {
-      for (int i = c * 8; i < (c + 1) * 8; ++i) {
-        try {
-          InferResult r = cluster.submit(make_sample(i)).get();
-          const Tensor& want = refs[static_cast<size_t>(i)];
-          if (r.output.shape() != want.shape() ||
-              std::memcmp(r.output.data(), want.data(),
-                          static_cast<size_t>(want.numel()) *
-                              sizeof(float)) != 0)
-            mismatched.fetch_add(1);
-          completed.fetch_add(1);
-        } catch (const ServeException&) {
-          typed.fetch_add(1);
+    std::atomic<int> completed{0}, typed{0}, mismatched{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c)
+      clients.emplace_back([&, c] {
+        for (int i = c * 8; i < (c + 1) * 8; ++i) {
+          try {
+            InferResult r = cluster.submit(make_sample(i)).get();
+            const Tensor& want = refs[static_cast<size_t>(i)];
+            if (r.output.shape() != want.shape() ||
+                std::memcmp(r.output.data(), want.data(),
+                            static_cast<size_t>(want.numel()) *
+                                sizeof(float)) != 0)
+              mismatched.fetch_add(1);
+            completed.fetch_add(1);
+          } catch (const ServeException&) {
+            typed.fetch_add(1);
+          }
         }
-      }
-    });
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(completed.load() + typed.load(), 32);
-  EXPECT_EQ(mismatched.load(), 0);
-  cluster.stop();
+      });
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(completed.load() + typed.load(), 32);
+    EXPECT_EQ(mismatched.load(), 0);
+    EXPECT_GE(completed.load(), 16);  // min_completed_fraction 0.5
+    cluster.stop();
+  }
 }
 
 TEST(ClusterController, ThreadedStopDrainsEveryAdmittedRequest) {
