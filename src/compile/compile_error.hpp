@@ -11,8 +11,9 @@ namespace srmac {
 /// rejection is a catchable typed error, never an assert that compiles out
 /// in Release (docs/COMPILER.md).
 enum class CompileError {
-  kUnsupportedBackend,  ///< the engine's backend cannot be lowered onto the
-                        ///< fused kernel bit-faithfully (reference, systolic)
+  kUnsupportedBackend,  ///< the engine's backend is bit-accurate but its
+                        ///< gemm() is not the fused kernel the compiled
+                        ///< program runs (reference, systolic)
   kUnsupportedLayer,    ///< the model contains a layer the lowering pass has
                         ///< no rule for
   kShapeMismatch,       ///< the layer chain rejects the compile-time input

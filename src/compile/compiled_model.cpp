@@ -106,14 +106,8 @@ void CompiledModel::forward_batch(std::vector<Tensor>& xs, size_t first,
 uint64_t CompiledModel::refresh() {
   uint64_t rebuilt = 0;
   for (Op& op : ops_) {
-    if (!op.w) continue;
-    // fp32 convs read the live weight tensor — nothing materialized, nothing
-    // to go stale. Everything else compares the owning Param's version.
-    const bool materialized =
-        !op.aq.empty() || !op.bpanels.bt.empty() || !op.wt.empty();
-    if (!materialized || op.w->version == op.w_version) continue;
+    if (!op.has_plane() || op.w->version == op.w_version) continue;
     rebuild_plane(op);
-    op.w_version = op.w->version;
     ++rebuilt;
   }
   if (rebuilt) {
@@ -125,22 +119,24 @@ uint64_t CompiledModel::refresh() {
 
 void CompiledModel::rebuild_plane(Op& op) {
   const Tensor& w = op.w->value;
+  op.w_version = op.w->version;
   if (op.kind == OpKind::kConvGemm) {
-    // Same elementwise RN quantization as WeightQuantCache::get(fmt, false).
+    // W quantized elementwise (RN), the conv GEMM's A operand.
+    op.aq.resize(static_cast<size_t>(op.M) * op.K);
     gemm_quantize(op.cfg.mul_fmt, op.M, op.K, w.data(), op.K, op.aq.data(),
                   threads_);
     return;
   }
-  if (!op.wt.empty()) {
-    // fp32 Linear: re-materialize W^T, as matmul_nt's transpose does.
+  if (!op.bits) {
+    // fp32 Linear: materialize W^T, as matmul_nt's transpose does.
+    op.wt.resize(static_cast<size_t>(op.K) * op.N);
     for (int o = 0; o < op.N; ++o)
       for (int k = 0; k < op.K; ++k)
         op.wt[static_cast<size_t>(k) * op.N + o] = w.at(o, k);
     return;
   }
-  // Bit-accurate Linear: requantize the transposed plane (as the layer's
-  // WeightQuantCache transposed path does) and repack it into the panel
-  // layout.
+  // Bit-accurate Linear: W^T quantized elementwise, then packed into the
+  // fused kernel's panel layout.
   std::vector<uint32_t> wqt(static_cast<size_t>(op.K) * op.N);
   gemm_quantize_transposed(op.cfg.mul_fmt, op.N, op.K, w.data(), wqt.data(),
                            threads_);
@@ -245,7 +241,7 @@ void CompiledModel::exec_linear(const Op& op, int batch) {
   // makes row s seed as row 0, a standalone M=1 forward's seed, so the
   // merge changes no bits.
   // One elementwise quantization sweep over all samples' activation rows
-  // (identical bits to matmul_qb's per-sample quantize).
+  // (the bits Linear::forward's GEMM quantizes per sample).
   if (op.bits)
     gemm_quantize(op.cfg.mul_fmt, batch, op.K, src, op.K, qact_.get(),
                   threads_);

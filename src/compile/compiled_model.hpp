@@ -44,10 +44,10 @@ namespace srmac {
 /// activations copied out and back in between gives the bits of one
 /// [a, c) call — the unit continuous batching advances a request by.
 ///
-/// Invalidation: compiled weight planes are keyed on Param::version, the
-/// same counter the layers' WeightQuantCache keys on. refresh() compares and
-/// rebuilds stale planes — an optimizer step or checkpoint load is picked
-/// up by the next micro-batch, exactly once per plane per bump. BN
+/// Invalidation: compiled weight planes are keyed on Param::version, which
+/// every writer of a weight bumps. refresh() compares and rebuilds stale
+/// planes — an optimizer step or checkpoint load is picked up by the next
+/// micro-batch, exactly once per plane per bump. BN
 /// gamma/beta and Linear bias are read live from their Params at execution
 /// time (they fold into elementwise tails, not packed planes), so they can
 /// never go stale; BN running statistics are not Params and do not change
@@ -132,12 +132,16 @@ class CompiledModel {
     // Conv / pooling geometry.
     int ch = 0, H = 0, W = 0, kk = 0, stride = 0, pad = 0, oh = 0, ow = 0;
 
-    // Weight planes (owned by the compiled model, version-keyed).
+    // Weight planes (owned by the compiled model, version-keyed, built by
+    // rebuild_plane). An fp32 conv reads the live weight and has none.
     Param* w = nullptr;
     uint64_t w_version = 0;
     std::vector<uint32_t> aq;  ///< kConvGemm bits: quantized W plane (MxK)
     PackedBPanels bpanels;     ///< kLinearGemm bits: pre-packed W^T (KxN)
     std::vector<float> wt;     ///< kLinearGemm fp32: materialized W^T (KxN)
+    bool has_plane() const {
+      return kind == OpKind::kLinearGemm || (kind == OpKind::kConvGemm && bits);
+    }
 
     // Fused epilogue, applied in one pass over the op's output slice in
     // the layers' order: affine, then bias, then ReLU.
@@ -159,6 +163,8 @@ class CompiledModel {
   };
 
   float* buf(int idx) { return buffers_[static_cast<size_t>(idx)].get(); }
+  /// Builds op's weight plane from its Param's current value and records
+  /// the version it was built from (compile and refresh() both call it).
   void rebuild_plane(Op& op);
   void exec_conv(const Op& op, int batch);
   void exec_linear(const Op& op, int batch);

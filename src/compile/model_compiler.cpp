@@ -23,12 +23,12 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
                            "compile requires max_batch >= 1");
   const ComputeContext base = engine_.context();
   const MatmulBackend* backend = base.backend;
-  if (backend->bit_accurate() && !backend->supports_prequantized())
+  if (backend->bit_accurate() && !backend->runs_fused_kernel())
     throw CompileException(
         CompileError::kUnsupportedBackend,
         "backend \"" + backend->name() +
-            "\" cannot replay precompiled operand planes bit-faithfully "
-            "(no prequantized-dispatch support)");
+            "\" is bit-accurate but its gemm() is not the fused kernel the "
+            "compiled program runs");
 
   std::unique_ptr<CompiledModel> compiled(new CompiledModel());
   CompiledModel& m = *compiled;
@@ -126,7 +126,6 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       op.ow = ow;
       op.bits = bits;
       op.w = &conv.weight();
-      op.w_version = op.w->version;
       const int64_t kl = static_cast<int64_t>(op.K) * op.N;
       max_conv_kl = std::max(max_conv_kl, kl);
       max_conv_ml = std::max(max_conv_ml,
@@ -134,10 +133,6 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       if (bits) {
         op.cfg = cc.mac_config().normalized();
         op.seed = cc.seed;
-        op.aq.resize(static_cast<size_t>(op.M) * op.K);
-        gemm_quantize(op.cfg.mul_fmt, op.M, op.K, op.w->value.data(), op.K,
-                      op.aq.data(), m.threads_);
-        m.stats_.planes_packed += 1;
         max_conv_nk = std::max(max_conv_nk, kl);
         // Packed panels pad N to the kernel's group width.
         max_wide_panel = std::max(
@@ -174,30 +169,14 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       op.N = lin.out_features();
       op.bits = bits;
       op.w = &lin.weight();
-      op.w_version = op.w->version;
       op.bias = &lin.bias();
       m.stats_.fusions += 1;  // the bias add rides the epilogue pass
-      const Tensor& w = op.w->value;
       if (bits) {
         op.cfg = cc.mac_config().normalized();
         op.seed = cc.seed;
-        // W^T quantized elementwise (the layer cache's transposed plane),
-        // then packed once into the fused kernel's panel layout.
-        std::vector<uint32_t> wqt(static_cast<size_t>(op.K) * op.N);
-        gemm_quantize_transposed(op.cfg.mul_fmt, op.N, op.K, w.data(),
-                                 wqt.data(), m.threads_);
-        gemm_pack_b_into(op.cfg, op.K, op.N, wqt.data(), op.N, &op.bpanels,
-                         m.threads_);
         max_lin_k = std::max<int64_t>(max_lin_k, op.K);
         op.act_bytes = static_cast<uint64_t>(op.K) * fmt_bytes(op.cfg.mul_fmt);
-      } else {
-        // fp32: materialize W^T once (matmul_nt's per-call transpose).
-        op.wt.resize(static_cast<size_t>(op.K) * op.N);
-        for (int o = 0; o < op.N; ++o)
-          for (int k = 0; k < op.K; ++k)
-            op.wt[static_cast<size_t>(k) * op.N + o] = w.at(o, k);
       }
-      m.stats_.planes_packed += 1;
       if (relu) {
         op.relu = true;
         m.stats_.fusions += 1;
@@ -408,6 +387,15 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
   Lowerer lo{m, base.bit_accurate(), opts.input_shape};
   lo.add_buffer(Lowerer::numel_of(opts.input_shape));  // buffer 0: input
   lo.lower_sequential(model, base, /*top_level=*/true);
+
+  // The walk only recorded ops and sizes, so a model it rejects threw
+  // before any weight was quantized. Build the planes now, through the
+  // routine refresh() rebuilds them with.
+  for (CompiledModel::Op& op : m.ops_) {
+    if (!op.has_plane()) continue;
+    m.rebuild_plane(op);
+    m.stats_.planes_packed += 1;
+  }
 
   // Preplan every buffer and scratch region for (input_shape, max_batch):
   // after this, a steady-state forward allocates only its output tensors.

@@ -13,21 +13,24 @@ namespace srmac {
 /// The pass walks the Sequential exactly as Sequential::forward does — the
 /// same per-child fork salts and per-layer policy rules, recursing into the
 /// residual blocks' fixed fork chains — and records, per GEMM, the absolute
-/// seed and normalized MacConfig the layer's own forward would use. Weight
-/// planes are quantized (and, for Linear, panel-packed) at compile time;
-/// BatchNorm inference affines are folded into the preceding GEMM's
-/// epilogue; ReLU/bias/residual joins fuse into the same output pass;
-/// Flatten folds away entirely. Each top-level child (with the BN/ReLU
-/// children fused into it) ends one stage of the program. Activation,
-/// im2col, and quantized-operand buffers are preplanned for (input_shape,
-/// max_batch): each GEMM op runs a micro-batch as ONE wide kernel (grouped
-/// same-shape execution, docs/SERVING.md), with the kernel's seed periods
-/// preserving each sample's standalone bits.
+/// seed and normalized MacConfig the layer's own forward would use. The
+/// walk records ops and buffer sizes only; once it has accepted the whole
+/// model, every weight plane is quantized (and, for Linear, panel-packed)
+/// through CompiledModel::rebuild_plane, the routine refresh() uses, so a
+/// rejected model costs no quantization. BatchNorm inference affines are
+/// folded into the preceding GEMM's epilogue; ReLU/bias/residual joins
+/// fuse into the same output pass; Flatten folds away entirely. Each
+/// top-level child (with the BN/ReLU children fused into it) ends one stage
+/// of the program. Activation, im2col, and quantized-operand buffers are
+/// preplanned for (input_shape, max_batch): each GEMM op runs a micro-batch
+/// as ONE wide kernel (grouped same-shape execution, docs/SERVING.md), with
+/// the kernel's seed periods preserving each sample's standalone bits.
 ///
 /// Typed rejections (CompileException):
-///  - kUnsupportedBackend: a bit-accurate backend without prequantized
-///    support (reference, systolic) — its seeding/dispatch cannot be
-///    replayed against precompiled planes bit-faithfully;
+///  - kUnsupportedBackend: a bit-accurate backend whose gemm() is not the
+///    fused kernel (reference, systolic; MatmulBackend::runs_fused_kernel)
+///    — the compiled program runs the fused kernel, so it would not
+///    reproduce that backend's bits;
 ///  - kUnsupportedLayer: a layer kind with no lowering rule;
 ///  - kShapeMismatch: the layer chain rejects the compile-time input shape;
 ///  - kBadConfig: empty input shape or max_batch < 1.

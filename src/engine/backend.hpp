@@ -24,21 +24,6 @@ struct GemmArgs {
   int threads = 0;  ///< 0 = hardware concurrency
 };
 
-/// GemmArgs with operands already quantized to cfg.mul_fmt bit patterns —
-/// the cached weight-plane path of the nn layers.
-struct GemmBitsArgs {
-  int M = 0, N = 0, K = 0;
-  const uint32_t* Aq = nullptr;
-  int lda = 0;
-  const uint32_t* Bq = nullptr;
-  int ldb = 0;
-  float* C = nullptr;
-  int ldc = 0;
-  bool accumulate = false;
-  uint64_t seed = kDefaultSeed;
-  int threads = 0;
-};
-
 /// Abstract compute backend: how a GEMM physically executes. Registered in
 /// BackendRegistry under a string key, selected by name from examples,
 /// benches, and tests, and carried (non-owning) by ComputeContext. All
@@ -59,20 +44,19 @@ class MatmulBackend {
   virtual std::string name() const = 0;
 
   /// Whether this backend quantizes operands into cfg.mul_fmt (the MAC
-  /// emulation paths) or consumes floats untouched (fp32). Drives the
-  /// layers' weight-plane caching decision.
+  /// emulation paths) or consumes floats untouched (fp32).
   virtual bool bit_accurate() const = 0;
 
-  /// Whether gemm_bits() is implemented natively. Backends without native
-  /// support still accept pre-quantized operands through the engine's
-  /// dequantize-and-requantize fallback (lossless: RN of a representable
-  /// value is exact), they just forgo the requantization saving.
-  virtual bool supports_prequantized() const { return false; }
+  /// Whether gemm() is the fused kernel itself (gemm_mac: its operand
+  /// quantization, its per-element LFSR seeding, its chain). ModelCompiler
+  /// lowers a bit-accurate backend only when this holds: the compiled
+  /// program then runs the kernel on its own precompiled weight planes and
+  /// reproduces this backend's bits. True for "sharded"; false for
+  /// "reference" and "systolic", whose sessions serve per sample through
+  /// gemm(). A user backend opts in only if its gemm() is gemm_mac.
+  virtual bool runs_fused_kernel() const { return false; }
 
   virtual void gemm(const MacConfig& cfg, const GemmArgs& args) const = 0;
-
-  /// Pre-quantized-operand GEMM; only called when supports_prequantized().
-  virtual void gemm_bits(const MacConfig& cfg, const GemmBitsArgs& args) const;
 };
 
 }  // namespace srmac

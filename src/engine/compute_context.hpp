@@ -85,14 +85,6 @@ struct ComputeContext {
 
   /// The multiplier-input format this context's GEMMs quantize into.
   const FpFormat& mul_fmt() const { return mac_config().mul_fmt; }
-
-  /// mul_fmt() with the pass configuration's subnormal flag applied — the
-  /// exact format operands are quantized into (cached weight planes must
-  /// match it).
-  FpFormat quant_fmt() const {
-    const MacConfig& m = mac_config();
-    return m.mul_fmt.with_subnormals(m.subnormals);
-  }
 };
 
 }  // namespace srmac

@@ -10,15 +10,6 @@
 
 namespace srmac {
 
-void MatmulBackend::gemm_bits(const MacConfig& cfg,
-                              const GemmBitsArgs& args) const {
-  (void)cfg;
-  (void)args;
-  throw std::logic_error("backend \"" + name() +
-                         "\" does not implement gemm_bits; the engine must "
-                         "route through the float fallback");
-}
-
 namespace {
 
 /// FP32 baseline: floats untouched, gemm_ref. The MacConfig is ignored.
@@ -54,14 +45,10 @@ class ShardedBackend final : public MatmulBackend {
  public:
   std::string name() const override { return "sharded"; }
   bool bit_accurate() const override { return true; }
-  bool supports_prequantized() const override { return true; }
+  bool runs_fused_kernel() const override { return true; }
   void gemm(const MacConfig& cfg, const GemmArgs& a) const override {
     gemm_mac(cfg, a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
              a.accumulate, a.seed, a.threads);
-  }
-  void gemm_bits(const MacConfig& cfg, const GemmBitsArgs& a) const override {
-    gemm_mac_bits(cfg, a.M, a.N, a.K, a.Aq, a.lda, a.Bq, a.ldb, a.C, a.ldc,
-                  a.accumulate, a.seed, a.threads);
   }
 };
 

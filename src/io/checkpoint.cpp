@@ -295,7 +295,7 @@ CheckpointMeta read_checkpoint(std::istream& in,
   for (size_t p = 0; p < params.size(); ++p) {
     std::memcpy(params[p]->value.data(), staged[p].data(),
                 staged[p].size() * sizeof(float));
-    params[p]->bump();  // invalidate cached quantized weight planes
+    params[p]->bump();  // invalidate compiled weight planes
   }
   return reader.meta();
 }

@@ -148,8 +148,8 @@ void write_checkpoint(std::ostream& out, const std::vector<Param*>& params,
 /// validated before any parameter is touched, so on any throw the model is
 /// exactly as it was — a live compiled serving session keeps serving its
 /// old weights/planes after a failed load. On success each restored
-/// parameter's version is bumped so per-layer quantized weight caches and
-/// compiled planes (CompiledModel::refresh) rebuild.
+/// parameter's version is bumped so compiled weight planes
+/// (CompiledModel::refresh) rebuild.
 CheckpointMeta read_checkpoint(std::istream& in,
                                const std::vector<Param*>& params);
 

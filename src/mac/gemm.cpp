@@ -238,24 +238,6 @@ void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
       threads, /*grain=*/1);
 }
 
-void gemm_dequantize(const FpFormat& fmt, int rows, int cols,
-                     const uint32_t* src, int ld, float* dst) {
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c)
-      dst[static_cast<size_t>(r) * cols + c] = static_cast<float>(
-          SoftFloat::to_double(fmt, src[static_cast<size_t>(r) * ld + c]));
-}
-
-void gemm_mac_bits(const MacConfig& cfg, int M, int N, int K,
-                   const uint32_t* Aq, int lda, const uint32_t* Bq, int ldb,
-                   float* C, int ldc, bool accumulate, uint64_t seed,
-                   int threads, int seed_row_period, int seed_col_period) {
-  const MacConfig c = cfg.normalized();
-  const PackedBPanels packed = gemm_pack_b(c, K, N, Bq, ldb, threads);
-  gemm_mac_bits_packed(c, M, N, K, Aq, lda, packed, C, ldc, accumulate, seed,
-                       threads, seed_row_period, seed_col_period);
-}
-
 void gemm_mac(const MacConfig& cfg, int M, int N, int K, const float* A,
               int lda, const float* B, int ldb, float* C, int ldc,
               bool accumulate, uint64_t seed, int threads,
@@ -265,8 +247,9 @@ void gemm_mac(const MacConfig& cfg, int M, int N, int K, const float* A,
   std::vector<uint32_t> qb(static_cast<size_t>(K) * N);
   gemm_quantize(c.mul_fmt, M, K, A, lda, qa.data(), threads);
   gemm_quantize(c.mul_fmt, K, N, B, ldb, qb.data(), threads);
-  gemm_mac_bits(c, M, N, K, qa.data(), K, qb.data(), N, C, ldc, accumulate,
-                seed, threads, seed_row_period, seed_col_period);
+  const PackedBPanels packed = gemm_pack_b(c, K, N, qb.data(), N, threads);
+  gemm_mac_bits_packed(c, M, N, K, qa.data(), K, packed, C, ldc, accumulate,
+                       seed, threads, seed_row_period, seed_col_period);
 }
 
 void gemm_mac_reference(const MacConfig& cfg, int M, int N, int K,

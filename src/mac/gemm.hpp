@@ -43,9 +43,10 @@ PackedBPanels gemm_pack_b(const MacConfig& cfg, int K, int N,
 void gemm_pack_b_into(const MacConfig& cfg, int K, int N, const uint32_t* Bq,
                       int ldb, PackedBPanels* out, int threads = 0);
 
-/// gemm_mac_bits with B already packed by gemm_pack_b under the same
-/// (normalized) cfg. This is the inner entry point of both gemm_mac_bits
-/// and the compiled model's GEMM ops.
+/// The fused kernel on operands already quantized to cfg.mul_fmt bit
+/// patterns, with B packed by gemm_pack_b under the same (normalized) cfg.
+/// This is the inner entry point of both gemm_mac and the compiled model's
+/// GEMM ops.
 ///
 /// `seed_row_period` / `seed_col_period`: when non-zero, the per-element
 /// LFSR seed derives from (i % row_period, j % col_period) instead of
@@ -86,16 +87,6 @@ void gemm_mac(const MacConfig& cfg, int M, int N, int K, const float* A,
               int threads = 0, int seed_row_period = 0,
               int seed_col_period = 0);
 
-/// gemm_mac on operands already quantized to cfg.mul_fmt bit patterns
-/// (row-major uint32 with leading dimensions). This is the layer the nn
-/// modules call with their cached weight planes so weights are not
-/// requantized on every forward/backward GEMM.
-void gemm_mac_bits(const MacConfig& cfg, int M, int N, int K,
-                   const uint32_t* Aq, int lda, const uint32_t* Bq, int ldb,
-                   float* C, int ldc, bool accumulate = false,
-                   uint64_t seed = kDefaultSeed, int threads = 0,
-                   int seed_row_period = 0, int seed_col_period = 0);
-
 /// The seed implementation: one MacUnit per output element stepping through
 /// packed bits, kept as the golden reference the fused engine is verified
 /// against.
@@ -116,25 +107,17 @@ void gemm_ref(int M, int N, int K, const float* A, int lda, const float* B,
 /// the MAC kernel's cpuid gate passes. The elements split across the
 /// thread pool by count. This is the operand-quantization step of every
 /// GEMM path except gemm_mac_reference, which keeps from_double as the
-/// golden model; callers preparing inputs for gemm_mac_bits (e.g. the
-/// layers' activation panels) share it. dst is dense rows x cols.
+/// golden model; the compiled model's weight planes and activation panels
+/// share it. dst is dense rows x cols.
 void gemm_quantize(const FpFormat& fmt, int rows, int cols, const float* src,
                    int ld, uint32_t* dst, int threads = 0);
 
 /// gemm_quantize of the transpose: dst[c * rows + r] = quantized
 /// src[r * cols + c] for a dense rows x cols src — the transposed weight
-/// planes (W^T for the backward and Linear GEMMs). Quantization is
-/// elementwise, so this equals quantizing a materialized transpose.
+/// planes (W^T of the compiled Linear ops). Quantization is elementwise,
+/// so this equals quantizing a materialized transpose.
 void gemm_quantize_transposed(const FpFormat& fmt, int rows, int cols,
                               const float* src, uint32_t* dst,
                               int threads = 0);
-
-/// Inverse of gemm_quantize for already-quantized planes: decodes `fmt`
-/// bit patterns back to floats (dst is dense rows x cols). Lossless round
-/// trip — requantizing a representable value returns the same bits — so
-/// this is the fallback feeding pre-quantized operands to backends without
-/// native gemm_bits support.
-void gemm_dequantize(const FpFormat& fmt, int rows, int cols,
-                     const uint32_t* src, int ld, float* dst);
 
 }  // namespace srmac

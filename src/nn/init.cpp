@@ -14,7 +14,7 @@ void he_init(Layer& model, uint64_t seed) {
     const double std = std::sqrt(2.0 / fan_in);
     for (int64_t i = 0; i < p->value.numel(); ++i)
       p->value[i] = static_cast<float>(rng.normal() * std);
-    p->bump();  // invalidate cached quantized weight planes
+    p->bump();  // invalidate compiled weight planes
   }
 }
 

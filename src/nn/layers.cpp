@@ -7,43 +7,10 @@
 #include <string>
 #include <utility>
 
-#include "mac/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
 
 namespace srmac {
-
-// -------------------------- WeightQuantCache -------------------------------
-
-const std::vector<uint32_t>& WeightQuantCache::get(const Param& p,
-                                                   const FpFormat& fmt,
-                                                   bool transposed) {
-  assert(p.value.ndim() == 2);
-  const int rows = p.value.dim(0), cols = p.value.dim(1);
-  Plane* plane = nullptr;
-  for (Plane& pl : planes_) {
-    if (pl.fmt == fmt && pl.transposed == transposed) {
-      plane = &pl;
-      break;
-    }
-  }
-  if (!plane) {
-    planes_.push_back(Plane{fmt, transposed, 0, nullptr, {}});
-    plane = &planes_.back();  // deque: stable across later push_backs
-  } else if (plane->version == p.version && plane->data == p.value.data()) {
-    return plane->bits;
-  }
-  plane->version = p.version;
-  plane->data = p.value.data();
-  plane->bits.resize(static_cast<size_t>(rows) * cols);
-  // The backward GEMMs reuse the same cache through the transposed plane.
-  if (transposed)
-    gemm_quantize_transposed(fmt, rows, cols, p.value.data(),
-                             plane->bits.data());
-  else
-    gemm_quantize(fmt, rows, cols, p.value.data(), cols, plane->bits.data());
-  return plane->bits;
-}
 
 // ------------------------------- Conv2d ------------------------------------
 
@@ -96,14 +63,8 @@ Tensor Conv2d::forward(const ComputeContext& ctx, const Tensor& x,
   // One batched GEMM: cols_ is K x (N*L); out = W * cols_.
   build_cols(ctx, x, oh, ow);
   Tensor out_flat({out_ch_, N * L});
-  if (ctx.bit_accurate()) {
-    const auto& wq = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/false);
-    matmul_qa(ctx, out_ch_, N * L, K, wq.data(), cols_.data(),
-              out_flat.data());
-  } else {
-    matmul(ctx, out_ch_, N * L, K, w_.value.data(), cols_.data(),
-           out_flat.data());
-  }
+  matmul(ctx, out_ch_, N * L, K, w_.value.data(), cols_.data(),
+         out_flat.data());
 
   // Reorder (out_ch, N, L) -> (N, out_ch, oh, ow).
   Tensor out({N, out_ch_, oh, ow});
@@ -152,17 +113,9 @@ Tensor Conv2d::backward(const ComputeContext& ctx, const Tensor& gout) {
   else
     matmul_nt(ctx_dw, out_ch_, K, N * L, g_flat, cols_.data(), w_.grad.data(),
               /*accumulate=*/true);
-  const ComputeContext ctx_gx = ctx.fork(2);
   Tensor gcols({K, N * L});
-  if (ctx_gx.bit_accurate()) {
-    // The cached transposed weight plane; non-prequantized backends get it
-    // decoded back losslessly by the dispatch.
-    const auto& wqt = wq_.get(w_, ctx_gx.quant_fmt(), /*transposed=*/true);
-    matmul_qa(ctx_gx, K, N * L, out_ch_, wqt.data(), g_flat, gcols.data());
-  } else {
-    matmul_tn(ctx_gx, K, N * L, out_ch_, w_.value.data(), g_flat,
-              gcols.data());
-  }
+  matmul_tn(ctx.fork(2), K, N * L, out_ch_, w_.value.data(), g_flat,
+            gcols.data());
   // End of this layer's backward is a safe flush point for the deferred
   // bucket (our staged g_flat is no longer needed; every other pending
   // item's operands are layer members or batch-owned copies), so the
@@ -205,13 +158,7 @@ Tensor Linear::forward(const ComputeContext& ctx, const Tensor& x,
   const int N = x.dim(0);
   if (training) x_cache_ = x;
   Tensor out({N, out_f_});
-  if (ctx.bit_accurate()) {
-    // B = W^T from the cached transposed weight plane.
-    const auto& wqt = wq_.get(w_, ctx.quant_fmt(), /*transposed=*/true);
-    matmul_qb(ctx, N, out_f_, in_f_, x.data(), wqt.data(), out.data());
-  } else {
-    matmul_nt(ctx, N, out_f_, in_f_, x.data(), w_.value.data(), out.data());
-  }
+  matmul_nt(ctx, N, out_f_, in_f_, x.data(), w_.value.data(), out.data());
   for (int n = 0; n < N; ++n)
     for (int o = 0; o < out_f_; ++o) out.at(n, o) += b_.value[o];
   return out;
@@ -235,15 +182,8 @@ Tensor Linear::backward(const ComputeContext& ctx, const Tensor& gout) {
     matmul_tn(ctx_dw, out_f_, in_f_, N, gout.data(), x_cache_.data(),
               w_.grad.data(), /*accumulate=*/true);
   Tensor gx({N, in_f_});
-  const ComputeContext ctx_gx = ctx.fork(2);
-  if (ctx_gx.bit_accurate()) {
-    // The cached weight plane; non-prequantized backends get it decoded
-    // back losslessly by the dispatch.
-    const auto& wq = wq_.get(w_, ctx_gx.quant_fmt(), /*transposed=*/false);
-    matmul_qb(ctx_gx, N, in_f_, out_f_, gout.data(), wq.data(), gx.data());
-  } else {
-    matmul(ctx_gx, N, in_f_, out_f_, gout.data(), w_.value.data(), gx.data());
-  }
+  matmul(ctx.fork(2), N, in_f_, out_f_, gout.data(), w_.value.data(),
+         gx.data());
   // Safe flush point, as in Conv2d::backward: bounds the bucket's staged
   // memory regardless of how deeply this layer is nested.
   if (ctx.grad_batch &&

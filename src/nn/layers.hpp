@@ -31,7 +31,6 @@ class Conv2d : public Layer {
   int in_ch_, out_ch_, k_, stride_, pad_;
   Param w_;        // (out_ch, in_ch*k*k)
   Tensor x_cache_; // input needed for dW
-  WeightQuantCache wq_;       // quantized weight planes (fwd + bwd formats)
   std::vector<float> cols_;   // im2col scratch, reused across calls
 };
 
@@ -55,7 +54,6 @@ class Linear : public Layer {
   int in_f_, out_f_;
   Param w_, b_;
   Tensor x_cache_;
-  WeightQuantCache wq_;  // quantized weight planes (fwd + bwd formats)
 };
 
 /// Batch normalization over (N, H, W) per channel. Pointwise math stays in

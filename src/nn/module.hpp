@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,37 +20,10 @@ struct Param {
   bool decay = true;  ///< weight decay applies (off for BN scale/bias)
 
   /// Incremented by every writer of `value` (optimizer steps, init,
-  /// checkpoint restore) so layers can cache derived data — notably the
-  /// quantized weight bit-planes the bit-accurate GEMMs consume.
+  /// checkpoint restore) so derived data can be rebuilt — the compiled
+  /// model's quantized weight planes (CompiledModel::refresh).
   uint64_t version = 0;
   void bump() { ++version; }
-};
-
-/// Caches the quantized (and optionally 2-D-transposed) bit-plane of a
-/// weight matrix per multiplier format, keyed on Param::version: weights
-/// are requantized once per optimizer step instead of on every
-/// forward/backward GEMM. Layers own one cache per weight; a cache holds
-/// one plane per (format, transposed) pair (two formats under HFP8).
-class WeightQuantCache {
- public:
-  /// Bits of `p.value` (2-D, row-major) quantized into `fmt` with RN;
-  /// `transposed` returns the bit-plane of value^T. Recomputes only when
-  /// p.version (or the underlying storage) changed.
-  const std::vector<uint32_t>& get(const Param& p, const FpFormat& fmt,
-                                   bool transposed);
-
- private:
-  struct Plane {
-    FpFormat fmt;
-    bool transposed = false;
-    uint64_t version = 0;
-    const float* data = nullptr;  ///< storage identity guard
-    std::vector<uint32_t> bits;
-  };
-  // deque, not vector: get() hands out references to plane bits, which must
-  // survive a later get() growing the container (vector reallocation would
-  // dangle them).
-  std::deque<Plane> planes_;
 };
 
 /// Base class for layers with manual forward/backward. Layers cache what

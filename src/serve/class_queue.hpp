@@ -10,13 +10,21 @@
 #include <vector>
 
 #include "serve/serve_types.hpp"
-#include "util/bounded_queue.hpp"
 
 namespace srmac {
 
-/// Priority-class admission queue — BoundedQueue's API over N per-class
-/// deques with one shared capacity (docs/SERVING.md "Grouped execution &
-/// priority classes").
+/// Outcome of a deadline-bounded push (ClassQueue::push_for): admitted, out
+/// of time, or refused because the queue closed. The serving stack maps
+/// kTimeout to ServeError::kDeadline and kClosed to ServeError::kStopped.
+enum class QueuePushResult { kOk, kTimeout, kClosed };
+
+/// The serving stack's bounded MPMC admission queue, with priority classes:
+/// N per-class deques under one shared capacity (docs/SERVING.md "Grouped
+/// execution & priority classes"). A full queue blocks (or rejects, for
+/// try_push) producers instead of growing without bound, so a burst of
+/// clients back-pressures at the submission edge. A mutex plus two
+/// condition variables (one per direction) keeps it obviously correct
+/// under ThreadSanitizer.
 ///
 /// Producers push into the deque named by the request's (clamped) priority;
 /// consumers pop through a deterministic weighted-credit drain: each class
@@ -29,14 +37,14 @@ namespace srmac {
 /// randomness — the serving determinism tests rely on this).
 ///
 /// With one class of weight 1 (the default when ServeConfig::classes is
-/// empty) the drain degenerates to exact FIFO, matching BoundedQueue — the
-/// serving stack uses this one type for both modes rather than two code
-/// paths.
+/// empty) the drain degenerates to exact FIFO — the serving stack uses this
+/// one type for both modes rather than two code paths.
 ///
-/// Capacity, blocking, and close() drain semantics mirror BoundedQueue: the
-/// bound spans all classes (admission backpressure is a memory bound, not a
-/// fairness knob — fairness lives in the drain order), and pop() returns
-/// std::nullopt only once closed AND fully drained.
+/// The capacity bound spans all classes (admission backpressure is a memory
+/// bound, not a fairness knob — fairness lives in the drain order).
+/// close() ends the stream: producers are refused from then on, but
+/// consumers keep draining what was admitted — pop() returns std::nullopt
+/// only once closed AND fully drained, so no accepted request is dropped.
 class ClassQueue {
  public:
   /// `weights` carries one entry per class, highest priority first; entries
@@ -66,12 +74,14 @@ class ClassQueue {
 
   /// Deadline-aware admission: blocks while full, for at most timeout_us of
   /// real time. On kTimeout and kClosed `v` is left untouched so the caller
-  /// can fail the request upward (same contract as BoundedQueue::push_for).
+  /// can fail the request upward.
   QueuePushResult push_for(ServeRequest& v, uint64_t timeout_us) {
     std::unique_lock<std::mutex> lk(m_);
     if (timeout_us == 0) {
-      // An exhausted budget answers immediately (see BoundedQueue::push_for
-      // for why the zero-duration wait_for is avoided).
+      // An exhausted budget answers immediately — no wait_for call, whose
+      // zero-duration path still costs a timed sleep on some libstdc++
+      // builds. The server admits with an already-expired deadline to
+      // report kDeadline rather than guess, at try_push speed.
       if (closed_) return QueuePushResult::kClosed;
       if (size_ >= capacity_) return QueuePushResult::kTimeout;
     } else if (!space_cv_.wait_for(

@@ -224,10 +224,11 @@ class EmuServer {
   const ServeConfig cfg_;
   std::unique_ptr<CompiledModel> compiled_;  ///< null: per-sample fallback
   /// Shadow A/B engine (set iff cfg_.shadow.enabled()) over the *same*
-  /// model. Sharing the model is safe: WeightQuantCache keys planes by
-  /// format, so the two scenarios keep separate packed planes, and all
-  /// shadow forwards run on the executor thread after the batch resolved
-  /// (the single-executor invariant covers them).
+  /// model. Sharing the model is safe: an eager inference forward
+  /// quantizes the weights afresh in each GEMM and leaves no per-scenario
+  /// state in the layers, and all shadow forwards run on the executor
+  /// thread after the batch resolved (the single-executor invariant covers
+  /// them).
   std::optional<EmuEngine> shadow_engine_;
   const ServeClock* clock_;
   FaultInjector* injector_;

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "mac/gemm.hpp"
 #include "util/thread_pool.hpp"
 
 namespace srmac {
@@ -19,7 +18,7 @@ double now_s() {
       .count();
 }
 
-/// Dispatches one float-operand GEMM on the context's backend, recording
+/// Dispatches one GEMM on the context's backend, recording
 /// the call into the telemetry sink when one is attached.
 void dispatch(const ComputeContext& ctx, const GemmArgs& args) {
   assert(ctx.backend && "ComputeContext must carry a backend");
@@ -35,30 +34,6 @@ void dispatch(const ComputeContext& ctx, const GemmArgs& args) {
               static_cast<uint64_t>(args.K) * args.N,
           cfg.mul_fmt);
   }
-}
-
-/// Dispatches one pre-quantized-operand GEMM on the context's backend;
-/// `fresh_quant_values` is how many operand words this call quantized anew
-/// (the cached plane was not).
-void dispatch_bits(const ComputeContext& ctx, const MacConfig& cfg,
-                   const GemmBitsArgs& args, uint64_t fresh_quant_values) {
-  const double t0 = ctx.telemetry ? now_s() : 0.0;
-  ctx.backend->gemm_bits(cfg, args);
-  if (ctx.telemetry) {
-    ctx.telemetry->record_gemm(ctx.backend->name(), args.M, args.N, args.K,
-                               now_s() - t0);
-    ctx.telemetry->record_quantize(fresh_quant_values, cfg.mul_fmt);
-  }
-}
-
-/// Dense decode of a quantized operand plane back to floats — the fallback
-/// feeding backends without native gemm_bits (see gemm_dequantize for the
-/// lossless-round-trip argument).
-std::vector<float> decode_plane(const FpFormat& fmt, int rows, int cols,
-                                const uint32_t* bits) {
-  std::vector<float> out(static_cast<size_t>(rows) * cols);
-  gemm_dequantize(fmt, rows, cols, bits, cols, out.data());
-  return out;
 }
 
 /// dst[c * rows + r] = src[r * cols + c]: materializes the transpose of a
@@ -106,61 +81,6 @@ void matmul(const ComputeContext& ctx, int M, int N, int K, const float* A,
   args.seed = ctx.seed;
   args.threads = ctx.threads;
   dispatch(ctx, args);
-}
-
-void matmul_qa(const ComputeContext& ctx, int M, int N, int K,
-               const uint32_t* Aq, const float* B, float* C, bool accumulate) {
-  assert(ctx.bit_accurate() && "quantized-operand matmul needs a MAC context");
-  const MacConfig cfg = ctx.mac_config().normalized();
-  if (!ctx.backend->supports_prequantized()) {
-    const std::vector<float> a = decode_plane(cfg.mul_fmt, M, K, Aq);
-    matmul(ctx, M, N, K, a.data(), B, C, accumulate);
-    return;
-  }
-  std::vector<uint32_t> qb(static_cast<size_t>(K) * N);
-  gemm_quantize(cfg.mul_fmt, K, N, B, N, qb.data(), ctx.threads);
-  GemmBitsArgs args;
-  args.M = M;
-  args.N = N;
-  args.K = K;
-  args.Aq = Aq;
-  args.lda = K;
-  args.Bq = qb.data();
-  args.ldb = N;
-  args.C = C;
-  args.ldc = N;
-  args.accumulate = accumulate;
-  args.seed = ctx.seed;
-  args.threads = ctx.threads;
-  // Only B was freshly quantized; the cached A plane was not.
-  dispatch_bits(ctx, cfg, args, static_cast<uint64_t>(K) * N);
-}
-
-void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
-               const uint32_t* Bq, float* C, bool accumulate) {
-  assert(ctx.bit_accurate() && "quantized-operand matmul needs a MAC context");
-  const MacConfig cfg = ctx.mac_config().normalized();
-  if (!ctx.backend->supports_prequantized()) {
-    const std::vector<float> b = decode_plane(cfg.mul_fmt, K, N, Bq);
-    matmul(ctx, M, N, K, A, b.data(), C, accumulate);
-    return;
-  }
-  std::vector<uint32_t> qa(static_cast<size_t>(M) * K);
-  gemm_quantize(cfg.mul_fmt, M, K, A, K, qa.data(), ctx.threads);
-  GemmBitsArgs args;
-  args.M = M;
-  args.N = N;
-  args.K = K;
-  args.Aq = qa.data();
-  args.lda = K;
-  args.Bq = Bq;
-  args.ldb = N;
-  args.C = C;
-  args.ldc = N;
-  args.accumulate = accumulate;
-  args.seed = ctx.seed;
-  args.threads = ctx.threads;
-  dispatch_bits(ctx, cfg, args, static_cast<uint64_t>(M) * K);
 }
 
 void matmul_nt(const ComputeContext& ctx, int M, int N, int K, const float* A,

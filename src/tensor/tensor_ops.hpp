@@ -17,7 +17,7 @@ namespace srmac {
 void matmul(const ComputeContext& ctx, int M, int N, int K, const float* A,
             const float* B, float* C, bool accumulate = false);
 
-/// C = A * B^T and C = A^T * B conveniences for the backward GEMMs.
+/// C = A * B^T and C = A^T * B: Linear's forward and the backward GEMMs.
 /// (Implemented by materializing the transpose; the MAC chain order over k
 /// matches the forward convention.)
 void matmul_nt(const ComputeContext& ctx, int M, int N, int K, const float* A,
@@ -25,18 +25,6 @@ void matmul_nt(const ComputeContext& ctx, int M, int N, int K, const float* A,
 void matmul_tn(const ComputeContext& ctx, int M, int N, int K,
                const float* A_t /*KxM*/, const float* B, float* C,
                bool accumulate = false);
-
-/// matmul with one operand already quantized to ctx.quant_fmt() bit
-/// patterns (row-major, MxK resp. KxN) — the layers' cached weight planes.
-/// Only valid on bit-accurate contexts. Backends without native
-/// pre-quantized support receive the plane decoded back to floats; their
-/// internal requantization is lossless on already-representable values, so
-/// results match the float path bit for bit.
-void matmul_qa(const ComputeContext& ctx, int M, int N, int K,
-               const uint32_t* Aq, const float* B, float* C,
-               bool accumulate = false);
-void matmul_qb(const ComputeContext& ctx, int M, int N, int K, const float* A,
-               const uint32_t* Bq, float* C, bool accumulate = false);
 
 /// Collects independent GEMMs and runs them as one batch — the engine's one
 /// batch scheduler. flush() hands the problems out one per pool thread,

@@ -35,7 +35,7 @@ void Adam::step(float loss_scale, bool skip) {
         update += opt_.lr * opt_.weight_decay * p.value[i];
       p.value[i] -= update;
     }
-    p.bump();  // invalidate cached quantized weight planes
+    p.bump();  // invalidate compiled weight planes
   }
 }
 

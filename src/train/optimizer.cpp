@@ -21,7 +21,7 @@ void SgdMomentum::step(float loss_scale, bool skip) {
       p->momentum[i] = momentum_ * p->momentum[i] + g;
       p->value[i] -= lr_ * p->momentum[i];
     }
-    p->bump();  // invalidate cached quantized weight planes
+    p->bump();  // invalidate compiled weight planes
   }
 }
 

@@ -122,10 +122,10 @@ TEST(ModelCompilerErrors, BadOptionsAreTyped) {
             CompileError::kBadConfig);
 }
 
-TEST(ModelCompilerErrors, BitAccurateBackendsWithoutPrequantizedPlanes) {
-  // reference and systolic quantize operands internally per call — the
-  // compiler cannot hand them a prepacked plane, so compilation refuses
-  // them up front rather than serving subtly different bits.
+TEST(ModelCompilerErrors, BitAccurateBackendsOffTheFusedKernel) {
+  // reference and systolic run their own gemm(), not the fused kernel the
+  // compiled program runs, so compilation refuses them up front rather
+  // than serving the fused kernel's bits under their names.
   auto model = ModelSpec::parse("mlp:16,2")->build();
   ModelCompiler::Options opts;
   opts.input_shape = {16};

@@ -1,11 +1,11 @@
 // The "sharded" backend (the fused engine under its registry name) and the
 // one batch scheduler, MatmulBatch, which runs a batch's problems one per
 // pool thread on every backend: bitwise parity with the "reference" golden
-// path for single GEMMs, prequantized operand planes, heterogeneous
-// batches, the layers' backward with and without a weight-gradient bucket,
-// and the cross-layer bucketing Sequential::backward performs; the batch
-// telemetry; and scheduling invariance at model level — SGD steps and
-// gradients are bitwise equal at every thread count, on every backend.
+// path for single GEMMs, heterogeneous batches, the layers' backward with
+// and without a weight-gradient bucket, and the cross-layer bucketing
+// Sequential::backward performs; the batch and layer telemetry; and
+// scheduling invariance at model level — SGD steps and gradients are
+// bitwise equal at every thread count, on every backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "engine/compute_context.hpp"
 #include "engine/registry.hpp"
-#include "mac/gemm.hpp"
 #include "nn/init.hpp"
 #include "nn/layers.hpp"
 #include "nn/model_zoo.hpp"
@@ -57,7 +56,7 @@ TEST(ShardedBackend, RegisteredAsTheFusedEngine) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->name(), "sharded");
   EXPECT_TRUE(b->bit_accurate());
-  EXPECT_TRUE(b->supports_prequantized());
+  EXPECT_TRUE(b->runs_fused_kernel());
 }
 
 TEST(ShardedBackend, SingleGemmMatchesReference) {
@@ -71,31 +70,6 @@ TEST(ShardedBackend, SingleGemmMatchesReference) {
   matmul(ComputeContext::with_backend("reference", policy, /*seed=*/5), M, N,
          K, A.data(), B.data(), c_ref.data());
   EXPECT_EQ(c_sharded, c_ref);
-}
-
-// Prequantized planes (the layers' cached weight planes) through
-// matmul_qa / matmul_qb: native gemm_bits on "sharded", the decode
-// fallback on "reference" — identical to the float dispatch either way.
-TEST(ShardedBackend, PrequantizedPlanesMatchFloatDispatch) {
-  const int M = 10, N = 15, K = 28;
-  const auto A = random_matrix(M, K, 61), B = random_matrix(K, N, 63);
-  const MacConfig cfg = paper_config().normalized();
-  std::vector<uint32_t> aq(static_cast<size_t>(M) * K);
-  std::vector<uint32_t> bq(static_cast<size_t>(K) * N);
-  gemm_quantize(cfg.mul_fmt, M, K, A.data(), K, aq.data());
-  gemm_quantize(cfg.mul_fmt, K, N, B.data(), N, bq.data());
-  for (const char* name : {"sharded", "reference"}) {
-    const ComputeContext ctx = ComputeContext::with_backend(
-        name, QuantPolicy::uniform(cfg), /*seed=*/31);
-    std::vector<float> c_float(static_cast<size_t>(M) * N, -1.0f);
-    std::vector<float> c_qa(c_float.size(), -2.0f);
-    std::vector<float> c_qb(c_float.size(), -3.0f);
-    matmul(ctx, M, N, K, A.data(), B.data(), c_float.data());
-    matmul_qa(ctx, M, N, K, aq.data(), B.data(), c_qa.data());
-    matmul_qb(ctx, M, N, K, A.data(), bq.data(), c_qb.data());
-    EXPECT_EQ(c_float, c_qa) << name;
-    EXPECT_EQ(c_float, c_qb) << name;
-  }
 }
 
 // A heterogeneous batch — different shapes, all three adder kinds,
@@ -256,6 +230,36 @@ TEST(MatmulBatch, TelemetryCountsBatches) {
   EXPECT_EQ(snap.bytes_quantized, 3ull * (6 * 12 + 12 * 8));
   ASSERT_EQ(snap.per_backend.count("sharded"), 1u);
   EXPECT_EQ(snap.per_backend.at("sharded").batches, 1u);
+}
+
+// A lone Conv2d's three GEMMs (forward, dW, dX) each quantize both operands
+// inside the timed dispatch, the weight operand included: bytes_quantized
+// reads sum(M*K + K*N) over them.
+TEST(LayerTelemetry, ConvCountsEveryOperandQuantized) {
+  Telemetry sink;
+  ComputeContext ctx = ComputeContext::with_backend(
+      "sharded", QuantPolicy::uniform(paper_config()), /*seed=*/3);
+  ctx.telemetry = &sink;
+  Conv2d conv(3, 4, 3);
+  he_init(conv, 5);
+  Tensor x({2, 3, 6, 6});
+  const auto xv = random_matrix(1, static_cast<int>(x.numel()), 41);
+  std::copy(xv.begin(), xv.end(), x.data());
+  const Tensor y = conv.forward(ctx, x, /*training=*/true);
+  conv.backward(ctx.backward(), y);
+
+  const uint64_t M = 4, K = 3 * 3 * 3, NL = 2 * 6 * 6;
+  const auto operands = [](uint64_t m, uint64_t n, uint64_t k) {
+    return m * k + k * n;
+  };
+  const TelemetrySnapshot snap = sink.snapshot();
+  EXPECT_EQ(snap.gemms, 3u);
+  EXPECT_EQ(snap.macs, 3 * M * NL * K);
+  const uint64_t fwd = operands(M, NL, K);  // out = W * cols
+  const uint64_t dw = operands(M, K, NL);   // dW = g * cols^T
+  const uint64_t dx = operands(K, NL, M);   // dX = W^T * g
+  // One byte per E5M2 value.
+  EXPECT_EQ(snap.bytes_quantized, fwd + dw + dx);
 }
 
 // ---- scheduling invariance at model level ----

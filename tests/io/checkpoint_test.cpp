@@ -88,7 +88,7 @@ TEST(CheckpointRoundTrip, LoadBumpsParamVersions) {
   deserialize_params(bytes, params);
   for (size_t i = 0; i < params.size(); ++i)
     EXPECT_GT(params[i]->version, versions[i])
-        << "weight caches keyed on Param::version would serve stale planes";
+        << "compiled planes keyed on Param::version would serve stale weights";
 }
 
 TEST(CheckpointRoundTrip, MetaProbeReadsHeaderOnly) {

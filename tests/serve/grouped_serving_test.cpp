@@ -187,8 +187,8 @@ TEST(GroupedServing, Fp32GroupedMatchesOffline) {
 }
 
 TEST(GroupedServing, ReferenceBackendServesPerSample) {
-  // The seed MacUnit golden path has no prequantized dispatch, so the
-  // compiler rejects it.
+  // The seed MacUnit golden path is not the fused kernel, so the compiler
+  // rejects it.
   check_fallback("reference", /*opaque=*/false);
 }
 
