@@ -1,10 +1,12 @@
 #include "compile/compiled_model.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "mac/mac_kernel.hpp"
 #include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
 
@@ -146,89 +148,119 @@ void CompiledModel::rebuild_plane(Op& op) {
 
 void CompiledModel::apply_epilogue(const Op& op, float* out,
                                    int64_t numel) const {
+  if (!op.affine) {
+    epilogue_span(op, 0, 0, out, static_cast<int>(numel));
+    return;
+  }
+  // Channel count from the fold itself: op.ch is the *input* channel count
+  // on conv ops, but the affine normalizes the output channels.
+  const int C = static_cast<int>(op.affine->mean.size());
+  for (int c = 0; c < C; ++c)
+    epilogue_span(op, c, 0, out + static_cast<size_t>(c) * op.N, op.N);
+}
+
+void CompiledModel::epilogue_span(const Op& op, int c, int col, float* x,
+                                  int n) const {
   if (op.affine) {
-    // BatchNorm2d::forward's inference expression, per channel row:
+    // BatchNorm2d::forward's inference expression:
     // out = gamma * ((x - (float)mean) * invstd) + beta.
     const Affine& af = *op.affine;
-    // Channel count from the fold itself: op.ch is the *input* channel
-    // count on conv ops, but the affine normalizes the output channels.
-    const int C = static_cast<int>(af.mean.size());
-    for (int c = 0; c < C; ++c) {
-      const float g = af.gamma->value[c], b = af.beta->value[c];
-      const float m = af.mean[c], inv = af.invstd[c];
-      float* row = out + static_cast<size_t>(c) * op.N;
-      for (int i = 0; i < op.N; ++i) {
-        const float xh = (row[i] - m) * inv;
-        row[i] = g * xh + b;
-      }
+    const float g = af.gamma->value[c], b = af.beta->value[c];
+    const float m = af.mean[c], inv = af.invstd[c];
+    for (int i = 0; i < n; ++i) {
+      const float xh = (x[i] - m) * inv;
+      x[i] = g * xh + b;
     }
   }
   if (op.bias) {
-    const float* b = op.bias->value.data();
-    for (int o = 0; o < op.N; ++o) out[o] += b[o];
+    const float* b = op.bias->value.data() + col;
+    for (int i = 0; i < n; ++i) x[i] += b[i];
   }
   if (op.relu) {
-    for (int64_t i = 0; i < numel; ++i)
-      if (!(out[i] > 0)) out[i] = 0.0f;
+    for (int i = 0; i < n; ++i)
+      if (!(x[i] > 0)) x[i] = 0.0f;
+  }
+}
+
+void CompiledModel::scatter_columns(const Op& op, int batch, int64_t j_lo,
+                                    int64_t j_hi) {
+  const int64_t L = op.N, wideN = batch * L;
+  const int64_t out_n = buf_numel_[static_cast<size_t>(op.dst)];
+  float* dst = buf(op.dst);
+  // Wide column s*L + t is sample s's column t.
+  for (int64_t j = j_lo; j < j_hi;) {
+    const int64_t s = j / L, t = j % L;
+    const int n = static_cast<int>(std::min(j_hi - j, L - t));
+    for (int c = 0; c < op.M; ++c) {
+      float* out = dst + s * out_n + c * L + t;
+      std::memcpy(out, gout_.get() + c * wideN + j,
+                  static_cast<size_t>(n) * sizeof(float));
+      epilogue_span(op, c, static_cast<int>(t), out, n);
+    }
+    j += n;
   }
 }
 
 void CompiledModel::exec_conv(const Op& op, int batch) {
-  const int64_t L = op.N;
+  const int L = op.N;
   const int64_t in_n = buf_numel_[static_cast<size_t>(op.src)];
-  const int64_t out_n = buf_numel_[static_cast<size_t>(op.dst)];
   const float* src = buf(op.src);
-  float* dst = buf(op.dst);
-  // Grouped same-shape execution: ONE wide kernel over the whole batch.
-  // The samples' im2col panels concatenate along the column axis (sample
-  // s in columns [s*L, (s+1)*L)); seed_col_period = L makes column s*L+t
-  // seed exactly as a standalone forward's column t, so the merged kernel
-  // returns every sample's standalone bits.
-  const int wideN = batch * static_cast<int>(L);
-  ThreadPool::global().parallel_for(
-      0, batch,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t s = lo; s < hi; ++s)
-          im2col(src + s * in_n, op.ch, op.H, op.W, op.kk, op.kk, op.stride,
-                 op.pad, cols_.get() + s * L,
-                 /*row_stride=*/static_cast<int64_t>(wideN));
-      },
-      threads_);
-  if (op.bits) {
-    // One quantize + one pack + one kernel for the whole batch
-    // (quantization is elementwise, so the wide panel's bits equal the
-    // per-sample panels' bits column for column).
-    gemm_quantize(op.cfg.mul_fmt, op.K, wideN, cols_.get(), wideN,
-                  qcols_.get(), threads_);
-    gemm_pack_b_into(op.cfg, op.K, wideN, qcols_.get(), wideN, &panel_,
-                     threads_);
-  }
-  const double t0 = telemetry_ ? now_s() : 0.0;
-  if (op.bits)
-    gemm_mac_bits_packed(op.cfg, op.M, wideN, op.K, op.aq.data(), op.K,
-                         panel_, gout_.get(), wideN, /*accumulate=*/false,
-                         op.seed, threads_, /*seed_row_period=*/0,
-                         /*seed_col_period=*/static_cast<int>(L));
-  else
+  // Grouped same-shape execution: ONE wide GEMM over the whole batch. The
+  // samples' im2col panels concatenate along the column axis (sample s in
+  // columns [s*L, (s+1)*L)); seed_col_period = L makes column s*L+t seed
+  // exactly as a standalone forward's column t, so the merged GEMM returns
+  // every sample's standalone bits. The compiler checked that batch * L
+  // fits an int.
+  const int wideN = batch * L;
+  if (!op.bits) {
+    ThreadPool::global().parallel_for(
+        0, batch,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t s = lo; s < hi; ++s)
+            im2col(src + s * in_n, op.ch, op.H, op.W, op.kk, op.kk, op.stride,
+                   op.pad, cols_.get() + s * L,
+                   /*row_stride=*/static_cast<int64_t>(wideN));
+        },
+        threads_);
+    const double t0 = telemetry_ ? now_s() : 0.0;
     gemm_ref(op.M, wideN, op.K, op.w->value.data(), op.K, cols_.get(), wideN,
              gout_.get(), wideN, /*accumulate=*/false, threads_);
-  if (telemetry_) kernel_s_ += now_s() - t0;
+    if (telemetry_) kernel_s_ += now_s() - t0;
+    ThreadPool::global().parallel_for(
+        0, batch,
+        [&](int64_t lo, int64_t hi) {
+          scatter_columns(op, batch, lo * L, hi * L);
+        },
+        threads_);
+  } else {
+    // One pass: quantize the input planes once (quantization is
+    // elementwise, so these are the codes of every im2col entry; padding
+    // packs as the +0 code, which is what im2col's 0.0f quantizes to), then
+    // one parallel_for in which each task packs its own column groups
+    // straight from the codes, runs every output channel's chains over
+    // them, and scatters and finishes those columns.
+    const double t0 = telemetry_ ? now_s() : 0.0;
+    gemm_quantize(op.cfg.mul_fmt, batch, static_cast<int>(in_n), src,
+                  static_cast<int>(in_n), qact_.get(), threads_);
+    const FusedMacKernel kernel(op.cfg);
+    const int G = kernel.group_width();
+    const ConvPanelShape panel{batch,  op.ch,  op.H,  op.W, op.kk,
+                               op.stride, op.pad, op.oh, op.ow};
+    ThreadPool::global().parallel_for(
+        0, (wideN + G - 1) / G,
+        [&](int64_t lo, int64_t hi) {
+          gemm_pack_conv_groups(panel, G, qact_.get(), lo, hi, bt_.get());
+          gemm_chain_groups(kernel, 0, op.M, lo, hi, wideN, op.K,
+                            op.aq.data(), op.K, bt_.get(), gout_.get(), wideN,
+                            /*accumulate=*/false, op.seed,
+                            /*seed_row_period=*/0, /*seed_col_period=*/L);
+          scatter_columns(op, batch, lo * G,
+                          std::min<int64_t>(hi * G, wideN));
+        },
+        gemm_mac_threads(op.M, wideN, op.K, threads_));
+    if (telemetry_) kernel_s_ += now_s() - t0;
+  }
   if (telemetry_ && batch > 1) telemetry_->record_grouped_gemm(batch);
-  // Scatter wide (c, s*L + t) -> sample s's (c, t) slice, then the
-  // per-sample epilogue pass.
-  ThreadPool::global().parallel_for(
-      0, batch,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t s = lo; s < hi; ++s) {
-          float* out = dst + s * out_n;
-          for (int c = 0; c < op.M; ++c)
-            std::memcpy(out + static_cast<size_t>(c) * L,
-                        gout_.get() + (static_cast<size_t>(c) * batch + s) * L,
-                        static_cast<size_t>(L) * sizeof(float));
-          apply_epilogue(op, out, out_n);
-        }
-      },
-      threads_);
 }
 
 void CompiledModel::exec_linear(const Op& op, int batch) {

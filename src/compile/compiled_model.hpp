@@ -22,9 +22,13 @@ namespace srmac {
 ///  - every weight plane is quantized into the scenario's multiplier format
 ///    once at compile time (and the Linear W^T planes are packed into the
 ///    fused kernel's panel layout once), instead of per micro-batch;
-///  - every activation, im2col, and quantized-operand buffer is preplanned
-///    for the compiled (input shape, max batch), so a steady-state forward
-///    allocates nothing except the output tensors handed to clients;
+///  - every activation and scratch buffer is preplanned for the compiled
+///    (input shape, max batch), so a steady-state forward allocates nothing
+///    except the output tensors handed to clients;
+///  - a bit-accurate conv quantizes its input activations once and packs
+///    the kernel's operand panel straight from those codes, with no float
+///    im2col panel in between, and runs the whole op (pack, chains,
+///    scatter, epilogue) as one pass over the thread pool;
 ///  - BatchNorm inference affines are folded into the producing GEMM's
 ///    tail, and bias/ReLU/residual-join elementwise work is fused into the
 ///    same single output pass — no intermediate tensors between layers.
@@ -55,7 +59,11 @@ namespace srmac {
 ///
 /// Threading: forward_batch/refresh must be called from one thread at a
 /// time (the serving executor's existing single-executor invariant); the
-/// heavy loops inside parallelize over the process-wide thread pool.
+/// heavy loops inside parallelize over the process-wide thread pool. A
+/// bit-accurate conv op is one parallel_for: each task owns a contiguous
+/// range of the wide panel's column groups and packs, chains, scatters and
+/// finishes those columns alone, so the split follows the thread count
+/// and the bits do not.
 class CompiledModel {
  public:
   /// Compile-time lowering statistics (also recorded into the engine's
@@ -95,7 +103,10 @@ class CompiledModel {
   CompiledModel() = default;
 
   enum class OpKind {
-    kConvGemm,        ///< im2col + quantize + pack + fused GEMM + epilogue
+    kConvGemm,        ///< bits: quantize the input planes, then one pass
+                      ///< of pack + fused chains + scatter + epilogue per
+                      ///< column-group range; fp32: im2col + gemm_ref +
+                      ///< scatter + epilogue
     kLinearGemm,      ///< quantize activations + fused GEMM against the
                       ///< pre-packed W^T plane + epilogue
     kMaxPool,         ///< MaxPool2d's exact window max
@@ -149,7 +160,7 @@ class CompiledModel {
     Param* bias = nullptr;  ///< kLinearGemm: read live (never stale)
     bool relu = false;
 
-    uint64_t act_bytes = 0;  ///< per sample: activation bytes quantized
+    uint64_t act_bytes = 0;  ///< per sample: input bytes quantized
   };
 
   /// One top-level child of the model: its ops end at op_end (they start
@@ -172,7 +183,14 @@ class CompiledModel {
   void exec_gap(const Op& op, int batch);
   void exec_eltwise(const Op& op, int batch);
   void exec_join(const Op& op, int batch);
+  /// Copies wide columns [j_lo, j_hi) of a conv's GEMM output (gout_, one
+  /// row of batch * L columns per output channel) into the per-sample
+  /// outputs and applies the epilogue to them.
+  void scatter_columns(const Op& op, int batch, int64_t j_lo, int64_t j_hi);
   void apply_epilogue(const Op& op, float* out, int64_t numel) const;
+  /// The epilogue on n consecutive outputs of channel row `c`, the first at
+  /// column `col` of that row: affine, then bias, then ReLU, per element.
+  void epilogue_span(const Op& op, int c, int col, float* x, int n) const;
 
   Telemetry* telemetry_ = nullptr;
   int threads_ = 0;
@@ -191,14 +209,16 @@ class CompiledModel {
   // Shared per-request scratch, sized at compile for the largest op: every
   // GEMM op runs the whole micro-batch as one wide kernel (grouped
   // same-shape execution, docs/SERVING.md).
-  std::unique_ptr<float[]> cols_;      ///< wide im2col panel, cap*max(K*L)
-  std::unique_ptr<uint32_t[]> qcols_;  ///< quantized wide panel, cap*max(K*L)
-  std::unique_ptr<uint32_t[]> qact_;   ///< quantized Linear rows, cap*max(K)
-  PackedBPanels panel_;                ///< conv B pack target, the wide panel
-  std::unique_ptr<float[]> gout_;      ///< wide conv GEMM out, cap*max(M*L)
+  std::unique_ptr<uint32_t[]> qact_;  ///< bits ops' quantized inputs:
+                                      ///< cap * max(C*H*W or Linear K)
+  std::unique_ptr<uint32_t[]> bt_;    ///< bits convs' wide packed panel,
+                                      ///< each pass task fills its groups
+  std::unique_ptr<float[]> cols_;     ///< fp32 convs' wide im2col panel,
+                                      ///< cap*max(K*L); null without one
+  std::unique_ptr<float[]> gout_;     ///< wide conv GEMM out, cap*max(M*L)
 
   Stats stats_;
-  double kernel_s_ = 0;  ///< GEMM kernel seconds of the running call
+  double kernel_s_ = 0;  ///< GEMM seconds of the running call
 };
 
 }  // namespace srmac

@@ -1,6 +1,7 @@
 #include "compile/model_compiler.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -45,11 +46,10 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
 
     std::vector<int> shape;  ///< current per-sample shape (no batch dim)
     int cur = 0;             ///< buffer holding the current activation
-    int64_t max_conv_kl = 0;  ///< largest conv K*L (im2col scratch)
-    int64_t max_conv_nk = 0;  ///< largest conv quantized panel (N*K words)
-    size_t max_wide_panel = 0;  ///< largest packed wide conv panel
+    int64_t max_fp32_kl = 0;  ///< largest fp32 conv K*L (im2col scratch)
+    size_t max_wide_panel = 0;  ///< largest packed wide bits conv panel
     int64_t max_conv_ml = 0;  ///< largest conv M*L (wide output)
-    int64_t max_lin_k = 0;    ///< largest Linear K (activation quantize)
+    int64_t max_bits_in = 0;  ///< largest bits GEMM input (C*H*W or K)
 
     static int64_t numel_of(const std::vector<int>& s) {
       int64_t n = 1;
@@ -110,6 +110,14 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       const int H = shape[1], W = shape[2], k = conv.kernel();
       const int oh = out_dim("Conv2d", H, k, conv.stride(), conv.padding());
       const int ow = out_dim("Conv2d", W, k, conv.stride(), conv.padding());
+      // The wave's wide GEMM runs max_batch * L columns, an int.
+      if (static_cast<int64_t>(m.capacity_) * oh * ow > INT_MAX)
+        throw CompileException(
+            CompileError::kBadConfig,
+            "max_batch " + std::to_string(m.capacity_) + " is too large: a " +
+                std::to_string(oh) + "x" + std::to_string(ow) +
+                " conv output would run more than " +
+                std::to_string(INT_MAX) + " GEMM columns per wave");
       CompiledModel::Op op;
       op.kind = CompiledModel::OpKind::kConvGemm;
       op.src = cur;
@@ -126,19 +134,22 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       op.ow = ow;
       op.bits = bits;
       op.w = &conv.weight();
-      const int64_t kl = static_cast<int64_t>(op.K) * op.N;
-      max_conv_kl = std::max(max_conv_kl, kl);
       max_conv_ml = std::max(max_conv_ml,
                              static_cast<int64_t>(op.M) * op.N);
       if (bits) {
         op.cfg = cc.mac_config().normalized();
         op.seed = cc.seed;
-        max_conv_nk = std::max(max_conv_nk, kl);
-        // Packed panels pad N to the kernel's group width.
+        // The pass quantizes the input planes and packs the wide panel,
+        // whose columns pad to the kernel's group width.
+        max_bits_in = std::max(max_bits_in, numel());
         max_wide_panel = std::max(
             max_wide_panel,
             gemm_packed_b_words(op.cfg, op.K, m.capacity_ * op.N));
-        op.act_bytes = static_cast<uint64_t>(kl) * fmt_bytes(op.cfg.mul_fmt);
+        op.act_bytes =
+            static_cast<uint64_t>(numel()) * fmt_bytes(op.cfg.mul_fmt);
+      } else {
+        max_fp32_kl =
+            std::max(max_fp32_kl, static_cast<int64_t>(op.K) * op.N);
       }
       if (bn) {
         fold_affine(op, *bn, op.M);
@@ -174,7 +185,7 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       if (bits) {
         op.cfg = cc.mac_config().normalized();
         op.seed = cc.seed;
-        max_lin_k = std::max<int64_t>(max_lin_k, op.K);
+        max_bits_in = std::max<int64_t>(max_bits_in, op.K);
         op.act_bytes = static_cast<uint64_t>(op.K) * fmt_bytes(op.cfg.mul_fmt);
       }
       if (relu) {
@@ -403,15 +414,14 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
   for (const int64_t numel : m.buf_numel_)
     m.buffers_.push_back(std::make_unique_for_overwrite<float[]>(
         cap * static_cast<size_t>(numel)));
-  m.cols_ = std::make_unique_for_overwrite<float[]>(
-      cap * static_cast<size_t>(lo.max_conv_kl));
-  m.qcols_ = std::make_unique_for_overwrite<uint32_t[]>(
-      cap * static_cast<size_t>(lo.max_conv_nk));
   m.qact_ = std::make_unique_for_overwrite<uint32_t[]>(
-      cap * static_cast<size_t>(lo.max_lin_k));
+      cap * static_cast<size_t>(lo.max_bits_in));
+  m.bt_ = std::make_unique_for_overwrite<uint32_t[]>(lo.max_wide_panel);
+  if (lo.max_fp32_kl)
+    m.cols_ = std::make_unique_for_overwrite<float[]>(
+        cap * static_cast<size_t>(lo.max_fp32_kl));
   m.gout_ = std::make_unique_for_overwrite<float[]>(
       cap * static_cast<size_t>(lo.max_conv_ml));
-  m.panel_.bt.reserve(lo.max_wide_panel);
 
   if (base.telemetry)
     base.telemetry->record_compile(m.stats_.planes_packed, m.stats_.folds,

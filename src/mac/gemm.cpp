@@ -77,10 +77,10 @@ static_assert(kNc % FusedMacKernel::kMaxGroupWidth == 0 &&
 /// elements to outweigh the pool's dispatch.
 constexpr int64_t kQuantGrain = 16384;
 
-/// MAC steps per gemm_mac_bits_packed thread. One thread runs the fused
-/// chain at about two nanoseconds a step and a pool dispatch costs ten to
-/// twenty microseconds, so a problem needs several thousand steps per
-/// thread before a second thread pays for itself. Smaller problems (a
+/// MAC steps per fused-GEMM thread (gemm_mac_threads). One thread runs the
+/// fused chain at about two nanoseconds a step and a pool dispatch costs
+/// ten to twenty microseconds, so a problem needs several thousand steps
+/// per thread before a second thread pays for itself. Smaller problems (a
 /// serving wave through a small Linear layer) run inline on the caller and
 /// wait on no worker.
 constexpr int64_t kMacGrain = 8192;
@@ -192,50 +192,129 @@ PackedBPanels gemm_pack_b(const MacConfig& cfg, int K, int N,
   return out;
 }
 
+void gemm_pack_conv_groups(const ConvPanelShape& p, int G,
+                           const uint32_t* codes, int64_t group_lo,
+                           int64_t group_hi, uint32_t* bt) {
+  const int K = p.K(), L = p.L();
+  const int64_t N = p.N(), plane = static_cast<int64_t>(p.H) * p.W;
+  const int64_t sample = p.C * plane;
+  // A run is the lanes of one group that share an output row: lanes
+  // [lane, lane + n) read input row y*stride - pad + ki of one sample, at
+  // columns x0*stride - pad + kj onwards. A group holds at most G runs.
+  struct Run {
+    int lane, n;
+    int64_t base;  ///< the run's sample, channel 0
+    int iy, ix;    ///< input row and column of lane `lane` at ki = kj = 0
+  };
+  Run runs[FusedMacKernel::kMaxGroupWidth];
+  for (int64_t g = group_lo; g < group_hi; ++g) {
+    const int64_t j0 = g * G;
+    const int w = static_cast<int>(std::min<int64_t>(G, N - j0));
+    int nruns = 0;
+    int64_t s = j0 / L;
+    const int t = static_cast<int>(j0 % L);
+    int y = t / p.ow, x = t % p.ow;
+    for (int l = 0; l < w;) {
+      const int n = std::min(p.ow - x, w - l);
+      runs[nruns++] = {l, n, s * sample, y * p.stride - p.pad,
+                       x * p.stride - p.pad};
+      l += n;
+      x = 0;
+      if (++y == p.oh) {
+        y = 0;
+        ++s;
+      }
+    }
+    uint32_t* dst = bt + static_cast<size_t>(g) * G * K;
+    for (int c = 0; c < p.C; ++c)
+      for (int ki = 0; ki < p.k; ++ki)
+        for (int kj = 0; kj < p.k; ++kj, dst += G) {
+          for (int r = 0; r < nruns; ++r) {
+            const Run& run = runs[r];
+            uint32_t* out = dst + run.lane;
+            const int iy = run.iy + ki, ix = run.ix + kj;
+            if (iy < 0 || iy >= p.H) {
+              std::fill(out, out + run.n, 0u);
+              continue;
+            }
+            const uint32_t* line = codes + run.base + c * plane +
+                                   static_cast<int64_t>(iy) * p.W;
+            if (p.stride == 1) {
+              // Lanes [lo, hi) read columns ix + lo .. ix + hi - 1, which
+              // are in bounds; the rest read padding.
+              const int lo = std::clamp(-ix, 0, run.n);
+              const int hi = std::clamp(p.W - ix, lo, run.n);
+              for (int m = 0; m < lo; ++m) out[m] = 0;
+              for (int m = lo; m < hi; ++m) out[m] = line[ix + m];
+              for (int m = hi; m < run.n; ++m) out[m] = 0;
+            } else {
+              for (int m = 0, col = ix; m < run.n; ++m, col += p.stride)
+                out[m] = col >= 0 && col < p.W ? line[col] : 0u;
+            }
+          }
+          std::fill(dst + w, dst + G, 0u);
+        }
+  }
+}
+
+int gemm_mac_threads(int64_t M, int64_t N, int64_t K, int threads) {
+  const int cap = static_cast<int>(std::clamp<int64_t>(
+      M * N * K / kMacGrain, 1, ThreadPool::global().parallelism()));
+  return threads > 0 ? std::min(threads, cap) : cap;
+}
+
+void gemm_chain_groups(const FusedMacKernel& kernel, int64_t row_lo,
+                       int64_t row_hi, int64_t group_lo, int64_t group_hi,
+                       int N, int K, const uint32_t* Aq, int lda,
+                       const uint32_t* bt, float* C, int ldc,
+                       bool accumulate, uint64_t seed, int seed_row_period,
+                       int seed_col_period) {
+  const int G = kernel.group_width();
+  const int width = kernel.lfsr_width();
+  const int64_t jend = std::min<int64_t>(N, group_hi * G);
+  uint64_t lfsr[FusedMacKernel::kMaxGroupWidth];
+  // MC x NC blocking: the rows sweep one NC-wide block of packed B at a
+  // time; within the block, G = group_width() output elements run in
+  // lockstep (independent chains hide the per-add latency), each walking
+  // all of K in one kernel call that reads and writes its outputs and steps
+  // its lane's LFSR register in place. The last group of a row is partial
+  // when G does not divide N: the kernel reads and stores only its `valid`
+  // lanes.
+  for (int64_t jc = group_lo * G; jc < jend; jc += kNc) {
+    const int64_t jhi = std::min<int64_t>(jend, jc + kNc);
+    for (int64_t i = row_lo; i < row_hi; ++i) {
+      const uint32_t* arow = Aq + static_cast<size_t>(i) * lda;
+      float* crow = C + static_cast<size_t>(i) * ldc;
+      for (int64_t j = jc; j < jhi; j += G) {
+        const int valid = static_cast<int>(std::min<int64_t>(G, N - j));
+        seed_group(lfsr, G, valid, width, seed, i, static_cast<int>(j),
+                   seed_row_period, seed_col_period);
+        kernel.chain_group(arow, bt + static_cast<size_t>(j) * K, K, lfsr,
+                           crow + j, valid, accumulate);
+      }
+    }
+  }
+}
+
 void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,
                           const uint32_t* Aq, int lda, const PackedBPanels& B,
                           float* C, int ldc, bool accumulate, uint64_t seed,
                           int threads, int seed_row_period,
                           int seed_col_period) {
-  const MacConfig c = cfg.normalized();
-  const FusedMacKernel kernel(c);
+  const FusedMacKernel kernel(cfg);
   const int G = kernel.group_width();
-  const int width = kernel.lfsr_width();
   assert(B.K == K && B.N == N && B.group == G &&
          B.bt.size() == panel_words(K, N, G) &&
          "PackedBPanels must be packed for this problem and config");
-  const uint32_t* bt = B.bt.data();
-  const int cap = static_cast<int>(
-      std::clamp<int64_t>(static_cast<int64_t>(M) * N * K / kMacGrain, 1,
-                          ThreadPool::global().parallelism()));
-  threads = threads > 0 ? std::min(threads, cap) : cap;
+  const int64_t groups = (static_cast<int64_t>(N) + G - 1) / G;
   ThreadPool::global().parallel_for(
       0, M,
       [&](int64_t row_lo, int64_t row_hi) {
-        uint64_t lfsr[FusedMacKernel::kMaxGroupWidth];
-        // MC x NC blocking: this task's rows sweep one NC-wide panel of
-        // packed B at a time; within the panel, G = group_width() output
-        // elements run in lockstep (independent chains hide the per-add
-        // latency), each walking all of K in one kernel call that reads and
-        // writes its outputs and steps its lane's LFSR register in place.
-        // The last group of a row is partial when G does not divide N: the
-        // kernel reads and stores only its `valid` lanes.
-        for (int jc = 0; jc < N; jc += kNc) {
-          const int jhi = std::min(N, jc + kNc);
-          for (int64_t i = row_lo; i < row_hi; ++i) {
-            const uint32_t* arow = Aq + static_cast<size_t>(i) * lda;
-            float* crow = C + static_cast<size_t>(i) * ldc;
-            for (int j = jc; j < jhi; j += G) {
-              const int valid = std::min(G, N - j);
-              seed_group(lfsr, G, valid, width, seed, i, j, seed_row_period,
-                         seed_col_period);
-              kernel.chain_group(arow, bt + static_cast<size_t>(j) * K, K,
-                                 lfsr, crow + j, valid, accumulate);
-            }
-          }
-        }
+        gemm_chain_groups(kernel, row_lo, row_hi, 0, groups, N, K, Aq, lda,
+                          B.bt.data(), C, ldc, accumulate, seed,
+                          seed_row_period, seed_col_period);
       },
-      threads, /*grain=*/1);
+      gemm_mac_threads(M, N, K, threads), /*grain=*/1);
 }
 
 void gemm_mac(const MacConfig& cfg, int M, int N, int K, const float* A,

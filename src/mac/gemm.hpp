@@ -8,6 +8,8 @@
 
 namespace srmac {
 
+class FusedMacKernel;
+
 /// One B operand packed into the group-interleaved panel layout the fused
 /// kernel consumes: column j is lane j % group of group j / group, stored as
 /// `bt[(j / group) * group * K + k * group + j % group]`. Every column sits
@@ -36,12 +38,58 @@ PackedBPanels gemm_pack_b(const MacConfig& cfg, int K, int N,
 
 /// gemm_pack_b into caller-owned storage: `out->bt` is resized in place, so
 /// a panel buffer reserved once (gemm_packed_b_words of the largest
-/// operand) can absorb every repack without allocating —
-/// the steady-state path of the compiled serve executor, which packs each
-/// micro-batch's wide im2col panel into the same reused panel
-/// (docs/COMPILER.md).
+/// operand) can absorb every repack without allocating. The compiled
+/// model packs its Linear W^T planes through it; its conv ops pack their
+/// wide panels group by group with gemm_pack_conv_groups instead.
 void gemm_pack_b_into(const MacConfig& cfg, int K, int N, const uint32_t* Bq,
                       int ldb, PackedBPanels* out, int threads = 0);
+
+/// The im2col panel of one conv over a batch: `batch` samples of C x H x W
+/// activations under a k x k window at `stride` and `pad`, with oh x ow
+/// outputs per sample. Row (c*k + ki)*k + kj, column s*L + y*ow + x
+/// (L = oh*ow) holds sample s's activation (c, y*stride - pad + ki,
+/// x*stride - pad + kj), or 0 where that lies in the padding: the K x N
+/// matrix im2col writes for each sample side by side.
+struct ConvPanelShape {
+  int batch = 1, C = 0, H = 0, W = 0, k = 1, stride = 1, pad = 0;
+  int oh = 0, ow = 0;
+  int K() const { return C * k * k; }
+  int L() const { return oh * ow; }
+  int64_t N() const { return static_cast<int64_t>(batch) * L(); }
+};
+
+/// Packs column groups [group_lo, group_hi) of panel `p`, G lanes a group,
+/// straight from `codes` (the batch's activations quantized to the
+/// multiplier format, C*H*W words per sample, samples contiguous) into
+/// `bt`: group g's K*G words land at bt + g*G*K in PackedBPanels::bt's
+/// layout. The words equal what im2col, gemm_quantize and
+/// gemm_pack_b_into write for the same groups: padding and lanes past N
+/// hold the +0 code, which is what im2col's 0.0f quantizes to. At stride 1
+/// the lanes of one output row are a bounds-clipped copy of consecutive
+/// codes. Serial: the caller splits the groups across threads.
+void gemm_pack_conv_groups(const ConvPanelShape& p, int G,
+                           const uint32_t* codes, int64_t group_lo,
+                           int64_t group_hi, uint32_t* bt);
+
+/// Threads a fused GEMM of M x N x K MAC steps runs on: one per 8192
+/// steps, at most the pool's parallelism, and at most `threads` when it is
+/// positive. Below the grain the GEMM runs inline on the caller.
+int gemm_mac_threads(int64_t M, int64_t N, int64_t K, int threads);
+
+/// The fused kernel's chain loop over output rows [row_lo, row_hi) and
+/// column groups [group_lo, group_hi) of C = A * B: `bt` is B's panel in
+/// PackedBPanels::bt's layout at kernel.group_width() lanes a group, N is
+/// B's column count (the last group may be partial), and the per-element
+/// seeds follow gemm_mac_bits_packed's contract. Serial:
+/// gemm_mac_bits_packed splits rows across the pool, the compiled conv pass
+/// splits groups. Every output element depends only on its own chain, so
+/// any split gives the same bits.
+void gemm_chain_groups(const FusedMacKernel& kernel, int64_t row_lo,
+                       int64_t row_hi, int64_t group_lo, int64_t group_hi,
+                       int N, int K, const uint32_t* Aq, int lda,
+                       const uint32_t* bt, float* C, int ldc,
+                       bool accumulate, uint64_t seed, int seed_row_period,
+                       int seed_col_period);
 
 /// The fused kernel on operands already quantized to cfg.mul_fmt bit
 /// patterns, with B packed by gemm_pack_b under the same (normalized) cfg.

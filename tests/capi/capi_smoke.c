@@ -3,6 +3,7 @@
  * contracts (capacity protocol, thread-local errors, bitwise checkpoint
  * round trip through srmac_session_open). */
 
+#include <limits.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -98,6 +99,17 @@ int main(void) {
   CHECK(srmac_session_is_compiled(s) == 0);
   CHECK(srmac_session_compile(NULL, 1) == -1);
   CHECK(srmac_session_compile(s, 0) == -1);
+  {
+    /* A capacity whose wide conv GEMM would run past INT_MAX columns is a
+     * typed failure, not an int overflow. */
+    srmac_session* conv = srmac_session_create(kScenario, "resnet20:8");
+    CHECK(conv != NULL);
+    CHECK(srmac_session_compile(conv, INT_MAX) == -1);
+    CHECK(strlen(srmac_last_error()) > 0);
+    CHECK(strstr(srmac_last_error(), "max_batch") != NULL);
+    CHECK(srmac_session_is_compiled(conv) == 0);
+    srmac_session_destroy(conv);
+  }
   CHECK(srmac_session_compile(s, 1) == 0);
   CHECK(srmac_session_is_compiled(s) == 1);
   CHECK(srmac_session_forward(s, input, (size_t)in_numel, out_b, 32) ==

@@ -6,6 +6,7 @@
 // through the graph, and configs that cannot plan buffers.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -120,6 +121,39 @@ TEST(ModelCompilerErrors, BadOptionsAreTyped) {
   EXPECT_EQ(expect_compile_error([&] { mc.compile(*model, bad_batch); },
                                  "max_batch=0"),
             CompileError::kBadConfig);
+}
+
+TEST(ModelCompilerErrors, CapacityPastTheKernelColumnRangeIsTyped) {
+  // A wave's conv GEMM runs max_batch * L columns, an int: resnet20's 16x16
+  // stem has L = 256, so 2^23 samples would run 2^31 columns. The compiler
+  // rejects such a capacity before it forms the product or plans a buffer.
+  const ModelSpec spec = ModelSpec::parse_or_die("resnet20");
+  auto model = spec.build();
+  const EmuEngine engine = bits_engine();
+  for (const int max_batch : {8388608, INT_MAX}) {
+    ModelCompiler::Options opts;
+    opts.input_shape = spec.input_shape();
+    opts.max_batch = max_batch;
+    try {
+      ModelCompiler(engine).compile(*model, opts);
+      ADD_FAILURE() << "max_batch " << max_batch << " compiled";
+    } catch (const CompileException& e) {
+      EXPECT_EQ(e.code(), CompileError::kBadConfig);
+      EXPECT_NE(std::string(e.what()).find("max_batch"), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "max_batch " << max_batch
+                    << ": wrong exception type: " << e.what();
+    }
+  }
+  // A small capacity still compiles and runs.
+  ModelCompiler::Options opts;
+  opts.input_shape = spec.input_shape();
+  opts.max_batch = 2;
+  auto cm = ModelCompiler(engine).compile(*model, opts);
+  std::vector<Tensor> xs = {spec.sample(0)};
+  cm->forward_batch(xs, 0, cm->stages());
+  EXPECT_EQ(xs[0].numel(), 10);
 }
 
 TEST(ModelCompilerErrors, BitAccurateBackendsOffTheFusedKernel) {

@@ -214,6 +214,16 @@ TEST(CompiledVsEager, Resnet20AcrossAdderKinds) {
   check_case(c, "rn:e4m3/e6m5:subOFF", "sharded");
 }
 
+TEST(CompiledVsEager, Resnet20OddSizeStraddlesGroups) {
+  // 11x11 inputs give L = 121, 36 and 9 output columns per sample: with
+  // 16-lane groups a group straddles output rows and samples at every
+  // stage, so the conv pass packs runs clipped at both edges.
+  const Case c = zoo_case("resnet20:11");
+  check_case(c, "eager_sr:e5m2/e6m5:r=9:subON", "sharded");
+  check_case(c, "lazy_sr:e5m2/e6m5:r=9:subON", "sharded");
+  check_case(c, "rn:e5m2/e6m5:subOFF", "sharded");
+}
+
 TEST(CompiledVsEager, VggMiniAcrossFormats) {
   // Conv+BN+ReLU chains with MaxPool between them, plus a wider format and
   // r sweep; also the fp32 lowering of the same conv graph.
@@ -231,6 +241,36 @@ TEST(CompiledVsEager, BottleneckAcrossAdderKinds) {
   check_case(c, "eager_sr:e5m2/e6m5:r=9:subON", "sharded");
   check_case(c, "lazy_sr:e5m2/e6m5:r=9:subON", "sharded");
   check_case(c, "rn:e5m2/e6m5:subON", "sharded");
+}
+
+TEST(CompiledVsEager, BitsIgnoreTheEngineThreadCount) {
+  // A conv pass splits its column groups by the thread count, so the same
+  // program compiled at engine threads 1, 2 and 0 (the whole pool) must
+  // give the same bits at every wave size.
+  for (const Case& c : {zoo_case("resnet20:11"), bottleneck_case()}) {
+    SCOPED_TRACE(c.name);
+    for (int batch : {1, 4, 16}) {
+      std::vector<std::vector<Tensor>> outs;
+      for (int threads : {1, 2, 0}) {
+        auto model = c.build();
+        const EmuEngine engine = EmuEngine::Builder()
+                                     .scenario("eager_sr:e5m2/e6m5:r=9:subON")
+                                     .threads(threads)
+                                     .build();
+        auto cm = compile_for(*model, engine, c, batch);
+        std::vector<Tensor> xs;
+        for (int i = 0; i < batch; ++i) xs.push_back(c.sample(i));
+        cm->forward_batch(xs, 0, cm->stages());
+        outs.push_back(std::move(xs));
+      }
+      for (size_t t = 1; t < outs.size(); ++t)
+        for (int i = 0; i < batch; ++i)
+          expect_bitwise_equal(outs[t][i], outs[0][i],
+                               c.name + " batch=" + std::to_string(batch) +
+                                   " thread setting " + std::to_string(t) +
+                                   ", sample " + std::to_string(i));
+    }
+  }
 }
 
 // ---- the stage split continuous batching advances by ----
@@ -278,8 +318,14 @@ TEST(CompiledVsEager, StagesComposeToTheWholeProgram) {
 TEST(CompiledVsEager, WaveBooksKernelCallsAndMacs) {
   // One compiled wave of n samples records one GEMM per GEMM op (the op's
   // one wide kernel call), n times the per-sample MACs of the offline
-  // forward, and kernel seconds no larger than the wave's wall time.
-  for (const Case& c : all_cases()) {
+  // forward, and GEMM seconds no larger than the wave's wall time. A
+  // bit-accurate op books the inputs it quantizes: a conv its input planes,
+  // a Linear its input row. On the serving shape (resnet20 at 16x16, E5M2:
+  // one byte a value) that is 13,840 bytes a sample: 13,824 over the 21
+  // convs' input planes plus the Linear's 16 features.
+  std::vector<Case> cases = all_cases();
+  cases.push_back(zoo_case("resnet20"));
+  for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     auto model = c.build();
     EmuEngine engine = EmuEngine::Builder()
@@ -301,6 +347,9 @@ TEST(CompiledVsEager, WaveBooksKernelCallsAndMacs) {
     const TelemetrySnapshot snap = engine.telemetry().snapshot();
     EXPECT_EQ(snap.gemms, cm->stats().gemm_ops);
     EXPECT_EQ(snap.macs, n * macs_per_sample);
+    if (c.name == "resnet20") {
+      EXPECT_EQ(snap.compile_activation_bytes, n * 13840u);
+    }
     EXPECT_GT(snap.seconds, 0.0);
     EXPECT_LE(snap.seconds, wall);
     ASSERT_TRUE(snap.per_backend.count("compiled"));

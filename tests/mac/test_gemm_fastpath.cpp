@@ -22,6 +22,7 @@
 #include "mac/multiplier.hpp"
 #include "rng/lfsr.hpp"
 #include "rng/xoshiro.hpp"
+#include "tensor/im2col.hpp"
 
 namespace srmac {
 namespace {
@@ -508,6 +509,221 @@ TEST(GemmFastpath, NormalizedConfigClampsRandomBits) {
   gemm_mac_reference(wide, M, N, K, A.data(), K, B.data(), N, Cr.data(), N,
                      false, 3, 1);
   expect_bitwise_equal(Cf, Cr, "r=40 clamp");
+}
+
+// ---- the compiled conv pass: operands packed straight from activations ----
+
+/// A conv input geometry: C x H x W activations under a k x k window.
+struct ConvCase {
+  int C, H, W, k, stride, pad;
+};
+
+/// Every conv of the quarter-width ResNet-20 on S x S inputs: the stem,
+/// the stride-1 3x3s of each stage, and each downsampling block's strided
+/// 3x3 and 1x1 projection.
+std::vector<ConvCase> resnet20_convs(int S) {
+  const int S2 = conv_out_dim(S, 3, 2, 1), S3 = conv_out_dim(S2, 3, 2, 1);
+  return {{3, S, S, 3, 1, 1},    {4, S, S, 3, 1, 1},    {4, S, S, 3, 2, 1},
+          {4, S, S, 1, 2, 0},    {8, S2, S2, 3, 1, 1},  {8, S2, S2, 3, 2, 1},
+          {8, S2, S2, 1, 2, 0},  {16, S3, S3, 3, 1, 1}};
+}
+
+std::vector<ConvCase> packer_cases() {
+  std::vector<ConvCase> cases;
+  for (int S : {16, 32, 11}) {
+    const auto r = resnet20_convs(S);
+    cases.insert(cases.end(), r.begin(), r.end());
+  }
+  // vgg_mini:4,6,8's three conv+BN+ReLU stages.
+  cases.insert(cases.end(),
+               {{3, 8, 8, 3, 1, 1}, {6, 4, 4, 3, 1, 1}, {12, 2, 2, 3, 1, 1}});
+  // The bottleneck model's 1x1s, its strided 3x3 and its projection.
+  cases.insert(cases.end(), {{8, 8, 8, 1, 1, 0},
+                             {4, 8, 8, 3, 2, 1},
+                             {4, 4, 4, 1, 1, 0},
+                             {8, 8, 8, 1, 2, 0},
+                             {16, 4, 4, 1, 1, 0}});
+  // k in {1, 3, 5}, stride 1 and 2, pad 0 and 1, H != W.
+  for (int k : {1, 3, 5})
+    for (int stride : {1, 2})
+      for (int pad : {0, 1}) cases.push_back({2, 7, 9, k, stride, pad});
+  cases.push_back({3, 9, 5, 3, 2, 1});
+  cases.push_back({1, 6, 13, 5, 1, 1});
+  return cases;
+}
+
+/// Activations with every special the quantizer sees: normals,
+/// subnormal-range values, +0 and -0, +-Inf, NaN and overflow candidates.
+std::vector<float> conv_activations(Xoshiro256& rng, size_t n) {
+  std::vector<float> x(n);
+  fill_inputs(rng, x, /*specials=*/true);
+  for (auto& v : x)
+    if (rng.below(20) == 0) v = -0.0f;
+  return x;
+}
+
+TEST(GemmFastpath, ConvGroupPackerMatchesIm2colQuantizePack) {
+  // The packer over any group range writes the words of im2col, then
+  // gemm_quantize, then gemm_pack_b_into for those groups: -0 stays -0,
+  // padding and lanes past N are +0. The r = 31 scenario runs 4-lane groups
+  // on every host; the r = 9 one runs 16-lane groups on AVX-512 hosts.
+  Xoshiro256 rng(0xC0DE);
+  int straddle_row = 0, straddle_sample = 0, padded_last = 0;
+  for (const char* spec : {"eager_sr:e5m2/e6m5:r=9", "eager_sr:e5m2/e6m5:r=31"}) {
+    const MacConfig cfg = *MacConfig::parse(spec);
+    const int G = FusedMacKernel(cfg).group_width();
+    for (const ConvCase& cc : packer_cases()) {
+      for (int batch : {1, 4, 16}) {
+        const ConvPanelShape p{batch,
+                               cc.C,
+                               cc.H,
+                               cc.W,
+                               cc.k,
+                               cc.stride,
+                               cc.pad,
+                               conv_out_dim(cc.H, cc.k, cc.stride, cc.pad),
+                               conv_out_dim(cc.W, cc.k, cc.stride, cc.pad)};
+        const int K = p.K(), L = p.L(), N = static_cast<int>(p.N());
+        const int64_t in_n = static_cast<int64_t>(cc.C) * cc.H * cc.W;
+        const std::vector<float> x =
+            conv_activations(rng, static_cast<size_t>(batch * in_n));
+        const std::string what = std::string(spec) + " C=" +
+                                 std::to_string(cc.C) + " " +
+                                 std::to_string(cc.H) + "x" +
+                                 std::to_string(cc.W) + " k=" +
+                                 std::to_string(cc.k) + " s=" +
+                                 std::to_string(cc.stride) + " p=" +
+                                 std::to_string(cc.pad) + " batch=" +
+                                 std::to_string(batch);
+
+        // The three-pass reference.
+        std::vector<float> cols(static_cast<size_t>(K) * N);
+        for (int s = 0; s < batch; ++s)
+          im2col(x.data() + s * in_n, cc.C, cc.H, cc.W, cc.k, cc.k,
+                 cc.stride, cc.pad, cols.data() + static_cast<size_t>(s) * L,
+                 N);
+        std::vector<uint32_t> qcols(cols.size());
+        gemm_quantize(cfg.mul_fmt, K, N, cols.data(), N, qcols.data());
+        const PackedBPanels want = gemm_pack_b(cfg, K, N, qcols.data(), N);
+
+        std::vector<uint32_t> codes(x.size());
+        gemm_quantize(cfg.mul_fmt, batch, static_cast<int>(in_n), x.data(),
+                      static_cast<int>(in_n), codes.data());
+        const int64_t groups = (N + G - 1) / G;
+        ASSERT_EQ(want.bt.size(), static_cast<size_t>(groups) * G * K);
+        for (int64_t g = 0; g < groups; ++g) {
+          straddle_row += (g * G) % p.ow != 0;
+          straddle_sample += (g * G) / L != std::min<int64_t>(g * G + G, N - 1) / L;
+        }
+        padded_last += N % G != 0;
+
+        // The whole panel in one call; the panel cut into pieces at random
+        // group boundaries, each piece packed by its own call; and a few
+        // single ranges into an otherwise untouched buffer.
+        constexpr uint32_t kUntouched = 0xDEADBEEFu;
+        const auto check = [&](const std::vector<uint32_t>& got, int64_t lo,
+                               int64_t hi, const std::string& how) {
+          for (size_t i = 0; i < got.size(); ++i) {
+            const int64_t g = static_cast<int64_t>(i) / (G * K);
+            const uint32_t expect =
+                g >= lo && g < hi ? want.bt[i] : kUntouched;
+            ASSERT_EQ(got[i], expect)
+                << what << " " << how << " word " << i << " (group " << g
+                << ", k " << (i % (G * K)) / G << ", lane " << i % G << ")";
+          }
+        };
+        std::vector<uint32_t> got(want.bt.size(), kUntouched);
+        gemm_pack_conv_groups(p, G, codes.data(), 0, groups, got.data());
+        check(got, 0, groups, "whole panel");
+        std::fill(got.begin(), got.end(), kUntouched);
+        for (int64_t lo = 0; lo < groups;) {
+          const int64_t hi = std::min<int64_t>(
+              groups, lo + 1 + static_cast<int64_t>(rng.below(5)));
+          gemm_pack_conv_groups(p, G, codes.data(), lo, hi, got.data());
+          lo = hi;
+        }
+        check(got, 0, groups, "random pieces");
+        for (int trial = 0; trial < 3; ++trial) {
+          const int64_t lo = static_cast<int64_t>(rng.below(groups));
+          const int64_t hi =
+              lo + 1 + static_cast<int64_t>(rng.below(groups - lo));
+          std::fill(got.begin(), got.end(), kUntouched);
+          gemm_pack_conv_groups(p, G, codes.data(), lo, hi, got.data());
+          check(got, lo, hi,
+                "groups [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                    ")");
+        }
+      }
+    }
+  }
+  EXPECT_GT(straddle_row, 0);
+  EXPECT_GT(straddle_sample, 0);
+  EXPECT_GT(padded_last, 0);
+}
+
+TEST(GemmFastpath, ChainGroupsOverSubRangesMatchTheWholeGemm) {
+  // The chain loop both the wide GEMM entry and the compiled conv pass run:
+  // any (row range, group range) block writes exactly those outputs, with
+  // the whole gemm_mac_bits_packed call's bits, under both seed periods and
+  // the accumulate entry.
+  const struct {
+    int m, n, k, row_period, col_period;
+  } shapes[] = {{4, 37, 36, 0, 0},  {5, 121 * 3, 27, 0, 121},
+                {3, 50, 9, 1, 0},   {16, 36 * 4, 72, 0, 36},
+                {2, 9 * 16, 144, 0, 9}};
+  Xoshiro256 rng(0xB10C);
+  for (const char* spec :
+       {"eager_sr:e5m2/e6m5:r=9", "lazy_sr:e5m2/e6m5:r=9", "rn:e5m2/e6m5",
+        "eager_sr:e5m2/e6m5:r=31"}) {
+    const MacConfig cfg = *MacConfig::parse(spec);
+    const FusedMacKernel kernel(cfg);
+    const int G = kernel.group_width();
+    for (const auto& sh : shapes) {
+      for (bool accumulate : {false, true}) {
+        std::vector<float> A(static_cast<size_t>(sh.m) * sh.k);
+        std::vector<float> B(static_cast<size_t>(sh.k) * sh.n);
+        std::vector<float> C0(static_cast<size_t>(sh.m) * sh.n);
+        fill_inputs(rng, A, !accumulate);
+        fill_inputs(rng, B, !accumulate);
+        fill_inputs(rng, C0, false);
+        std::vector<uint32_t> qa(A.size()), qb(B.size());
+        gemm_quantize(cfg.mul_fmt, sh.m, sh.k, A.data(), sh.k, qa.data());
+        gemm_quantize(cfg.mul_fmt, sh.k, sh.n, B.data(), sh.n, qb.data());
+        const PackedBPanels packed =
+            gemm_pack_b(cfg, sh.k, sh.n, qb.data(), sh.n);
+        std::vector<float> whole = C0;
+        gemm_mac_bits_packed(cfg, sh.m, sh.n, sh.k, qa.data(), sh.k, packed,
+                             whole.data(), sh.n, accumulate, 77, 0,
+                             sh.row_period, sh.col_period);
+        const int64_t groups = (sh.n + G - 1) / G;
+        for (int trial = 0; trial < 8; ++trial) {
+          const int64_t g_lo = static_cast<int64_t>(rng.below(groups));
+          const int64_t g_hi =
+              g_lo + 1 + static_cast<int64_t>(rng.below(groups - g_lo));
+          const int64_t r_lo = static_cast<int64_t>(rng.below(sh.m));
+          const int64_t r_hi =
+              r_lo + 1 + static_cast<int64_t>(rng.below(sh.m - r_lo));
+          std::vector<float> got = C0;
+          gemm_chain_groups(kernel, r_lo, r_hi, g_lo, g_hi, sh.n, sh.k,
+                            qa.data(), sh.k, packed.bt.data(), got.data(),
+                            sh.n, accumulate, 77, sh.row_period,
+                            sh.col_period);
+          for (int i = 0; i < sh.m; ++i)
+            for (int j = 0; j < sh.n; ++j) {
+              const size_t at = static_cast<size_t>(i) * sh.n + j;
+              const bool inside = i >= r_lo && i < r_hi && j / G >= g_lo &&
+                                  j / G < g_hi;
+              ASSERT_EQ(std::bit_cast<uint32_t>(got[at]),
+                        std::bit_cast<uint32_t>(inside ? whole[at] : C0[at]))
+                  << spec << " " << sh.m << "x" << sh.n << "x" << sh.k
+                  << (accumulate ? " acc" : "") << " rows [" << r_lo << ", "
+                  << r_hi << ") groups [" << g_lo << ", " << g_hi
+                  << ") at (" << i << ", " << j << ")";
+            }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

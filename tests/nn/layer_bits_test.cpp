@@ -11,26 +11,38 @@
 // The fp32 backend stays out: its float order is up to the compiler. Every
 // digested value is a GEMM output, an exact reorder of one, or a float add
 // in a fixed order, so every CI leg reads the same digests.
+//
+// The second table pins the compiled forward the same way: one digest of
+// every output of a CompiledModel::forward_batch wave on the sharded
+// backend, per (model, batch) subject and scenario. Those rows were recorded
+// from the tree whose compiled convs still built a float im2col panel and
+// quantized and packed it in separate passes, so they pin that operands
+// packed straight from the activations keep every bit, on every ISA's group
+// width.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "compile/model_compiler.hpp"
 #include "engine/compute_context.hpp"
+#include "nn/init.hpp"
 #include "nn/layers.hpp"
+#include "nn/model_zoo.hpp"
+#include "nn/resnet.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace srmac {
 namespace {
 
-/// FNV-1a over the float bit patterns.
-uint64_t digest(const Tensor& t) {
-  uint64_t h = 0xCBF29CE484222325ull;
+/// FNV-1a over the float bit patterns, continuing from `h`.
+uint64_t digest(const Tensor& t, uint64_t h = 0xCBF29CE484222325ull) {
   for (int64_t i = 0; i < t.numel(); ++i) {
     uint32_t w;
     std::memcpy(&w, t.data() + i, sizeof(w));
@@ -362,6 +374,131 @@ TEST(LayerBits, Conv1x1) {
 TEST(LayerBits, Linear) {
   check({"linear", []() -> Layer* { return new Linear(10, 7); }, {5, 10}});
 }
+
+// ---- the compiled forward ----
+
+/// One recorded compiled row: the digest of every output of one wave, the
+/// samples in order.
+struct CompiledRow {
+  const char* subject;
+  const char* scenario;
+  uint64_t digest;
+};
+
+// clang-format off
+const std::vector<CompiledRow> kCompiledRecorded = {
+    {"resnet20 b1", "eager", 0x9BE86378A4CA3235ull},
+    {"resnet20 b1", "lazy", 0x47765C57FF58FD7Dull},
+    {"resnet20 b1", "rn", 0xCE41CA3676C82249ull},
+    {"resnet20 b1", "eager_subOFF", 0x9BE86378A4CA3235ull},
+    {"resnet20 b16", "eager", 0xE33C7A7227280626ull},
+    {"resnet20 b16", "lazy", 0x42CE8E8BCA28CE4Full},
+    {"resnet20 b16", "rn", 0x5B49944E180ED72Dull},
+    {"resnet20 b16", "eager_subOFF", 0xE33C7A7227280626ull},
+    {"resnet20:11 b4", "eager", 0xE86E03F5E6A3BB25ull},
+    {"resnet20:11 b4", "lazy", 0x02B7C0F538799251ull},
+    {"resnet20:11 b4", "rn", 0x43E4338A7582772Cull},
+    {"resnet20:11 b4", "eager_subOFF", 0x1872CA6DC6BF5465ull},
+    {"vgg_mini:4,6,8 b4", "eager", 0xB4180B23C8F1F54Dull},
+    {"vgg_mini:4,6,8 b4", "lazy", 0x1E8B0B9727F304BDull},
+    {"vgg_mini:4,6,8 b4", "rn", 0xF43F93592F4E0B0Full},
+    {"vgg_mini:4,6,8 b4", "eager_subOFF", 0xB4180B23C8F1F54Dull},
+    {"bottleneck b4", "eager", 0xFAA6C4BB7C0EC7BAull},
+    {"bottleneck b4", "lazy", 0xE6FA50A4F1AA6123ull},
+    {"bottleneck b4", "rn", 0x51CDC9B9E8DDBCD3ull},
+    {"bottleneck b4", "eager_subOFF", 0xFAA6C4BB7C0EC7BAull},
+};
+// clang-format on
+
+/// A compiled model under test: how to build it, its per-sample input
+/// shape and sample stream, and the wave size it is compiled and run at.
+struct CompiledSubject {
+  const char* name;
+  std::function<std::unique_ptr<Sequential>()> build;
+  std::vector<int> input;
+  std::function<Tensor(int)> sample;
+  int batch;
+};
+
+CompiledSubject zoo_subject(const char* name, const char* spec_str,
+                            int batch) {
+  const ModelSpec spec = ModelSpec::parse_or_die(spec_str);
+  return {name, [spec] { return spec.build(); }, spec.input_shape(),
+          [spec](int i) { return spec.sample(i); }, batch};
+}
+
+/// Stem conv + two BottleneckBlocks (projection and identity shortcuts):
+/// the 1x1 convs the zoo grammar does not name.
+CompiledSubject bottleneck_subject() {
+  auto build = [] {
+    auto net = std::make_unique<Sequential>();
+    net->add(std::make_unique<Conv2d>(3, 8, 3));
+    net->add(std::make_unique<BatchNorm2d>(8));
+    net->add(std::make_unique<ReLU>());
+    net->add(std::make_unique<BottleneckBlock>(8, 4, 16, 2));
+    net->add(std::make_unique<BottleneckBlock>(16, 4, 16, 1));
+    net->add(std::make_unique<GlobalAvgPool>());
+    net->add(std::make_unique<Linear>(16, 5));
+    he_init(*net, 0xB077);
+    return net;
+  };
+  auto sample = [](int i) {
+    Xoshiro256 rng(900 + static_cast<uint64_t>(i));
+    return filled({1, 3, 8, 8}, rng);
+  };
+  return {"bottleneck b4", build, {3, 8, 8}, sample, 4};
+}
+
+void check_compiled(const CompiledSubject& s) {
+  for (const Scenario& sc : scenarios()) {
+    if (std::string(sc.name) == "hfp8") continue;
+    auto model = s.build();
+    const EmuEngine engine =
+        EmuEngine::Builder().backend("sharded").policy(sc.policy).build();
+    ModelCompiler::Options opts;
+    opts.input_shape = s.input;
+    opts.max_batch = s.batch;
+    auto cm = ModelCompiler(engine).compile(*model, opts);
+    std::vector<Tensor> xs;
+    for (int i = 0; i < s.batch; ++i) xs.push_back(s.sample(i));
+    cm->forward_batch(xs, 0, cm->stages());
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (const Tensor& y : xs) h = digest(y, h);
+
+    const CompiledRow* rec = nullptr;
+    for (const CompiledRow& r : kCompiledRecorded)
+      if (std::string(r.subject) == s.name &&
+          std::string(r.scenario) == sc.name)
+        rec = &r;
+    if (!rec || rec->digest != h) {
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llXull",
+                    static_cast<unsigned long long>(h));
+      ADD_FAILURE() << (rec ? "row moved" : "row missing") << ": " << s.name
+                    << " / " << sc.name << "; it now reads\n    {\""
+                    << s.name << "\", \"" << sc.name << "\", " << hex
+                    << "},";
+    }
+  }
+}
+
+TEST(CompiledBits, Resnet20ServeShapeBatch1) {
+  check_compiled(zoo_subject("resnet20 b1", "resnet20", 1));
+}
+
+TEST(CompiledBits, Resnet20ServeShapeBatch16) {
+  check_compiled(zoo_subject("resnet20 b16", "resnet20", 16));
+}
+
+TEST(CompiledBits, Resnet20OddSizeBatch4) {
+  check_compiled(zoo_subject("resnet20:11 b4", "resnet20:11", 4));
+}
+
+TEST(CompiledBits, VggMini) {
+  check_compiled(zoo_subject("vgg_mini:4,6,8 b4", "vgg_mini:4,6,8", 4));
+}
+
+TEST(CompiledBits, Bottleneck) { check_compiled(bottleneck_subject()); }
 
 }  // namespace
 }  // namespace srmac
