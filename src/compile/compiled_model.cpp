@@ -244,7 +244,7 @@ void CompiledModel::exec_conv(const Op& op, int batch) {
                   static_cast<int>(in_n), qact_.get(), threads_);
     const FusedMacKernel kernel(op.cfg);
     const int G = kernel.group_width();
-    const ConvPanelShape panel{batch,  op.ch,  op.H,  op.W, op.kk,
+    const ConvPanelShape panel{batch,     op.ch,  op.H,  op.W, op.kk,
                                op.stride, op.pad, op.oh, op.ow};
     ThreadPool::global().parallel_for(
         0, (wideN + G - 1) / G,

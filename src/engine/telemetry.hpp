@@ -231,10 +231,13 @@ class Telemetry {
 
   /// Records one compiled forward call that made `gemms` GEMM kernel calls
   /// (one per GEMM op: the op runs the whole batch as one wide kernel)
-  /// totalling `macs` MAC steps in `seconds` of kernel time (im2col,
-  /// quantize, pack and epilogues excluded), with `activation_bytes` bytes
-  /// of activation operands freshly quantized for those kernels
-  /// (byte-rounded per value at the per-op format). Lands in the
+  /// totalling `macs` MAC steps in `seconds` of GEMM time: a bit-accurate
+  /// conv op's whole pass (input quantize, pack, chains, scatter and
+  /// epilogue, as the eager gemm() seconds include quantize and pack), the
+  /// kernel call alone for Linear and fp32 conv ops. `activation_bytes`
+  /// counts the activation values freshly quantized for those GEMMs: each
+  /// bit-accurate op's input (a conv's input planes, a Linear's row),
+  /// byte-rounded per value at the per-op format. Lands in the
   /// gemms/macs/seconds totals under the "compiled" per-backend row and in
   /// compile_activation_bytes — never in bytes_quantized, which stays the
   /// dispatch layer's counter (and zero in compiled steady state).

@@ -92,9 +92,10 @@ void gemm_chain_groups(const FusedMacKernel& kernel, int64_t row_lo,
                        int seed_col_period);
 
 /// The fused kernel on operands already quantized to cfg.mul_fmt bit
-/// patterns, with B packed by gemm_pack_b under the same (normalized) cfg.
-/// This is the inner entry point of both gemm_mac and the compiled model's
-/// GEMM ops.
+/// patterns, with B packed by gemm_pack_b under the same (normalized) cfg:
+/// gemm_chain_groups over every column group, rows split across the pool.
+/// This is the inner entry point of gemm_mac and of the compiled model's
+/// Linear ops; its compiled conv ops run gemm_chain_groups themselves.
 ///
 /// `seed_row_period` / `seed_col_period`: when non-zero, the per-element
 /// LFSR seed derives from (i % row_period, j % col_period) instead of
