@@ -1,12 +1,12 @@
 // Extension bench (the paper's future work, Sec. V): the eager SR design
 // inside a systolic-array accelerator. Projects array-level area, clock,
 // peak throughput and energy for RN / lazy / eager PEs, with and without
-// row-shared LFSRs, and runs a functional bit-accurate GEMM on the array
-// model to confirm utilization and numerics.
+// row-shared LFSRs, and runs a bit-accurate GEMM on the cycle-accurate
+// array to confirm utilization and numerics.
 #include <cstdio>
 
+#include "accel/systolic_sim.hpp"
 #include "hwcost/systolic_cost.hpp"
-#include "mac/systolic.hpp"
 #include "rng/xoshiro.hpp"
 
 using namespace srmac;
@@ -51,12 +51,12 @@ int main() {
 
   std::printf("\nFunctional check, K=%d accumulation on the array:\n", K);
   for (AdderKind k : {AdderKind::kRoundNearest, AdderKind::kEagerSR}) {
-    SystolicArray arr(cfg(k), 16, 16);
-    const uint64_t cycles = arr.gemm(M, N, K, A.data(), B.data(), C.data());
+    accel::CycleAccurateArray arr(cfg(k), 16, 16);
+    const accel::SimStats st =
+        arr.gemm(M, N, K, A.data(), K, B.data(), N, C.data(), N);
     std::printf("  %-12s C[0][0]=%9.2f (exact %9.2f)  cycles=%llu  util=%.2f\n",
                 to_string(k).c_str(), C[0], exact,
-                static_cast<unsigned long long>(cycles),
-                arr.last_utilization());
+                static_cast<unsigned long long>(st.cycles), st.utilization());
   }
   std::printf("\nExpected shape: eager PEs give the highest GMAC/s and lowest"
               "\nnJ/kMAC; shared LFSRs amortize the SR overhead further; RN"

@@ -40,8 +40,9 @@ int main() {
     for (const Dataflow df :
          {Dataflow::kOutputStationary, Dataflow::kWeightStationary}) {
       CycleAccurateArray array(cfg, n, n, df);
-      const SimStats st =
-          array.gemm(layer.M, layer.N, layer.K, A.data(), B.data(), C.data());
+      const SimStats st = array.gemm(layer.M, layer.N, layer.K, A.data(),
+                                     layer.K, B.data(), layer.N, C.data(),
+                                     layer.N);
       std::printf("%2dx%-2d %-14s %10llu %7.1f%% %10llu %10llu %10llu\n", n,
                   n,
                   df == Dataflow::kOutputStationary ? "out-stationary"
@@ -54,8 +55,8 @@ int main() {
     }
   }
 
-  // Project the whole network with the analytic mapping (same formulas the
-  // simulator was validated against).
+  // Project the whole network with the analytic mapping (the array's own
+  // closed form, tested equal to the simulation).
   hw::SystolicCostOptions opt;
   opt.rows = opt.cols = 16;
   const auto reports = map_network(resnet20_layer_shapes(32), cfg, opt);

@@ -1,7 +1,5 @@
 #include "accel/mapping.hpp"
 
-#include <cassert>
-
 namespace srmac::accel {
 
 std::vector<LayerShape> resnet20_layer_shapes(int image_hw) {
@@ -28,33 +26,14 @@ MappingReport map_layer(const LayerShape& shape, const MacConfig& cfg,
                         Dataflow dataflow, const BufferEnergyModel& be) {
   MappingReport rep;
   rep.shape = shape;
-  const int R = opt.rows, C = opt.cols;
-  const int M = shape.M, N = shape.N, K = shape.K;
-  rep.macs = static_cast<uint64_t>(M) * N * K;
-
-  if (dataflow == Dataflow::kOutputStationary) {
-    const uint64_t tiles_m = (M + R - 1) / R;
-    const uint64_t tiles_n = (N + C - 1) / C;
-    rep.cycles = tiles_m * tiles_n *
-                     (static_cast<uint64_t>(K) + R + C - 2) +
-                 R + C;
-    // Each tile streams its A rows and B columns once.
-    rep.a_words = tiles_n * static_cast<uint64_t>(M) * K;
-    rep.b_words = tiles_m * static_cast<uint64_t>(N) * K;
-    rep.c_words = static_cast<uint64_t>(M) * N;
-  } else {
-    const uint64_t tiles_k = (K + R - 1) / R;
-    const uint64_t tiles_n = (N + C - 1) / C;
-    rep.cycles = tiles_k * tiles_n *
-                 (static_cast<uint64_t>(R) + M + R + C - 2);
-    rep.a_words = tiles_n * static_cast<uint64_t>(M) * K;
-    rep.b_words = static_cast<uint64_t>(N) * K;
-    // Partials written per (k, n) tile and re-read on the next k tile.
-    rep.c_words = tiles_k * static_cast<uint64_t>(M) * N +
-                  (tiles_k - 1) * static_cast<uint64_t>(M) * N;
-  }
-  rep.utilization = static_cast<double>(rep.macs) /
-                    (static_cast<double>(rep.cycles) * R * C);
+  const SimStats st = CycleAccurateArray(cfg, opt.rows, opt.cols, dataflow)
+                          .expected_stats(shape.M, shape.N, shape.K);
+  rep.cycles = st.cycles;
+  rep.macs = st.macs;
+  rep.utilization = st.utilization();
+  rep.a_words = st.a_reads;
+  rep.b_words = st.b_reads;
+  rep.c_words = st.c_writes + st.c_reads;
 
   const hw::SystolicReport cost = hw::systolic_cost(cfg, opt);
   rep.time_us = static_cast<double>(rep.cycles) * cost.clock_ns * 1e-3;

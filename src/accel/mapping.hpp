@@ -22,8 +22,9 @@ struct LayerShape {
 std::vector<LayerShape> resnet20_layer_shapes(int image_hw = 32);
 
 /// Analytic mapping of one layer onto a rows x cols array (no simulation):
-/// cycles from the dataflow formula, operand/result traffic in words, and
-/// energy from the per-PE cost model at the modelled clock.
+/// cycles and operand/result traffic in words from
+/// CycleAccurateArray::expected_stats, and energy from the per-PE cost
+/// model at the modelled clock.
 struct MappingReport {
   LayerShape shape;
   uint64_t cycles = 0;

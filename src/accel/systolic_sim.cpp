@@ -1,5 +1,6 @@
 #include "accel/systolic_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <mutex>
 
@@ -9,10 +10,6 @@
 
 namespace srmac::accel {
 
-namespace {
-
-/// Per-PE LFSR seed; deliberately the same mixing as mac::SystolicArray so
-/// the two models are bit-identical under output-stationary dataflow.
 uint64_t pe_seed(uint64_t base, int tile_i, int tile_j, int pi, int pj) {
   uint64_t z = base + 0x9E3779B97F4A7C15ull *
                           (static_cast<uint64_t>(tile_i) << 32 |
@@ -22,6 +19,8 @@ uint64_t pe_seed(uint64_t base, int tile_i, int tile_j, int pi, int pj) {
   z = (z ^ (z >> 30)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
+
+namespace {
 
 /// One pipeline register carrying an operand and its valid flag.
 struct Reg {
@@ -55,66 +54,101 @@ CycleAccurateArray::CycleAccurateArray(const MacConfig& cfg, int rows,
   assert(rows > 0 && cols > 0);
 }
 
-uint64_t CycleAccurateArray::expected_cycles(int M, int N, int K) const {
+SimStats CycleAccurateArray::expected_stats(int M, int N, int K,
+                                            bool accumulate) const {
+  SimStats st;
+  st.pe_count = rows_ * cols_;
+  const uint64_t m = static_cast<uint64_t>(M), n = static_cast<uint64_t>(N),
+                 k = static_cast<uint64_t>(K);
+  const uint64_t tiles_n = (n + cols_ - 1) / cols_;
+  st.macs = st.active_pe_cycles = m * n * k;
   if (dataflow_ == Dataflow::kOutputStationary) {
-    const uint64_t tiles_m = (M + rows_ - 1) / rows_;
-    const uint64_t tiles_n = (N + cols_ - 1) / cols_;
-    const uint64_t per_tile = static_cast<uint64_t>(K) + rows_ + cols_ - 2;
-    return tiles_m * tiles_n * per_tile + rows_ + cols_;
+    // Each (rows x cols) output tile streams its A rows and B columns once:
+    // K accumulations plus rows + cols - 2 cycles of skew, tiles back to
+    // back, then one drain epilogue.
+    const uint64_t tiles_m = (m + rows_ - 1) / rows_;
+    st.cycles = tiles_m * tiles_n * (k + rows_ + cols_ - 2) + rows_ + cols_;
+    st.a_reads = tiles_n * m * k;
+    st.b_reads = tiles_m * n * k;
+    st.c_writes = m * n;
+    st.c_reads = accumulate ? m * n : 0;
+    return st;
   }
   // Weight-stationary: per (k, n) tile, `rows` preload cycles plus the
-  // M-deep stream through rows+cols-2 stages of skew.
-  const uint64_t tiles_k = (K + rows_ - 1) / rows_;
-  const uint64_t tiles_n = (N + cols_ - 1) / cols_;
-  const uint64_t per_tile =
-      static_cast<uint64_t>(rows_) + static_cast<uint64_t>(M) + rows_ +
-      cols_ - 2;
-  return tiles_k * tiles_n * per_tile;
+  // M-deep stream through rows + cols - 2 stages of skew. Every k tile
+  // writes the partials back; every one but the first re-reads them, and
+  // the first reads C when accumulating.
+  const uint64_t tiles_k = (k + rows_ - 1) / rows_;
+  st.cycles = tiles_k * tiles_n * (2 * static_cast<uint64_t>(rows_) + m +
+                                   cols_ - 2);
+  st.a_reads = tiles_n * m * k;
+  st.b_reads = n * k;
+  st.c_writes = tiles_k * m * n;
+  const uint64_t c_fetches = tiles_k == 0 ? 0 : tiles_k - 1 + accumulate;
+  st.c_reads = c_fetches * m * n;
+  return st;
 }
 
-SimStats CycleAccurateArray::gemm(int M, int N, int K, const float* A,
-                                  const float* B, float* C, int threads) {
+SimStats CycleAccurateArray::gemm(int M, int N, int K, const float* A, int lda,
+                                  const float* B, int ldb, float* C, int ldc,
+                                  bool accumulate, int threads) {
   // Operand buffers hold mul_fmt words, exactly what the feeders read —
   // produced by the engine's shared operand-quantization pass.
   std::vector<uint32_t> qa(static_cast<size_t>(M) * K);
   std::vector<uint32_t> qb(static_cast<size_t>(K) * N);
-  gemm_quantize(cfg_.mul_fmt, M, K, A, K, qa.data(), threads);
-  gemm_quantize(cfg_.mul_fmt, K, N, B, N, qb.data(), threads);
+  gemm_quantize(cfg_.mul_fmt, M, K, A, lda, qa.data(), threads);
+  gemm_quantize(cfg_.mul_fmt, K, N, B, ldb, qb.data(), threads);
 
   return dataflow_ == Dataflow::kOutputStationary
-             ? gemm_output_stationary(M, N, K, qa, qb, C, threads)
-             : gemm_weight_stationary(M, N, K, qa, qb, C, threads);
+             ? gemm_output_stationary(M, N, K, qa, qb, C, ldc, accumulate,
+                                      threads)
+             : gemm_weight_stationary(M, N, K, qa, qb, C, ldc, accumulate,
+                                      threads);
 }
 
 void CycleAccurateArray::simulate_os_tile(int ti, int tj, int M, int N, int K,
                                           const std::vector<uint32_t>& qa,
                                           const std::vector<uint32_t>& qb,
-                                          float* C, SimStats* st) const {
-  const size_t npe = static_cast<size_t>(rows_) * cols_;
-  // Fresh PEs per output tile (accumulators at +0, tile-specific LFSR
-  // phase), as in the functional reference.
+                                          float* C, int ldc, bool accumulate,
+                                          SimStats* st) const {
+  // PEs past the last row or column of C never see a valid operand (their
+  // feeders stay idle and their neighbours only pass idle registers on),
+  // so only the live live_r x live_c corner is simulated, and only until
+  // its last operand pair has met. The tile still takes the full array's
+  // skew in cycles.
+  const int live_r = std::min(rows_, M - ti * rows_);
+  const int live_c = std::min(cols_, N - tj * cols_);
+  const size_t npe = static_cast<size_t>(live_r) * live_c;
+  // Fresh PEs per output tile (tile-specific LFSR phase), their
+  // accumulators at +0 or preloaded with C through the drain network.
   std::vector<MacUnit> pes;
   pes.reserve(npe);
-  for (int pi = 0; pi < rows_; ++pi)
-    for (int pj = 0; pj < cols_; ++pj)
+  for (int pi = 0; pi < live_r; ++pi)
+    for (int pj = 0; pj < live_c; ++pj) {
       pes.emplace_back(cfg_, pe_seed(seed_, ti, tj, pi, pj));
+      if (accumulate) {
+        pes.back().set_acc(SoftFloat::from_double(
+            cfg_.acc_fmt, C[static_cast<size_t>(ti * rows_ + pi) * ldc +
+                            tj * cols_ + pj]));
+        ++st->c_reads;
+      }
+    }
 
   std::vector<Reg> a_cur(npe), b_cur(npe), a_nxt(npe), b_nxt(npe);
-  const int tile_cycles = K + rows_ + cols_ - 2;
-  for (int t = 0; t < tile_cycles; ++t) {
-    ++st->cycles;
+  st->cycles += static_cast<uint64_t>(K) + rows_ + cols_ - 2;
+  const int busy_cycles = K + live_r + live_c - 2;
+  for (int t = 0; t < busy_cycles; ++t) {
     // Compute this cycle's operand at every PE: the left/top edges see
     // the skewed feeder streams, interior PEs see their neighbours'
     // registers from the previous edge.
-    for (int pi = 0; pi < rows_; ++pi) {
-      for (int pj = 0; pj < cols_; ++pj) {
-        const size_t at = static_cast<size_t>(pi) * cols_ + pj;
+    for (int pi = 0; pi < live_r; ++pi) {
+      for (int pj = 0; pj < live_c; ++pj) {
+        const size_t at = static_cast<size_t>(pi) * live_c + pj;
         Reg a_in, b_in;
         if (pj == 0) {
           const int k = t - pi;
-          const int i = ti * rows_ + pi;
-          if (k >= 0 && k < K && i < M) {
-            a_in = {qa[static_cast<size_t>(i) * K + k], true};
+          if (k >= 0 && k < K) {
+            a_in = {qa[static_cast<size_t>(ti * rows_ + pi) * K + k], true};
             ++st->a_reads;
           }
         } else {
@@ -122,13 +156,12 @@ void CycleAccurateArray::simulate_os_tile(int ti, int tj, int M, int N, int K,
         }
         if (pi == 0) {
           const int k = t - pj;
-          const int j = tj * cols_ + pj;
-          if (k >= 0 && k < K && j < N) {
-            b_in = {qb[static_cast<size_t>(k) * N + j], true};
+          if (k >= 0 && k < K) {
+            b_in = {qb[static_cast<size_t>(k) * N + tj * cols_ + pj], true};
             ++st->b_reads;
           }
         } else {
-          b_in = b_cur[at - static_cast<size_t>(cols_)];
+          b_in = b_cur[at - static_cast<size_t>(live_c)];
         }
         if (a_in.valid && b_in.valid) {
           pes[at].step(a_in.value, b_in.value);
@@ -144,18 +177,19 @@ void CycleAccurateArray::simulate_os_tile(int ti, int tj, int M, int N, int K,
   }
   // Drain overlaps the next tile's fill through a separate network;
   // only the traffic is charged here.
-  for (int pi = 0; pi < rows_ && ti * rows_ + pi < M; ++pi)
-    for (int pj = 0; pj < cols_ && tj * cols_ + pj < N; ++pj) {
-      const int i = ti * rows_ + pi, j = tj * cols_ + pj;
-      C[static_cast<size_t>(i) * N + j] = static_cast<float>(
-          pes[static_cast<size_t>(pi) * cols_ + pj].acc_value());
+  for (int pi = 0; pi < live_r; ++pi)
+    for (int pj = 0; pj < live_c; ++pj) {
+      C[static_cast<size_t>(ti * rows_ + pi) * ldc + tj * cols_ + pj] =
+          static_cast<float>(
+              pes[static_cast<size_t>(pi) * live_c + pj].acc_value());
       ++st->c_writes;
     }
 }
 
 SimStats CycleAccurateArray::gemm_output_stationary(
     int M, int N, int K, const std::vector<uint32_t>& qa,
-    const std::vector<uint32_t>& qb, float* C, int threads) {
+    const std::vector<uint32_t>& qb, float* C, int ldc, bool accumulate,
+    int threads) {
   SimStats st;
   st.pe_count = rows_ * cols_;
   const int tiles_m = (M + rows_ - 1) / rows_;
@@ -170,7 +204,7 @@ SimStats CycleAccurateArray::gemm_output_stationary(
         for (int64_t t = lo; t < hi; ++t)
           simulate_os_tile(static_cast<int>(t / tiles_n),
                            static_cast<int>(t % tiles_n), M, N, K, qa, qb, C,
-                           &local);
+                           ldc, accumulate, &local);
         std::lock_guard<std::mutex> lk(merge_m);
         merge_stats(local, &st);
       },
@@ -182,6 +216,7 @@ SimStats CycleAccurateArray::gemm_output_stationary(
 void CycleAccurateArray::simulate_ws_tile(int kt, int tj, int M, int N, int K,
                                           const std::vector<uint32_t>& qa,
                                           const std::vector<uint32_t>& qb,
+                                          bool accumulate,
                                           std::vector<uint32_t>* partial,
                                           SimStats* st) const {
   const size_t npe = static_cast<size_t>(rows_) * cols_;
@@ -224,17 +259,14 @@ void CycleAccurateArray::simulate_ws_tile(int kt, int tj, int M, int N, int K,
           a_in = a_cur[at - 1];
         }
         if (pk == 0) {
-          // Top of the column: inject the running partial for row i
-          // (previous k tiles), or +0 on the first k tile.
+          // Top of the column: inject the running partial for row i — the
+          // previous k tiles' sum, C in acc_fmt on the first k tile when
+          // accumulating, +0 otherwise.
           const int i = t - pj;
           const int j = tj * cols_ + pj;
           if (i >= 0 && i < M && j < N) {
-            uint32_t init = 0;
-            if (kt > 0) {
-              init = (*partial)[static_cast<size_t>(i) * N + j];
-              ++st->c_reads;
-            }
-            p_in = {init, true};
+            p_in = {(*partial)[static_cast<size_t>(i) * N + j], true};
+            if (kt > 0 || accumulate) ++st->c_reads;
           }
         } else {
           p_in = p_cur[at - static_cast<size_t>(cols_)];
@@ -267,13 +299,19 @@ void CycleAccurateArray::simulate_ws_tile(int kt, int tj, int M, int N, int K,
 
 SimStats CycleAccurateArray::gemm_weight_stationary(
     int M, int N, int K, const std::vector<uint32_t>& qa,
-    const std::vector<uint32_t>& qb, float* C, int threads) {
+    const std::vector<uint32_t>& qb, float* C, int ldc, bool accumulate,
+    int threads) {
   SimStats st;
   st.pe_count = rows_ * cols_;
   const FpFormat acc = cfg_.acc_fmt;
 
-  // Partial results in accumulator format, +0-initialized.
+  // Partial results in accumulator format: C when accumulating, else +0.
   std::vector<uint32_t> partial(static_cast<size_t>(M) * N, 0);
+  if (accumulate)
+    for (int i = 0; i < M; ++i)
+      for (int j = 0; j < N; ++j)
+        partial[static_cast<size_t>(i) * N + j] =
+            SoftFloat::from_double(acc, C[static_cast<size_t>(i) * ldc + j]);
   const int tiles_n = (N + cols_ - 1) / cols_;
   std::mutex merge_m;
 
@@ -287,7 +325,7 @@ SimStats CycleAccurateArray::gemm_weight_stationary(
           SimStats local;
           for (int64_t tj = lo; tj < hi; ++tj)
             simulate_ws_tile(kt, static_cast<int>(tj), M, N, K, qa, qb,
-                             &partial, &local);
+                             accumulate, &partial, &local);
           std::lock_guard<std::mutex> lk(merge_m);
           merge_stats(local, &st);
         },
@@ -295,7 +333,7 @@ SimStats CycleAccurateArray::gemm_weight_stationary(
   }
   for (int i = 0; i < M; ++i)
     for (int j = 0; j < N; ++j)
-      C[static_cast<size_t>(i) * N + j] = static_cast<float>(
+      C[static_cast<size_t>(i) * ldc + j] = static_cast<float>(
           SoftFloat::to_double(acc, partial[static_cast<size_t>(i) * N + j]));
   return st;
 }

@@ -58,7 +58,26 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
     }
     int64_t numel() const { return numel_of(shape); }
 
+    /// The one capacity rule: every region planned for max_batch samples
+    /// (each activation buffer, qact_, bt_, cols_ and gout_) holds at most
+    /// INT_MAX elements, so every index and GEMM dimension over it is an
+    /// int. Checked in 64-bit arithmetic as the walk sizes each region,
+    /// before any int product of the capacity is formed and before
+    /// anything is allocated. qact_ holds one GEMM input activation per
+    /// sample, so the activation buffers' check covers it.
+    void check_capacity(const std::string& region, int64_t per_sample,
+                        int64_t samples) const {
+      if (per_sample > INT_MAX / samples)
+        throw CompileException(
+            CompileError::kBadConfig,
+            "max_batch " + std::to_string(m.capacity_) + " is too large: " +
+                region + " would hold more than " + std::to_string(INT_MAX) +
+                " elements");
+    }
+
     int add_buffer(int64_t n) {
+      check_capacity("activation buffer " + std::to_string(m.buf_numel_.size()),
+                     n, m.capacity_);
       m.buf_numel_.push_back(n);
       return static_cast<int>(m.buf_numel_.size()) - 1;
     }
@@ -110,14 +129,11 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
       const int H = shape[1], W = shape[2], k = conv.kernel();
       const int oh = out_dim("Conv2d", H, k, conv.stride(), conv.padding());
       const int ow = out_dim("Conv2d", W, k, conv.stride(), conv.padding());
-      // The wave's wide GEMM runs max_batch * L columns, an int.
-      if (static_cast<int64_t>(m.capacity_) * oh * ow > INT_MAX)
-        throw CompileException(
-            CompileError::kBadConfig,
-            "max_batch " + std::to_string(m.capacity_) + " is too large: a " +
-                std::to_string(oh) + "x" + std::to_string(ow) +
-                " conv output would run more than " +
-                std::to_string(INT_MAX) + " GEMM columns per wave");
+      // gout_ holds max_batch * C_out * L floats, so its rule also keeps
+      // the wave's max_batch * L GEMM columns an int.
+      check_capacity("the conv output scratch (gout_)",
+                     static_cast<int64_t>(conv.out_channels()) * oh * ow,
+                     m.capacity_);
       CompiledModel::Op op;
       op.kind = CompiledModel::OpKind::kConvGemm;
       op.src = cur;
@@ -142,12 +158,16 @@ std::unique_ptr<CompiledModel> ModelCompiler::compile(
         // The pass quantizes the input planes and packs the wide panel,
         // whose columns pad to the kernel's group width.
         max_bits_in = std::max(max_bits_in, numel());
-        max_wide_panel = std::max(
-            max_wide_panel,
-            gemm_packed_b_words(op.cfg, op.K, m.capacity_ * op.N));
+        const size_t panel =
+            gemm_packed_b_words(op.cfg, op.K, m.capacity_ * op.N);
+        check_capacity("the packed operand panel (bt_)",
+                       static_cast<int64_t>(panel), 1);
+        max_wide_panel = std::max(max_wide_panel, panel);
         op.act_bytes =
             static_cast<uint64_t>(numel()) * fmt_bytes(op.cfg.mul_fmt);
       } else {
+        check_capacity("the im2col scratch (cols_)",
+                       static_cast<int64_t>(op.K) * op.N, m.capacity_);
         max_fp32_kl =
             std::max(max_fp32_kl, static_cast<int64_t>(op.K) * op.N);
       }

@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "accel/systolic_sim.hpp"
 #include "mac/gemm.hpp"
-#include "mac/systolic.hpp"
 
 namespace srmac {
 
@@ -52,23 +52,20 @@ class ShardedBackend final : public MatmulBackend {
   }
 };
 
-/// The functional systolic-array simulator: a rows x cols grid of SR-MAC
-/// PEs with per-PE seeds (decorrelated from the sharded/reference per-element
-/// seeding — this backend models the accelerator, it does not reproduce the
-/// software engine's bits) plus the dataflow's cycle model.
+/// The cycle-accurate systolic array (accel/systolic_sim.hpp): a 16x16
+/// output-stationary grid of SR-MAC PEs with per-PE seeds (decorrelated
+/// from the sharded/reference per-element seeding — this backend models the
+/// accelerator, it does not reproduce the software engine's bits).
 class SystolicBackend final : public MatmulBackend {
  public:
-  SystolicBackend(int rows, int cols) : rows_(rows), cols_(cols) {}
   std::string name() const override { return "systolic"; }
   bool bit_accurate() const override { return true; }
   void gemm(const MacConfig& cfg, const GemmArgs& a) const override {
-    SystolicArray array(cfg, rows_, cols_, a.seed);
-    array.gemm(a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc,
-               a.accumulate, a.threads);
+    accel::CycleAccurateArray(cfg, 16, 16,
+                              accel::Dataflow::kOutputStationary, a.seed)
+        .gemm(a.M, a.N, a.K, a.A, a.lda, a.B, a.ldb, a.C, a.ldc, a.accumulate,
+              a.threads);
   }
-
- private:
-  int rows_, cols_;
 };
 
 }  // namespace
@@ -77,7 +74,7 @@ BackendRegistry::BackendRegistry() {
   factories_["fp32"] = [] { return std::make_shared<Fp32Backend>(); };
   factories_["reference"] = [] { return std::make_shared<ReferenceBackend>(); };
   factories_["sharded"] = [] { return std::make_shared<ShardedBackend>(); };
-  factories_["systolic"] = [] { return std::make_shared<SystolicBackend>(16, 16); };
+  factories_["systolic"] = [] { return std::make_shared<SystolicBackend>(); };
 }
 
 BackendRegistry& BackendRegistry::instance() {

@@ -99,6 +99,11 @@ int main(void) {
   CHECK(srmac_session_is_compiled(s) == 0);
   CHECK(srmac_session_compile(NULL, 1) == -1);
   CHECK(srmac_session_compile(s, 0) == -1);
+  /* A capacity whose planned buffers would pass INT_MAX elements is a typed
+   * failure before anything is allocated, on a model without convs too. */
+  CHECK(srmac_session_compile(s, INT_MAX) == -1);
+  CHECK(strstr(srmac_last_error(), "max_batch") != NULL);
+  CHECK(srmac_session_is_compiled(s) == 0);
   {
     /* A capacity whose wide conv GEMM would run past INT_MAX columns is a
      * typed failure, not an int overflow. */

@@ -124,29 +124,42 @@ TEST(ModelCompilerErrors, BadOptionsAreTyped) {
 }
 
 TEST(ModelCompilerErrors, CapacityPastTheKernelColumnRangeIsTyped) {
-  // A wave's conv GEMM runs max_batch * L columns, an int: resnet20's 16x16
-  // stem has L = 256, so 2^23 samples would run 2^31 columns. The compiler
-  // rejects such a capacity before it forms the product or plans a buffer.
-  const ModelSpec spec = ModelSpec::parse_or_die("resnet20");
-  auto model = spec.build();
+  // Every region planned for max_batch samples holds at most INT_MAX
+  // elements, so its indices and GEMM dimensions stay ints. resnet20's
+  // 16x16 stem has L = 256, so 2^23 samples would run 2^31 wave columns;
+  // one sample fewer still overflows its activation buffers and gout_, and
+  // mlp:16,2 has no conv at all. The compiler rejects each capacity before
+  // it forms an int product of it or allocates anything.
   const EmuEngine engine = bits_engine();
-  for (const int max_batch : {8388608, INT_MAX}) {
+  const struct {
+    const char* model;
+    int max_batch;
+  } cases[] = {{"resnet20", 8388608},
+               {"resnet20", INT_MAX},
+               {"resnet20", 8388607},
+               {"mlp:16,2", INT_MAX}};
+  for (const auto& c : cases) {
+    const ModelSpec spec = ModelSpec::parse_or_die(c.model);
+    auto model = spec.build();
     ModelCompiler::Options opts;
     opts.input_shape = spec.input_shape();
-    opts.max_batch = max_batch;
+    opts.max_batch = c.max_batch;
     try {
       ModelCompiler(engine).compile(*model, opts);
-      ADD_FAILURE() << "max_batch " << max_batch << " compiled";
+      ADD_FAILURE() << c.model << " at max_batch " << c.max_batch
+                    << " compiled";
     } catch (const CompileException& e) {
       EXPECT_EQ(e.code(), CompileError::kBadConfig);
       EXPECT_NE(std::string(e.what()).find("max_batch"), std::string::npos)
           << e.what();
     } catch (const std::exception& e) {
-      ADD_FAILURE() << "max_batch " << max_batch
+      ADD_FAILURE() << c.model << " at max_batch " << c.max_batch
                     << ": wrong exception type: " << e.what();
     }
   }
   // A small capacity still compiles and runs.
+  const ModelSpec spec = ModelSpec::parse_or_die("resnet20");
+  auto model = spec.build();
   ModelCompiler::Options opts;
   opts.input_shape = spec.input_shape();
   opts.max_batch = 2;

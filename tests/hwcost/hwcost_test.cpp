@@ -4,11 +4,24 @@
 #include <gtest/gtest.h>
 
 #include "hwcost/report.hpp"
+#include "hwcost/systolic_cost.hpp"
 
 namespace srmac::hw {
 namespace {
 
 const FpFormat kFormats[] = {kFp32, kFp16, kBf16, kFp12};
+
+/// The array PE the SystolicCost cases project: FP8 E5M2 products into an
+/// E6M5 accumulator, r = 9, subnormals off.
+MacConfig cfg(AdderKind k = AdderKind::kEagerSR) {
+  MacConfig c;
+  c.mul_fmt = kFp8E5M2;
+  c.acc_fmt = kFp12;
+  c.adder = k;
+  c.random_bits = 9;
+  c.subnormals = false;
+  return c;
+}
 
 TEST(HwCost, EagerBeatsLazyEverywhere) {
   for (const FpFormat& f : kFormats) {
@@ -113,6 +126,32 @@ TEST(HwCost, GridsHaveExpectedShapes) {
   EXPECT_EQ(table1_grid().size(), 24u);
   EXPECT_EQ(table5_grid().size(), 7u);
   EXPECT_EQ(table2_grid().size(), 4u);
+}
+
+TEST(SystolicCost, SharedLfsrAmortizesSrOverhead) {
+  hw::SystolicCostOptions opt;
+  opt.rows = opt.cols = 16;
+  opt.share_lfsr_per_row = true;
+  const auto shared = hw::systolic_cost(cfg(), opt);
+  opt.share_lfsr_per_row = false;
+  const auto per_pe = hw::systolic_cost(cfg(), opt);
+  EXPECT_LT(shared.energy_nj_per_kmac, per_pe.energy_nj_per_kmac);
+
+  // Eager vs lazy at array scale: the delay advantage compounds into
+  // throughput, and area/energy stay ahead.
+  const auto eager = hw::systolic_cost(cfg(AdderKind::kEagerSR), opt);
+  const auto lazy = hw::systolic_cost(cfg(AdderKind::kLazySR), opt);
+  EXPECT_GT(eager.peak_gmacs, lazy.peak_gmacs);
+  EXPECT_LT(eager.area_mm2, lazy.area_mm2);
+}
+
+TEST(SystolicCost, ScalesWithArraySize) {
+  hw::SystolicCostOptions small{8, 8, true, 0.0};
+  hw::SystolicCostOptions big{32, 32, true, 0.0};
+  const auto s = hw::systolic_cost(cfg(), small);
+  const auto b = hw::systolic_cost(cfg(), big);
+  EXPECT_NEAR(b.area_mm2 / s.area_mm2, 16.0, 1.5);
+  EXPECT_NEAR(b.peak_gmacs / s.peak_gmacs, 16.0, 0.1);
 }
 
 }  // namespace
