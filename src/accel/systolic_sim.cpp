@@ -38,7 +38,6 @@ void merge_stats(const SimStats& from, SimStats* into) {
   into->b_reads += from.b_reads;
   into->c_writes += from.c_writes;
   into->c_reads += from.c_reads;
-  into->active_pe_cycles += from.active_pe_cycles;
 }
 
 }  // namespace
@@ -61,7 +60,7 @@ SimStats CycleAccurateArray::expected_stats(int M, int N, int K,
   const uint64_t m = static_cast<uint64_t>(M), n = static_cast<uint64_t>(N),
                  k = static_cast<uint64_t>(K);
   const uint64_t tiles_n = (n + cols_ - 1) / cols_;
-  st.macs = st.active_pe_cycles = m * n * k;
+  st.macs = m * n * k;
   if (dataflow_ == Dataflow::kOutputStationary) {
     // Each (rows x cols) output tile streams its A rows and B columns once:
     // K accumulations plus rows + cols - 2 cycles of skew, tiles back to
@@ -166,7 +165,6 @@ void CycleAccurateArray::simulate_os_tile(int ti, int tj, int M, int N, int K,
         if (a_in.valid && b_in.valid) {
           pes[at].step(a_in.value, b_in.value);
           ++st->macs;
-          ++st->active_pe_cycles;
         }
         a_nxt[at] = a_in;
         b_nxt[at] = b_in;
@@ -276,7 +274,6 @@ void CycleAccurateArray::simulate_ws_tile(int kt, int tj, int M, int N, int K,
           pes[at].set_acc(p_in.value);
           p_out.value = pes[at].step(a_in.value, weight[at]);
           ++st->macs;
-          ++st->active_pe_cycles;
         }
         a_nxt[at] = a_in;
         p_nxt[at] = p_out;

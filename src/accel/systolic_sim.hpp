@@ -26,7 +26,6 @@ struct SimStats {
   uint64_t c_writes = 0;        ///< results drained to the C buffer
   uint64_t c_reads = 0;         ///< C/partial words fetched (accumulate
                                 ///< preload, WS k-tiling)
-  uint64_t active_pe_cycles = 0;  ///< PEs with a valid MAC that cycle
   double utilization() const {
     const double denom = static_cast<double>(cycles);
     return denom > 0 ? static_cast<double>(macs) /

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "mac/mac_kernel.hpp"
 #include "tensor/im2col.hpp"
@@ -233,31 +234,23 @@ void CompiledModel::exec_conv(const Op& op, int batch) {
         },
         threads_);
   } else {
-    // One pass: quantize the input planes once (quantization is
-    // elementwise, so these are the codes of every im2col entry; padding
-    // packs as the +0 code, which is what im2col's 0.0f quantizes to), then
-    // one parallel_for in which each task packs its own column groups
-    // straight from the codes, runs every output channel's chains over
-    // them, and scatters and finishes those columns.
+    // Quantize the input planes once (quantization is elementwise, so
+    // these are the codes of every im2col entry), then one conv pass whose
+    // tasks pack, chain, scatter and finish their own column groups.
     const double t0 = telemetry_ ? now_s() : 0.0;
     gemm_quantize(op.cfg.mul_fmt, batch, static_cast<int>(in_n), src,
                   static_cast<int>(in_n), qact_.get(), threads_);
-    const FusedMacKernel kernel(op.cfg);
-    const int G = kernel.group_width();
-    const ConvPanelShape panel{batch,     op.ch,  op.H,  op.W, op.kk,
-                               op.stride, op.pad, op.oh, op.ow};
-    ThreadPool::global().parallel_for(
-        0, (wideN + G - 1) / G,
-        [&](int64_t lo, int64_t hi) {
-          gemm_pack_conv_groups(panel, G, qact_.get(), lo, hi, bt_.get());
-          gemm_chain_groups(kernel, 0, op.M, lo, hi, wideN, op.K,
-                            op.aq.data(), op.K, bt_.get(), gout_.get(), wideN,
-                            /*accumulate=*/false, op.seed,
-                            /*seed_row_period=*/0, /*seed_col_period=*/L);
-          scatter_columns(op, batch, lo * G,
-                          std::min<int64_t>(hi * G, wideN));
-        },
-        gemm_mac_threads(op.M, wideN, op.K, threads_));
+    // Two captured words fit std::function's inline storage, so the
+    // finisher allocates nothing per wave.
+    const std::pair<const Op*, int> wave{&op, batch};
+    gemm_conv_pass(FusedMacKernel(op.cfg),
+                   {batch, op.ch, op.H, op.W, op.kk, op.stride, op.pad, op.oh,
+                    op.ow},
+                   qact_.get(), op.M, op.aq.data(), op.seed,
+                   /*seed_col_period=*/L, threads_, bt_.get(), gout_.get(),
+                   [this, &wave](int64_t lo, int64_t hi) {
+                     scatter_columns(*wave.first, wave.second, lo, hi);
+                   });
     if (telemetry_) kernel_s_ += now_s() - t0;
   }
   if (telemetry_ && batch > 1) telemetry_->record_grouped_gemm(batch);

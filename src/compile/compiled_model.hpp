@@ -60,7 +60,8 @@ namespace srmac {
 /// Threading: forward_batch/refresh must be called from one thread at a
 /// time (the serving executor's existing single-executor invariant); the
 /// heavy loops inside parallelize over the process-wide thread pool. A
-/// bit-accurate conv op is one parallel_for: each task owns a contiguous
+/// bit-accurate conv op is one gemm_conv_pass, the routine the training
+/// step's convs share, and so one parallel_for: each task owns a contiguous
 /// range of the wide panel's column groups and packs, chains, scatters and
 /// finishes those columns alone, so the split follows the thread count
 /// and the bits do not.
@@ -103,10 +104,10 @@ class CompiledModel {
   CompiledModel() = default;
 
   enum class OpKind {
-    kConvGemm,        ///< bits: quantize the input planes, then one pass
-                      ///< of pack + fused chains + scatter + epilogue per
-                      ///< column-group range; fp32: im2col + gemm_ref +
-                      ///< scatter + epilogue
+    kConvGemm,        ///< bits: quantize the input planes, then one
+                      ///< gemm_conv_pass (pack + fused chains + scatter +
+                      ///< epilogue per column-group range); fp32: im2col +
+                      ///< gemm_ref + scatter + epilogue
     kLinearGemm,      ///< quantize activations + fused GEMM against the
                       ///< pre-packed W^T plane + epilogue
     kMaxPool,         ///< MaxPool2d's exact window max

@@ -32,7 +32,8 @@ struct ComputeContext {
   /// When non-null (set by Sequential::backward), layers defer their
   /// weight-gradient GEMM into this batch instead of dispatching it
   /// themselves — cross-layer gradient bucketing, flushed by the owner in
-  /// bounded buckets. Operands of a deferred GEMM must stay
+  /// bounded buckets. A conv on the fused kernel does not defer: its dW is
+  /// one pass over code operands. Operands of a deferred GEMM must stay
   /// valid until that flush: layer-owned caches qualify, locals go through
   /// MatmulBatch::scratch. Results are bit-identical either way (the item
   /// carries its own pass/seed; scheduling is invisible to the bits).

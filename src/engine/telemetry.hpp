@@ -63,9 +63,9 @@ struct TelemetrySnapshot {
                                   ///< Param::version bump (checkpoint load)
   /// Activation operand bytes the compiled executor quantized inside its
   /// own kernels, per request. Compiled serving keeps `bytes_quantized` at
-  /// zero — that counter tracks the layers' matmul dispatch (training, and
-  /// sessions the compiler rejects), whose per-call plane requantization
-  /// is what compilation eliminates — while this one keeps the per-request
+  /// zero — that counter tracks the layers' GEMMs (training, and sessions
+  /// the compiler rejects), whose per-call weight requantization is what
+  /// compilation eliminates — while this one keeps the per-request
   /// activation quantization (unavoidable in any mode: inputs arrive as
   /// floats) honestly accounted.
   uint64_t compile_activation_bytes = 0;
@@ -155,6 +155,10 @@ class Telemetry {
   static constexpr size_t kServeLatencySampleCap = 65536;
 
   /// Records one GEMM dispatched to `backend` covering M*N*K MAC steps.
+  /// A training conv on the fused kernel records each of its three passes
+  /// here with the float route's M, N and K and the pass's whole wall time
+  /// (quantize, pack, chains and the column reorder), as a compiled conv
+  /// books its pass (record_compiled_forward).
   void record_gemm(const std::string& backend, int M, int N, int K,
                    double seconds);
 

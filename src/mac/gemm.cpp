@@ -257,6 +257,41 @@ void gemm_pack_conv_groups(const ConvPanelShape& p, int G,
   }
 }
 
+void gemm_pack_conv_taps(const ConvPanelShape& p, int G,
+                         const uint32_t* codes, int64_t j_lo, int64_t j_hi,
+                         uint32_t* bt) {
+  const int K = p.K(), L = p.L(), kk = p.k * p.k;
+  const int64_t N = p.N(), plane = static_cast<int64_t>(p.H) * p.W;
+  // Rows run in stretches that share one sample and output row; a
+  // stretch's G-word rows of every group stay in L1 while its taps fill
+  // them, one strided lane at a time.
+  for (int64_t j = j_lo; j < j_hi;) {
+    const int64_t s = j / L;
+    const int t = static_cast<int>(j % L), y = t / p.ow, x0 = t % p.ow;
+    const int n = static_cast<int>(std::min<int64_t>(j_hi - j, p.ow - x0));
+    for (int tap = 0; tap < (K + G - 1) / G * G; ++tap) {
+      uint32_t* out = bt + ((tap / G) * N + j) * G + tap % G;
+      const int c = tap / kk, ki = tap % kk / p.k, kj = tap % p.k;
+      const int iy = y * p.stride - p.pad + ki;
+      // Rows [lo, hi) of the stretch read columns base + m*stride, which
+      // are in bounds; the rest (and lanes past K) read padding.
+      const int base = x0 * p.stride - p.pad + kj;
+      int lo = 0, hi = 0;
+      const uint32_t* line = codes;
+      if (tap < K && iy >= 0 && iy < p.H) {
+        lo = std::min(n, base >= 0 ? 0 : (p.stride - 1 - base) / p.stride);
+        hi = std::clamp(base < p.W ? (p.W - 1 - base) / p.stride + 1 : 0, lo,
+                        n);
+        line += (s * p.C + c) * plane + static_cast<int64_t>(iy) * p.W;
+      }
+      for (int m = 0; m < lo; ++m) out[m * G] = 0;
+      for (int m = lo; m < hi; ++m) out[m * G] = line[base + m * p.stride];
+      for (int m = hi; m < n; ++m) out[m * G] = 0;
+    }
+    j += n;
+  }
+}
+
 int gemm_mac_threads(int64_t M, int64_t N, int64_t K, int threads) {
   const int cap = static_cast<int>(std::clamp<int64_t>(
       M * N * K / kMacGrain, 1, ThreadPool::global().parallelism()));
@@ -294,6 +329,24 @@ void gemm_chain_groups(const FusedMacKernel& kernel, int64_t row_lo,
       }
     }
   }
+}
+
+void gemm_conv_pass(const FusedMacKernel& kernel, const ConvPanelShape& p,
+                    const uint32_t* codes, int M, const uint32_t* Aq,
+                    uint64_t seed, int seed_col_period, int threads,
+                    uint32_t* bt, float* C,
+                    const std::function<void(int64_t, int64_t)>& finish) {
+  const int G = kernel.group_width(), K = p.K(), N = static_cast<int>(p.N());
+  ThreadPool::global().parallel_for(
+      0, (N + G - 1) / G,
+      [&](int64_t lo, int64_t hi) {
+        gemm_pack_conv_groups(p, G, codes, lo, hi, bt);
+        gemm_chain_groups(kernel, 0, M, lo, hi, N, K, Aq, K, bt, C, N,
+                          /*accumulate=*/false, seed, /*seed_row_period=*/0,
+                          seed_col_period);
+        if (finish) finish(lo * G, std::min<int64_t>(hi * G, N));
+      },
+      gemm_mac_threads(M, N, K, threads));
 }
 
 void gemm_mac_bits_packed(const MacConfig& cfg, int M, int N, int K,

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "mac/mac_config.hpp"
@@ -71,6 +72,18 @@ void gemm_pack_conv_groups(const ConvPanelShape& p, int G,
                            const uint32_t* codes, int64_t group_lo,
                            int64_t group_hi, uint32_t* bt);
 
+/// Packs the transpose of panel `p` (the N x K cols^T operand of a conv's
+/// weight gradient, N = p.N()) straight from `codes`, G lanes a group:
+/// groups run over the K conv taps, chains over the N panel columns. Rows
+/// [j_lo, j_hi) of every group land in `bt` in PackedBPanels::bt's layout
+/// for a K-column operand with chain length N (row j of group g at
+/// bt + (g*N + j)*G). The words equal what im2col, a transpose,
+/// gemm_quantize and gemm_pack_b_into write for those rows: padding and
+/// lanes past K hold the +0 code. Serial: the caller splits the rows.
+void gemm_pack_conv_taps(const ConvPanelShape& p, int G,
+                         const uint32_t* codes, int64_t j_lo, int64_t j_hi,
+                         uint32_t* bt);
+
 /// Threads a fused GEMM of M x N x K MAC steps runs on: one per 8192
 /// steps, at most the pool's parallelism, and at most `threads` when it is
 /// positive. Below the grain the GEMM runs inline on the caller.
@@ -81,9 +94,10 @@ int gemm_mac_threads(int64_t M, int64_t N, int64_t K, int threads);
 /// PackedBPanels::bt's layout at kernel.group_width() lanes a group, N is
 /// B's column count (the last group may be partial), and the per-element
 /// seeds follow gemm_mac_bits_packed's contract. Serial:
-/// gemm_mac_bits_packed splits rows across the pool, the compiled conv pass
-/// splits groups. Every output element depends only on its own chain, so
-/// any split gives the same bits.
+/// gemm_mac_bits_packed splits rows across the pool, gemm_conv_pass splits
+/// groups, a conv's weight gradient splits (row, group) pairs. Every
+/// output element depends only on its own chain, so any split gives the
+/// same bits.
 void gemm_chain_groups(const FusedMacKernel& kernel, int64_t row_lo,
                        int64_t row_hi, int64_t group_lo, int64_t group_hi,
                        int N, int K, const uint32_t* Aq, int lda,
@@ -91,11 +105,30 @@ void gemm_chain_groups(const FusedMacKernel& kernel, int64_t row_lo,
                        bool accumulate, uint64_t seed, int seed_row_period,
                        int seed_col_period);
 
+/// One bit-accurate conv GEMM as one pass over the pool: C = A * B, where
+/// A is the M x p.K() codes `Aq` and B the panel `p` of the quantized
+/// activations `codes` (N = p.N() columns). One parallel_for over the
+/// column groups, at most gemm_mac_threads(M, N, K, threads) threads: each
+/// task packs its groups into `bt` (gemm_pack_conv_groups; the caller
+/// provides gemm_packed_b_words(cfg, K, N) words), runs all M rows of
+/// chains into C (M x N, ldc = N), then hands its columns [j_lo, j_hi) to
+/// `finish` when one is given. Seeds follow gemm_mac_bits_packed with row
+/// period 0 and `seed_col_period`. The compiled conv (period L, finish =
+/// its scatter and epilogue) and the training step's conv forward (period
+/// 0, finish = the copy into (N, M, oh, ow)) and input gradient (dY as the
+/// panel of a 1x1 conv over itself, no finish) all run through it.
+void gemm_conv_pass(const FusedMacKernel& kernel, const ConvPanelShape& p,
+                    const uint32_t* codes, int M, const uint32_t* Aq,
+                    uint64_t seed, int seed_col_period, int threads,
+                    uint32_t* bt, float* C,
+                    const std::function<void(int64_t, int64_t)>& finish);
+
 /// The fused kernel on operands already quantized to cfg.mul_fmt bit
 /// patterns, with B packed by gemm_pack_b under the same (normalized) cfg:
 /// gemm_chain_groups over every column group, rows split across the pool.
 /// This is the inner entry point of gemm_mac and of the compiled model's
-/// Linear ops; its compiled conv ops run gemm_chain_groups themselves.
+/// Linear ops; a conv's GEMMs run gemm_conv_pass or, for its weight
+/// gradient, gemm_chain_groups over a gemm_pack_conv_taps panel.
 ///
 /// `seed_row_period` / `seed_col_period`: when non-zero, the per-element
 /// LFSR seed derives from (i % row_period, j % col_period) instead of
@@ -163,8 +196,9 @@ void gemm_quantize(const FpFormat& fmt, int rows, int cols, const float* src,
 
 /// gemm_quantize of the transpose: dst[c * rows + r] = quantized
 /// src[r * cols + c] for a dense rows x cols src — the transposed weight
-/// planes (W^T of the compiled Linear ops). Quantization is elementwise,
-/// so this equals quantizing a materialized transpose.
+/// planes (W^T of the compiled Linear ops and of a training conv's input
+/// gradient). Quantization is elementwise, so this equals quantizing a
+/// materialized transpose.
 void gemm_quantize_transposed(const FpFormat& fmt, int rows, int cols,
                               const float* src, uint32_t* dst,
                               int threads = 0);

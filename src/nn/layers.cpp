@@ -2,17 +2,177 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "mac/gemm.hpp"
+#include "mac/mac_kernel.hpp"
 #include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
 
 namespace srmac {
 
 // ------------------------------- Conv2d ------------------------------------
+
+namespace {
+
+double now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Scratch of the conv passes, shared by every Conv2d the calling thread
+/// runs: each buffer grows to the largest pass once and is then reused, so
+/// no layer keeps a panel between calls and a step allocates none. A
+/// pass's pool tasks write disjoint slices of it.
+struct ConvScratch {
+  std::vector<uint32_t> codes, dy, a, bt;  ///< panel / dW's dY / A codes,
+                                           ///< packed B panel
+  std::vector<float> c, cols;  ///< GEMM output, float im2col panel
+};
+thread_local ConvScratch t_scratch;
+
+template <class T>
+T* grown(std::vector<T>& v, int64_t n) {
+  if (v.size() < static_cast<size_t>(n)) {
+    v = {};  // the old block goes first, so the two never coexist
+    v.resize(static_cast<size_t>(n));
+  }
+  return v.data();
+}
+
+/// Calls f(sample, column within the sample, panel column, count) over
+/// panel columns [lo, hi) in stretches that stay inside one sample.
+template <class F>
+void for_sample_runs(int64_t lo, int64_t hi, int L, F&& f) {
+  for (int64_t j = lo; j < hi;) {
+    const int64_t s = j / L, t = j % L;
+    const int64_t n = std::min<int64_t>(hi - j, L - t);
+    f(s, t, j, n);
+    j += n;
+  }
+}
+
+/// Records one fused conv GEMM of M x N x K MAC steps begun at `t0` that
+/// quantized `codes` values.
+void record_pass(const ComputeContext& ctx, const MacConfig& cfg, int M,
+                 int N, int K, int64_t codes, double t0) {
+  if (!ctx.telemetry) return;
+  ctx.telemetry->record_gemm(ctx.backend->name(), M, N, K, now_s() - t0);
+  ctx.telemetry->record_quantize(static_cast<uint64_t>(codes), cfg.mul_fmt);
+}
+
+ConvPanelShape conv_panel(const Conv2d& conv, const Tensor& x) {
+  const int H = x.dim(2), W = x.dim(3), k = conv.kernel();
+  const int s = conv.stride(), pad = conv.padding();
+  return {x.dim(0), conv.in_channels(), H, W, k, s, pad,
+          conv_out_dim(H, k, s, pad), conv_out_dim(W, k, s, pad)};
+}
+
+/// One conv GEMM of the training step on the fused kernel: quantizes the
+/// panel's activations `src` and the M x p.K() weight operand (`w`, or the
+/// transpose of the p.K() x M `w`) in ctx's format, and runs
+/// gemm_conv_pass into C (M x p.N()) with the batch-wide seeds matmul
+/// would use.
+void fused_conv_gemm(const ComputeContext& ctx, const ConvPanelShape& p,
+                     int M, const float* w, bool transposed, const float* src,
+                     float* C,
+                     const std::function<void(int64_t, int64_t)>& finish) {
+  ConvScratch& s = t_scratch;
+  const MacConfig cfg = ctx.mac_config().normalized();
+  const FusedMacKernel kernel(cfg);
+  const double t0 = ctx.telemetry ? now_s() : 0.0;
+  const int G = kernel.group_width(), K = p.K(), N = static_cast<int>(p.N());
+  const int in_n = p.C * p.H * p.W;
+  uint32_t* a = grown(s.a, static_cast<int64_t>(M) * K);
+  if (transposed)
+    gemm_quantize_transposed(cfg.mul_fmt, K, M, w, a, ctx.threads);
+  else
+    gemm_quantize(cfg.mul_fmt, M, K, w, K, a, ctx.threads);
+  uint32_t* codes = grown(s.codes, static_cast<int64_t>(p.batch) * in_n);
+  gemm_quantize(cfg.mul_fmt, p.batch, in_n, src, in_n, codes, ctx.threads);
+  gemm_conv_pass(kernel, p, codes, M, a, ctx.seed, /*seed_col_period=*/0,
+                 ctx.threads,
+                 grown(s.bt, static_cast<int64_t>(N + G - 1) / G * G * K), C,
+                 finish);
+  record_pass(ctx, cfg, M, N, K,
+              static_cast<int64_t>(M) * K +
+                  static_cast<int64_t>(p.batch) * in_n,
+              t0);
+}
+
+/// dW += dY * cols^T on the fused kernel for the conv `p` over the input
+/// `x`, with dY = `gout` (N, M, oh, ow): `x` requantized in this pass's
+/// format (so HFP8 and layer rules need no other path), dY's codes
+/// reordered into M rows of N*L, cols^T packed straight from the input
+/// codes with its groups over the K taps, then the chains split by (row,
+/// tap group).
+void fused_weight_grad(const ComputeContext& ctx, const ConvPanelShape& p,
+                       int M, const float* x, const float* gout,
+                       float* grad) {
+  ConvScratch& s = t_scratch;
+  const MacConfig cfg = ctx.mac_config().normalized();
+  const FusedMacKernel kernel(cfg);
+  const int G = kernel.group_width(), K = p.K(), L = p.L();
+  const int NL = static_cast<int>(p.N()), in_n = p.C * p.H * p.W;
+  const double t0 = ctx.telemetry ? now_s() : 0.0;
+  uint32_t* xq = grown(s.codes, static_cast<int64_t>(p.batch) * in_n);
+  gemm_quantize(cfg.mul_fmt, p.batch, in_n, x, in_n, xq, ctx.threads);
+  uint32_t* dy = grown(s.dy, static_cast<int64_t>(M) * NL);
+  gemm_quantize(cfg.mul_fmt, p.batch, M * L, gout, M * L, dy, ctx.threads);
+  const int64_t groups = (K + G - 1) / G;
+  uint32_t* a = grown(s.a, static_cast<int64_t>(M) * NL);
+  uint32_t* bt = grown(s.bt, groups * G * NL);
+  const int threads = gemm_mac_threads(M, K, NL, ctx.threads);
+  ThreadPool::global().parallel_for(
+      0, NL,
+      [&](int64_t lo, int64_t hi) {
+        for_sample_runs(lo, hi, L, [&](int64_t n, int64_t t, int64_t j,
+                                       int64_t len) {
+          for (int o = 0; o < M; ++o)
+            std::copy_n(dy + (n * M + o) * L + t, len, a + o * NL + j);
+        });
+        gemm_pack_conv_taps(p, G, xq, lo, hi, bt);
+      },
+      threads, /*grain=*/64);
+  // Task t runs row t % M of tap group t / M, so neighbouring tasks share
+  // a group's panel.
+  ThreadPool::global().parallel_for(
+      0, groups * M,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t t = lo; t < hi; ++t)
+          gemm_chain_groups(kernel, t % M, t % M + 1, t / M, t / M + 1, K, NL,
+                            a, NL, bt, grad, K, /*accumulate=*/true, ctx.seed,
+                            /*seed_row_period=*/0, /*seed_col_period=*/0);
+      },
+      threads);
+  record_pass(ctx, cfg, M, K, NL,
+              static_cast<int64_t>(M) * NL +
+                  static_cast<int64_t>(p.batch) * in_n,
+              t0);
+}
+
+/// im2col of the batch into `cols` (K x N*L, row pitch N*L), parallel over
+/// the batch: the float route's B operand.
+void im2col_batch(const ComputeContext& ctx, const ConvPanelShape& p,
+                  const float* x, float* cols) {
+  ThreadPool::global().parallel_for(
+      0, p.batch,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t n = lo; n < hi; ++n)
+          im2col(x + n * p.C * p.H * p.W, p.C, p.H, p.W, p.k, p.k, p.stride,
+                 p.pad, cols + n * p.L(), /*row_stride=*/p.N());
+      },
+      ctx.threads);
+}
+
+}  // namespace
 
 Conv2d::Conv2d(int in_ch, int out_ch, int k, int stride, int pad)
     : in_ch_(in_ch),
@@ -29,110 +189,93 @@ Conv2d::Conv2d(int in_ch, int out_ch, int k, int stride, int pad)
   w_.momentum = Tensor({out_ch, in_ch * k * k});
 }
 
-void Conv2d::build_cols(const ComputeContext& ctx, const Tensor& x, int oh,
-                        int ow) {
-  const int N = x.dim(0), H = x.dim(2), W = x.dim(3);
-  const int K = in_ch_ * k_ * k_;
-  const int64_t L = static_cast<int64_t>(oh) * ow;
-  cols_.resize(static_cast<size_t>(K) * N * L);  // grows once, then reused
-  // im2col writes each sample's rows directly into the batched panel
-  // (row pitch N*L), so there is no per-sample staging copy; samples are
-  // independent, so the batch splits across the pool.
-  ThreadPool::global().parallel_for(
-      0, N,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t n = lo; n < hi; ++n)
-          im2col(x.data() + static_cast<size_t>(n) * in_ch_ * H * W, in_ch_,
-                 H, W, k_, k_, stride_, pad_, cols_.data() + n * L,
-                 /*row_stride=*/static_cast<int64_t>(N) * L);
-      },
-      ctx.threads);
-}
-
 Tensor Conv2d::forward(const ComputeContext& ctx, const Tensor& x,
                        bool training) {
   assert(x.ndim() == 4 && x.dim(1) == in_ch_);
-  const int N = x.dim(0), H = x.dim(2), W = x.dim(3);
-  const int oh = conv_out_dim(H, k_, stride_, pad_);
-  const int ow = conv_out_dim(W, k_, stride_, pad_);
-  const int K = in_ch_ * k_ * k_;
-  const int L = oh * ow;
-
+  const ConvPanelShape p = conv_panel(*this, x);
+  const int N = p.batch, K = p.K(), L = p.L(), NL = N * L;
   if (training) x_cache_ = x;
-
-  // One batched GEMM: cols_ is K x (N*L); out = W * cols_.
-  build_cols(ctx, x, oh, ow);
-  Tensor out_flat({out_ch_, N * L});
-  matmul(ctx, out_ch_, N * L, K, w_.value.data(), cols_.data(),
-         out_flat.data());
-
-  // Reorder (out_ch, N, L) -> (N, out_ch, oh, ow).
-  Tensor out({N, out_ch_, oh, ow});
-  for (int c = 0; c < out_ch_; ++c)
-    for (int n = 0; n < N; ++n)
-      std::copy_n(out_flat.data() + (static_cast<size_t>(c) * N + n) * L, L,
-                  out.data() + (static_cast<size_t>(n) * out_ch_ + c) * L);
+  Tensor out({N, out_ch_, p.oh, p.ow});
+  float* c = grown(t_scratch.c, static_cast<int64_t>(out_ch_) * NL);
+  // One batched GEMM, W * cols over the K x (N*L) panel, then the
+  // (out_ch, N, L) -> (N, out_ch, L) reorder. On the fused kernel it is
+  // one pass from the input codes whose tasks reorder their own columns.
+  const auto reorder = [&](int64_t lo, int64_t hi) {
+    for_sample_runs(lo, hi, L, [&](int64_t n, int64_t t, int64_t j,
+                                   int64_t len) {
+      for (int o = 0; o < out_ch_; ++o)
+        std::copy_n(c + o * NL + j, len,
+                    out.data() + (n * out_ch_ + o) * L + t);
+    });
+  };
+  if (ctx.backend->runs_fused_kernel()) {
+    fused_conv_gemm(ctx, p, out_ch_, w_.value.data(), /*transposed=*/false,
+                    x.data(), c, reorder);
+    return out;
+  }
+  float* cols = grown(t_scratch.cols, static_cast<int64_t>(K) * NL);
+  im2col_batch(ctx, p, x.data(), cols);
+  matmul(ctx, out_ch_, NL, K, w_.value.data(), cols, c);
+  reorder(0, NL);
   return out;
 }
 
 Tensor Conv2d::backward(const ComputeContext& ctx, const Tensor& gout) {
   const Tensor& x = x_cache_;
-  const int N = x.dim(0), H = x.dim(2), W = x.dim(3);
-  const int oh = gout.dim(2), ow = gout.dim(3);
-  const int K = in_ch_ * k_ * k_;
-  const int L = oh * ow;
-
-  // Rebuild cols_ (recompute trades memory for cache footprint).
-  build_cols(ctx, x, oh, ow);
-  // gout as (out_ch, N*L). When the dW GEMM defers into a cross-layer
-  // bucket (ctx.grad_batch), the reshaped gradient must outlive this call,
-  // so it stages in the bucket's scratch instead of a local tensor.
-  Tensor g_flat_store;
-  float* g_flat;
-  if (ctx.grad_batch) {
-    g_flat = ctx.grad_batch->scratch(static_cast<size_t>(out_ch_) * N * L);
-  } else {
-    g_flat_store = Tensor({out_ch_, N * L});
-    g_flat = g_flat_store.data();
-  }
-  for (int c = 0; c < out_ch_; ++c)
-    for (int n = 0; n < N; ++n)
-      std::copy_n(gout.data() + (static_cast<size_t>(n) * out_ch_ + c) * L, L,
-                  g_flat + (static_cast<size_t>(c) * N + n) * L);
-
-  // The two backward GEMMs — dW = gout * cols^T (weight gradient) and
-  // gcols = W^T * gout (data gradient) — are independent. With a deferred
-  // bucket the dW GEMM joins it (cols^T is materialized into the bucket at
-  // add time); otherwise it dispatches at once. The data gradient, which
-  // the serial gx chain needs now, always dispatches at once. Each GEMM
-  // carries its own pass/seed, so the schedule is invisible to the bits.
+  const ConvPanelShape p = conv_panel(*this, x);
+  const int N = p.batch, K = p.K(), L = p.L(), NL = N * L;
+  // The two GEMMs, dW = gout * cols^T (accumulated into w_.grad) and
+  // gcols = W^T * gout, are independent; each carries its own pass and
+  // seed, so neither their order nor where dW runs moves a bit.
   const ComputeContext ctx_dw = ctx.fork(1).weight_grad();
-  if (ctx.grad_batch)
-    ctx.grad_batch->add_nt(ctx_dw, out_ch_, K, N * L, g_flat, cols_.data(),
-                           w_.grad.data(), /*accumulate=*/true);
-  else
-    matmul_nt(ctx_dw, out_ch_, K, N * L, g_flat, cols_.data(), w_.grad.data(),
-              /*accumulate=*/true);
-  Tensor gcols({K, N * L});
-  matmul_tn(ctx.fork(2), K, N * L, out_ch_, w_.value.data(), g_flat,
-            gcols.data());
-  // End of this layer's backward is a safe flush point for the deferred
-  // bucket (our staged g_flat is no longer needed; every other pending
-  // item's operands are layer members or batch-owned copies), so the
-  // memory bound holds even when this conv is nested inside a composite
-  // block the bucketing Sequential only sees as one child.
-  if (ctx.grad_batch &&
-      ctx.grad_batch->staged_floats() >= Sequential::kGradBucketFloats)
-    ctx.grad_batch->flush();
-  Tensor gx({N, in_ch_, H, W});  // zero-initialized: col2im accumulates
+  const ComputeContext ctx_dx = ctx.fork(2);
+  float* gcols = grown(t_scratch.c, static_cast<int64_t>(K) * NL);
+  if (ctx.backend->runs_fused_kernel()) {
+    fused_weight_grad(ctx_dw, p, out_ch_, x.data(), gout.data(),
+                      w_.grad.data());
+    // dX: gout is the panel of a 1x1 conv over itself.
+    fused_conv_gemm(ctx_dx, {N, out_ch_, p.oh, p.ow, 1, 1, 0, p.oh, p.ow}, K,
+                    w_.value.data(), /*transposed=*/true, gout.data(), gcols,
+                    nullptr);
+  } else {
+    // gout as (out_ch, N*L). When the dW GEMM defers into a cross-layer
+    // bucket (ctx.grad_batch), the reshaped gradient must outlive this
+    // call, so it stages in the bucket's scratch (and add_nt copies
+    // cols^T into the bucket).
+    const size_t g_n = static_cast<size_t>(out_ch_) * NL;
+    std::vector<float> g_store(ctx.grad_batch ? 0 : g_n);
+    float* g_flat =
+        ctx.grad_batch ? ctx.grad_batch->scratch(g_n) : g_store.data();
+    for (int o = 0; o < out_ch_; ++o)
+      for (int n = 0; n < N; ++n)
+        std::copy_n(gout.data() + (static_cast<size_t>(n) * out_ch_ + o) * L,
+                    L, g_flat + (static_cast<size_t>(o) * N + n) * L);
+    float* cols = grown(t_scratch.cols, static_cast<int64_t>(K) * NL);
+    im2col_batch(ctx, p, x.data(), cols);
+    if (ctx.grad_batch)
+      ctx.grad_batch->add_nt(ctx_dw, out_ch_, K, NL, g_flat, cols,
+                             w_.grad.data(), /*accumulate=*/true);
+    else
+      matmul_nt(ctx_dw, out_ch_, K, NL, g_flat, cols, w_.grad.data(),
+                /*accumulate=*/true);
+    matmul_tn(ctx_dx, K, NL, out_ch_, w_.value.data(), g_flat, gcols);
+    // End of this layer's backward is a safe flush point for the deferred
+    // bucket (our staged g_flat is no longer needed; every other pending
+    // item's operands are layer members or batch-owned copies), so the
+    // memory bound holds even when this conv is nested inside a composite
+    // block the bucketing Sequential only sees as one child.
+    if (ctx.grad_batch &&
+        ctx.grad_batch->staged_floats() >= Sequential::kGradBucketFloats)
+      ctx.grad_batch->flush();
+  }
+  Tensor gx({N, in_ch_, p.H, p.W});  // zero-initialized: col2im accumulates
   ThreadPool::global().parallel_for(
       0, N,
       [&](int64_t lo, int64_t hi) {
         for (int64_t n = lo; n < hi; ++n)
-          col2im_accumulate(gcols.data() + n * L, in_ch_, H, W, k_, k_,
-                            stride_, pad_,
-                            gx.data() + static_cast<size_t>(n) * in_ch_ * H * W,
-                            /*row_stride=*/static_cast<int64_t>(N) * L);
+          col2im_accumulate(gcols + n * L, in_ch_, p.H, p.W, k_, k_, stride_,
+                            pad_, gx.data() + n * in_ch_ * p.H * p.W,
+                            /*row_stride=*/NL);
       },
       ctx.threads);
   return gx;

@@ -6,7 +6,13 @@ namespace srmac {
 
 /// 2-D convolution (no bias — every conv here is followed by BatchNorm, as
 /// in ResNet/VGG-BN). Forward and both backward GEMMs run through the
-/// compute context (im2col + matmul).
+/// compute context. On a backend that runs the fused kernel
+/// (MatmulBackend::runs_fused_kernel) each GEMM is one pass over quantized
+/// activations: the forward and the input gradient run gemm_conv_pass (dY
+/// as the panel of a 1x1 conv over itself), the weight gradient packs
+/// cols^T straight from the input's codes and dispatches at once. Other
+/// backends build a float im2col panel and call matmul. The panels live
+/// in per-thread scratch shared by every conv, not in the layer.
 class Conv2d : public Layer {
  public:
   Conv2d(int in_ch, int out_ch, int k, int stride = 1, int pad = -1);
@@ -24,14 +30,9 @@ class Conv2d : public Layer {
   int padding() const { return pad_; }
 
  private:
-  /// Rebuilds cols_ (K x N*L) from x through im2col, reusing the member
-  /// scratch buffers; parallel over the batch.
-  void build_cols(const ComputeContext& ctx, const Tensor& x, int oh, int ow);
-
   int in_ch_, out_ch_, k_, stride_, pad_;
   Param w_;        // (out_ch, in_ch*k*k)
   Tensor x_cache_; // input needed for dW
-  std::vector<float> cols_;   // im2col scratch, reused across calls
 };
 
 /// Fully connected layer with bias.

@@ -64,7 +64,8 @@ class Sequential : public Layer {
   Tensor backward(const ComputeContext& ctx, const Tensor& gout) override {
     // Cross-layer weight-gradient bucketing: the layers' dW GEMMs are
     // deferred into one MatmulBatch and flushed in buckets of kGradBucket
-    // problems, which the batch runs one per pool thread. Bounded buckets
+    // problems, which the batch runs one per pool thread (a conv on the
+    // fused kernel runs its dW pass at once instead). Bounded buckets
     // cap how long deferred operand copies (MatmulBatch::scratch) stay
     // alive. The data-gradient chain stays serial — only the independent
     // dW GEMMs defer — and per-item seeds make the bits identical to
@@ -93,11 +94,14 @@ class Sequential : public Layer {
   /// at once.
   static constexpr size_t kGradBucket = 4;
 
-  /// Byte bound on the same bucket (as floats): conv layers stage their
-  /// im2col cols^T and reshaped gradient per deferred dW, which dwarfs the
+  /// Byte bound on the same bucket (as floats): on the float route
+  /// (backends without the fused kernel) conv layers stage their im2col
+  /// cols^T and reshaped gradient per deferred dW, which dwarfs the
   /// problem count as a memory measure — a bucket holding big planes
   /// flushes early so peak backward memory stays near the per-layer-flush
-  /// baseline (one large conv stages ~a few MB; 16 MB ≈ a handful). The
+  /// baseline (one large conv stages ~a few MB; 16 MB ≈ a handful). On the
+  /// fused kernel a conv runs its dW at once, and only a Linear's dW (a
+  /// copied gout^T) reaches the bucket. The
   /// bound is enforced by Conv2d/Linear at the *end* of their own backward
   /// (the safe flush point: their staged operands are dead, everyone
   /// else's are layer members or batch-owned), so composite blocks this

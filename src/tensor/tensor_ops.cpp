@@ -180,16 +180,4 @@ void add_inplace(Tensor& a, const Tensor& b) {
   for (int64_t i = 0; i < a.numel(); ++i) a[i] += b[i];
 }
 
-void scale_inplace(Tensor& a, float s) {
-  for (int64_t i = 0; i < a.numel(); ++i) a[i] *= s;
-}
-
-Tensor transpose2d(const Tensor& x) {
-  assert(x.ndim() == 2);
-  Tensor t({x.dim(1), x.dim(0)});
-  for (int i = 0; i < x.dim(0); ++i)
-    for (int j = 0; j < x.dim(1); ++j) t.at(j, i) = x.at(i, j);
-  return t;
-}
-
 }  // namespace srmac

@@ -102,10 +102,8 @@ class MatmulBatch {
   int uncaught_ = std::uncaught_exceptions();
 };
 
-/// Elementwise helpers used by the layers (always FP32: the paper quantizes
-/// the GEMM inputs/accumulations, not pointwise math).
+/// a += b elementwise, the residual blocks' join (always FP32: the paper
+/// quantizes the GEMM inputs/accumulations, not pointwise math).
 void add_inplace(Tensor& a, const Tensor& b);
-void scale_inplace(Tensor& a, float s);
-Tensor transpose2d(const Tensor& x);
 
 }  // namespace srmac

@@ -195,7 +195,6 @@ TEST_P(CycleSimShapes, ExpectedStatsMatchSimulation) {
       EXPECT_EQ(st.b_reads, want.b_reads);
       EXPECT_EQ(st.c_writes, want.c_writes);
       EXPECT_EQ(st.c_reads, want.c_reads);
-      EXPECT_EQ(st.active_pe_cycles, want.active_pe_cycles);
       EXPECT_EQ(st.pe_count, want.pe_count);
     }
   }

@@ -2,8 +2,9 @@
 // one batch scheduler, MatmulBatch, which runs a batch's problems one per
 // pool thread on every backend: bitwise parity with the "reference" golden
 // path for single GEMMs, heterogeneous batches, the layers' backward with
-// and without a weight-gradient bucket, and the cross-layer bucketing
-// Sequential::backward performs; the batch and layer telemetry; and
+// and without a weight-gradient bucket, Conv2d's fused passes at every
+// thread count, and the cross-layer bucketing Sequential::backward
+// performs; the batch and layer telemetry; and
 // scheduling invariance at model level — SGD steps and gradients are
 // bitwise equal at every thread count, on every backend.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/compute_context.hpp"
@@ -232,34 +234,103 @@ TEST(MatmulBatch, TelemetryCountsBatches) {
   EXPECT_EQ(snap.per_backend.at("sharded").batches, 1u);
 }
 
-// A lone Conv2d's three GEMMs (forward, dW, dX) each quantize both operands
-// inside the timed dispatch, the weight operand included: bytes_quantized
-// reads sum(M*K + K*N) over them.
+// A lone Conv2d's three GEMMs (forward, dW, dX) record one GEMM each with
+// the float route's M, N and K, and bytes_quantized counts the codes each
+// one quantized. The reference backend takes the float route, where every
+// GEMM quantizes both of its operands: sum(M*K + K*N). On "sharded" each
+// GEMM is one pass over quantized activations: the forward quantizes W and
+// the input, dX W^T and dY, dW dY and the input in its own format.
 TEST(LayerTelemetry, ConvCountsEveryOperandQuantized) {
-  Telemetry sink;
-  ComputeContext ctx = ComputeContext::with_backend(
-      "sharded", QuantPolicy::uniform(paper_config()), /*seed=*/3);
-  ctx.telemetry = &sink;
-  Conv2d conv(3, 4, 3);
-  he_init(conv, 5);
-  Tensor x({2, 3, 6, 6});
-  const auto xv = random_matrix(1, static_cast<int>(x.numel()), 41);
-  std::copy(xv.begin(), xv.end(), x.data());
-  const Tensor y = conv.forward(ctx, x, /*training=*/true);
-  conv.backward(ctx.backward(), y);
-
   const uint64_t M = 4, K = 3 * 3 * 3, NL = 2 * 6 * 6;
-  const auto operands = [](uint64_t m, uint64_t n, uint64_t k) {
-    return m * k + k * n;
+  const uint64_t x_n = 2 * 3 * 6 * 6, dy_n = M * NL;
+  for (const char* backend : {"sharded", "reference"}) {
+    Telemetry sink;
+    ComputeContext ctx = ComputeContext::with_backend(
+        backend, QuantPolicy::uniform(paper_config()), /*seed=*/3);
+    ctx.telemetry = &sink;
+    Conv2d conv(3, 4, 3);
+    he_init(conv, 5);
+    Tensor x({2, 3, 6, 6});
+    const auto xv = random_matrix(1, static_cast<int>(x.numel()), 41);
+    std::copy(xv.begin(), xv.end(), x.data());
+    const Tensor y = conv.forward(ctx, x, /*training=*/true);
+    conv.backward(ctx.backward(), y);
+
+    const TelemetrySnapshot snap = sink.snapshot();
+    EXPECT_EQ(snap.gemms, 3u) << backend;
+    EXPECT_EQ(snap.macs, 3 * M * NL * K) << backend;
+    // One byte per E5M2 value.
+    if (std::string(backend) == "sharded") {
+      const uint64_t fwd = M * K + x_n, dx = K * M + dy_n, dw = dy_n + x_n;
+      EXPECT_EQ(snap.bytes_quantized, fwd + dx + dw);
+      EXPECT_EQ(snap.bytes_quantized, 1224u);
+    } else {
+      const auto operands = [](uint64_t m, uint64_t n, uint64_t k) {
+        return m * k + k * n;
+      };
+      const uint64_t fwd = operands(M, NL, K);  // out = W * cols
+      const uint64_t dw = operands(M, K, NL);   // dW = g * cols^T
+      const uint64_t dx = operands(K, NL, M);   // dX = W^T * g
+      EXPECT_EQ(snap.bytes_quantized, fwd + dw + dx);
+    }
+  }
+}
+
+// Conv2d's passes on "sharded" — the forward and the input gradient through
+// gemm_conv_pass, the weight gradient packed straight from the input codes
+// and accumulated into a gradient that already holds values — equal the
+// reference backend's float route bit for bit at engine threads 1, 2 and
+// 0, on shapes whose panel width N*L and tap count K fill no 16- or 4-lane
+// group exactly, under eager SR, lazy SR, RN and HFP8.
+TEST(ShardedBackend, ConvPassesMatchReferenceAtEveryThreadCount) {
+  struct Geometry {
+    int in_ch, out_ch, k, stride, pad;
   };
-  const TelemetrySnapshot snap = sink.snapshot();
-  EXPECT_EQ(snap.gemms, 3u);
-  EXPECT_EQ(snap.macs, 3 * M * NL * K);
-  const uint64_t fwd = operands(M, NL, K);  // out = W * cols
-  const uint64_t dw = operands(M, K, NL);   // dW = g * cols^T
-  const uint64_t dx = operands(K, NL, M);   // dX = W^T * g
-  // One byte per E5M2 value.
-  EXPECT_EQ(snap.bytes_quantized, fwd + dw + dx);
+  // On a batch of 3 5x7 inputs: N*L = 36 (3x4 outputs) or 105 (5x7).
+  const Geometry geometries[] = {
+      {3, 7, 3, 2, 1}, {3, 7, 3, 1, 1}, {5, 7, 1, 2, 0}};
+  MacConfig lazy = paper_config();
+  lazy.adder = AdderKind::kLazySR;
+  MacConfig rn = paper_config();
+  rn.adder = AdderKind::kRoundNearest;
+  const std::pair<const char*, QuantPolicy> policies[] = {
+      {"eager", QuantPolicy::uniform(paper_config())},
+      {"lazy", QuantPolicy::uniform(lazy)},
+      {"rn", QuantPolicy::uniform(rn)},
+      {"hfp8", QuantPolicy::hfp8(paper_config())}};
+  for (const Geometry& g : geometries) {
+    for (const auto& [name, policy] : policies) {
+      auto run = [&](const char* backend, int threads) {
+        Conv2d conv(g.in_ch, g.out_ch, g.k, g.stride, g.pad);
+        he_init(conv, 0xC0DE);
+        Tensor x({3, g.in_ch, 5, 7});
+        const auto xv = random_matrix(1, static_cast<int>(x.numel()), 51);
+        std::copy(xv.begin(), xv.end(), x.data());
+        const ComputeContext ctx = ComputeContext::with_backend(
+            backend, policy, /*seed=*/29, threads);
+        std::vector<Tensor> out;
+        out.push_back(conv.forward(ctx, x, /*training=*/true));
+        Tensor gout(out[0].shape());
+        const auto gv = random_matrix(1, static_cast<int>(gout.numel()), 52);
+        std::copy(gv.begin(), gv.end(), gout.data());
+        Tensor& grad = conv.weight().grad;
+        const auto dv = random_matrix(1, static_cast<int>(grad.numel()), 53);
+        std::copy(dv.begin(), dv.end(), grad.data());
+        out.push_back(conv.backward(ctx.backward(), gout));
+        out.push_back(grad);
+        return out;
+      };
+      const std::vector<Tensor> ref = run("reference", 0);
+      for (const int threads : {1, 2, 0}) {
+        const std::vector<Tensor> got = run("sharded", threads);
+        for (size_t i = 0; i < ref.size(); ++i)
+          EXPECT_TRUE(bitwise_equal(got[i], ref[i]))
+              << "k=" << g.k << " stride=" << g.stride << " " << name
+              << " threads=" << threads << " tensor " << i
+              << " (0 out, 1 dX, 2 dW)";
+      }
+    }
+  }
 }
 
 // ---- scheduling invariance at model level ----

@@ -661,6 +661,110 @@ TEST(GemmFastpath, ConvGroupPackerMatchesIm2colQuantizePack) {
   EXPECT_GT(padded_last, 0);
 }
 
+TEST(GemmFastpath, ConvWeightGradPackerMatchesIm2colTransposeQuantizePack) {
+  // The weight gradient's cols^T packer over any row range writes the
+  // words of im2col, a transpose, gemm_quantize and gemm_pack_b_into for
+  // those rows of every tap group: -0 stays -0, padding and lanes past K
+  // are +0. Same scenarios and geometries as the column-group packer.
+  Xoshiro256 rng(0x7A95);
+  int straddle_row = 0, straddle_sample = 0, padded_last = 0;
+  for (const char* spec : {"eager_sr:e5m2/e6m5:r=9", "eager_sr:e5m2/e6m5:r=31"}) {
+    const MacConfig cfg = *MacConfig::parse(spec);
+    const int G = FusedMacKernel(cfg).group_width();
+    for (const ConvCase& cc : packer_cases()) {
+      for (int batch : {1, 4, 16}) {
+        const ConvPanelShape p{batch,
+                               cc.C,
+                               cc.H,
+                               cc.W,
+                               cc.k,
+                               cc.stride,
+                               cc.pad,
+                               conv_out_dim(cc.H, cc.k, cc.stride, cc.pad),
+                               conv_out_dim(cc.W, cc.k, cc.stride, cc.pad)};
+        const int K = p.K(), L = p.L(), N = static_cast<int>(p.N());
+        const int64_t in_n = static_cast<int64_t>(cc.C) * cc.H * cc.W;
+        const std::vector<float> x =
+            conv_activations(rng, static_cast<size_t>(batch * in_n));
+        const std::string what = std::string(spec) + " C=" +
+                                 std::to_string(cc.C) + " " +
+                                 std::to_string(cc.H) + "x" +
+                                 std::to_string(cc.W) + " k=" +
+                                 std::to_string(cc.k) + " s=" +
+                                 std::to_string(cc.stride) + " p=" +
+                                 std::to_string(cc.pad) + " batch=" +
+                                 std::to_string(batch);
+
+        // The four-pass reference: cols^T is N x K, a K-column operand
+        // whose chains run over the N panel columns.
+        std::vector<float> cols(static_cast<size_t>(K) * N);
+        for (int s = 0; s < batch; ++s)
+          im2col(x.data() + s * in_n, cc.C, cc.H, cc.W, cc.k, cc.k,
+                 cc.stride, cc.pad, cols.data() + static_cast<size_t>(s) * L,
+                 N);
+        std::vector<float> cols_t(cols.size());
+        for (int r = 0; r < K; ++r)
+          for (int j = 0; j < N; ++j)
+            cols_t[static_cast<size_t>(j) * K + r] =
+                cols[static_cast<size_t>(r) * N + j];
+        std::vector<uint32_t> qcols_t(cols_t.size());
+        gemm_quantize(cfg.mul_fmt, N, K, cols_t.data(), K, qcols_t.data());
+        PackedBPanels want;
+        gemm_pack_b_into(cfg, N, K, qcols_t.data(), K, &want);
+
+        std::vector<uint32_t> codes(x.size());
+        gemm_quantize(cfg.mul_fmt, batch, static_cast<int>(in_n), x.data(),
+                      static_cast<int>(in_n), codes.data());
+        const int64_t groups = (K + G - 1) / G;
+        ASSERT_EQ(want.bt.size(), static_cast<size_t>(groups) * G * N);
+        padded_last += K % G != 0;
+
+        // Rows [lo, hi) of every group hold the reference words; the rest
+        // of the sentinel buffer is untouched.
+        constexpr uint32_t kUntouched = 0xDEADBEEFu;
+        const auto check = [&](const std::vector<uint32_t>& got, int64_t lo,
+                               int64_t hi, const std::string& how) {
+          for (size_t i = 0; i < got.size(); ++i) {
+            const int64_t j = static_cast<int64_t>(i) % (G * N) / G;
+            const uint32_t expect =
+                j >= lo && j < hi ? want.bt[i] : kUntouched;
+            ASSERT_EQ(got[i], expect)
+                << what << " " << how << " word " << i << " (group "
+                << i / (G * N) << ", row " << j << ", lane " << i % G << ")";
+          }
+        };
+        std::vector<uint32_t> got(want.bt.size(), kUntouched);
+        gemm_pack_conv_taps(p, G, codes.data(), 0, N, got.data());
+        check(got, 0, N, "whole panel");
+        // Pieces up to two output rows long, so they start and end inside
+        // rows and samples.
+        std::fill(got.begin(), got.end(), kUntouched);
+        for (int64_t lo = 0; lo < N;) {
+          const int64_t hi = std::min<int64_t>(
+              N, lo + 1 + static_cast<int64_t>(rng.below(2 * p.ow)));
+          straddle_row += lo / p.ow != (hi - 1) / p.ow;
+          straddle_sample += lo / L != (hi - 1) / L;
+          gemm_pack_conv_taps(p, G, codes.data(), lo, hi, got.data());
+          lo = hi;
+        }
+        check(got, 0, N, "random pieces");
+        for (int trial = 0; trial < 3; ++trial) {
+          const int64_t lo = static_cast<int64_t>(rng.below(N));
+          const int64_t hi = lo + 1 + static_cast<int64_t>(rng.below(N - lo));
+          std::fill(got.begin(), got.end(), kUntouched);
+          gemm_pack_conv_taps(p, G, codes.data(), lo, hi, got.data());
+          check(got, lo, hi,
+                "rows [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                    ")");
+        }
+      }
+    }
+  }
+  EXPECT_GT(straddle_row, 0);
+  EXPECT_GT(straddle_sample, 0);
+  EXPECT_GT(padded_last, 0);
+}
+
 TEST(GemmFastpath, ChainGroupsOverSubRangesMatchTheWholeGemm) {
   // The chain loop both the wide GEMM entry and the compiled conv pass run:
   // any (row range, group range) block writes exactly those outputs, with
