@@ -281,14 +281,18 @@ TEST(LayerTelemetry, ConvCountsEveryOperandQuantized) {
 // and accumulated into a gradient that already holds values — equal the
 // reference backend's float route bit for bit at engine threads 1, 2 and
 // 0, on shapes whose panel width N*L and tap count K fill no 16- or 4-lane
-// group exactly, under eager SR, lazy SR, RN and HFP8.
+// group exactly, under eager SR, lazy SR, RN and HFP8. The 13x15 input is
+// large enough for every pass, the weight gradient's pack included, to
+// split across threads.
 TEST(ShardedBackend, ConvPassesMatchReferenceAtEveryThreadCount) {
   struct Geometry {
-    int in_ch, out_ch, k, stride, pad;
+    int in_ch, out_ch, k, stride, pad, H, W;
   };
-  // On a batch of 3 5x7 inputs: N*L = 36 (3x4 outputs) or 105 (5x7).
-  const Geometry geometries[] = {
-      {3, 7, 3, 2, 1}, {3, 7, 3, 1, 1}, {5, 7, 1, 2, 0}};
+  // On a batch of 3: N*L = 36 (3x4 outputs), 105 (5x7) or 585 (13x15).
+  const Geometry geometries[] = {{3, 7, 3, 2, 1, 5, 7},
+                                 {3, 7, 3, 1, 1, 5, 7},
+                                 {5, 7, 1, 2, 0, 5, 7},
+                                 {5, 7, 3, 1, 1, 13, 15}};
   MacConfig lazy = paper_config();
   lazy.adder = AdderKind::kLazySR;
   MacConfig rn = paper_config();
@@ -303,7 +307,7 @@ TEST(ShardedBackend, ConvPassesMatchReferenceAtEveryThreadCount) {
       auto run = [&](const char* backend, int threads) {
         Conv2d conv(g.in_ch, g.out_ch, g.k, g.stride, g.pad);
         he_init(conv, 0xC0DE);
-        Tensor x({3, g.in_ch, 5, 7});
+        Tensor x({3, g.in_ch, g.H, g.W});
         const auto xv = random_matrix(1, static_cast<int>(x.numel()), 51);
         std::copy(xv.begin(), xv.end(), x.data());
         const ComputeContext ctx = ComputeContext::with_backend(
@@ -325,7 +329,8 @@ TEST(ShardedBackend, ConvPassesMatchReferenceAtEveryThreadCount) {
         const std::vector<Tensor> got = run("sharded", threads);
         for (size_t i = 0; i < ref.size(); ++i)
           EXPECT_TRUE(bitwise_equal(got[i], ref[i]))
-              << "k=" << g.k << " stride=" << g.stride << " " << name
+              << g.H << "x" << g.W << " k=" << g.k << " stride=" << g.stride
+              << " " << name
               << " threads=" << threads << " tensor " << i
               << " (0 out, 1 dX, 2 dW)";
       }
