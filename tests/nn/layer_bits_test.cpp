@@ -19,6 +19,15 @@
 // quantized and packed it in separate passes, so they pin that operands
 // packed straight from the activations keep every bit, on every ISA's group
 // width.
+//
+// The third table pins the training step: three SGD steps of resnet20 and of
+// a bottleneck model on the sharded backend, so BatchNorm2d, ReLU and the
+// residual adds run in training next to the GEMMs, at engine threads 1 and
+// 0 against one row. Those rows were recorded from the tree whose pointwise
+// layers still ran serially on the calling thread. BatchNorm's statistics
+// and gradients add in double in a fixed order and take one square root;
+// every other op is a float add, multiply or divide, so no libm call enters
+// these digests either.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,6 +46,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/resnet.hpp"
 #include "rng/xoshiro.hpp"
+#include "train/optimizer.hpp"
 
 namespace srmac {
 namespace {
@@ -499,6 +509,162 @@ TEST(CompiledBits, VggMini) {
 }
 
 TEST(CompiledBits, Bottleneck) { check_compiled(bottleneck_subject()); }
+
+// ---- the training step ----
+
+/// One recorded training row: each step's logits, every parameter after
+/// the last step (one digest over all of them), then the inference output.
+struct TrainRow {
+  const char* subject;
+  const char* scenario;
+  std::vector<uint64_t> digests;
+};
+
+// clang-format off
+const std::vector<TrainRow> kTrainRecorded = {
+    {"resnet20:16 b4", "eager",
+     {0xED12ADAAB735A0F2ull, 0x40A847ED77BAB1BDull, 0x266C9D5D8B9CF4A5ull,
+      0x7AF02B52C5AC7956ull, 0x93FF58DEFC9E7AAFull}},
+    {"resnet20:16 b4", "lazy",
+     {0x4C8D4E568222ED03ull, 0x80E54B3C8A1E7235ull, 0x7DF2CE0AD7AEAC32ull,
+      0xA12AC1989F5AB2A7ull, 0xEB37EC8052E4F6B5ull}},
+    {"resnet20:16 b4", "rn",
+     {0x2DE5D690FA9A4831ull, 0x198C6881C0BDE5FEull, 0x6A890332032F91D8ull,
+      0x49FBFA7E1BC25FD8ull, 0xD7760F97C2DACB85ull}},
+    {"resnet20:16 b4", "eager_subOFF",
+     {0x9B841CA5B6F4DBA0ull, 0x2C315265E78E2F7Full, 0x1C0709F054C50B02ull,
+      0x5D688891C586EC64ull, 0xE2E38E1B1A7CF487ull}},
+    {"resnet20:16 b4", "hfp8",
+     {0x65488FD0919BDEEFull, 0x71B318F266AD2027ull, 0x977698E7D243F7BAull,
+      0x18263779A0EBD992ull, 0xD78BB447D055977Eull}},
+    {"bottleneck b4", "eager",
+     {0x2943E85FC019AC41ull, 0x4CD42A078C17444Cull, 0xCA3F12F359E90556ull,
+      0x18D9BDD485483E03ull, 0x2CE0AA86CD6201A5ull}},
+    {"bottleneck b4", "lazy",
+     {0xA549DD3105FA248Dull, 0x9E7865D8986412F4ull, 0x1C18A6470A90D8CBull,
+      0x3B79079842BE23ECull, 0x42C6D688BA913110ull}},
+    {"bottleneck b4", "rn",
+     {0xE2B1A0EDEBEC322Aull, 0x70128710E655D1FAull, 0xBF2B7954917CB149ull,
+      0x21B4787683F4F814ull, 0x0F89F74F0E8B02A4ull}},
+    {"bottleneck b4", "eager_subOFF",
+     {0x2943E85FC019AC41ull, 0x9C436D41F05A022Eull, 0xE1615D91B6E8DD88ull,
+      0x3853941D8BEE2D2Cull, 0x475C9144EFDE2D4Cull}},
+    {"bottleneck b4", "hfp8",
+     {0xA4250D81E5C666F5ull, 0xDDF18D35711C2A96ull, 0x5E2106F109A0427Eull,
+      0x82D39B5E8DFC5407ull, 0xDC13F21FFF21D71Dull}},
+    {"wide planes b2", "eager",
+     {0x6B606D0B3604FFC1ull, 0xDFE5AAB838977EA6ull, 0xAFC2AEE3BF1B3ABDull,
+      0x2527A47E55D70EE6ull, 0x37BF20A621F4F95Dull}},
+    {"wide planes b2", "lazy",
+     {0x6B606D0B3604FFC1ull, 0x92085DF781847DC1ull, 0xC5616DD454003D31ull,
+      0x136A8421745B1BA6ull, 0xC1F3FB8678711F6Full}},
+    {"wide planes b2", "rn",
+     {0xE0675F4E17ABCFC5ull, 0xE87E7BA0A3E20A6Dull, 0xE2C9F8B6C2B09165ull,
+      0xE9ABE1CB0CF7FC68ull, 0xF9548981012455ADull}},
+    {"wide planes b2", "eager_subOFF",
+     {0x6B606D0B3604FFC1ull, 0xDFE5AAB838977EA6ull, 0x0FF048EBFFAFB5C5ull,
+      0x077D69DD221AE226ull, 0x13F77CC0D910EDB7ull}},
+    {"wide planes b2", "hfp8",
+     {0x908D058502BB5E09ull, 0xB8BD7A5D448F3FADull, 0x0DD6A986E68F43E1ull,
+      0x44576396BD558BA1ull, 0x60D0EE36B9664B59ull}},
+};
+// clang-format on
+
+/// A model trained from `input` (batch included), built fresh per run.
+struct TrainSubject {
+  const char* name;
+  std::function<std::unique_ptr<Sequential>()> build;
+  std::vector<int> input;
+};
+
+/// Three SGD steps of the subject on sharded under (policy, threads): each
+/// a training forward, a backward from a fill()ed output gradient (no
+/// softmax, so no libm call) and an SgdMomentum step. Then one inference
+/// forward, which reads the running statistics.
+std::vector<uint64_t> run_train(const TrainSubject& s,
+                                const QuantPolicy& policy, int threads) {
+  std::unique_ptr<Sequential> model = s.build();
+  std::vector<Param*> params;
+  model->collect_params(params);
+  SgdMomentum optim(params, 0.05f);
+  optim.zero_grad();
+  Xoshiro256 rng(0x7EA1);
+  const Tensor x = filled(s.input, rng);
+  const ComputeContext base =
+      ComputeContext::with_backend("sharded", policy, /*seed=*/17, threads);
+
+  std::vector<uint64_t> out;
+  for (int step = 0; step < 3; ++step) {
+    const ComputeContext ctx = base.fork(0xE0000 + step);
+    const Tensor logits = model->forward(ctx, x, /*training=*/true);
+    out.push_back(digest(logits));
+    model->backward(ctx.backward(), filled(logits.shape(), rng));
+    optim.step(/*loss_scale=*/1.0f);
+    optim.zero_grad();
+  }
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (const Param* p : params) h = digest(p->value, h);
+  out.push_back(h);
+  out.push_back(digest(model->forward(base, x, /*training=*/false)));
+  return out;
+}
+
+void check_train(const TrainSubject& s) {
+  for (const Scenario& sc : scenarios()) {
+    const TrainRow* rec = nullptr;
+    for (const TrainRow& r : kTrainRecorded)
+      if (std::string(r.subject) == s.name &&
+          std::string(r.scenario) == sc.name)
+        rec = &r;
+    for (const int threads : {1, 0}) {
+      const std::vector<uint64_t> got = run_train(s, sc.policy, threads);
+      if (rec && rec->digests == got) continue;
+      std::string line = std::string("    {\"") + s.name + "\", \"" +
+                         sc.name + "\",\n     {";
+      for (size_t i = 0; i < got.size(); ++i) {
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llXull",
+                      static_cast<unsigned long long>(got[i]));
+        line += (i ? (i % 3 == 0 ? ",\n      " : ", ") : "") +
+                std::string(hex);
+      }
+      ADD_FAILURE() << (rec ? "row moved" : "row missing") << ": " << s.name
+                    << " / " << sc.name << " at threads " << threads
+                    << "; it now reads\n"
+                    << line << "}},";
+    }
+  }
+}
+
+TEST(TrainBits, Resnet20) {
+  check_train({"resnet20:16 b4",
+               [] { return ModelSpec::parse_or_die("resnet20:16").build(); },
+               {4, 3, 16, 16}});
+}
+
+TEST(TrainBits, Bottleneck) {
+  check_train({"bottleneck b4", bottleneck_subject().build, {4, 3, 8, 8}});
+}
+
+// A 1x1 stem, a BasicBlock and a BottleneckBlock, both with identity
+// shortcuts, on 64x64 planes: at batch 2 the stem's and the BasicBlock's
+// BatchNorms, every ReLU and both residual adds span 32,768 elements, large
+// enough to split across pool threads, while the GEMMs stay small.
+TEST(TrainBits, WidePlanes) {
+  auto build = [] {
+    auto net = std::make_unique<Sequential>();
+    net->add(std::make_unique<Conv2d>(3, 4, 1, 1, 0));
+    net->add(std::make_unique<BatchNorm2d>(4));
+    net->add(std::make_unique<ReLU>());
+    net->add(std::make_unique<BasicBlock>(4, 4, 1));
+    net->add(std::make_unique<BottleneckBlock>(4, 2, 4, 1));
+    net->add(std::make_unique<GlobalAvgPool>());
+    net->add(std::make_unique<Linear>(4, 5));
+    he_init(*net, 0x91DE);
+    return net;
+  };
+  check_train({"wide planes b2", build, {2, 3, 64, 64}});
+}
 
 }  // namespace
 }  // namespace srmac
