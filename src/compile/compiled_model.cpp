@@ -88,8 +88,9 @@ void CompiledModel::forward_batch(std::vector<Tensor>& xs, size_t first,
     }
   }
 
-  // The only steady-state allocations of the whole pass: the output tensors
-  // handed back to the caller.
+  // The output tensors handed back to the caller: with the std::function
+  // each pool dispatch site builds and the pool's deque nodes, the only
+  // steady-state allocations of the pass.
   const Stage& out = stages_[last - 1];
   std::vector<int> out_shape(1, 1);  // forward() keeps batch dimension 1
   out_shape.insert(out_shape.end(), out.out_shape.begin(),

@@ -23,8 +23,10 @@ namespace srmac {
 ///    once at compile time (and the Linear W^T planes are packed into the
 ///    fused kernel's panel layout once), instead of per micro-batch;
 ///  - every activation and scratch buffer is preplanned for the compiled
-///    (input shape, max batch), so a steady-state forward allocates nothing
-///    except the output tensors handed to clients;
+///    (input shape, max batch), so a steady-state forward allocates no
+///    tensor or scratch: what still allocates is the output tensors handed
+///    to clients, the std::function each pool dispatch site builds, and
+///    the pool's deque nodes (docs/COMPILER.md);
 ///  - a bit-accurate conv quantizes its input activations once and packs
 ///    the kernel's operand panel straight from those codes, with no float
 ///    im2col panel in between, and runs the whole op (pack, chains,

@@ -353,100 +353,149 @@ BatchNorm2d::BatchNorm2d(int ch, float momentum, float eps)
   running_var_ = Tensor({ch}, 1.0f);
 }
 
-Tensor BatchNorm2d::forward(const ComputeContext&, const Tensor& x,
+namespace {
+/// Channels per pool chunk for per-channel work over `per_ch` elements
+/// each: enough to carry kPointwiseGrain elements.
+int64_t channel_grain(int64_t per_ch) {
+  return (kPointwiseGrain + per_ch - 1) / std::max<int64_t>(1, per_ch);
+}
+}  // namespace
+
+Tensor BatchNorm2d::forward(const ComputeContext& ctx, const Tensor& x,
                             bool training) {
   assert(x.ndim() == 4 && x.dim(1) == ch_);
-  const int N = x.dim(0), H = x.dim(2), W = x.dim(3);
-  const int64_t per_ch = static_cast<int64_t>(N) * H * W;
+  const int N = x.dim(0);
+  const int64_t HW = static_cast<int64_t>(x.dim(2)) * x.dim(3);
+  const int64_t per_ch = N * HW;
   in_shape_ = x.shape();
   Tensor out(x.shape());
   if (training) {
     xhat_cache_ = Tensor(x.shape());
     invstd_cache_ = Tensor({ch_});
   }
-  for (int c = 0; c < ch_; ++c) {
-    double mean, var;
-    if (training) {
-      double sum = 0, sq = 0;
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h)
-          for (int w = 0; w < W; ++w) {
-            const double v = x.at(n, c, h, w);
-            sum += v;
-            sq += v * v;
+  const float* xp = x.data();
+  float* op = out.data();
+  float* xhp = training ? xhat_cache_.data() : nullptr;
+  // Each channel reads and writes only its own planes and slots, so the
+  // channels split across the pool with every sum in its serial order.
+  ThreadPool::global().parallel_for(
+      0, ch_,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t c = lo; c < hi; ++c) {
+          double mean, var;
+          if (training) {
+            double sum = 0, sq = 0;
+            for (int n = 0; n < N; ++n) {
+              const int64_t at = (n * ch_ + c) * HW;
+              for (int64_t i = 0; i < HW; ++i) {
+                const double v = xp[at + i];
+                sum += v;
+                sq += v * v;
+              }
+            }
+            mean = sum / static_cast<double>(per_ch);
+            var = sq / static_cast<double>(per_ch) - mean * mean;
+            if (var < 0) var = 0;
+            running_mean_[c] = (1 - momentum_) * running_mean_[c] +
+                               momentum_ * static_cast<float>(mean);
+            running_var_[c] = (1 - momentum_) * running_var_[c] +
+                              momentum_ * static_cast<float>(var);
+          } else {
+            mean = running_mean_[c];
+            var = running_var_[c];
           }
-      mean = sum / static_cast<double>(per_ch);
-      var = sq / static_cast<double>(per_ch) - mean * mean;
-      if (var < 0) var = 0;
-      running_mean_[c] = (1 - momentum_) * running_mean_[c] +
-                         momentum_ * static_cast<float>(mean);
-      running_var_[c] =
-          (1 - momentum_) * running_var_[c] + momentum_ * static_cast<float>(var);
-    } else {
-      mean = running_mean_[c];
-      var = running_var_[c];
-    }
-    const float invstd = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    if (training) invstd_cache_[c] = invstd;
-    const float g = gamma_.value[c], b = beta_.value[c];
-    for (int n = 0; n < N; ++n)
-      for (int h = 0; h < H; ++h)
-        for (int w = 0; w < W; ++w) {
-          const float xh =
-              (x.at(n, c, h, w) - static_cast<float>(mean)) * invstd;
-          if (training) xhat_cache_.at(n, c, h, w) = xh;
-          out.at(n, c, h, w) = g * xh + b;
+          const float mu = static_cast<float>(mean);
+          const float invstd =
+              static_cast<float>(1.0 / std::sqrt(var + eps_));
+          if (training) invstd_cache_[c] = invstd;
+          const float g = gamma_.value[c], b = beta_.value[c];
+          for (int n = 0; n < N; ++n) {
+            const int64_t at = (n * ch_ + c) * HW;
+            for (int64_t i = 0; i < HW; ++i) {
+              const float xh = (xp[at + i] - mu) * invstd;
+              if (xhp) xhp[at + i] = xh;
+              op[at + i] = g * xh + b;
+            }
+          }
         }
-  }
+      },
+      ctx.threads, channel_grain(per_ch));
   return out;
 }
 
-Tensor BatchNorm2d::backward(const ComputeContext&, const Tensor& gout) {
-  const int N = in_shape_[0], H = in_shape_[2], W = in_shape_[3];
-  const double m = static_cast<double>(N) * H * W;
-  Tensor gx({N, ch_, H, W});
-  for (int c = 0; c < ch_; ++c) {
-    double sum_g = 0, sum_gx = 0;
-    for (int n = 0; n < N; ++n)
-      for (int h = 0; h < H; ++h)
-        for (int w = 0; w < W; ++w) {
-          const double g = gout.at(n, c, h, w);
-          sum_g += g;
-          sum_gx += g * xhat_cache_.at(n, c, h, w);
+Tensor BatchNorm2d::backward(const ComputeContext& ctx, const Tensor& gout) {
+  const int N = in_shape_[0];
+  const int64_t HW = static_cast<int64_t>(in_shape_[2]) * in_shape_[3];
+  const double m = static_cast<double>(N * HW);
+  Tensor gx(in_shape_);
+  const float* gp = gout.data();
+  const float* xhp = xhat_cache_.data();
+  float* gxp = gx.data();
+  ThreadPool::global().parallel_for(
+      0, ch_,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t c = lo; c < hi; ++c) {
+          double sum_g = 0, sum_gx = 0;
+          for (int n = 0; n < N; ++n) {
+            const int64_t at = (n * ch_ + c) * HW;
+            for (int64_t i = 0; i < HW; ++i) {
+              const double g = gp[at + i];
+              sum_g += g;
+              sum_gx += g * xhp[at + i];
+            }
+          }
+          gamma_.grad[c] += static_cast<float>(sum_gx);
+          beta_.grad[c] += static_cast<float>(sum_g);
+          const double gam = gamma_.value[c], invstd = invstd_cache_[c];
+          for (int n = 0; n < N; ++n) {
+            const int64_t at = (n * ch_ + c) * HW;
+            for (int64_t i = 0; i < HW; ++i) {
+              const double g = gp[at + i];
+              const double xh = xhp[at + i];
+              gxp[at + i] = static_cast<float>(
+                  gam * invstd * (g - sum_g / m - xh * sum_gx / m));
+            }
+          }
         }
-    gamma_.grad[c] += static_cast<float>(sum_gx);
-    beta_.grad[c] += static_cast<float>(sum_g);
-    const double gam = gamma_.value[c], invstd = invstd_cache_[c];
-    for (int n = 0; n < N; ++n)
-      for (int h = 0; h < H; ++h)
-        for (int w = 0; w < W; ++w) {
-          const double g = gout.at(n, c, h, w);
-          const double xh = xhat_cache_.at(n, c, h, w);
-          gx.at(n, c, h, w) = static_cast<float>(
-              gam * invstd * (g - sum_g / m - xh * sum_gx / m));
-        }
-  }
+      },
+      ctx.threads, channel_grain(N * HW));
   return gx;
 }
 
 // -------------------------------- ReLU -------------------------------------
 
-Tensor ReLU::forward(const ComputeContext&, const Tensor& x, bool training) {
-  Tensor out = x;
+Tensor ReLU::forward(const ComputeContext& ctx, const Tensor& x,
+                     bool training) {
+  Tensor out(x.shape());
   if (training) mask_ = Tensor(x.shape());
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    if (x[i] > 0) {
-      if (training) mask_[i] = 1.0f;
-    } else {
-      out[i] = 0.0f;
-    }
-  }
+  const float* xp = x.data();
+  float* op = out.data();
+  float* mp = training ? mask_.data() : nullptr;
+  // NaN and -0 fail x > 0, so both become +0 with a zero mask.
+  ThreadPool::global().parallel_for(
+      0, x.numel(),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const bool pos = xp[i] > 0;
+          op[i] = pos ? xp[i] : 0.0f;
+          if (mp) mp[i] = pos ? 1.0f : 0.0f;
+        }
+      },
+      ctx.threads, kPointwiseGrain);
   return out;
 }
 
-Tensor ReLU::backward(const ComputeContext&, const Tensor& gout) {
-  Tensor gx = gout;
-  for (int64_t i = 0; i < gx.numel(); ++i) gx[i] *= mask_[i];
+Tensor ReLU::backward(const ComputeContext& ctx, const Tensor& gout) {
+  Tensor gx(gout.shape());
+  const float* gp = gout.data();
+  const float* mp = mask_.data();
+  float* gxp = gx.data();
+  ThreadPool::global().parallel_for(
+      0, gout.numel(),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) gxp[i] = gp[i] * mp[i];
+      },
+      ctx.threads, kPointwiseGrain);
   return gx;
 }
 

@@ -58,7 +58,10 @@ class Linear : public Layer {
 };
 
 /// Batch normalization over (N, H, W) per channel. Pointwise math stays in
-/// FP32 (the paper quantizes GEMMs only).
+/// FP32 (the paper quantizes GEMMs only). Forward and backward split by
+/// whole channels across at most ctx.threads pool threads (kPointwiseGrain
+/// elements a chunk); each channel keeps its double sums in serial order
+/// and writes only its own planes, statistics and parameter-gradient slots.
 class BatchNorm2d : public Layer {
  public:
   explicit BatchNorm2d(int ch, float momentum = 0.1f, float eps = 1e-5f);
@@ -88,6 +91,10 @@ class BatchNorm2d : public Layer {
   std::vector<int> in_shape_;
 };
 
+/// max(x, 0), with NaN and -0 mapped to +0. Forward (which writes the
+/// output and, in training, the 0/1 mask in one pass) and backward split by
+/// element range across at most ctx.threads pool threads
+/// (kPointwiseGrain elements a chunk).
 class ReLU : public Layer {
  public:
   Tensor forward(const ComputeContext& ctx, const Tensor& x, bool training) override;

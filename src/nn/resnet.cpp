@@ -24,18 +24,17 @@ BasicBlock::BasicBlock(int in_ch, int out_ch, int stride)
 
 Tensor BasicBlock::forward(const ComputeContext& ctx, const Tensor& x,
                            bool training) {
-  if (training) x_cache_ = x;
   Tensor h = conv1_.forward(ctx.fork(1), x, training);
   h = bn1_.forward(ctx, h, training);
   h = relu1_.forward(ctx, h, training);
   h = conv2_.forward(ctx.fork(2), h, training);
   h = bn2_.forward(ctx, h, training);
-  Tensor sc = x;
   if (project_) {
-    sc = proj_->forward(ctx.fork(3), x, training);
-    sc = proj_bn_->forward(ctx, sc, training);
+    const Tensor sc = proj_->forward(ctx.fork(3), x, training);
+    add_inplace(h, proj_bn_->forward(ctx, sc, training), ctx.threads);
+  } else {
+    add_inplace(h, x, ctx.threads);
   }
-  add_inplace(h, sc);
   return relu2_.forward(ctx, h, training);
 }
 
@@ -47,12 +46,12 @@ Tensor BasicBlock::backward(const ComputeContext& ctx, const Tensor& gout) {
   gb = relu1_.backward(ctx, gb);
   gb = bn1_.backward(ctx, gb);
   gb = conv1_.backward(ctx.fork(1), gb);
-  Tensor gs = g;
   if (project_) {
-    gs = proj_bn_->backward(ctx, gs);
-    gs = proj_->backward(ctx.fork(3), gs);
+    const Tensor gs = proj_bn_->backward(ctx, g);
+    add_inplace(gb, proj_->backward(ctx.fork(3), gs), ctx.threads);
+  } else {
+    add_inplace(gb, g, ctx.threads);
   }
-  add_inplace(gb, gs);
   return gb;
 }
 
@@ -93,12 +92,12 @@ Tensor BottleneckBlock::forward(const ComputeContext& ctx, const Tensor& x,
   h = relu2_.forward(ctx, h, training);
   h = conv3_.forward(ctx.fork(3), h, training);
   h = bn3_.forward(ctx, h, training);
-  Tensor sc = x;
   if (project_) {
-    sc = proj_->forward(ctx.fork(4), x, training);
-    sc = proj_bn_->forward(ctx, sc, training);
+    const Tensor sc = proj_->forward(ctx.fork(4), x, training);
+    add_inplace(h, proj_bn_->forward(ctx, sc, training), ctx.threads);
+  } else {
+    add_inplace(h, x, ctx.threads);
   }
-  add_inplace(h, sc);
   return relu3_.forward(ctx, h, training);
 }
 
@@ -113,12 +112,12 @@ Tensor BottleneckBlock::backward(const ComputeContext& ctx,
   gb = relu1_.backward(ctx, gb);
   gb = bn1_.backward(ctx, gb);
   gb = conv1_.backward(ctx.fork(1), gb);
-  Tensor gs = g;
   if (project_) {
-    gs = proj_bn_->backward(ctx, gs);
-    gs = proj_->backward(ctx.fork(4), gs);
+    const Tensor gs = proj_bn_->backward(ctx, g);
+    add_inplace(gb, proj_->backward(ctx.fork(4), gs), ctx.threads);
+  } else {
+    add_inplace(gb, g, ctx.threads);
   }
-  add_inplace(gb, gs);
   return gb;
 }
 

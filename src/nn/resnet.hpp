@@ -34,7 +34,6 @@ class BasicBlock : public Layer {
   bool project_;
   std::unique_ptr<Conv2d> proj_;
   std::unique_ptr<BatchNorm2d> proj_bn_;
-  Tensor x_cache_;
 };
 
 /// A ResNet bottleneck block (1x1 reduce, 3x3, 1x1 expand), the ResNet-50

@@ -175,9 +175,16 @@ void MatmulBatch::flush() {
           it.cfg.mul_fmt);
 }
 
-void add_inplace(Tensor& a, const Tensor& b) {
+void add_inplace(Tensor& a, const Tensor& b, int threads) {
   assert(a.numel() == b.numel());
-  for (int64_t i = 0; i < a.numel(); ++i) a[i] += b[i];
+  float* pa = a.data();
+  const float* pb = b.data();
+  ThreadPool::global().parallel_for(
+      0, a.numel(),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) pa[i] += pb[i];
+      },
+      threads, kPointwiseGrain);
 }
 
 }  // namespace srmac

@@ -102,8 +102,18 @@ class MatmulBatch {
   int uncaught_ = std::uncaught_exceptions();
 };
 
+/// Elements per pool chunk of the training step's FP32 pointwise layers
+/// (BatchNorm2d by whole channels, ReLU and add_inplace by element range).
+/// On one thread BatchNorm runs at about 2 ns per element and ReLU and the
+/// add at 0.2-0.9 ns, so a chunk this long carries a BatchNorm's 30 us or
+/// more against a pool dispatch of a few microseconds (10-20 us when the
+/// workers are parked). A single resnet20 sample (at most 4,096 elements
+/// per activation) stays on the caller.
+inline constexpr int64_t kPointwiseGrain = 16384;
+
 /// a += b elementwise, the residual blocks' join (always FP32: the paper
-/// quantizes the GEMM inputs/accumulations, not pointwise math).
-void add_inplace(Tensor& a, const Tensor& b);
+/// quantizes the GEMM inputs/accumulations, not pointwise math), split by
+/// element range across at most `threads` pool threads (0 = no cap).
+void add_inplace(Tensor& a, const Tensor& b, int threads);
 
 }  // namespace srmac

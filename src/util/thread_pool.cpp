@@ -29,9 +29,11 @@ class InPoolTask {
   bool prev_;
 };
 
-/// One batch = one parallel_for invocation in flight.
+/// One batch = one parallel_for invocation in flight. The body is the
+/// caller's: parallel_for returns only once every chunk has finished, so it
+/// outlives the batch and is never copied.
 struct Batch {
-  std::function<void(int64_t, int64_t)> body;
+  const std::function<void(int64_t, int64_t)>* body = nullptr;
   std::atomic<int> remaining{0};  ///< chunks not yet finished
   /// Set by the first chunk that throws, which alone then writes `error`;
   /// the caller reads it after `remaining` reaches zero (acquire), so the
@@ -85,7 +87,7 @@ struct ThreadPool::State {
   void run_chunk(const Chunk& c) {
     try {
       InPoolTask scope;
-      c.batch->body(c.lo, c.hi);
+      (*c.batch->body)(c.lo, c.hi);
     } catch (...) {
       if (!c.batch->failed.exchange(true, std::memory_order_relaxed))
         c.batch->error = std::current_exception();
@@ -166,7 +168,7 @@ void ThreadPool::parallel_for(
           : std::min<int64_t>(static_cast<int64_t>(nthreads) * 4, max_chunks);
 
   Batch batch;
-  batch.body = body;
+  batch.body = &body;
   batch.remaining.store(static_cast<int>(nchunks));
 
   {

@@ -2,13 +2,15 @@
 // exactly once, the max_threads and grain caps hold, an empty range does
 // nothing, a nested call runs inline, and an exception thrown by a chunk —
 // on a worker or on the caller — reaches the caller after the other chunks
-// have finished, with the pool left fully usable.
+// have finished, with the pool left fully usable. A dispatch never copies
+// the caller's body.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -150,6 +152,34 @@ TEST(ParallelFor, NestedInsidePoolTaskRunsInline) {
   });
   EXPECT_EQ(ran.load(), 8 * 1000);
   EXPECT_EQ(off_thread.load(), 0);
+}
+
+// A dispatch to every pool thread runs the caller's body where it is: a
+// body that counts its copies is copied only when the caller wraps it in
+// the std::function.
+TEST(ParallelFor, DoesNotCopyTheBody) {
+  struct Counting {
+    std::atomic<int>* copies;
+    std::atomic<int64_t>* covered;
+    Counting(std::atomic<int>* c, std::atomic<int64_t>* v)
+        : copies(c), covered(v) {}
+    Counting(const Counting& o) : copies(o.copies), covered(o.covered) {
+      copies->fetch_add(1);
+    }
+    Counting& operator=(const Counting&) = delete;
+    void operator()(int64_t lo, int64_t hi) const {
+      covered->fetch_add(hi - lo);
+    }
+  };
+  std::atomic<int> copies{0};
+  std::atomic<int64_t> covered{0};
+  const std::function<void(int64_t, int64_t)> body =
+      Counting(&copies, &covered);
+  copies.store(0);
+  const int64_t n = 4 * ThreadPool::global().parallelism();
+  ThreadPool::global().parallel_for(0, n, body);
+  EXPECT_EQ(covered.load(), n);
+  EXPECT_EQ(copies.load(), 0);
 }
 
 // A chunk that throws on a worker thread: the exception reaches the
