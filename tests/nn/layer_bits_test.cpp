@@ -20,11 +20,12 @@
 // packed straight from the activations keep every bit, on every ISA's group
 // width.
 //
-// The third table pins the training step: three SGD steps of resnet20 and of
-// a bottleneck model on the sharded backend, so BatchNorm2d, ReLU and the
-// residual adds run in training next to the GEMMs, at engine threads 1 and
-// 0 against one row. Those rows were recorded from the tree whose pointwise
-// layers still ran serially on the calling thread. BatchNorm's statistics
+// The third table pins the training step: three SGD steps on the sharded
+// backend of resnet20, of the bottleneck model and of a model whose planes
+// are large enough for BatchNorm2d, ReLU and the residual adds to split
+// across the pool, at engine threads 1 and 0 against one row. Those rows
+// were recorded from the tree whose pointwise layers still ran serially on
+// the calling thread. BatchNorm's statistics
 // and gradients add in double in a fixed order and take one square root;
 // every other op is a float add, multiply or divide, so no libm call enters
 // these digests either.
@@ -333,11 +334,14 @@ std::vector<uint64_t> run(const Subject& s, const char* backend,
   return out;
 }
 
-std::string format_row(const Subject& s, const char* backend,
-                       const char* scenario,
+/// A recorded row as the tables spell it: the quoted `fields`, then the
+/// digests three to a line.
+std::string format_row(const std::vector<std::string>& fields,
                        const std::vector<uint64_t>& d) {
-  std::string line = std::string("    {\"") + s.name + "\", \"" + backend +
-                     "\", \"" + scenario + "\",\n     {";
+  std::string line = "    {";
+  for (const std::string& f : fields) line += "\"" + f + "\", ";
+  line.pop_back();
+  line += "\n     {";
   for (size_t i = 0; i < d.size(); ++i) {
     char hex[32];
     std::snprintf(hex, sizeof hex, "0x%016llXull",
@@ -361,7 +365,7 @@ void check(const Subject& s) {
         ADD_FAILURE() << (rec ? "row moved" : "row missing") << ": " << s.name
                       << " / " << backend << " / " << sc.name
                       << "; it now reads\n"
-                      << format_row(s, backend, sc.name, got);
+                      << format_row({s.name, backend, sc.name}, got);
     }
   }
 }
@@ -619,19 +623,10 @@ void check_train(const TrainSubject& s) {
     for (const int threads : {1, 0}) {
       const std::vector<uint64_t> got = run_train(s, sc.policy, threads);
       if (rec && rec->digests == got) continue;
-      std::string line = std::string("    {\"") + s.name + "\", \"" +
-                         sc.name + "\",\n     {";
-      for (size_t i = 0; i < got.size(); ++i) {
-        char hex[32];
-        std::snprintf(hex, sizeof hex, "0x%016llXull",
-                      static_cast<unsigned long long>(got[i]));
-        line += (i ? (i % 3 == 0 ? ",\n      " : ", ") : "") +
-                std::string(hex);
-      }
       ADD_FAILURE() << (rec ? "row moved" : "row missing") << ": " << s.name
                     << " / " << sc.name << " at threads " << threads
                     << "; it now reads\n"
-                    << line << "}},";
+                    << format_row({s.name, sc.name}, got);
     }
   }
 }
